@@ -13,6 +13,7 @@ from .spectral import (
     inertia_symbol,
     l2_inner,
     make_grid,
+    operators,
 )
 from .geodesic import (
     DensityState,
@@ -24,14 +25,17 @@ from .geodesic import (
     horizontal_velocity,
     make_state,
     metric_energy,
+    rk4,
     shoot,
     solve_L_rho,
     step_rk4,
+    time_steps,
 )
 from .epdiff import (
     DiffeoState,
     cross_validate,
     epdiff_rhs,
+    eval_periodic,
     horizontal_lift,
     horizontality_defect,
     integrate_epdiff,

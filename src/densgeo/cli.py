@@ -90,12 +90,11 @@ def _load_scalar(cfg, grid, section, key, role, required=True):
             raise ConfigError(f"[{section}] {key}: {exc}") from None
         vals = field.values
         if role == "rho":
-            if vals.min() <= 0.0:
+            if not vals.min() > 0.0:
                 raise ConfigError(f"[{section}] {key}: density not positive")
             field.values = vals / vals.mean()
         else:
             field.values = vals - vals.mean()
-            field.mean_zero = True
         return field, {"file": path, "sha256": digest}
     try:
         if role == "rho":
@@ -124,16 +123,23 @@ def _write_status(outdir, ok, message, t0):
     })
 
 
+def _time_steps(T, dt):
+    """The step count and the step taken, T / ceil(T/dt)."""
+    try:
+        return geodesic.time_steps(T, dt)
+    except ValueError as exc:
+        raise ConfigError(f"[time]: {exc}") from None
+
+
 def _diag_rows(times, diags):
     return [
-        (t, d.mass, d.energy, d.min_rho, d.max_abs_p, d.cg_iterations,
-         d.spectral_tail)
+        (t, d.mass, d.energy, d.min_rho, d.max_abs_p, d.spectral_tail)
         for t, d in zip(times, diags)
     ]
 
 
 DIAG_HEADER = ["t", "mass", "energy", "min_rho", "max_abs_p",
-               "cg_iterations", "spectral_tail"]
+               "spectral_tail"]
 
 
 def cmd_shoot(cfg, args, outdir, manifest):
@@ -149,6 +155,7 @@ def cmd_shoot(cfg, args, outdir, manifest):
         dt = geodesic.default_dt(state0)
         if dt is None:
             dt = T / 100.0
+    _, dt = _time_steps(T, dt)
     manifest.update({
         "grid": {"dim": grid.dim, "n": grid.n}, "k": k, "T": T, "dt": dt,
         "snapshot_stride": stride,
@@ -169,7 +176,7 @@ def cmd_match(cfg, args, outdir, manifest):
     grid = _build_grid(cfg)
     k = _metric_order(cfg)
     T = _get(cfg, "time", "T", float, required=True)
-    dt = _get(cfg, "time", "dt", float, required=True)
+    _, dt = _time_steps(T, _get(cfg, "time", "dt", float, required=True))
     rho0, rho0_src = _load_scalar(cfg, grid, "initial", "rho", "rho")
     rho1, rho1_src = _load_scalar(cfg, grid, "matching", "rho1", "rho")
     n_modes = _get(cfg, "matching", "n_modes", int, default=8)
@@ -215,7 +222,7 @@ def cmd_epdiff_check(cfg, args, outdir, manifest):
     if k < 0:
         raise ConfigError("[metric] k: epdiff-check requires k >= 0")
     T = _get(cfg, "time", "T", float, required=True)
-    dt = _get(cfg, "time", "dt", float, required=True)
+    _, dt = _time_steps(T, _get(cfg, "time", "dt", float, required=True))
     rho0, rho_src = _load_scalar(cfg, grid, "initial", "rho", "rho")
     p0, p_src = _load_scalar(cfg, grid, "initial", "p", "p")
     manifest.update({
@@ -249,7 +256,7 @@ def cmd_convergence(cfg, args, outdir, manifest):
     grid = _build_grid(cfg)
     k = _metric_order(cfg)
     T = _get(cfg, "time", "T", float, required=True)
-    dt = _get(cfg, "time", "dt", float, required=True)
+    _, dt = _time_steps(T, _get(cfg, "time", "dt", float, required=True))
     rho_spec = _get(cfg, "initial", "rho", str, required=True)
     p_spec = _get(cfg, "initial", "p", str, required=True)
     manifest.update({"grid": {"dim": grid.dim, "n": grid.n}, "k": k,

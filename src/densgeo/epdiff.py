@@ -12,18 +12,21 @@ the spatial error budget stays spectral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import geodesic
+from .geodesic import SolverAbort, rk4, time_steps
 from .spectral import (
     Grid,
+    Operators,
     ScalarField,
     VectorField,
     check_same_grid,
     l2_norm_values,
+    operators,
 )
-from .geodesic import SolverAbort, _symbols
 
 
 @dataclass
@@ -42,127 +45,99 @@ class DiffeoState:
         return self.disp.grid
 
 
-@dataclass
-class MomentumField:
-    """Momentum m = A u paired with a DiffeoState."""
-
-    m: VectorField
-
-
 def identity_state(grid: Grid, u: VectorField, k: int) -> DiffeoState:
-    zeros = tuple(np.zeros(grid.shape) for _ in range(grid.dim))
+    zeros = np.zeros((grid.dim,) + grid.shape)
     return DiffeoState(VectorField(grid, zeros), u, k)
 
 
 def eval_periodic(grid: Grid, values: np.ndarray, points) -> np.ndarray:
-    """Evaluate a band-limited grid field at arbitrary points (exact).
+    """Evaluate band-limited grid fields at arbitrary points (exact).
 
-    points: array of shape (dim, ...) with arbitrary real coordinates; the
-    Fourier series handles periodicity without wrapping. Nyquist modes are
-    dropped (they are zero for dealiased fields anyway).
+    values: (..., *grid.shape), any leading axes; points: array of shape
+    (dim, ...) with arbitrary real coordinates. Returns an array of shape
+    (..., *points[0].shape). The Fourier series handles periodicity without
+    wrapping. Nyquist modes are dropped (they are zero for dealiased fields
+    anyway). The point exponentials are built once for all leading
+    components, and the 2-D products reuse one buffer.
     """
-    fhat = np.fft.fftn(values)
-    k1 = grid.wavenumbers[0].astype(np.float64).copy()
-    nyq = grid.n // 2
-    keep = np.abs(grid.wavenumbers[0]) != nyq
-    pts = [np.asarray(p).ravel() for p in points]
+    values = np.asarray(values)
+    lead = values.shape[:values.ndim - grid.dim]
+    keep = np.abs(grid.wavenumbers[0]) != grid.n // 2
+    k1 = grid.wavenumbers[0][keep].astype(np.float64)
+    fhat = operators(grid).fft(values)
+    fhat = fhat[(Ellipsis,) + np.ix_(*[keep] * grid.dim)]
+    fhat = fhat.reshape((-1,) + fhat.shape[len(lead):])
+    pts = np.asarray(points).reshape(grid.dim, -1)
+    e = [np.exp(1j * np.outer(x, k1)) for x in pts]
+    out = np.empty((len(fhat), pts.shape[1]))
     if grid.dim == 1:
-        e = np.exp(1j * np.outer(pts[0], k1[keep]))
-        out = (e @ fhat[keep]).real / grid.npoints
+        for c, f in enumerate(fhat):
+            out[c] = (e[0] @ f).real / grid.npoints
     else:
-        fsub = fhat[np.ix_(keep, keep)]
-        e0 = np.exp(1j * np.outer(pts[0], k1[keep]))
-        e1 = np.exp(1j * np.outer(pts[1], k1[keep]))
-        out = ((e0 @ fsub) * e1).sum(axis=1).real / grid.npoints
-    return out.reshape(np.asarray(points[0]).shape)
+        prod = np.empty((pts.shape[1], len(k1)), dtype=np.complex128)
+        for c, f in enumerate(fhat):
+            np.matmul(e[0], f, out=prod)
+            prod *= e[1]
+            out[c] = prod.sum(axis=1).real / grid.npoints
+    return out.reshape(lead + np.shape(points[0]))
 
 
-def _dealias(grid: Grid, values: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(np.fft.fftn(values) * grid.dealias_mask).real
-
-
-def _grad_raw(grid: Grid, values: np.ndarray):
-    fhat = np.fft.fftn(values)
-    return [np.fft.ifftn(ik * fhat).real for ik in grid.ik]
-
-
-def _epdiff_rhs_raw(grid: Grid, k: int, u: list) -> list:
+def _epdiff_rhs(ops: Operators, u: np.ndarray) -> np.ndarray:
     """u_t = -Ainv{(u.grad)m + (div u)m + (grad u)^T m}, m = Au, dealiased."""
-    ainv_band, mask, _ = _symbols(grid, k)
-    a_sym = (1.0 + grid.ksq) ** (k + 1)
-    m = [np.fft.ifftn(a_sym * np.fft.fftn(ui)).real for ui in u]
-    du = [_grad_raw(grid, ui) for ui in u]   # du[i][j] = d_j u_i
-    dm = [_grad_raw(grid, mi) for mi in m]
-    divu = sum(du[j][j] for j in range(grid.dim))
-    out = []
-    for i in range(grid.dim):
-        conv = sum(u[j] * dm[i][j] for j in range(grid.dim))
-        stretch = sum(m[j] * du[j][i] for j in range(grid.dim))
-        total = conv + divu * m[i] + stretch
-        out.append(-np.fft.ifftn(ainv_band * np.fft.fftn(total)).real)
-    return out
+    m = ops.apply(ops.a, u)
+    du = ops.grad(u)  # du[i, j] = d_j u_i
+    dm = ops.grad(m)
+    divu = sum(du[j, j] for j in range(ops.grid.dim))
+    conv = (u * dm).sum(axis=1)
+    stretch = (m[:, None] * du).sum(axis=0)
+    return -ops.apply(ops.ainv_band, conv + divu * m + stretch)
 
 
 def epdiff_rhs(u: VectorField, k: int) -> VectorField:
-    out = _epdiff_rhs_raw(u.grid, k, list(u.components))
-    return VectorField(u.grid, tuple(out))
+    return VectorField(u.grid, _epdiff_rhs(operators(u.grid, k), u.components))
 
 
-def jacobian_det(grid: Grid, disp: list) -> np.ndarray:
+def jacobian_det(grid: Grid, disp) -> np.ndarray:
     """det(I + grad disp) on the grid (spectral derivatives)."""
-    d = [_grad_raw(grid, di) for di in disp]
+    d = operators(grid).grad(np.asarray(disp))  # d[i, j] = d_j disp_i
     if grid.dim == 1:
-        return 1.0 + d[0][0]
-    return (1.0 + d[0][0]) * (1.0 + d[1][1]) - d[0][1] * d[1][0]
+        return 1.0 + d[0, 0]
+    return (1.0 + d[0, 0]) * (1.0 + d[1, 1]) - d[0, 1] * d[1, 0]
 
 
-def _flow_rhs(grid: Grid, k: int, disp: list, u: list):
-    udot = _epdiff_rhs_raw(grid, k, u)
-    points = [x + di for x, di in zip(grid.coords, disp)]
-    dispdot = [eval_periodic(grid, ui, points) for ui in u]
-    return dispdot, udot
+def _flow_rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
+    """d/dt of the stacked state y = (disp, u): (u o phi, EPDiff)."""
+    disp, u = y
+    grid = ops.grid
+    return np.stack((eval_periodic(grid, u, grid.coords + disp),
+                     _epdiff_rhs(ops, u)))
 
 
 def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
                      store_every: int = 1) -> list:
     """RK4 on the coupled system (phi_t = u o phi, EPDiff for u).
 
-    Returns the list of stored (t, DiffeoState). Aborts when the flow map stops
-    being a grid-resolved diffeomorphism (nonpositive Jacobian).
+    Takes ceil(T/dt) equal steps that end exactly at T. Returns the list of
+    stored (t, DiffeoState). Aborts when the flow map stops being a
+    grid-resolved diffeomorphism (nonpositive Jacobian).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    n_steps, dt = time_steps(T, dt)
     grid = state0.grid
     k = state0.k
-    disp = [c.copy() for c in state0.disp.components]
-    u = [c.copy() for c in state0.u.components]
-    n_steps = max(1, int(round(T / dt)))
+    rhs = partial(_flow_rhs, operators(grid, k))
+    y = np.stack((state0.disp.components, state0.u.components))
     out = [(0.0, state0)]
     for i in range(n_steps):
-        d1, u1 = _flow_rhs(grid, k, disp, u)
-        d2, u2 = _flow_rhs(grid, k,
-                           [a + 0.5 * dt * b for a, b in zip(disp, d1)],
-                           [a + 0.5 * dt * b for a, b in zip(u, u1)])
-        d3, u3 = _flow_rhs(grid, k,
-                           [a + 0.5 * dt * b for a, b in zip(disp, d2)],
-                           [a + 0.5 * dt * b for a, b in zip(u, u2)])
-        d4, u4 = _flow_rhs(grid, k,
-                           [a + dt * b for a, b in zip(disp, d3)],
-                           [a + dt * b for a, b in zip(u, u3)])
-        disp = [a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(disp, d1, d2, d3, d4)]
-        u = [a + (dt / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(u, u1, u2, u3, u4)]
+        y = rk4(rhs, y, dt)
         t = (i + 1) * dt
-        jac = jacobian_det(grid, disp)
-        if jac.min() <= 0.0:
+        jac = jacobian_det(grid, y[0])
+        if not jac.min() > 0.0:
             raise SolverAbort(
                 f"t={t:.6g}: Jacobian lost positivity (min {jac.min():.3e})",
                 time=t)
         if (i + 1) % store_every == 0 or (i + 1) == n_steps:
-            out.append((t, DiffeoState(
-                VectorField(grid, tuple(c.copy() for c in disp)),
-                VectorField(grid, tuple(c.copy() for c in u)), k)))
+            out.append((t, DiffeoState(VectorField(grid, y[0]),
+                                       VectorField(grid, y[1]), k)))
     return out
 
 
@@ -170,16 +145,15 @@ class InversionError(RuntimeError):
     """Fixed-point inversion of the flow map failed to converge."""
 
 
-def invert_map(grid: Grid, disp: list, tol: float = 1e-12,
-               damping: float = 0.5, max_iter: int = 200) -> list:
+def invert_map(grid: Grid, disp, tol: float = 1e-12,
+               damping: float = 0.5, max_iter: int = 200) -> np.ndarray:
     """Inverse displacement q with (x + q) + disp(x + q) = x, by damped fixed point."""
-    q = [-di.copy() for di in disp]
+    disp = np.asarray(disp)
+    q = -disp
     for _ in range(max_iter):
-        points = [x + qi for x, qi in zip(grid.coords, q)]
-        res = [qi + eval_periodic(grid, di, points)
-               for qi, di in zip(q, disp)]
-        err = max(np.abs(r).max() for r in res)
-        q = [qi - damping * r for qi, r in zip(q, res)]
+        res = q + eval_periodic(grid, disp, grid.coords + q)
+        err = np.abs(res).max()
+        q = q - damping * res
         if err < tol:
             return q
     raise InversionError(
@@ -195,10 +169,10 @@ def project_left(phi: DiffeoState):
 def project_left_report(phi: DiffeoState):
     """As project_left, also returning the pre-normalization mass error."""
     grid = phi.grid
-    jac = jacobian_det(grid, list(phi.disp.components))
-    if jac.min() <= 0.0:
+    jac = jacobian_det(grid, phi.disp.components)
+    if not jac.min() > 0.0:
         raise SolverAbort(f"Jacobian not positive (min {jac.min():.3e})")
-    q = invert_map(grid, list(phi.disp.components))
+    q = invert_map(grid, phi.disp.components)
     rho_vals = jacobian_det(grid, q)
     mass = float(rho_vals.mean())
     return ScalarField(grid, rho_vals / mass), abs(mass - 1.0)
@@ -213,8 +187,8 @@ def pushforward_density(rho0: ScalarField, phi: DiffeoState):
     """
     grid = phi.grid
     check_same_grid(grid, rho0.grid)
-    q = invert_map(grid, list(phi.disp.components))
-    points = [x + qi for x, qi in zip(grid.coords, q)]
+    q = invert_map(grid, phi.disp.components)
+    points = grid.coords + q
     vals = eval_periodic(grid, rho0.values, points) * jacobian_det(grid, q)
     mass = float(vals.mean())
     return ScalarField(grid, vals / mass)
@@ -241,32 +215,25 @@ def horizontality_defect(u: VectorField, rho: ScalarField, k: int) -> float:
     """L2 norm of the divergence-free Hodge component of w = (1/rho) Au."""
     grid = u.grid
     check_same_grid(grid, rho.grid)
-    if rho.values.min() <= 0.0:
+    if not rho.values.min() > 0.0:
         raise ValueError("rho must be strictly positive")
-    a_sym = (1.0 + grid.ksq) ** (k + 1)
-    m = [np.fft.ifftn(a_sym * np.fft.fftn(c)).real for c in u.components]
-    w = [mi / rho.values for mi in m]
-    what = [np.fft.fftn(wi) for wi in w]
-    ksq = grid.ksq.copy()
-    zero = (0,) * grid.dim
-    ksq[zero] = 1.0
-    kdotw = sum(km * wh for km, wh in zip(grid.k_mesh, what))
+    ops = operators(grid, k)
+    what = ops.fft(ops.apply(ops.a, u.components) / rho.values)
+    kdotw = (grid.k_mesh * what).sum(axis=0)
+    grad_part = grid.k_mesh * kdotw / ops.ksq_safe
+    # the constant mode is divergence-free
+    grad_part[(slice(None),) + (0,) * grid.dim] = 0.0
     sq = 0.0
-    for km, wh in zip(grid.k_mesh, what):
-        grad_part = km * kdotw / ksq
-        grad_part[zero] = 0.0  # the constant mode is divergence-free
-        tilde = wh - grad_part
+    for tilde in what - grad_part:
         sq += float((np.abs(tilde) ** 2).sum()) / grid.npoints ** 2
     return float(np.sqrt(sq))
 
 
 def epdiff_energy(u: VectorField, k: int) -> float:
     """Right-invariant energy <Au, u> (conserved along EPDiff solutions)."""
-    grid = u.grid
-    a_sym = (1.0 + grid.ksq) ** (k + 1)
+    ops = operators(u.grid, k)
     total = 0.0
-    for c in u.components:
-        au = np.fft.ifftn(a_sym * np.fft.fftn(c)).real
+    for au, c in zip(ops.apply(ops.a, u.components), u.components):
         total += float((au * c).mean())
     return total
 
@@ -277,35 +244,34 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
 
     Reports the L2 discrepancy between the density trajectory and the left
     projection of the EPDiff trajectory, the worst horizontality defect, and
-    the relative energy drift on both sides.
+    the relative energy drift on both sides. The reported dt is the step
+    taken, T / ceil(T/dt).
     """
     if k < 0:
         raise ValueError("cross validation requires k >= 0")
     grid = rho0.grid
-    n_steps = max(1, int(round(T / dt)))
+    n_steps, dt = time_steps(T, dt)
     stride = max(1, n_steps // max(1, n_checks - 1))
 
     traj = geodesic.shoot(rho0, p0, k, T, dt, store_every=stride)
     state0 = traj.states[0]
     u0 = geodesic.horizontal_velocity(state0)
-    ep = integrate_epdiff(identity_state(grid, u0, k), T, dt,
-                          store_every=stride)
-
-    ep_by_time = {round(t / dt): s for t, s in ep}
+    # both integrators store the time (i + 1) * dt of step i
+    ep_by_time = dict(integrate_epdiff(identity_state(grid, u0, k), T, dt,
+                                       store_every=stride))
     discrepancies = []
     defects = []
     for t, dstate in zip(traj.times, traj.states):
-        key = round(t / dt)
-        if key not in ep_by_time:
+        phi = ep_by_time.get(t)
+        if phi is None:
             continue
-        phi = ep_by_time[key]
         rho_ep = pushforward_density(rho0, phi)
         discrepancies.append(
             l2_norm_values(rho_ep.values - dstate.rho.values))
         defects.append(horizontality_defect(phi.u, rho_ep, k))
 
     e_dens = [d.energy for d in traj.diagnostics]
-    e_ep = [epdiff_energy(s.u, k) for _, s in ep]
+    e_ep = [epdiff_energy(s.u, k) for s in ep_by_time.values()]
 
     def rel_drift(values):
         ref = abs(values[0])

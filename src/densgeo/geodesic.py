@@ -14,17 +14,20 @@ symmetric.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
 from .spectral import (
     Grid,
+    Operators,
     ScalarField,
     VectorField,
     check_same_grid,
     l2_norm_values,
+    operators,
     spectral_tail_fraction,
 )
 
@@ -33,6 +36,7 @@ log = logging.getLogger(__name__)
 MASS_TOL = 1e-10
 MEAN_TOL = 1e-12
 MASS_DRIFT_TOL = 1e-8
+STEP_RTOL = 1e-9  # T/dt this close to an integer counts as that integer
 
 
 class SolverAbort(RuntimeError):
@@ -47,52 +51,42 @@ class StateError(ValueError):
     """Density-state invariants violated."""
 
 
-@lru_cache(maxsize=None)
-def _symbols(grid: Grid, k: int):
-    """Cached spectral tables for one (grid, k): masked A^-1 symbol, mask, CG preconditioner."""
-    mask = grid.dealias_mask
-    ainv = (1.0 + grid.ksq) ** (-(k + 1))
-    ainv_band = ainv * mask
-    ksq = grid.ksq.copy()
-    zero = (0,) * grid.dim
-    ksq[zero] = 1.0
-    precond = mask * (1.0 + grid.ksq) ** (k + 1) / ksq
-    precond[zero] = 0.0
-    return ainv_band, mask, precond
+def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step of y' = f(y) on an array state."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _lrho_raw(grid: Grid, k: int, rho: np.ndarray, p: np.ndarray,
-              with_aux: bool = False):
-    """Dealiased application of L_rho; optionally also return grad p and u.
+def time_steps(T: float, dt: float):
+    """(n_steps, step) that end exactly at T: ceil(T/dt) steps of T/n_steps."""
+    if not (T > 0.0 and dt > 0.0):
+        raise ValueError("T and dt must be positive")
+    n_steps = math.ceil(T / dt * (1.0 - STEP_RTOL))
+    return n_steps, T / n_steps
+
+
+def _lrho(ops: Operators, rho: np.ndarray, p: np.ndarray):
+    """Dealiased L_rho p, with grad p and u = Ainv(rho grad p).
 
     Dealiasing placement (input, after the first product, and on the output)
     makes the discrete operator exactly symmetric on the retained band.
     """
-    ainv_band, mask, _ = _symbols(grid, k)
-    phat = np.fft.fftn(p) * mask
-    gradp = [np.fft.ifftn(ik * phat).real for ik in grid.ik]
-    u = [
-        np.fft.ifftn(ainv_band * np.fft.fftn(rho * g)).real
-        for g in gradp
-    ]
-    rhodot_hat = sum(
-        ik * np.fft.fftn(rho * uj) for ik, uj in zip(grid.ik, u)
-    )
-    rhodot = -np.fft.ifftn(rhodot_hat * mask).real
-    if with_aux:
-        return rhodot, gradp, u
-    return rhodot
+    gradp = ops.ifft(ops.ik * (ops.fft(p) * ops.mask)).real
+    u = ops.apply(ops.ainv_band, rho * gradp)
+    rhodot = -ops.ifft(ops.div_hat(rho * u) * ops.mask).real
+    return rhodot, gradp, u
 
 
-def _rhs_raw(grid: Grid, k: int, rho: np.ndarray, p: np.ndarray):
-    """Hamiltonian right-hand side on raw arrays: (rhodot, pdot)."""
-    _, mask, _ = _symbols(grid, k)
-    rhodot, gradp, u = _lrho_raw(grid, k, rho, p, with_aux=True)
-    adv = sum(g * uj for g, uj in zip(gradp, u))
-    adv_hat = np.fft.fftn(adv) * mask
-    adv_hat[(0,) * grid.dim] = 0.0  # mean-zero representative of p_t
-    pdot = -np.fft.ifftn(adv_hat).real
-    return rhodot, pdot
+def _rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
+    """Hamiltonian right-hand side d/dt of the stacked state y = (rho, p)."""
+    rho, p = y
+    rhodot, gradp, u = _lrho(ops, rho, p)
+    adv_hat = ops.fft((gradp * u).sum(axis=0)) * ops.mask
+    adv_hat[(0,) * ops.grid.dim] = 0.0  # mean-zero representative of p_t
+    return np.stack((rhodot, -ops.ifft(adv_hat).real))
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,6 @@ class Diagnostics:
     energy: float
     min_rho: float
     max_abs_p: float
-    cg_iterations: int
     spectral_tail: float
 
 
@@ -123,14 +116,16 @@ class DensityState:
         return self.rho.grid
 
     def validate(self) -> None:
-        rv = self.rho.values
-        if rv.min() <= 0.0:
+        rv, pv = self.rho.values, self.p.values
+        if not (np.isfinite(rv).all() and np.isfinite(pv).all()):
+            raise StateError("rho and p must be finite")
+        if not rv.min() > 0.0:
             raise StateError(f"rho must be strictly positive (min {rv.min():.3e})")
         mass_err = abs(rv.mean() - 1.0)
-        if mass_err > MASS_TOL:
+        if not mass_err <= MASS_TOL:
             raise StateError(f"rho mass deviates from 1 by {mass_err:.3e}")
-        p_mean = abs(self.p.values.mean())
-        if p_mean > MEAN_TOL:
+        p_mean = abs(pv.mean())
+        if not p_mean <= MEAN_TOL:
             raise StateError(f"p mean {p_mean:.3e} exceeds {MEAN_TOL}")
 
 
@@ -145,7 +140,7 @@ def make_state(grid: Grid, rho_values, p_values, k: int) -> DensityState:
     """Build a state, pinning the mean-zero representative of p; validates."""
     rho = ScalarField(grid, rho_values)
     p_vals = np.asarray(p_values, dtype=np.float64).reshape(grid.shape)
-    p = ScalarField(grid, p_vals - p_vals.mean(), mean_zero=True)
+    p = ScalarField(grid, p_vals - p_vals.mean())
     state = DensityState(rho, p, k)
     state.validate()
     return state
@@ -154,10 +149,10 @@ def make_state(grid: Grid, rho_values, p_values, k: int) -> DensityState:
 def apply_L_rho(rho: ScalarField, p: ScalarField, k: int) -> ScalarField:
     """p -> -div(rho * Ainv(rho * grad p)); mean-zero output."""
     check_same_grid(rho.grid, p.grid)
-    if rho.values.min() <= 0.0:
+    if not rho.values.min() > 0.0:
         raise StateError("rho must be strictly positive")
-    out = _lrho_raw(rho.grid, k, rho.values, p.values)
-    return ScalarField(rho.grid, out, mean_zero=True)
+    rhodot, _, _ = _lrho(operators(rho.grid, k), rho.values, p.values)
+    return ScalarField(rho.grid, rhodot)
 
 
 def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
@@ -167,41 +162,28 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
     Preconditioner: the exact constant-density inverse symbol
     (1+|xi|^2)^(k+1)/|xi|^2 on nonzero retained modes.
     """
-    p, _ = solve_L_rho_info(rho, rhodot, k, tol=tol, max_iter=max_iter)
-    return p
-
-
-def solve_L_rho_info(rho: ScalarField, rhodot: ScalarField, k: int,
-                     tol: float = 1e-10, max_iter: int | None = None):
     check_same_grid(rho.grid, rhodot.grid)
     grid = rho.grid
-    if rho.values.min() <= 0.0:
+    if not rho.values.min() > 0.0:
         raise StateError("rho must be strictly positive")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    ainv_band, mask, precond = _symbols(grid, k)
-    b = np.fft.ifftn(np.fft.fftn(rhodot.values) * mask).real
+    ops = operators(grid, k)
+    b = ops.apply(ops.mask, rhodot.values)
     b = b - b.mean()
     bnorm = l2_norm_values(b)
     if bnorm == 0.0:
-        return ScalarField(grid, np.zeros(grid.shape), mean_zero=True), 0
+        return ScalarField(grid, np.zeros(grid.shape))
     if max_iter is None:
         max_iter = 10 * grid.npoints
 
-    def apply_op(x):
-        return _lrho_raw(grid, k, rho.values, x)
-
-    def apply_precond(r):
-        return np.fft.ifftn(precond * np.fft.fftn(r)).real
-
     x = np.zeros(grid.shape)
     r = b.copy()
-    z = apply_precond(r)
+    z = ops.apply(ops.precond, r)
     q = z.copy()
     rz = float((r * z).mean())
-    iters = 0
     for iters in range(1, max_iter + 1):
-        lq = apply_op(q)
+        lq, _, _ = _lrho(ops, rho.values, q)
         qlq = float((q * lq).mean())
         if qlq <= 0.0:
             raise SolverAbort(
@@ -212,7 +194,7 @@ def solve_L_rho_info(rho: ScalarField, rhodot: ScalarField, k: int,
         r = r - alpha * lq
         if l2_norm_values(r) <= tol * bnorm:
             break
-        z = apply_precond(r)
+        z = ops.apply(ops.precond, r)
         rz_new = float((r * z).mean())
         q = z + (rz_new / rz) * q
         rz = rz_new
@@ -221,81 +203,69 @@ def solve_L_rho_info(rho: ScalarField, rhodot: ScalarField, k: int,
             f"CG did not converge in {max_iter} iterations; "
             f"relative residual {l2_norm_values(r) / bnorm:.3e}"
         )
-    x = x - x.mean()
-    return ScalarField(grid, x, mean_zero=True), iters
+    return ScalarField(grid, x - x.mean())
 
 
 def horizontal_velocity(state: DensityState) -> VectorField:
     """u = Ainv(rho * grad p): the horizontal (Eulerian) velocity of the state."""
-    grid = state.grid
-    _, gradp, u = _lrho_raw(grid, state.k, state.rho.values, state.p.values,
-                            with_aux=True)
-    return VectorField(grid, tuple(u))
+    _, _, u = _lrho(operators(state.grid, state.k), state.rho.values,
+                    state.p.values)
+    return VectorField(state.grid, u)
 
 
 def hamiltonian_rhs(state: DensityState):
     """Time derivatives (rhodot, pdot) of the geodesic flow at a state."""
-    rhodot, pdot = _rhs_raw(state.grid, state.k, state.rho.values,
-                            state.p.values)
-    return (
-        ScalarField(state.grid, rhodot, mean_zero=True),
-        ScalarField(state.grid, pdot, mean_zero=True),
-    )
+    y = np.stack((state.rho.values, state.p.values))
+    rhodot, pdot = _rhs(operators(state.grid, state.k), y)
+    return ScalarField(state.grid, rhodot), ScalarField(state.grid, pdot)
 
 
 def metric_energy(state: DensityState) -> float:
     """Kinetic energy 0.5 * <p, L_rho p>; zero iff p is constant."""
-    rhodot = _lrho_raw(state.grid, state.k, state.rho.values, state.p.values)
+    rhodot, _, _ = _lrho(operators(state.grid, state.k), state.rho.values,
+                         state.p.values)
     return float(0.5 * (state.p.values * rhodot).mean())
 
 
-def diagnostics_for(state: DensityState, cg_iterations: int = 0) -> Diagnostics:
+def diagnostics_for(state: DensityState) -> Diagnostics:
     rv = state.rho.values
     return Diagnostics(
         mass=float(rv.mean()),
         energy=metric_energy(state),
         min_rho=float(rv.min()),
         max_abs_p=float(np.abs(state.p.values).max()),
-        cg_iterations=cg_iterations,
         spectral_tail=spectral_tail_fraction(state.grid, rv),
     )
 
 
-def _rk4_raw(grid: Grid, k: int, rho: np.ndarray, p: np.ndarray, dt: float):
-    r1, p1 = _rhs_raw(grid, k, rho, p)
-    r2, p2 = _rhs_raw(grid, k, rho + 0.5 * dt * r1, p + 0.5 * dt * p1)
-    r3, p3 = _rhs_raw(grid, k, rho + 0.5 * dt * r2, p + 0.5 * dt * p2)
-    r4, p4 = _rhs_raw(grid, k, rho + dt * r3, p + dt * p3)
-    rho_new = rho + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-    p_new = p + (dt / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-    return rho_new, p_new - p_new.mean()
-
-
 def step_rk4(state: DensityState, dt: float) -> DensityState:
     """One classical RK4 step; aborts on positivity loss or mass drift."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     grid = state.grid
-    rho_new, p_new = _rk4_raw(grid, state.k, state.rho.values, state.p.values, dt)
-    if rho_new.min() <= 0.0:
+    rho = state.rho.values
+    y = rk4(partial(_rhs, operators(grid, state.k)),
+            np.stack((rho, state.p.values)), dt)
+    # in place, so that the new state is the one stacked buffer
+    y[1] -= y[1].mean()
+    if not np.isfinite(y).all():
+        raise SolverAbort("state is no longer finite")
+    if not y[0].min() > 0.0:
         raise SolverAbort(
-            f"positivity lost: min rho {rho_new.min():.3e} "
+            f"positivity lost: min rho {y[0].min():.3e} "
             "(under-resolved or outside the global regime)"
         )
-    drift = abs(rho_new.mean() - state.rho.values.mean())
-    if drift > MASS_DRIFT_TOL:
+    drift = abs(y[0].mean() - rho.mean())
+    if not drift <= MASS_DRIFT_TOL:
         raise SolverAbort(f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL}")
-    return DensityState(
-        ScalarField(grid, rho_new),
-        ScalarField(grid, p_new, mean_zero=True),
-        state.k,
-    )
+    return DensityState(ScalarField(grid, y[0]), ScalarField(grid, y[1]),
+                        state.k)
 
 
 def default_dt(state: DensityState, cfl: float = 0.5) -> float | None:
     """CFL-style default step 0.5 * dx / max|u|; None for a resting state."""
     u = horizontal_velocity(state)
-    umax = max(float(np.abs(c).max()) for c in u.components)
+    umax = float(np.abs(u.components).max())
     if umax == 0.0:
         return None
     return cfl * state.grid.spacing / umax
@@ -305,11 +275,11 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
           store_every: int = 1, backward: bool = False) -> Trajectory:
     """Integrate the geodesic flow from (rho0, p0) over [0, T].
 
+    Takes ceil(T/dt) equal steps that end exactly at T (see time_steps).
     Backward runs negate p, integrate forward, and negate back (the flow is
     time-reversible). Aborts propagate with the failing time attached.
     """
-    if T <= 0.0 or dt <= 0.0:
-        raise ValueError("T and dt must be positive")
+    n_steps, dt = time_steps(T, dt)
     if k in (-1, 0):
         log.warning(
             "k=%d is in the local regime: global existence is not guaranteed "
@@ -319,7 +289,6 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     if backward:
         p_init = -p_init
     state = make_state(grid, rho0.values, p_init, k)
-    n_steps = max(1, int(round(T / dt)))
     times = [0.0]
     states = [state]
     diags = [diagnostics_for(state)]
@@ -334,10 +303,8 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
             states.append(state)
             diags.append(diagnostics_for(state))
     if backward:
-        states = [
-            DensityState(s.rho,
-                         ScalarField(grid, -s.p.values, mean_zero=True), k)
-            for s in states
-        ]
+        # in place: each stored p is a view into its state's stacked buffer
+        for s in states:
+            np.negative(s.p.values, out=s.p.values)
         diags = [diagnostics_for(s) for s in states]
     return Trajectory(np.array(times), states, diags)

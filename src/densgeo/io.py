@@ -54,18 +54,23 @@ def read_field(path, expected_grid: Grid | None = None):
             raise FieldFormatError(f"{path}: header missing {key!r}")
     if header["byte_order"] != "little":
         raise FieldFormatError(f"{path}: unsupported byte order")
-    grid = make_grid(header["dim"], header["n"])
+    try:
+        grid = make_grid(header["dim"], header["n"])
+        ncomp = int(header["components"])
+    except (TypeError, ValueError) as exc:
+        raise FieldFormatError(f"{path}: bad header: {exc}") from None
     if expected_grid is not None and grid != expected_grid:
         raise FieldFormatError(
             f"{path}: grid {grid} does not match expected {expected_grid}"
         )
-    ncomp = int(header["components"])
     expected_bytes = ncomp * grid.npoints * 8
     if len(payload) != expected_bytes:
         raise FieldFormatError(
             f"{path}: payload has {len(payload)} bytes, expected {expected_bytes}"
         )
     flat = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise FieldFormatError(f"{path}: payload holds non-finite values")
     comps = [
         flat[i * grid.npoints:(i + 1) * grid.npoints].reshape(grid.shape).copy()
         for i in range(ncomp)
@@ -79,7 +84,7 @@ def read_field(path, expected_grid: Grid | None = None):
             raise FieldFormatError(
                 f"{path}: vector file with {ncomp} components on dim {grid.dim}"
             )
-        return VectorField(grid, tuple(comps))
+        return VectorField(grid, comps)
     raise FieldFormatError(f"{path}: unknown kind {header['kind']!r}")
 
 
@@ -89,10 +94,6 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def format_float(x) -> str:

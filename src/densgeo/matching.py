@@ -42,9 +42,11 @@ class MatchProblem:
     def __post_init__(self):
         check_same_grid(self.rho0.grid, self.rho1.grid)
         for name, f in (("rho0", self.rho0), ("rho1", self.rho1)):
-            if f.values.min() <= 0.0:
+            if not np.isfinite(f.values).all():
+                raise ValueError(f"{name} must be finite")
+            if not f.values.min() > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-            if abs(f.values.mean() - 1.0) > geodesic.MASS_TOL:
+            if not abs(f.values.mean() - 1.0) <= geodesic.MASS_TOL:
                 raise ValueError(f"{name} must have unit mass")
         if self.n_modes < 1 or self.n_modes > self.rho0.grid.n // 3:
             raise ValueError(
@@ -63,6 +65,22 @@ class MatchResult:
     objective_history: np.ndarray
     final_l2_mismatch: float
     geodesic: geodesic.Trajectory
+    history_rows: list  # (iter, objective, grad_norm, step) for history.csv
+
+
+def half_space_modes(grid: Grid, n_modes: int) -> list:
+    """(m, m . x) for the nonzero wave vectors m with |m_j| <= n_modes,
+    one of each pair +-m.
+
+    On T^1: m = 1..n_modes. On T^2: m1 >= 0, and m2 > 0 when m1 = 0.
+    """
+    if grid.dim == 1:
+        modes = [(m,) for m in range(1, n_modes + 1)]
+    else:
+        modes = [(m1, m2) for m1 in range(0, n_modes + 1)
+                 for m2 in range(-n_modes, n_modes + 1) if m1 > 0 or m2 > 0]
+    return [(mode, sum(m * x for m, x in zip(mode, grid.coords)))
+            for mode in modes]
 
 
 def basis_fields(grid: Grid, n_modes: int) -> list:
@@ -72,20 +90,9 @@ def basis_fields(grid: Grid, n_modes: int) -> list:
     vectors taken over a half-space so the basis is not redundant.
     """
     out = []
-    if grid.dim == 1:
-        x = grid.coords[0]
-        for m in range(1, n_modes + 1):
-            out.append(np.cos(m * x))
-            out.append(np.sin(m * x))
-    else:
-        x, y = grid.coords
-        for m1 in range(0, n_modes + 1):
-            for m2 in range(-n_modes, n_modes + 1):
-                if m1 == 0 and m2 <= 0:
-                    continue
-                phase = m1 * x + m2 * y
-                out.append(np.cos(phase))
-                out.append(np.sin(phase))
+    for _, phase in half_space_modes(grid, n_modes):
+        out.append(np.cos(phase))
+        out.append(np.sin(phase))
     return out
 
 
@@ -97,7 +104,7 @@ def p_from_coeffs(problem: MatchProblem, coeffs: np.ndarray) -> ScalarField:
     vals = np.zeros(problem.grid.shape)
     for c, b in zip(coeffs, basis):
         vals += c * b
-    return ScalarField(problem.grid, vals - vals.mean(), mean_zero=True)
+    return ScalarField(problem.grid, vals - vals.mean())
 
 
 def _shoot_endpoint(problem: MatchProblem, coeffs: np.ndarray,
@@ -144,7 +151,7 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     n_coeffs = len(basis_fields(problem.grid, problem.n_modes))
     coeffs = np.zeros(n_coeffs)
     history = []
-    rows = []  # (iter, objective, grad_norm, step) for history.csv
+    rows = []
 
     j = objective(problem, coeffs)
     history.append(j)
@@ -196,13 +203,12 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     rho_T, traj = _shoot_endpoint(problem, best_coeffs, store_every=1)
     mismatch = l2_norm_values(rho_T.values - problem.rho1.values)
     mismatch /= l2_norm_values(problem.rho1.values)
-    result = MatchResult(
+    return MatchResult(
         status=status,
         p0=p0,
         coeffs=best_coeffs,
         objective_history=np.array(history),
         final_l2_mismatch=mismatch,
         geodesic=traj,
+        history_rows=rows,
     )
-    result.history_rows = rows
-    return result

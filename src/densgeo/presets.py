@@ -73,4 +73,4 @@ def density_preset(grid: Grid, spec: str) -> ScalarField:
 
 def momentum_preset(grid: Grid, spec: str) -> ScalarField:
     vals = raw_preset(grid, spec)
-    return ScalarField(grid, vals - vals.mean(), mean_zero=True)
+    return ScalarField(grid, vals - vals.mean())

@@ -1,14 +1,19 @@
-"""Spectral toolbox on the flat torus T^d: grids, fields, Fourier multipliers.
+"""Spectral toolbox on the flat torus T^d: grids, fields, Fourier operators.
 
 All fields live on uniform periodic grids with n points per axis on [0, 2*pi).
 The measure is normalized so that the constant field 1 integrates to exactly 1;
 integrals are plain grid means. Differential operators are exact for
 band-limited fields; products of fields are dealiased with the 2/3 rule.
+
+The solvers work on plain arrays whose trailing `dim` axes are the grid: a
+vector field is one (dim, *shape) array, and any stack of fields is
+transformed in one call. Every transform and Fourier symbol they use comes
+from one cached table per (grid, k), built by `operators`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,10 +50,10 @@ class Grid:
         return TWO_PI / self.n
 
     @cached_property
-    def coords(self) -> tuple:
-        """Meshgrid coordinate arrays, 'ij' indexing."""
+    def coords(self) -> np.ndarray:
+        """Stacked meshgrid coordinates, (dim, *shape), 'ij' indexing."""
         x = np.arange(self.n) * self.spacing
-        return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
+        return np.stack(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     @cached_property
     def wavenumbers(self) -> tuple:
@@ -57,32 +62,27 @@ class Grid:
         return tuple(k for _ in range(self.dim))
 
     @cached_property
-    def k_mesh(self) -> tuple:
+    def k_mesh(self) -> np.ndarray:
+        """Stacked wave vectors, (dim, *shape)."""
         k = self.wavenumbers[0].astype(np.float64)
-        return tuple(np.meshgrid(*([k] * self.dim), indexing="ij"))
+        return np.stack(np.meshgrid(*([k] * self.dim), indexing="ij"))
 
     @cached_property
     def ksq(self) -> np.ndarray:
         return sum(km ** 2 for km in self.k_mesh)
 
     @cached_property
-    def ik(self) -> tuple:
-        """1j*k per axis with the Nyquist mode zeroed (keeps derivatives real)."""
-        out = []
-        for km in self.k_mesh:
-            ik = 1j * km
-            ik[np.abs(km) == self.n // 2] = 0.0
-            out.append(ik)
-        return tuple(out)
+    def ik(self) -> np.ndarray:
+        """1j*k per axis, (dim, *shape), with the Nyquist mode zeroed
+        (keeps derivatives real)."""
+        ik = 1j * self.k_mesh
+        ik[np.abs(self.k_mesh) == self.n // 2] = 0.0
+        return ik
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep modes with |k_j| <= n//3 on every axis."""
-        cut = self.n // 3
-        mask = np.ones(self.shape, dtype=bool)
-        for km in self.k_mesh:
-            mask &= np.abs(km) <= cut
-        return mask
+        return np.all(np.abs(self.k_mesh) <= self.n // 3, axis=0)
 
 
 def make_grid(dim: int, n: int) -> Grid:
@@ -94,39 +94,91 @@ def check_same_grid(a: Grid, b: Grid) -> None:
         raise GridError(f"grid mismatch: {a} vs {b}")
 
 
+class Operators:
+    """Transforms and Fourier symbols of one grid and metric order k.
+
+    Arrays may carry leading axes; the transforms act on the trailing grid
+    axes. They are fft/ifft in 1-D and fft2/ifft2 in 2-D (an fftn with
+    explicit axes costs about twice as much per call), looked up on
+    numpy.fft at call time so that a patched numpy.fft sees every call.
+    Its arrays, shared with every caller, are read-only.
+    """
+
+    def __init__(self, grid: Grid, k: int):
+        if k < -1:
+            raise ValueError(f"metric order k must be >= -1, got {k}")
+        self.grid = grid
+        self._fft, self._ifft = (("fft", "ifft") if grid.dim == 1
+                                 else ("fft2", "ifft2"))
+        self.mask = grid.dealias_mask
+        self.ik = grid.ik
+        zero = (0,) * grid.dim
+        base = 1.0 + grid.ksq
+        # A = (1 - Laplacian)^(k+1) and its inverse; k = -1 is the identity
+        self.a = base ** (k + 1)
+        self.ainv = base ** (-(k + 1))
+        self.ainv_band = self.ainv * self.mask
+        # |xi|^2 with the mean mode set to 1: a divisor for the nonzero modes
+        self.ksq_safe = grid.ksq.copy()
+        self.ksq_safe[zero] = 1.0
+        # the exact constant-density inverse of L_rho on the retained band
+        self.precond = self.mask * self.a / self.ksq_safe
+        self.precond[zero] = 0.0
+        for arr in (self.mask, self.ik, self.a, self.ainv, self.ainv_band,
+                    self.ksq_safe, self.precond):
+            arr.flags.writeable = False
+
+    def fft(self, values: np.ndarray) -> np.ndarray:
+        return getattr(np.fft, self._fft)(values)
+
+    def ifft(self, values_hat: np.ndarray) -> np.ndarray:
+        return getattr(np.fft, self._ifft)(values_hat)
+
+    def apply(self, symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Real Fourier multiplier: values -> ifft(symbol * fft(values))."""
+        return self.ifft(symbol * self.fft(values)).real
+
+    def grad(self, values: np.ndarray) -> np.ndarray:
+        """Spectral gradient, (..., *shape) -> (..., dim, *shape)."""
+        fhat = np.expand_dims(self.fft(values), -self.grid.dim - 1)
+        return self.ifft(self.ik * fhat).real
+
+    def div_hat(self, v: np.ndarray) -> np.ndarray:
+        """Fourier coefficients of the divergence of v, (..., dim, *shape)."""
+        return (self.ik * self.fft(v)).sum(axis=-self.grid.dim - 1)
+
+
+@lru_cache(maxsize=None)
+def operators(grid: Grid, k: int = -1) -> Operators:
+    """The operator table of (grid, k); k only sets the metric symbols."""
+    return Operators(grid, k)
+
+
 @dataclass
 class ScalarField:
-    """Real scalar field on a grid; mean_zero tags quotient representatives."""
+    """Real scalar field on a grid."""
 
     grid: Grid
     values: np.ndarray
-    mean_zero: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(self.grid.shape)
-        self.values = v
-
-    def mean(self) -> float:
-        return float(self.values.mean())
+        self.values = np.asarray(self.values, dtype=np.float64).reshape(
+            self.grid.shape)
 
 
 @dataclass
 class VectorField:
-    """Real vector field: dim component arrays on a shared grid."""
+    """Real vector field: one (dim, *shape) array of components."""
 
     grid: Grid
-    components: tuple
+    components: np.ndarray
 
     def __post_init__(self):
-        comps = tuple(
-            np.asarray(c, dtype=np.float64).reshape(self.grid.shape)
-            for c in self.components
-        )
+        comps = np.asarray(self.components, dtype=np.float64)
         if len(comps) != self.grid.dim:
             raise GridError(
-                f"expected {self.grid.dim} components, got {len(comps)}"
-            )
-        self.components = comps
+                f"expected {self.grid.dim} components, got {len(comps)}")
+        self.components = comps.reshape((self.grid.dim,) + self.grid.shape)
 
 
 @dataclass
@@ -138,69 +190,48 @@ class FourierMultiplier:
 
     def __post_init__(self):
         self.symbol = np.asarray(self.symbol, dtype=np.float64).reshape(
-            self.grid.shape
-        )
-
-
-def project_mean_zero(values: np.ndarray) -> np.ndarray:
-    return values - values.mean()
+            self.grid.shape)
 
 
 def dealias(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Zero the top third of frequencies (2/3 rule) of a physical-space field."""
-    return np.fft.ifftn(np.fft.fftn(values) * grid.dealias_mask).real
+    ops = operators(grid)
+    return ops.apply(ops.mask, values)
 
 
 def inertia_symbol(grid: Grid, k: int) -> FourierMultiplier:
     """Symbol of A = (1 - Laplacian)^(k+1): (1 + |xi|^2)^(k+1). k = -1 is identity."""
-    if k < -1:
-        raise ValueError(f"metric order k must be >= -1, got {k}")
-    return FourierMultiplier(grid, (1.0 + grid.ksq) ** (k + 1))
+    return FourierMultiplier(grid, operators(grid, k).a)
 
 
 def inverse_inertia_symbol(grid: Grid, k: int) -> FourierMultiplier:
-    if k < -1:
-        raise ValueError(f"metric order k must be >= -1, got {k}")
-    return FourierMultiplier(grid, (1.0 + grid.ksq) ** (-(k + 1)))
+    return FourierMultiplier(grid, operators(grid, k).ainv)
 
 
 def apply_multiplier(m: FourierMultiplier, f: ScalarField) -> ScalarField:
     """Apply a Fourier multiplier to a scalar field. Output mean = symbol(0) * input mean."""
     check_same_grid(m.grid, f.grid)
-    out = np.fft.ifftn(m.symbol * np.fft.fftn(f.values)).real
-    return ScalarField(f.grid, out, mean_zero=f.mean_zero)
+    return ScalarField(f.grid, operators(f.grid).apply(m.symbol, f.values))
 
 
 def gradient(f: ScalarField) -> VectorField:
-    fhat = np.fft.fftn(f.values)
-    comps = tuple(np.fft.ifftn(ik * fhat).real for ik in f.grid.ik)
-    return VectorField(f.grid, comps)
+    return VectorField(f.grid, operators(f.grid).grad(f.values))
 
 
 def divergence(v: VectorField) -> ScalarField:
-    grid = v.grid
-    out_hat = sum(
-        ik * np.fft.fftn(c) for ik, c in zip(grid.ik, v.components)
-    )
-    return ScalarField(grid, np.fft.ifftn(out_hat).real, mean_zero=True)
+    ops = operators(v.grid)
+    return ScalarField(v.grid, ops.ifft(ops.div_hat(v.components)).real)
 
 
 def apply_A_inv(k: int, v: VectorField) -> VectorField:
     """Componentwise (1 - Laplacian)^-(k+1)."""
-    sym = inverse_inertia_symbol(v.grid, k).symbol
-    comps = tuple(
-        np.fft.ifftn(sym * np.fft.fftn(c)).real for c in v.components
-    )
-    return VectorField(v.grid, comps)
+    ops = operators(v.grid, k)
+    return VectorField(v.grid, ops.apply(ops.ainv, v.components))
 
 
 def l2_inner(f: ScalarField, g: ScalarField) -> float:
     check_same_grid(f.grid, g.grid)
     return float((f.values * g.values).mean())
-
-
-def l2_norm(f: ScalarField) -> float:
-    return float(np.sqrt((f.values ** 2).mean()))
 
 
 def l2_norm_values(values: np.ndarray) -> float:
@@ -218,17 +249,11 @@ def spectral_tail_fraction(grid: Grid, values: np.ndarray) -> float:
 
     The mean mode is excluded; returns 0 for a field with no fluctuation.
     """
-    fhat = np.fft.fftn(values)
-    power = np.abs(fhat) ** 2
-    zero = (0,) * grid.dim
-    power[zero] = 0.0
+    power = np.abs(operators(grid).fft(values)) ** 2
+    power[(0,) * grid.dim] = 0.0
     retained = power * grid.dealias_mask
-    cut = grid.n // 3
-    tail_mask = np.zeros(grid.shape, dtype=bool)
-    maxabs = np.zeros(grid.shape)
-    for km in grid.k_mesh:
-        np.maximum(maxabs, np.abs(km), out=maxabs)
-    tail_mask = (maxabs > (2.0 * cut) / 3.0) & grid.dealias_mask
+    maxabs = np.abs(grid.k_mesh).max(axis=0)
+    tail_mask = (maxabs > (2.0 * (grid.n // 3)) / 3.0) & grid.dealias_mask
     total = retained.sum()
     if total == 0.0:
         return 0.0

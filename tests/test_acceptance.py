@@ -74,7 +74,7 @@ def test_criterion_1_operator_oracle_equivalence():
         worst_apply = max(worst_apply, float(
             np.abs(direct - via_mat).max() / np.abs(direct).max()))
         # solve_L_rho against the dense solve
-        rhs = sp.ScalarField(grid, direct, mean_zero=True)
+        rhs = sp.ScalarField(grid, direct)
         sol = ge.solve_L_rho(rho, rhs, k).values
         dense_sol = sum(c * b for c, b in zip(
             np.linalg.solve(mat, band_coeffs(basis, norms, rhs.values)),
@@ -160,8 +160,7 @@ def test_criterion_6_hamilton_jacobi_limit():
         p = np.zeros(grid.shape)
         for m in range(1, grid.n // 6 + 1):
             p += rng.normal() * np.cos(m * x) + rng.normal() * np.sin(m * x)
-        state = ge.DensityState(one, sp.ScalarField(grid, p - p.mean(),
-                                                    mean_zero=True), -1)
+        state = ge.DensityState(one, sp.ScalarField(grid, p - p.mean()), -1)
         _, pdot = ge.hamiltonian_rhs(state)
         gradp = sp.gradient(state.p).components[0]
         expected = -gradp ** 2

@@ -68,7 +68,27 @@ p = zero
         assert manifest["grid"] == {"dim": 1, "n": 32}
         with open(os.path.join(out, "diagnostics.csv")) as fh:
             header = fh.readline().strip()
-        assert header == "t,mass,energy,min_rho,max_abs_p,cg_iterations,spectral_tail"
+        assert header == "t,mass,energy,min_rho,max_abs_p,spectral_tail"
+
+    def test_manifest_records_step_taken(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini",
+                           SHOOT_CFG.replace("dt = 0.01", "dt = 0.03"))
+        out = str(tmp_path / "out")
+        assert cli.main(["shoot", "--config", cfg, "--output-dir", out,
+                         "--quiet"]) == 0
+        manifest = io.read_json(os.path.join(out, "manifest.json"))
+        assert manifest["dt"] == 0.2 / 7
+        assert manifest["config"]["time"]["dt"] == "0.03"
+        with open(os.path.join(out, "diagnostics.csv")) as fh:
+            last = fh.read().strip().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(0.2, rel=1e-15)
+
+    def test_nonpositive_T_rejected(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini",
+                           SHOOT_CFG.replace("T = 0.2", "T = 0"))
+        rc = cli.main(["shoot", "--config", cfg, "--output-dir",
+                       str(tmp_path / "out")])
+        assert rc == 2
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini",
@@ -148,6 +168,32 @@ p = zero
         rc = cli.main(["shoot", "--config", cfg,
                        "--output-dir", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_nan_field_file_rejected(self, tmp_path, capsys):
+        g = sp.make_grid(1, 32)
+        vals = np.ones(g.shape)
+        vals[7] = np.nan
+        rho_path = str(tmp_path / "rho.field")
+        io.write_field(rho_path, sp.ScalarField(g, vals))
+        with pytest.raises(io.FieldFormatError):
+            io.read_field(rho_path)
+        cfg = write_config(tmp_path / "c.ini", f"""
+[grid]
+dim = 1
+n = 32
+[metric]
+k = 1
+[time]
+T = 0.1
+dt = 0.01
+[initial]
+rho = file:{rho_path}
+p = zero
+""")
+        rc = cli.main(["shoot", "--config", cfg,
+                       "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "[initial] rho:" in capsys.readouterr().err
 
     def test_checksum_mismatch_rejected(self, tmp_path):
         g = sp.make_grid(1, 32)
@@ -321,6 +367,31 @@ def test_field_io_bit_exact(tmp_path):
     back = io.read_field(path)
     for a, b in zip(back.components, v.components):
         assert np.array_equal(a, b)
+
+
+def test_bad_grid_header_is_a_format_error(tmp_path):
+    path = tmp_path / "rho.field"
+    header = {"dim": 1, "n": 12, "kind": "scalar", "components": 1,
+              "byte_order": "little"}
+    path.write_bytes((json.dumps(header) + "\n").encode()
+                     + np.ones(12).astype("<f8").tobytes())
+    with pytest.raises(io.FieldFormatError):
+        io.read_field(str(path))
+    cfg = write_config(tmp_path / "c.ini", f"""
+[grid]
+dim = 1
+n = 32
+[metric]
+k = 1
+[time]
+T = 0.1
+dt = 0.01
+[initial]
+rho = file:{path}
+p = zero
+""")
+    assert cli.main(["shoot", "--config", cfg, "--output-dir",
+                     str(tmp_path / "out")]) == 2
 
 
 def test_read_field_grid_mismatch(tmp_path):

@@ -256,3 +256,36 @@ def test_lagrangian_eulerian_consistency():
             ref = composed
         else:
             assert np.abs(composed - ref).max() < 1e-8
+
+
+class TestEvalPeriodicStack:
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+    def test_stack_equals_componentwise(self, dim, n):
+        g = sp.make_grid(dim, n)
+        rng = np.random.default_rng(dim)
+        values = np.stack([sp.dealias(g, rng.normal(size=g.shape))
+                           for _ in range(dim)])
+        points = g.coords + 0.3 * rng.normal(size=(dim,) + g.shape)
+        stacked = ep.eval_periodic(g, values, points)
+        assert stacked.shape == values.shape
+        for c in range(dim):
+            assert np.array_equal(stacked[c],
+                                  ep.eval_periodic(g, values[c], points))
+
+
+class TestExactFinalTime:
+    def test_integrate_epdiff_ends_at_T(self):
+        g = grid1d(16)
+        u = sp.VectorField(g, (np.full(g.shape, 0.4),))
+        states = ep.integrate_epdiff(ep.identity_state(g, u, 1), 1.0, 0.3)
+        assert [t for t, _ in states] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert np.abs(states[-1][1].disp.components[0] - 0.4).max() < 1e-12
+
+    def test_cross_validate_reports_step_taken(self):
+        g = grid1d(32)
+        x = g.coords[0]
+        rho0 = sp.ScalarField(g, 1 + 0.3 * np.cos(x))
+        p0 = sp.ScalarField(g, 0.2 * np.sin(x))
+        rep = ep.cross_validate(rho0, p0, 1, 0.2, 0.03)
+        assert rep["dt"] == 0.2 / 7
+        assert rep["l2_discrepancy_max"] < 1e-8

@@ -79,14 +79,14 @@ class TestSolveLRho:
     def test_zero_rhs(self):
         g = grid1d(16)
         rho = sp.ScalarField(g, np.ones(g.shape))
-        zero = sp.ScalarField(g, np.zeros(g.shape), mean_zero=True)
+        zero = sp.ScalarField(g, np.zeros(g.shape))
         assert np.all(ge.solve_L_rho(rho, zero, 1).values == 0.0)
 
     def test_constant_density_inverse_symbol(self):
         g = grid1d()
         x = g.coords[0]
         one = sp.ScalarField(g, np.ones(g.shape))
-        rhodot = sp.ScalarField(g, np.cos(x), mean_zero=True)
+        rhodot = sp.ScalarField(g, np.cos(x))
         p = ge.solve_L_rho(one, rhodot, 1)
         assert np.abs(p.values - 4 * np.cos(x)).max() < 1e-9
 
@@ -101,7 +101,7 @@ class TestSolveLRho:
         sol_coeffs = np.linalg.solve(mat, coeffs)
         expected = sum(c * b for c, b in zip(sol_coeffs, basis))
         p = ge.solve_L_rho(
-            rho, sp.ScalarField(g, rhodot_vals, mean_zero=True), 1, tol=1e-12)
+            rho, sp.ScalarField(g, rhodot_vals), 1, tol=1e-12)
         err = np.abs(p.values - expected).max() / np.abs(expected).max()
         assert err < 1e-8
 
@@ -190,8 +190,7 @@ class TestStepRK4:
             fwd = ge.step_rk4(state, dt)
             back = ge.step_rk4(
                 ge.DensityState(fwd.rho,
-                                sp.ScalarField(g, -fwd.p.values,
-                                               mean_zero=True), 1), dt)
+                                sp.ScalarField(g, -fwd.p.values), 1), dt)
             err = np.abs(back.rho.values - state.rho.values).max()
             assert err < 5.0 * dt ** 5
 
@@ -331,3 +330,92 @@ def test_default_dt_cfl():
     assert dt == pytest.approx(0.5 * g.spacing / umax)
     rest = ge.make_state(g, np.ones(g.shape), np.zeros(g.shape), 1)
     assert ge.default_dt(rest) is None
+
+
+class TestNonFiniteRejected:
+    def test_make_state_rejects_nan_rho(self):
+        g = grid1d(16)
+        rho = np.ones(g.shape)
+        rho[3] = np.nan
+        with pytest.raises(ge.StateError):
+            ge.make_state(g, rho, np.zeros(g.shape), 1)
+
+    def test_make_state_rejects_inf_rho_and_nan_p(self):
+        g = grid1d(16)
+        rho = np.ones(g.shape)
+        rho[5] = np.inf
+        with pytest.raises(ge.StateError):
+            ge.make_state(g, rho, np.zeros(g.shape), 1)
+        p = np.zeros(g.shape)
+        p[5] = np.nan
+        with pytest.raises(ge.StateError):
+            ge.make_state(g, np.ones(g.shape), p, 1)
+
+    def test_shoot_rejects_nan_rho(self):
+        g = grid1d(16)
+        rho = np.ones(g.shape)
+        rho[0] = np.nan
+        with pytest.raises(ge.StateError):
+            ge.shoot(sp.ScalarField(g, rho), sp.ScalarField(g, np.zeros(g.shape)),
+                     1, 0.1, 0.01)
+
+    def test_step_aborts_on_nan_state(self):
+        # a state built without validation must not step to a "valid" one
+        g = grid1d(16)
+        rho = np.ones(g.shape)
+        rho[2] = np.nan
+        state = ge.DensityState(sp.ScalarField(g, rho),
+                                sp.ScalarField(g, np.zeros(g.shape)), 1)
+        with pytest.raises(ge.SolverAbort):
+            ge.step_rk4(state, 0.01)
+
+
+class TestTimeSteps:
+    def test_ceil_and_exact_end(self):
+        assert ge.time_steps(1.0, 0.3) == (4, 0.25)
+
+    def test_ratio_within_rounding_is_integer(self):
+        n_steps, dt = ge.time_steps(0.07, 0.01)  # 0.07/0.01 = 7.000000000000001
+        assert n_steps == 7
+        assert dt == pytest.approx(0.01, rel=1e-15)
+
+    def test_integer_ratios_keep_dt(self):
+        for T, dt, n in ((1.0, 0.01, 100), (0.5, 0.02, 25), (0.5, 0.01, 50),
+                         (0.01, 0.01, 1)):
+            assert ge.time_steps(T, dt) == (n, dt)
+
+    @pytest.mark.parametrize("T,dt", [(0.0, 0.1), (1.0, 0.0), (-1.0, 0.1),
+                                      (np.nan, 0.1), (1.0, np.nan)])
+    def test_rejects_bad_values(self, T, dt):
+        with pytest.raises(ValueError):
+            ge.time_steps(T, dt)
+
+    def test_shoot_stops_exactly_at_T(self):
+        g = grid1d(16)
+        state = smooth_state(g)
+        traj = ge.shoot(state.rho, state.p, 1, 1.0, 0.3)
+        assert len(traj.times) == 5  # 4 steps
+        assert traj.times[-1] == 1.0
+
+    def test_shoot_step_count_not_fooled_by_rounding(self):
+        g = grid1d(16)
+        state = smooth_state(g)
+        traj = ge.shoot(state.rho, state.p, 1, 0.07, 0.01)
+        assert len(traj.times) == 8  # 7 steps
+        assert traj.times[-1] == pytest.approx(0.07, rel=1e-15)
+
+
+def test_rk4_fourth_order_on_linear_ode():
+    # y' = M y with a rotation-plus-decay generator; exact solution expm(M t)
+    m = np.array([[-0.3, 1.0], [-1.0, -0.3]])
+    y0 = np.array([[1.0, 0.5], [0.0, -1.0]])
+    angle = np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
+    exact = np.exp(-0.3) * angle @ y0
+    errors = []
+    for n_steps in (10, 20, 40):
+        y = y0
+        for _ in range(n_steps):
+            y = ge.rk4(lambda v: m @ v, y, 1.0 / n_steps)
+        errors.append(np.abs(y - exact).max())
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders > 3.8) and np.all(orders < 4.2)

@@ -163,3 +163,13 @@ class TestProblemValidation:
         one = sp.ScalarField(g, np.ones(g.shape))
         with pytest.raises(ValueError):
             ma.MatchProblem(one, one, 1, 1.0, 0.01, 11)  # n/3 = 10
+
+    def test_rejects_nan_density(self):
+        g = grid1d()
+        rho = np.ones(g.shape)
+        rho[4] = np.nan
+        one = sp.ScalarField(g, np.ones(g.shape))
+        with pytest.raises(ValueError):
+            ma.MatchProblem(sp.ScalarField(g, rho), one, 1, 1.0, 0.01, 4)
+        with pytest.raises(ValueError):
+            ma.MatchProblem(one, sp.ScalarField(g, rho), 1, 1.0, 0.01, 4)
