@@ -57,7 +57,15 @@ def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
     k2 = f(y + 0.5 * dt * k1)
     k3 = f(y + 0.5 * dt * k2)
     k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # in place, holding fewer arrays; the same roundings as
+    # y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), since a + b == b + a exactly
+    acc = 2.0 * k2
+    acc += k1
+    acc += 2.0 * k3
+    acc += k4
+    acc *= dt / 6.0
+    acc += y
+    return acc
 
 
 def time_steps(T: float, dt: float):
@@ -71,22 +79,28 @@ def time_steps(T: float, dt: float):
 def _lrho(ops: Operators, rho: np.ndarray, p: np.ndarray):
     """Dealiased L_rho p, with grad p and u = Ainv(rho grad p).
 
-    Dealiasing placement (input, after the first product, and on the output)
-    makes the discrete operator exactly symmetric on the retained band.
+    rho and p may carry leading stack axes; grad p and u then carry the
+    vector axis between those and the grid axes. Dealiasing placement
+    (input, after the first product, and on the output) makes the discrete
+    operator exactly symmetric on the retained band.
     """
-    gradp = ops.ifft(ops.ik * (ops.fft(p) * ops.mask)).real
-    u = ops.apply(ops.ainv_band, rho * gradp)
-    rhodot = -ops.ifft(ops.div_hat(rho * u) * ops.mask).real
+    gradp = ops.ifft(ops.ik * (ops.fft(p) * ops.mask)[ops.vec]).real
+    rho_v = rho[ops.vec]
+    u = ops.apply(ops.ainv_band, rho_v * gradp)
+    rhodot = -ops.ifft(ops.div_hat(rho_v * u) * ops.mask).real
     return rhodot, gradp, u
 
 
 def _rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
-    """Hamiltonian right-hand side d/dt of the stacked state y = (rho, p)."""
-    rho, p = y
-    rhodot, gradp, u = _lrho(ops, rho, p)
-    adv_hat = ops.fft((gradp * u).sum(axis=0)) * ops.mask
-    adv_hat[(0,) * ops.grid.dim] = 0.0  # mean-zero representative of p_t
-    return np.stack((rhodot, -ops.ifft(adv_hat).real))
+    """Hamiltonian right-hand side d/dt of states y = (..., 2, *shape),
+    each a stacked (rho, p)."""
+    rhodot, gradp, u = _lrho(ops, y[ops.part[0]], y[ops.part[1]])
+    adv_hat = ops.fft((gradp * u).sum(axis=-ops.grid.dim - 1)) * ops.mask
+    adv_hat[ops.zero] = 0.0  # mean-zero representative of p_t
+    # np.stack, not writes into an np.empty_like(y): those made the 128^2
+    # shoot slower in paired runs
+    return np.stack((rhodot, -ops.ifft(adv_hat).real),
+                    axis=-ops.grid.dim - 1)
 
 
 @dataclass(frozen=True)
@@ -116,17 +130,27 @@ class DensityState:
         return self.rho.grid
 
     def validate(self) -> None:
-        rv, pv = self.rho.values, self.p.values
-        if not (np.isfinite(rv).all() and np.isfinite(pv).all()):
-            raise StateError("rho and p must be finite")
-        if not rv.min() > 0.0:
-            raise StateError(f"rho must be strictly positive (min {rv.min():.3e})")
-        mass_err = abs(rv.mean() - 1.0)
-        if not mass_err <= MASS_TOL:
-            raise StateError(f"rho mass deviates from 1 by {mass_err:.3e}")
-        p_mean = abs(pv.mean())
-        if not p_mean <= MEAN_TOL:
-            raise StateError(f"p mean {p_mean:.3e} exceeds {MEAN_TOL}")
+        # not operators(...).axes: building the table here, before the run's
+        # first step, left shoot-2d with a 0.8 MB higher peak RSS
+        _validate(self.rho.values, self.p.values,
+                  tuple(range(-self.grid.dim, 0)))
+
+
+def _validate(rho: np.ndarray, p: np.ndarray, axes: tuple) -> None:
+    """Check the state invariants of every member of a stack of states
+    (rho and p with the grid on `axes`); reports the worst member."""
+    if not (np.isfinite(rho).all() and np.isfinite(p).all()):
+        raise StateError("rho and p must be finite")
+    rho_min = rho.min(axis=axes)
+    if not (rho_min > 0.0).all():
+        raise StateError(
+            f"rho must be strictly positive (min {rho_min.min():.3e})")
+    mass_err = np.abs(rho.mean(axis=axes) - 1.0)
+    if not (mass_err <= MASS_TOL).all():
+        raise StateError(f"rho mass deviates from 1 by {mass_err.max():.3e}")
+    p_mean = np.abs(p.mean(axis=axes))
+    if not (p_mean <= MEAN_TOL).all():
+        raise StateError(f"p mean {p_mean.max():.3e} exceeds {MEAN_TOL}")
 
 
 @dataclass
@@ -238,26 +262,45 @@ def diagnostics_for(state: DensityState) -> Diagnostics:
     )
 
 
+def _guarded_step(ops: Operators, y: np.ndarray, dt: float):
+    """One RK4 step of states y (..., 2, *shape), guarded per state.
+
+    Returns the stepped states and, per state in flat order, the reason it
+    failed a guard (no longer finite, positivity lost, mass drift) or None.
+    """
+    at_rho, at_p = ops.part
+    mass = y[at_rho].mean(axis=ops.axes)
+    y = rk4(partial(_rhs, ops), y, dt)
+    # in place, so that a new state is its stacked buffer
+    y[at_p] -= y[at_p].mean(axis=ops.axes, keepdims=True)
+    # at least 1-D: the reductions of step_rk4's one unstacked state are 0-d
+    finite, rho_min, drift = np.atleast_1d(
+        np.isfinite(y).all(axis=(-ops.grid.dim - 1,) + ops.axes),
+        y[at_rho].min(axis=ops.axes),
+        np.abs(y[at_rho].mean(axis=ops.axes) - mass))
+    reasons = [None] * len(finite)
+    for i in np.flatnonzero(~(finite & (rho_min > 0.0)
+                              & (drift <= MASS_DRIFT_TOL))):
+        if not finite[i]:
+            reasons[i] = "state is no longer finite"
+        elif not rho_min[i] > 0.0:
+            reasons[i] = (f"positivity lost: min rho {rho_min[i]:.3e} "
+                          "(under-resolved or outside the global regime)")
+        else:
+            reasons[i] = f"mass drift {drift[i]:.3e} exceeds {MASS_DRIFT_TOL}"
+    return y, reasons
+
+
 def step_rk4(state: DensityState, dt: float) -> DensityState:
     """One classical RK4 step; aborts on positivity loss or mass drift."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     grid = state.grid
-    rho = state.rho.values
-    y = rk4(partial(_rhs, operators(grid, state.k)),
-            np.stack((rho, state.p.values)), dt)
-    # in place, so that the new state is the one stacked buffer
-    y[1] -= y[1].mean()
-    if not np.isfinite(y).all():
-        raise SolverAbort("state is no longer finite")
-    if not y[0].min() > 0.0:
-        raise SolverAbort(
-            f"positivity lost: min rho {y[0].min():.3e} "
-            "(under-resolved or outside the global regime)"
-        )
-    drift = abs(y[0].mean() - rho.mean())
-    if not drift <= MASS_DRIFT_TOL:
-        raise SolverAbort(f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL}")
+    y, (reason,) = _guarded_step(
+        operators(grid, state.k),
+        np.stack((state.rho.values, state.p.values)), dt)
+    if reason is not None:
+        raise SolverAbort(reason)
     return DensityState(ScalarField(grid, y[0]), ScalarField(grid, y[1]),
                         state.k)
 
@@ -308,3 +351,40 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
             np.negative(s.p.values, out=s.p.values)
         diags = [diagnostics_for(s) for s in states]
     return Trajectory(np.array(times), states, diags)
+
+
+def shoot_endpoints(rho0: ScalarField, p0: np.ndarray, k: int, T: float,
+                    dt: float):
+    """Final densities of independent shoots from rho0, one per momentum in
+    the stack p0 (B, *shape), integrated together as one stack.
+
+    Each member is prepared as `shoot` prepares its state and takes the same
+    steps as `shoot`, so its endpoint is bit-identical to shoot's. Every
+    member is validated and guarded as `make_state` and `step_rk4` do; a
+    member that fails a step's guard is dropped from the stack. Returns
+    (rho_T, t_abort): t_abort (B,) holds the time of each member's failed
+    step, NaN for a member that reached T; rho_T (B, *shape) holds the
+    final densities, NaN on the rows of aborted members.
+    """
+    n_steps, dt = time_steps(T, dt)
+    ops = operators(rho0.grid, k)
+    at_rho, at_p = ops.part
+    # the mean subtractions of shoot's p_init and of make_state
+    p = p0 - p0.mean(axis=ops.axes, keepdims=True)
+    y = np.empty((len(p), 2) + rho0.grid.shape)
+    y[at_rho] = rho0.values
+    y[at_p] = p - p.mean(axis=ops.axes, keepdims=True)
+    _validate(y[at_rho], y[at_p], ops.axes)
+    t_abort = np.full(len(y), np.nan)
+    live = np.arange(len(y))
+    for i in range(n_steps):
+        if not len(live):
+            break
+        y, reasons = _guarded_step(ops, y, dt)
+        failed = np.array([r is not None for r in reasons])
+        if failed.any():
+            t_abort[live[failed]] = (i + 1) * dt
+            live, y = live[~failed], y[~failed]
+    rho_T = np.full((len(t_abort),) + rho0.grid.shape, np.nan)
+    rho_T[live] = y[at_rho]
+    return rho_T, t_abort

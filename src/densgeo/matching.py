@@ -5,6 +5,11 @@ that steers rho0 to rho1 at time T under the geodesic flow. Gradients are
 central finite differences of the endpoint mismatch; descent uses a
 Barzilai-Borwein trial step safeguarded by backtracking line search, so the
 accepted objective history is monotone.
+
+Every objective value comes from `objectives`, which shoots a whole stack of
+coefficient rows at once: a gradient is two stacked shoots, one per side of
+the stencil, each split into stacks of at most MAX_STACK_POINTS grid points.
+Stacked members are independent, so the split does not change any value.
 """
 from __future__ import annotations
 
@@ -13,9 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geodesic
-from .spectral import Grid, ScalarField, check_same_grid, l2_norm_values
+from .spectral import (
+    Grid,
+    ScalarField,
+    check_same_grid,
+    l2_norm_values,
+    operators,
+)
 
 PENALTY_BASE = 1.0e6
+# grid points per stacked shoot; bounds the memory of a stack in 2-D
+MAX_STACK_POINTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -96,57 +109,86 @@ def basis_fields(grid: Grid, n_modes: int) -> list:
     return out
 
 
-def p_from_coeffs(problem: MatchProblem, coeffs: np.ndarray) -> ScalarField:
+def _p_rows(problem: MatchProblem, coeff_rows: np.ndarray) -> np.ndarray:
+    """Mean-zero momenta (B, *shape) of coefficient rows (B, n_coeffs)."""
     basis = basis_fields(problem.grid, problem.n_modes)
-    if len(coeffs) != len(basis):
+    if coeff_rows.shape[1] != len(basis):
         raise ValueError(
-            f"expected {len(basis)} coefficients, got {len(coeffs)}")
-    vals = np.zeros(problem.grid.shape)
-    for c, b in zip(coeffs, basis):
-        vals += c * b
-    return ScalarField(problem.grid, vals - vals.mean())
+            f"expected {len(basis)} coefficients, got {coeff_rows.shape[1]}")
+    vals = np.zeros((len(coeff_rows),) + problem.grid.shape)
+    for c, b in zip(coeff_rows.T, basis):
+        vals += np.multiply.outer(c, b)
+    return vals - vals.mean(axis=operators(problem.grid).axes, keepdims=True)
 
 
-def _shoot_endpoint(problem: MatchProblem, coeffs: np.ndarray,
-                    store_every: int = 10 ** 9):
-    p0 = p_from_coeffs(problem, coeffs)
-    traj = geodesic.shoot(problem.rho0, p0, problem.k, problem.T, problem.dt,
-                          store_every=store_every)
-    return traj.states[-1].rho, traj
+def p_from_coeffs(problem: MatchProblem, coeffs: np.ndarray) -> ScalarField:
+    return ScalarField(problem.grid,
+                       _p_rows(problem, np.asarray(coeffs)[None])[0])
+
+
+def _evaluate(problem: MatchProblem, coeff_rows: np.ndarray):
+    """(J, t_abort) of each coefficient row, from stacked shoots; t_abort is
+    NaN where the shoot reached T."""
+    rows = np.asarray(coeff_rows, dtype=np.float64)
+    j = np.empty(len(rows))
+    t_abort = np.empty(len(rows))
+    cap = max(1, MAX_STACK_POINTS // problem.grid.npoints)
+    axes = operators(problem.grid).axes
+    for lo in range(0, len(rows), cap):
+        part = slice(lo, lo + cap)
+        rho_T, t_abort[part] = geodesic.shoot_endpoints(
+            problem.rho0, _p_rows(problem, rows[part]), problem.k, problem.T,
+            problem.dt)
+        diff = rho_T - problem.rho1.values
+        j[part] = 0.5 * (diff ** 2).mean(axis=axes)
+    aborted = ~np.isnan(t_abort)
+    j[aborted] = PENALTY_BASE + (problem.T - t_abort[aborted])
+    return j, t_abort
+
+
+def objectives(problem: MatchProblem, coeff_rows: np.ndarray) -> np.ndarray:
+    """0.5 * ||rho(T) - rho1||_2^2 for each row of coefficients (B, n_coeffs);
+    a row whose shoot aborts at t scores PENALTY_BASE + (T - t)."""
+    return _evaluate(problem, coeff_rows)[0]
 
 
 def objective(problem: MatchProblem, coeffs: np.ndarray) -> float:
     """0.5 * ||rho(T) - rho1||_2^2; aborted shoots return a large penalty."""
-    try:
-        rho_T, _ = _shoot_endpoint(problem, coeffs)
-    except geodesic.SolverAbort as exc:
-        t_abort = exc.time if exc.time is not None else 0.0
-        return PENALTY_BASE + (problem.T - t_abort)
-    diff = rho_T.values - problem.rho1.values
-    return float(0.5 * (diff ** 2).mean())
+    return float(objectives(problem, np.asarray(coeffs)[None])[0])
 
 
 def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
                 h: float | None = None) -> np.ndarray:
-    """Central finite-difference gradient, one coordinate at a time."""
+    """Central finite-difference gradient: one stacked shoot per side.
+
+    Raises SolverAbort, naming the coordinate, when a shoot of the stencil
+    aborts: the penalty would turn into a meaningless slope of order 1/h.
+    """
     if h is None:
         h = problem.opt.fd_step
     if h <= 0.0:
         raise ValueError("h must be positive")
-    grad = np.zeros_like(coeffs, dtype=np.float64)
-    for i in range(len(coeffs)):
-        step = h * max(1.0, abs(coeffs[i]))
-        cp = coeffs.copy()
-        cp[i] = coeffs[i] + step
-        jp = objective(problem, cp)
-        cp[i] = coeffs[i] - step
-        jm = objective(problem, cp)
-        grad[i] = (jp - jm) / (2.0 * step)
-    return grad
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    steps = h * np.maximum(1.0, np.abs(coeffs))
+    jp, t_plus = _evaluate(problem, coeffs + np.diag(steps))
+    jm, t_minus = _evaluate(problem, coeffs - np.diag(steps))
+    t_abort = np.fmin(t_plus, t_minus)  # the earlier abort, NaN if none
+    aborted = np.flatnonzero(~np.isnan(t_abort))
+    if len(aborted):
+        i = aborted[0]
+        raise geodesic.SolverAbort(
+            f"FD stencil of coefficient {i} (step {steps[i]:.3e}) crosses "
+            f"a shoot that aborts at t={t_abort[i]:.6g}",
+            time=float(t_abort[i]))
+    return (jp - jm) / (2.0 * steps)
 
 
 def solve_match(problem: MatchProblem) -> MatchResult:
-    """Descend the shooting objective from p0 = 0; always returns best-seen."""
+    """Descend the shooting objective from p0 = 0; always returns best-seen.
+
+    Ends as stalled when the line search fails or when the FD stencil of a
+    gradient crosses an aborted shoot.
+    """
     opt = problem.opt
     n_coeffs = len(basis_fields(problem.grid, problem.n_modes))
     coeffs = np.zeros(n_coeffs)
@@ -163,7 +205,11 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     step = opt.init_step
 
     for it in range(opt.max_iter):
-        grad = gradient_fd(problem, coeffs)
+        try:
+            grad = gradient_fd(problem, coeffs)
+        except geodesic.SolverAbort:
+            status = "stalled"
+            break
         gnorm = float(np.linalg.norm(grad))
         rows.append((it, j, gnorm, step))
         if gnorm <= opt.grad_tol:
@@ -200,8 +246,8 @@ def solve_match(problem: MatchProblem) -> MatchResult:
             best_coeffs = coeffs.copy()
 
     p0 = p_from_coeffs(problem, best_coeffs)
-    rho_T, traj = _shoot_endpoint(problem, best_coeffs, store_every=1)
-    mismatch = l2_norm_values(rho_T.values - problem.rho1.values)
+    traj = geodesic.shoot(problem.rho0, p0, problem.k, problem.T, problem.dt)
+    mismatch = l2_norm_values(traj.states[-1].rho.values - problem.rho1.values)
     mismatch /= l2_norm_values(problem.rho1.values)
     return MatchResult(
         status=status,

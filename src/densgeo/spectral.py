@@ -112,7 +112,14 @@ class Operators:
                                  else ("fft2", "ifft2"))
         self.mask = grid.dealias_mask
         self.ik = grid.ik
-        zero = (0,) * grid.dim
+        # precomputed indices into arrays with leading axes, so that the hot
+        # paths build no index tuples: the grid axes, the mean mode, a new
+        # vector axis before the grid axes, and entry i of the axis there
+        trail = (slice(None),) * grid.dim
+        self.axes = tuple(range(-grid.dim, 0))
+        self.zero = (Ellipsis,) + (0,) * grid.dim
+        self.vec = (Ellipsis, None) + trail
+        self.part = tuple((Ellipsis, i) + trail for i in range(2))
         base = 1.0 + grid.ksq
         # A = (1 - Laplacian)^(k+1) and its inverse; k = -1 is the identity
         self.a = base ** (k + 1)
@@ -120,10 +127,10 @@ class Operators:
         self.ainv_band = self.ainv * self.mask
         # |xi|^2 with the mean mode set to 1: a divisor for the nonzero modes
         self.ksq_safe = grid.ksq.copy()
-        self.ksq_safe[zero] = 1.0
+        self.ksq_safe[self.zero] = 1.0
         # the exact constant-density inverse of L_rho on the retained band
         self.precond = self.mask * self.a / self.ksq_safe
-        self.precond[zero] = 0.0
+        self.precond[self.zero] = 0.0
         for arr in (self.mask, self.ik, self.a, self.ainv, self.ainv_band,
                     self.ksq_safe, self.precond):
             arr.flags.writeable = False
@@ -140,8 +147,7 @@ class Operators:
 
     def grad(self, values: np.ndarray) -> np.ndarray:
         """Spectral gradient, (..., *shape) -> (..., dim, *shape)."""
-        fhat = np.expand_dims(self.fft(values), -self.grid.dim - 1)
-        return self.ifft(self.ik * fhat).real
+        return self.ifft(self.ik * self.fft(values)[self.vec]).real
 
     def div_hat(self, v: np.ndarray) -> np.ndarray:
         """Fourier coefficients of the divergence of v, (..., dim, *shape)."""

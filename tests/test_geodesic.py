@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -419,3 +421,78 @@ def test_rk4_fourth_order_on_linear_ode():
         errors.append(np.abs(y - exact).max())
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 3.8) and np.all(orders < 4.2)
+
+
+def state_stack(grid, n_members, seed):
+    """(n_members, 2, *shape) stack of valid, distinct (rho, p) states."""
+    rng = np.random.default_rng(seed)
+    coords = grid.coords
+    rows = []
+    for _ in range(n_members):
+        a, b, c = rng.uniform(-1.0, 1.0, size=3)
+        rho = 1 + 0.2 * a * np.prod(np.cos(coords), axis=0)
+        p = 0.3 * b * np.sin(coords[0]) + 0.2 * c * np.cos(coords[-1])
+        rows.append(np.stack((rho / rho.mean(), p - p.mean())))
+    return np.stack(rows)
+
+
+class TestStackedFlow:
+    @pytest.mark.parametrize("dim,n,k", [(1, 32, 1), (1, 256, 2), (2, 32, 2)])
+    def test_rk4_on_stack_equals_per_state(self, dim, n, k):
+        g = sp.make_grid(dim, n)
+        rhs = partial(ge._rhs, sp.operators(g, k))
+        ys = state_stack(g, 5, seed=n + dim)
+        stacked = ge.rk4(rhs, ys, 0.01)
+        for y, out in zip(ys, stacked):
+            assert np.array_equal(ge.rk4(rhs, y, 0.01), out)
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+    def test_shoot_endpoints_equal_shoot(self, dim, n):
+        g = sp.make_grid(dim, n)
+        ys = state_stack(g, 4, seed=7)
+        rho0 = sp.ScalarField(g, ys[0, 0])
+        rho_T, t_abort = ge.shoot_endpoints(rho0, ys[:, 1], 2, 0.3, 0.02)
+        assert np.all(np.isnan(t_abort))
+        for p, end in zip(ys[:, 1], rho_T):
+            traj = ge.shoot(rho0, sp.ScalarField(g, p), 2, 0.3, 0.02)
+            assert np.array_equal(traj.states[-1].rho.values, end)
+
+    def test_aborted_members_dropped_with_their_times(self):
+        # k = -1 steep data: strong sin(x) momenta lose positivity, weak ones
+        # reach T; each member matches its own serial shoot
+        g = grid1d(32)
+        x = g.coords[0]
+        rho0 = sp.ScalarField(g, 1 + 0.9 * np.cos(x))
+        amps = [0.0, 3.0, 0.05, 5.0, 1.0]
+        p0 = np.array([a * np.sin(x) for a in amps])
+        rho_T, t_abort = ge.shoot_endpoints(rho0, p0, -1, 2.0, 0.01)
+        aborts = 0
+        for p, end, t in zip(p0, rho_T, t_abort):
+            try:
+                traj = ge.shoot(rho0, sp.ScalarField(g, p), -1, 2.0, 0.01)
+            except ge.SolverAbort as exc:
+                aborts += 1
+                assert t == exc.time
+                assert np.all(np.isnan(end))
+            else:
+                assert np.isnan(t)
+                assert np.array_equal(traj.states[-1].rho.values, end)
+        assert 0 < aborts < len(amps)
+
+    def test_stack_validated_like_make_state(self):
+        g = grid1d(16)
+        p0 = np.zeros((3,) + g.shape)
+        p0[1, 3] = np.nan
+        with pytest.raises(ge.StateError, match="finite"):
+            ge.shoot_endpoints(sp.ScalarField(g, np.ones(g.shape)), p0,
+                               1, 0.1, 0.01)
+
+    def test_only_shoot_warns_about_local_regime(self, caplog):
+        g = grid1d(16)
+        rho0 = sp.ScalarField(g, np.ones(g.shape))
+        with caplog.at_level("WARNING", logger="densgeo.geodesic"):
+            ge.shoot_endpoints(rho0, np.zeros((2,) + g.shape), -1, 0.1, 0.05)
+            assert not caplog.records
+            ge.shoot(rho0, sp.ScalarField(g, np.zeros(g.shape)), -1, 0.1, 0.05)
+        assert len(caplog.records) == 1
+        assert "local regime" in caplog.records[0].getMessage()

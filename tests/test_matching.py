@@ -67,6 +67,76 @@ class TestObjective:
         assert ma.objective(problem, coeffs) >= ma.PENALTY_BASE
 
 
+def violent_problem(**kw):
+    """k = -1 with steep data: strong sin(x) momenta abort the shoot."""
+    g = grid1d()
+    x = g.coords[0]
+    rho0 = sp.ScalarField(g, (1 + 0.9 * np.cos(x))
+                          / (1 + 0.9 * np.cos(x)).mean())
+    return ma.MatchProblem(rho0, rho0, -1, 5.0, 0.01, 2, **kw)
+
+
+def abort_boundary(problem, i, lo, hi, width):
+    """Bisect coefficient i between a finite lo and an aborting hi, many
+    points per stacked evaluation, until hi - lo < width."""
+    while hi - lo >= width:
+        amps = np.linspace(lo, hi, 17)
+        rows = np.zeros((len(amps), 4))
+        rows[:, i] = amps
+        aborted = ma.objectives(problem, rows) >= ma.PENALTY_BASE
+        assert aborted[-1] and not aborted[0]
+        first = int(np.argmax(aborted))
+        lo, hi = amps[first - 1], amps[first]
+    return lo, hi
+
+
+class TestStackedObjectives:
+    def test_objectives_equal_objective_per_row(self):
+        problem = violent_problem()
+        rows = np.zeros((5, 4))
+        rows[:, 1] = [0.0, 5.0, 0.01, 0.3, 0.03]
+        rows[:, 2] = [0.0, 0.1, -0.002, 0.0, 0.001]
+        values = ma.objectives(problem, rows)
+        assert np.sum(values >= ma.PENALTY_BASE) == 2
+        for row, value in zip(rows, values):
+            assert ma.objective(problem, row) == value
+
+    def test_gradient_equals_serial_objective_loop(self):
+        g = grid1d()
+        x = g.coords[0]
+        problem = make_problem(g, rho1_vals=1 + 0.2 * np.cos(x - 0.4))
+        rng = np.random.default_rng(3)
+        coeffs = 0.1 * rng.normal(size=8)
+        coeffs[2] = 1.7  # a step scaled by |c|
+        h = 1e-5
+        ref = np.zeros(8)
+        for i in range(8):
+            step = h * max(1.0, abs(coeffs[i]))
+            cp = coeffs.copy()
+            cp[i] = coeffs[i] + step
+            jp = ma.objective(problem, cp)
+            cp[i] = coeffs[i] - step
+            jm = ma.objective(problem, cp)
+            ref[i] = (jp - jm) / (2.0 * step)
+        assert np.array_equal(ma.gradient_fd(problem, coeffs, h=h), ref)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_split_stacks_equal_one_stack(self, dim, monkeypatch):
+        g = sp.make_grid(dim, 16)
+        coords = g.coords
+        rho0 = 1 + 0.2 * np.prod(np.cos(coords), axis=0)
+        rho1 = 1 + 0.2 * np.prod(np.cos(coords - 0.3), axis=0)
+        problem = ma.MatchProblem(
+            sp.ScalarField(g, rho0 / rho0.mean()),
+            sp.ScalarField(g, rho1 / rho1.mean()), 2, 0.2, 0.02, 2)
+        n = len(ma.basis_fields(g, 2))
+        coeffs = 0.05 * np.random.default_rng(4).normal(size=n)
+        whole = ma.gradient_fd(problem, coeffs)
+        # 3 members per stack: uneven splits of every half-stencil
+        monkeypatch.setattr(ma, "MAX_STACK_POINTS", 3 * g.npoints)
+        assert np.array_equal(ma.gradient_fd(problem, coeffs), whole)
+
+
 class TestGradientFD:
     def test_zero_at_global_minimum(self):
         problem = make_problem(grid1d())
@@ -102,6 +172,25 @@ class TestGradientFD:
         rel = np.linalg.norm(ma.gradient_fd(problem, coeffs, h=1e-5)
                              - richardson) / np.linalg.norm(richardson)
         assert rel < 0.01
+
+    def test_stencil_across_an_abort_raises(self):
+        problem = violent_problem()
+        h = problem.opt.fd_step
+        lo, _ = abort_boundary(problem, 1, 0.0, 5.0, h)
+        coeffs = np.zeros(4)
+        coeffs[1] = lo
+        assert ma.objective(problem, coeffs) < 1.0
+        # the first coefficient whose serial stencil meets an abort
+        first = None
+        for i in range(4):
+            cp = coeffs.copy()
+            for sign in (1.0, -1.0):
+                cp[i] = coeffs[i] + sign * h * max(1.0, abs(coeffs[i]))
+                if ma.objective(problem, cp) >= ma.PENALTY_BASE:
+                    first = i if first is None else first
+        assert first is not None
+        with pytest.raises(ge.SolverAbort, match=rf"coefficient {first}\b"):
+            ma.gradient_fd(problem, coeffs)
 
     def test_rejects_nonpositive_h(self):
         problem = make_problem(grid1d())
@@ -147,6 +236,30 @@ class TestSolveMatch:
         r2 = ma.solve_match(problem)
         assert np.array_equal(r1.coeffs, r2.coeffs)
         assert np.array_equal(r1.objective_history, r2.objective_history)
+
+    def test_stencil_abort_ends_stalled_at_best_seen(self):
+        # a stencil this wide aborts at the start: no gradient, no step
+        problem = violent_problem(opt=ma.OptSettings(fd_step=3.0))
+        result = ma.solve_match(problem)
+        assert result.status == "stalled"
+        assert np.array_equal(result.coeffs, np.zeros(4))
+        assert len(result.objective_history) == 1
+        assert result.history_rows == []
+
+    def test_local_regime_warning_once_per_solve(self, caplog):
+        g = grid1d()
+        x = g.coords[0]
+        counts = []
+        for max_iter in (1, 3):
+            problem = make_problem(g, rho1_vals=1 + 0.2 * np.cos(x - 0.6),
+                                   k=-1, opt=ma.OptSettings(max_iter=max_iter))
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="densgeo.geodesic"):
+                result = ma.solve_match(problem)
+            assert len(result.history_rows) == max_iter
+            counts.append(sum("local regime" in r.getMessage()
+                              for r in caplog.records))
+        assert counts[0] == counts[1] == 1
 
 
 class TestProblemValidation:
