@@ -57,29 +57,42 @@ def eval_periodic(grid: Grid, values: np.ndarray, points) -> np.ndarray:
     (dim, ...) with arbitrary real coordinates. Returns an array of shape
     (..., *points[0].shape). The Fourier series handles periodicity without
     wrapping. Nyquist modes are dropped (they are zero for dealiased fields
-    anyway). The point exponentials are built once for all leading
+    anyway). The series runs over the half spectrum, weighted for the
+    conjugate half. The point exponentials are built once for all leading
     components, and the 2-D products reuse one buffer.
     """
     values = np.asarray(values)
     lead = values.shape[:values.ndim - grid.dim]
-    keep = np.abs(grid.wavenumbers[0]) != grid.n // 2
-    k1 = grid.wavenumbers[0][keep].astype(np.float64)
-    fhat = operators(grid).fft(values)
-    fhat = fhat[(Ellipsis,) + np.ix_(*[keep] * grid.dim)]
+    half = grid.n // 2
+    ops = operators(grid)
+    fhat = ops.fft(values)[..., :half] * ops.weight[:half]
     fhat = fhat.reshape((-1,) + fhat.shape[len(lead):])
     pts = np.asarray(points).reshape(grid.dim, -1)
-    e = [np.exp(1j * np.outer(x, k1)) for x in pts]
+    e = [_powers(x, half) for x in pts]
     out = np.empty((len(fhat), pts.shape[1]))
     if grid.dim == 1:
         for c, f in enumerate(fhat):
             out[c] = (e[0] @ f).real / grid.npoints
     else:
-        prod = np.empty((pts.shape[1], len(k1)), dtype=np.complex128)
-        for c, f in enumerate(fhat):
-            np.matmul(e[0], f, out=prod)
+        # the first axis keeps its negative wavenumbers, in FFT order:
+        # exp(-i j x) is the conjugate of exp(i j x)
+        keep = np.abs(grid.wavenumbers[0]) != half
+        e0 = np.concatenate((e[0], e[0][:, :0:-1].conj()), axis=1)
+        prod = np.empty((pts.shape[1], half), dtype=np.complex128)
+        for c, f in enumerate(fhat[:, keep]):
+            np.matmul(e0, f, out=prod)
             prod *= e[1]
             out[c] = prod.sum(axis=1).real / grid.npoints
     return out.reshape(lead + np.shape(points[0]))
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """exp(i j x) at the points x for j = 0 .. count - 1, (len(x), count),
+    as powers of exp(i x) by repeated products."""
+    e = np.empty((len(x), count), dtype=np.complex128)
+    e[:, 0] = 1.0
+    e[:, 1:] = np.exp(1j * x)[:, None]
+    return np.cumprod(e, axis=1, out=e)
 
 
 def _epdiff_rhs(ops: Operators, u: np.ndarray) -> np.ndarray:
@@ -219,14 +232,18 @@ def horizontality_defect(u: VectorField, rho: ScalarField, k: int) -> float:
         raise ValueError("rho must be strictly positive")
     ops = operators(grid, k)
     what = ops.fft(ops.apply(ops.a, u.components) / rho.values)
-    kdotw = (grid.k_mesh * what).sum(axis=0)
-    grad_part = grid.k_mesh * kdotw / ops.ksq_safe
-    # the constant mode is divergence-free
-    grad_part[(slice(None),) + (0,) * grid.dim] = 0.0
-    sq = 0.0
-    for tilde in what - grad_part:
-        sq += float((np.abs(tilde) ** 2).sum()) / grid.npoints ** 2
-    return float(np.sqrt(sq))
+    # the gradient part k (k.w) / |k|^2, zero on the divergence-free
+    # constant mode. In 2-D the first-axis Nyquist row is its own conjugate
+    # mirror; with k0 = 0 there, as in ik, the summand is the same on each
+    # mode and its mirror, and the weighted half spectrum sums the full one.
+    kvec = ops.k_mesh
+    if grid.dim == 2:
+        kvec = kvec.copy()
+        kvec[0, grid.n // 2] = 0.0
+    ksq = (kvec ** 2).sum(axis=0)
+    grad_part = kvec * (kvec * what).sum(axis=0) / np.where(ksq > 0.0, ksq, 1.0)
+    sq = (np.abs(what - grad_part) ** 2 * ops.weight).sum()
+    return float(np.sqrt(sq)) / grid.npoints
 
 
 def epdiff_energy(u: VectorField, k: int) -> float:

@@ -84,10 +84,10 @@ def _lrho(ops: Operators, rho: np.ndarray, p: np.ndarray):
     (input, after the first product, and on the output) makes the discrete
     operator exactly symmetric on the retained band.
     """
-    gradp = ops.ifft(ops.ik * (ops.fft(p) * ops.mask)[ops.vec]).real
+    gradp = ops.ifft(ops.ik * (ops.fft(p) * ops.mask)[ops.vec])
     rho_v = rho[ops.vec]
     u = ops.apply(ops.ainv_band, rho_v * gradp)
-    rhodot = -ops.ifft(ops.div_hat(rho_v * u) * ops.mask).real
+    rhodot = -ops.ifft(ops.div_hat(rho_v * u) * ops.mask)
     return rhodot, gradp, u
 
 
@@ -99,7 +99,7 @@ def _rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
     adv_hat[ops.zero] = 0.0  # mean-zero representative of p_t
     # np.stack, not writes into an np.empty_like(y): those made the 128^2
     # shoot slower in paired runs
-    return np.stack((rhodot, -ops.ifft(adv_hat).real),
+    return np.stack((rhodot, -ops.ifft(adv_hat)),
                     axis=-ops.grid.dim - 1)
 
 

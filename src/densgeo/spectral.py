@@ -8,7 +8,9 @@ band-limited fields; products of fields are dealiased with the 2/3 rule.
 The solvers work on plain arrays whose trailing `dim` axes are the grid: a
 vector field is one (dim, *shape) array, and any stack of fields is
 transformed in one call. Every transform and Fourier symbol they use comes
-from one cached table per (grid, k), built by `operators`.
+from one cached table per (grid, k), built by `operators`. Fields are real, so
+the table works on the half spectrum of real transforms: the last axis holds
+the wavenumbers 0 .. n/2 only, the other half being the complex conjugate.
 """
 from __future__ import annotations
 
@@ -40,6 +42,11 @@ class Grid:
     @property
     def shape(self) -> tuple:
         return (self.n,) * self.dim
+
+    @property
+    def spectrum_shape(self) -> tuple:
+        """Shape of a half spectrum: n//2 + 1 wavenumbers on the last axis."""
+        return self.shape[:-1] + (self.n // 2 + 1,)
 
     @property
     def npoints(self) -> int:
@@ -98,20 +105,30 @@ class Operators:
     """Transforms and Fourier symbols of one grid and metric order k.
 
     Arrays may carry leading axes; the transforms act on the trailing grid
-    axes. They are fft/ifft in 1-D and fft2/ifft2 in 2-D (an fftn with
-    explicit axes costs about twice as much per call), looked up on
-    numpy.fft at call time so that a patched numpy.fft sees every call.
-    Its arrays, shared with every caller, are read-only.
+    axes. They are the real transforms rfft/irfft in 1-D and rfft2/irfft2 in
+    2-D, looked up on numpy.fft at call time so that a patched numpy.fft sees
+    every call. A spectrum holds the last-axis wavenumbers 0 .. n/2
+    (grid.spectrum_shape), and every symbol is the full-grid symbol sliced
+    to that half. A sum over the full spectrum is the sum over the half
+    weighted by `weight`: 1 on the last-axis columns 0 and n/2, which are
+    their own conjugate mirror, and 2 elsewhere. Its arrays, shared with
+    every caller, are read-only.
     """
 
     def __init__(self, grid: Grid, k: int):
         if k < -1:
             raise ValueError(f"metric order k must be >= -1, got {k}")
         self.grid = grid
-        self._fft, self._ifft = (("fft", "ifft") if grid.dim == 1
-                                 else ("fft2", "ifft2"))
-        self.mask = grid.dealias_mask
-        self.ik = grid.ik
+        self._fft, self._ifft = (("rfft", "irfft") if grid.dim == 1
+                                 else ("rfft2", "irfft2"))
+        # the real-space size of an inverse transform's output
+        self._size = grid.n if grid.dim == 1 else grid.shape
+        half = (Ellipsis, slice(grid.n // 2 + 1))
+        self.k_mesh = grid.k_mesh[half]
+        self.mask = grid.dealias_mask[half]
+        self.ik = grid.ik[half]
+        self.weight = np.full(grid.n // 2 + 1, 2.0)
+        self.weight[[0, -1]] = 1.0
         # precomputed indices into arrays with leading axes, so that the hot
         # paths build no index tuples: the grid axes, the mean mode, a new
         # vector axis before the grid axes, and entry i of the axis there
@@ -120,34 +137,34 @@ class Operators:
         self.zero = (Ellipsis,) + (0,) * grid.dim
         self.vec = (Ellipsis, None) + trail
         self.part = tuple((Ellipsis, i) + trail for i in range(2))
-        base = 1.0 + grid.ksq
+        base = (1.0 + grid.ksq)[half]
         # A = (1 - Laplacian)^(k+1) and its inverse; k = -1 is the identity
         self.a = base ** (k + 1)
         self.ainv = base ** (-(k + 1))
         self.ainv_band = self.ainv * self.mask
-        # |xi|^2 with the mean mode set to 1: a divisor for the nonzero modes
-        self.ksq_safe = grid.ksq.copy()
-        self.ksq_safe[self.zero] = 1.0
-        # the exact constant-density inverse of L_rho on the retained band
-        self.precond = self.mask * self.a / self.ksq_safe
+        # the exact constant-density inverse of L_rho on the retained band,
+        # (1 + |xi|^2)^(k+1) / |xi|^2, zero on the mean mode
+        ksq = grid.ksq[half].copy()
+        ksq[self.zero] = 1.0
+        self.precond = self.mask * self.a / ksq
         self.precond[self.zero] = 0.0
-        for arr in (self.mask, self.ik, self.a, self.ainv, self.ainv_band,
-                    self.ksq_safe, self.precond):
+        for arr in (self.k_mesh, self.mask, self.ik, self.weight, self.a,
+                    self.ainv, self.ainv_band, self.precond):
             arr.flags.writeable = False
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         return getattr(np.fft, self._fft)(values)
 
     def ifft(self, values_hat: np.ndarray) -> np.ndarray:
-        return getattr(np.fft, self._ifft)(values_hat)
+        return getattr(np.fft, self._ifft)(values_hat, self._size)
 
     def apply(self, symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Real Fourier multiplier: values -> ifft(symbol * fft(values))."""
-        return self.ifft(symbol * self.fft(values)).real
+        return self.ifft(symbol * self.fft(values))
 
     def grad(self, values: np.ndarray) -> np.ndarray:
         """Spectral gradient, (..., *shape) -> (..., dim, *shape)."""
-        return self.ifft(self.ik * self.fft(values)[self.vec]).real
+        return self.ifft(self.ik * self.fft(values)[self.vec])
 
     def div_hat(self, v: np.ndarray) -> np.ndarray:
         """Fourier coefficients of the divergence of v, (..., dim, *shape)."""
@@ -189,14 +206,14 @@ class VectorField:
 
 @dataclass
 class FourierMultiplier:
-    """Real, even symbol over the wavenumber mesh (maps real to real fields)."""
+    """Real, even symbol over the half spectrum (maps real to real fields)."""
 
     grid: Grid
     symbol: np.ndarray
 
     def __post_init__(self):
         self.symbol = np.asarray(self.symbol, dtype=np.float64).reshape(
-            self.grid.shape)
+            self.grid.spectrum_shape)
 
 
 def dealias(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -226,7 +243,7 @@ def gradient(f: ScalarField) -> VectorField:
 
 def divergence(v: VectorField) -> ScalarField:
     ops = operators(v.grid)
-    return ScalarField(v.grid, ops.ifft(ops.div_hat(v.components)).real)
+    return ScalarField(v.grid, ops.ifft(ops.div_hat(v.components)))
 
 
 def apply_A_inv(k: int, v: VectorField) -> VectorField:
@@ -255,11 +272,12 @@ def spectral_tail_fraction(grid: Grid, values: np.ndarray) -> float:
 
     The mean mode is excluded; returns 0 for a field with no fluctuation.
     """
-    power = np.abs(operators(grid).fft(values)) ** 2
-    power[(0,) * grid.dim] = 0.0
-    retained = power * grid.dealias_mask
-    maxabs = np.abs(grid.k_mesh).max(axis=0)
-    tail_mask = (maxabs > (2.0 * (grid.n // 3)) / 3.0) & grid.dealias_mask
+    ops = operators(grid)
+    power = np.abs(ops.fft(values)) ** 2 * ops.weight
+    power[ops.zero] = 0.0
+    retained = power * ops.mask
+    maxabs = np.abs(ops.k_mesh).max(axis=0)
+    tail_mask = (maxabs > (2.0 * (grid.n // 3)) / 3.0) & ops.mask
     total = retained.sum()
     if total == 0.0:
         return 0.0

@@ -246,6 +246,18 @@ class TestValidateCommand:
         report = json.loads(reports[0])
         assert report["all_passed"]
 
+    def test_2d_k2_passes(self, tmp_path):
+        # the horizontality check once failed here on roundoff alone: its
+        # tolerance now scales with the roundoff that A amplifies
+        cfg = write_config(tmp_path / "c.ini", VALIDATE_CFG.replace(
+            "seed = 5", "seed = 0").replace("dim = 1", "dim = 2").replace(
+            "k = 1", "k = 2"))
+        out = str(tmp_path / "out")
+        assert cli.main(["validate", "--config", cfg, "--output-dir", out,
+                         "--quiet"]) == 0
+        report = io.read_json(os.path.join(out, "validation.json"))
+        assert report["grid"] == {"dim": 2, "n": 32} and report["k"] == 2
+
     def test_seed_change_same_verdicts(self, tmp_path):
         cfg_a = write_config(tmp_path / "a.ini", VALIDATE_CFG)
         cfg_b = write_config(tmp_path / "b.ini",

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from densgeo import epdiff as ep, geodesic as ge, spectral as sp
+from densgeo import validation as va
 
 
 def grid1d(n=64):
@@ -93,6 +94,26 @@ class TestEvalPeriodic:
         py = rng.uniform(0, 2 * np.pi, 20)
         expected = np.sin(2 * px) * np.cos(py)
         assert np.abs(ep.eval_periodic(g, f, [px, py]) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (2, 16), (2, 32)])
+    def test_matches_dense_exponential_oracle(self, dim, n):
+        # the full series over the non-Nyquist modes, every exponential taken
+        # by np.exp, at points well outside [0, 2 pi)
+        g = sp.make_grid(dim, n)
+        rng = np.random.default_rng(n + dim)
+        values = rng.normal(size=(2,) + g.shape)
+        points = rng.uniform(-7.0, 14.0, size=(dim, 50))
+        keep = np.abs(g.wavenumbers[0]) != n // 2
+        modes = g.wavenumbers[0][keep].astype(np.float64)
+        fhat = np.fft.fftn(values, axes=tuple(range(1, dim + 1)))
+        fhat = fhat[(Ellipsis,) + np.ix_(*[keep] * dim)]
+        e = [np.exp(1j * np.outer(x, modes)) for x in points]
+        if dim == 1:
+            dense = np.einsum("ca,pa->cp", fhat, e[0]).real / g.npoints
+        else:
+            dense = np.einsum("cab,pa,pb->cp", fhat, e[0], e[1]).real / g.npoints
+        got = ep.eval_periodic(g, values, points)
+        assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 class TestProjectLeft:
@@ -206,6 +227,34 @@ class TestHorizontalityDefect:
         for _, s in states:
             rho = ep.pushforward_density(state.rho, s)
             assert ep.horizontality_defect(s.u, rho, 1) < 1e-6
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_validate_check_catches_a_non_horizontal_part(self, monkeypatch, n):
+        # a divergence-free part of relative size 1e-6 added to the constructed
+        # horizontal velocity fails the check at its roundoff-scaled tolerance
+        g = sp.make_grid(2, n)
+        check = dict(va.CHECKS)["horizontality-constructed"]
+        horizontal = ge.horizontal_velocity
+
+        def l2(v):
+            return np.sqrt((v ** 2).sum(axis=0).mean())
+
+        for seed in range(2):
+            psi = va.random_band_limited(np.random.default_rng(seed), g)
+            gx, gy = sp.gradient(sp.ScalarField(g, psi)).components
+            swirl = np.stack((gy, -gx))  # divergence-free
+
+            def tilted(state):
+                u = horizontal(state).components
+                return sp.VectorField(g, u + 1e-6 * l2(u) / l2(swirl) * swirl)
+
+            clean = check(np.random.default_rng(seed), g, 2)
+            monkeypatch.setattr(va.geodesic, "horizontal_velocity", tilted)
+            measured, tol = check(np.random.default_rng(seed), g, 2)
+            monkeypatch.undo()
+            assert clean[0] <= clean[1]
+            assert tol == clean[1]  # the tolerance does not depend on u
+            assert measured > tol
 
 
 class TestCrossValidate:
