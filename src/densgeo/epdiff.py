@@ -45,6 +45,11 @@ class DiffeoState:
         return self.disp.grid
 
 
+# points per block of eval_periodic: its work arrays are (modes, block), small
+# enough to be reused from call to call instead of taken from fresh pages
+EVAL_BLOCK = 512
+
+
 def identity_state(grid: Grid, u: VectorField, k: int) -> DiffeoState:
     zeros = np.zeros((grid.dim,) + grid.shape)
     return DiffeoState(VectorField(grid, zeros), u, k)
@@ -58,41 +63,65 @@ def eval_periodic(grid: Grid, values: np.ndarray, points) -> np.ndarray:
     (..., *points[0].shape). The Fourier series handles periodicity without
     wrapping. Nyquist modes are dropped (they are zero for dealiased fields
     anyway). The series runs over the half spectrum, weighted for the
-    conjugate half. The point exponentials are built once for all leading
-    components, and the 2-D products reuse one buffer.
+    conjugate half. The points go in blocks of EVAL_BLOCK, so the work
+    arrays stay small; a block's exponentials are built once for all leading
+    components, as (modes, points) rows. In 2-D the sum is real arithmetic:
+    a real coefficient matrix per component (_coefficients_2d) between the
+    rows cos(j x), sin(j x) and cos(l y), -sin(l y), with one product buffer
+    reused across components.
     """
     values = np.asarray(values)
     lead = values.shape[:values.ndim - grid.dim]
     half = grid.n // 2
     ops = operators(grid)
-    fhat = ops.fft(values)[..., :half] * ops.weight[:half]
+    fhat = ops.fft(values)[..., :half] * (ops.weight[:half] / grid.npoints)
     fhat = fhat.reshape((-1,) + fhat.shape[len(lead):])
     pts = np.asarray(points).reshape(grid.dim, -1)
-    e = [_powers(x, half) for x in pts]
     out = np.empty((len(fhat), pts.shape[1]))
-    if grid.dim == 1:
-        for c, f in enumerate(fhat):
-            out[c] = (e[0] @ f).real / grid.npoints
-    else:
-        # the first axis keeps its negative wavenumbers, in FFT order:
-        # exp(-i j x) is the conjugate of exp(i j x)
-        keep = np.abs(grid.wavenumbers[0]) != half
-        e0 = np.concatenate((e[0], e[0][:, :0:-1].conj()), axis=1)
-        prod = np.empty((pts.shape[1], half), dtype=np.complex128)
-        for c, f in enumerate(fhat[:, keep]):
-            np.matmul(e0, f, out=prod)
-            prod *= e[1]
-            out[c] = prod.sum(axis=1).real / grid.npoints
+    coef = fhat if grid.dim == 1 else _coefficients_2d(fhat)
+    for start in range(0, pts.shape[1], EVAL_BLOCK):
+        blk = slice(start, start + EVAL_BLOCK)
+        e = _powers(pts[0, blk], half)
+        if grid.dim == 1:
+            for c, f in enumerate(coef):
+                out[c, blk] = (f @ e).real
+        else:
+            cs0 = np.concatenate((e.real, e.imag))
+            e = _powers(pts[1, blk], half)
+            cs1 = np.concatenate((e.real, -e.imag))
+            prod = np.empty_like(cs1)
+            for c, m in enumerate(coef):
+                np.matmul(m, cs0, out=prod)
+                prod *= cs1
+                prod.sum(axis=0, out=out[c, blk])
     return out.reshape(lead + np.shape(points[0]))
 
 
 def _powers(x: np.ndarray, count: int) -> np.ndarray:
-    """exp(i j x) at the points x for j = 0 .. count - 1, (len(x), count),
-    as powers of exp(i x) by repeated products."""
-    e = np.empty((len(x), count), dtype=np.complex128)
-    e[:, 0] = 1.0
-    e[:, 1:] = np.exp(1j * x)[:, None]
-    return np.cumprod(e, axis=1, out=e)
+    """exp(i j x) at the points x for j = 0 .. count - 1, as (count, len(x))
+    rows, powers of exp(i x) by repeated products."""
+    e = np.empty((count, len(x)), dtype=np.complex128)
+    e[0] = 1.0
+    np.exp(1j * x, out=e[1])
+    for j in range(2, count):
+        np.multiply(e[j - 1], e[1], out=e[j])
+    return e
+
+
+def _coefficients_2d(fhat: np.ndarray) -> np.ndarray:
+    """Real (2h, 2h) matrices M, h = fhat.shape[-1], one per component, with
+    Re sum_{j, l} fhat[j, l] exp(i (j x + l y)) = [cos(l y); -sin(l y)] . M
+    [cos(j x); sin(j x)] over |j|, l < h. The first axis holds its negative
+    wavenumbers in FFT order, and modes j and -j share cos(j x) and sin(j x):
+    their sum multiplies cos(j x) and i times their difference sin(j x)."""
+    half = fhat.shape[-1]
+    pos = fhat[:, :half]
+    neg = np.zeros_like(pos)
+    neg[:, 1:] = fhat[:, :half:-1]
+    plus, minus = pos + neg, pos - neg
+    cos_rows = np.concatenate((plus.real, plus.imag), axis=2)
+    sin_rows = np.concatenate((-minus.imag, minus.real), axis=2)
+    return np.concatenate((cos_rows, sin_rows), axis=1).transpose(0, 2, 1)
 
 
 def _epdiff_rhs(ops: Operators, u: np.ndarray) -> np.ndarray:
@@ -112,8 +141,12 @@ def epdiff_rhs(u: VectorField, k: int) -> VectorField:
 
 def jacobian_det(grid: Grid, disp) -> np.ndarray:
     """det(I + grad disp) on the grid (spectral derivatives)."""
-    d = operators(grid).grad(np.asarray(disp))  # d[i, j] = d_j disp_i
-    if grid.dim == 1:
+    return _det(operators(grid).grad(np.asarray(disp)))
+
+
+def _det(d: np.ndarray) -> np.ndarray:
+    """det(I + d) of the displacement gradient d[i, j] = d_j disp_i."""
+    if len(d) == 1:
         return 1.0 + d[0, 0]
     return (1.0 + d[0, 0]) * (1.0 + d[1, 1]) - d[0, 1] * d[1, 0]
 
@@ -155,18 +188,47 @@ def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
 
 
 class InversionError(RuntimeError):
-    """Fixed-point inversion of the flow map failed to converge."""
+    """Newton inversion of the flow map failed."""
 
 
 def invert_map(grid: Grid, disp, tol: float = 1e-12,
-               damping: float = 0.5, max_iter: int = 200) -> np.ndarray:
-    """Inverse displacement q with (x + q) + disp(x + q) = x, by damped fixed point."""
+               max_iter: int = 200) -> np.ndarray:
+    """Inverse displacement q with (x + q) + disp(x + q) = x, by Newton.
+
+    Rejects a map whose Jacobian det(I + grad disp) is not positive on the
+    grid (SolverAbort): it is not a diffeomorphism, and its inverse is not a
+    map. Newton's method then solves res(q) = q + disp(x + q) = 0 pointwise,
+    starting from q = -disp, with the Jacobian I + (grad disp)(x + q): each
+    iteration evaluates disp and its gradient at x + q in one eval_periodic
+    call and solves the dim x dim system per point in closed form. It stops
+    once max |res| < tol, after taking the last step. Raises InversionError
+    at once on a non-finite residual or a non-positive determinant at a
+    point, and after max_iter iterations.
+    """
     disp = np.asarray(disp)
+    dim = grid.dim
+    grad = operators(grid).grad(disp)
+    jac = _det(grad)
+    if not jac.min() > 0.0:
+        raise SolverAbort(f"Jacobian not positive (min {jac.min():.3e})")
+    fields = np.concatenate((disp, grad.reshape((dim * dim,) + grid.shape)))
     q = -disp
     for _ in range(max_iter):
-        res = q + eval_periodic(grid, disp, grid.coords + q)
+        vals = eval_periodic(grid, fields, grid.coords + q)
+        res = q + vals[:dim]
         err = np.abs(res).max()
-        q = q - damping * res
+        if not np.isfinite(err):
+            raise InversionError("map inversion met a non-finite residual")
+        d = vals[dim:].reshape((dim, dim) + grid.shape)
+        det = _det(d)
+        if not det.min() > 0.0:
+            raise InversionError(
+                f"map inversion met a non-positive Jacobian (min {det.min():.3e})")
+        if dim == 1:
+            q = q - res / det
+        else:
+            q = q - np.stack(((1.0 + d[1, 1]) * res[0] - d[0, 1] * res[1],
+                              (1.0 + d[0, 0]) * res[1] - d[1, 0] * res[0])) / det
         if err < tol:
             return q
     raise InversionError(
@@ -182,9 +244,6 @@ def project_left(phi: DiffeoState):
 def project_left_report(phi: DiffeoState):
     """As project_left, also returning the pre-normalization mass error."""
     grid = phi.grid
-    jac = jacobian_det(grid, phi.disp.components)
-    if not jac.min() > 0.0:
-        raise SolverAbort(f"Jacobian not positive (min {jac.min():.3e})")
     q = invert_map(grid, phi.disp.components)
     rho_vals = jacobian_det(grid, q)
     mass = float(rho_vals.mean())

@@ -164,6 +164,8 @@ def make_state(grid: Grid, rho_values, p_values, k: int) -> DensityState:
     """Build a state, pinning the mean-zero representative of p; validates."""
     rho = ScalarField(grid, rho_values)
     p_vals = np.asarray(p_values, dtype=np.float64).reshape(grid.shape)
+    if not np.isfinite(p_vals).all():
+        raise StateError("p must be finite")
     p = ScalarField(grid, p_vals - p_vals.mean())
     state = DensityState(rho, p, k)
     state.validate()

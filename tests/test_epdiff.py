@@ -97,23 +97,38 @@ class TestEvalPeriodic:
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (1, 64), (2, 16), (2, 32)])
     def test_matches_dense_exponential_oracle(self, dim, n):
-        # the full series over the non-Nyquist modes, every exponential taken
-        # by np.exp, at points well outside [0, 2 pi)
+        # at points well outside [0, 2 pi)
         g = sp.make_grid(dim, n)
         rng = np.random.default_rng(n + dim)
         values = rng.normal(size=(2,) + g.shape)
         points = rng.uniform(-7.0, 14.0, size=(dim, 50))
-        keep = np.abs(g.wavenumbers[0]) != n // 2
-        modes = g.wavenumbers[0][keep].astype(np.float64)
-        fhat = np.fft.fftn(values, axes=tuple(range(1, dim + 1)))
-        fhat = fhat[(Ellipsis,) + np.ix_(*[keep] * dim)]
-        e = [np.exp(1j * np.outer(x, modes)) for x in points]
-        if dim == 1:
-            dense = np.einsum("ca,pa->cp", fhat, e[0]).real / g.npoints
-        else:
-            dense = np.einsum("cab,pa,pb->cp", fhat, e[0], e[1]).real / g.npoints
+        dense = dense_series(g, values, points)
         got = ep.eval_periodic(g, values, points)
         assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_several_blocks_of_points(self, dim):
+        # two full blocks of points and a partial one
+        g = sp.make_grid(dim, 16)
+        rng = np.random.default_rng(dim)
+        values = rng.normal(size=(2,) + g.shape)
+        points = rng.uniform(-7.0, 14.0, size=(dim, 2 * ep.EVAL_BLOCK + 100))
+        dense = dense_series(g, values, points)
+        got = ep.eval_periodic(g, values, points)
+        assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def dense_series(g, values, points):
+    """The full series over the non-Nyquist modes, every exponential taken
+    by np.exp."""
+    keep = np.abs(g.wavenumbers[0]) != g.n // 2
+    modes = g.wavenumbers[0][keep].astype(np.float64)
+    fhat = np.fft.fftn(values, axes=tuple(range(1, g.dim + 1)))
+    fhat = fhat[(Ellipsis,) + np.ix_(*[keep] * g.dim)]
+    e = [np.exp(1j * np.outer(x, modes)) for x in points]
+    if g.dim == 1:
+        return np.einsum("ca,pa->cp", fhat, e[0]).real / g.npoints
+    return np.einsum("cab,pa,pb->cp", fhat, e[0], e[1]).real / g.npoints
 
 
 class TestProjectLeft:
@@ -149,6 +164,68 @@ class TestProjectLeft:
             sp.VectorField(g, (1.5 * np.sin(x),)), zero_velocity(g), 1)
         with pytest.raises(ge.SolverAbort):
             ep.project_left(phi)
+
+
+class TestInvertMap:
+    def test_1d_against_bisection(self):
+        # a monotone map with max |disp'| = 0.8, inverted pointwise by
+        # bisection on the exact displacement
+        g = grid1d(32)
+        x = g.coords[0]
+
+        def disp(y):
+            return 0.4 * np.sin(y) + 0.2 * np.sin(2 * y)
+
+        q = ep.invert_map(g, disp(x)[None])[0]
+        lo, hi = x - 1.0, x + 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = mid + disp(mid) < x
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        assert np.abs(q - (0.5 * (lo + hi) - x)).max() <= 1e-12
+
+    def test_2d_residual(self):
+        g = sp.make_grid(2, 32)
+        x, y = g.coords
+        disp = np.stack((0.3 * np.sin(x + 2 * y) + 0.1 * np.cos(y),
+                         0.2 * np.cos(2 * x - y) - 0.15 * np.sin(x)))
+        assert ep.jacobian_det(g, disp).min() > 0.0
+        q = ep.invert_map(g, disp)
+        pts = g.coords + q
+        res = pts + ep.eval_periodic(g, disp, pts) - g.coords
+        assert np.abs(res).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_few_evaluations(self, monkeypatch, dim):
+        # the damped fixed point took 60 evaluations on these maps
+        g = sp.make_grid(dim, 32)
+        x, y = g.coords[0], g.coords[-1]
+        disp = 0.2 * np.stack((np.sin(x + y), np.cos(2 * x - y))[:dim])
+        calls = []
+        evaluate = ep.eval_periodic
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(ep, "eval_periodic", counted)
+        ep.invert_map(g, disp)
+        assert 1 <= len(calls) <= 4
+
+    def test_folded_map_rejected(self):
+        # x + 1.5 sin x folds (Jacobian 1 + 1.5 cos x): it is not a
+        # diffeomorphism, and its "pushforward" density would go negative
+        g = grid1d(32)
+        x = g.coords[0]
+        phi = ep.DiffeoState(
+            sp.VectorField(g, (1.5 * np.sin(x),)), zero_velocity(g), 1)
+        one = sp.ScalarField(g, np.ones(g.shape))
+        with pytest.raises(ge.SolverAbort, match="Jacobian not positive"):
+            ep.invert_map(g, phi.disp.components)
+        with pytest.raises(ge.SolverAbort, match="Jacobian not positive"):
+            ep.pushforward_density(one, phi)
+        with pytest.raises(ge.SolverAbort, match="Jacobian not positive"):
+            ep.horizontal_lift(one, sp.ScalarField(g, np.zeros(g.shape)), phi)
 
 
 class TestPushforward:

@@ -25,6 +25,7 @@ def spoiled(values, index, bad):
     return out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(grid=GRIDS, index=st.integers(0, 10 ** 6), bad=BAD,
        target=st.sampled_from(["rho", "p"]))
