@@ -180,12 +180,11 @@ def cmd_match(cfg, args, outdir, manifest):
     rho0, rho0_src = _load_scalar(cfg, grid, "initial", "rho", "rho")
     rho1, rho1_src = _load_scalar(cfg, grid, "matching", "rho1", "rho")
     n_modes = _get(cfg, "matching", "n_modes", int, default=8)
-    opt = matching.OptSettings(
-        max_iter=_get(cfg, "matching", "max_iter", int, default=200),
-        grad_tol=_get(cfg, "matching", "grad_tol", float, default=1e-8),
-        fd_step=_get(cfg, "matching", "fd_step", float, default=1e-5),
-    )
+    max_iter = _get(cfg, "matching", "max_iter", int, default=200)
+    grad_tol = _get(cfg, "matching", "grad_tol", float, default=1e-8)
+    fd_step = _get(cfg, "matching", "fd_step", float, default=1e-5)
     try:
+        opt = matching.OptSettings(max_iter, grad_tol, fd_step)
         problem = matching.MatchProblem(rho0, rho1, k, T, dt, n_modes, opt)
     except ValueError as exc:
         raise ConfigError(f"[matching]: {exc}") from None
@@ -202,7 +201,7 @@ def cmd_match(cfg, args, outdir, manifest):
     io.write_field(os.path.join(outdir, "rho_final.field"),
                    result.geodesic.states[-1].rho)
     io.write_csv(os.path.join(outdir, "history.csv"),
-                 ["iter", "objective", "grad_norm", "step"],
+                 ["iter", "objective", "grad_norm", "lambda"],
                  result.history_rows)
     io.write_csv(os.path.join(outdir, "diagnostics.csv"), DIAG_HEADER,
                  _diag_rows(result.geodesic.times,

@@ -1,15 +1,16 @@
 """Density matching by geodesic shooting.
 
 Finds an initial momentum potential p0, parametrized by low Fourier modes,
-that steers rho0 to rho1 at time T under the geodesic flow. Gradients are
-central finite differences of the endpoint mismatch; descent uses a
-Barzilai-Borwein trial step safeguarded by backtracking line search, so the
-accepted objective history is monotone.
+that steers rho0 to rho1 at time T under the geodesic flow. The objective
+J(c) = 0.5 * mean((rho(T; c) - rho1)^2) is a least-squares problem, solved
+by Levenberg-Marquardt: the central-difference stencil c +- h_i e_i gives the
+residual Jacobian from its endpoints, and a trial step is accepted only when
+it lowers J, so the objective history is monotone.
 
-Every objective value comes from `objectives`, which shoots a whole stack of
-coefficient rows at once: a gradient is two stacked shoots, one per side of
-the stencil, each split into stacks of at most MAX_STACK_POINTS grid points.
-Stacked members are independent, so the split does not change any value.
+Every objective value comes from `_residuals`, which shoots a whole stack of
+coefficient rows at once: a stencil is two stacked shoots, one per side,
+each split into stacks of at most MAX_STACK_POINTS grid points. Stacked
+members are independent, so the split does not change any value.
 """
 from __future__ import annotations
 
@@ -27,6 +28,12 @@ from .spectral import (
 )
 
 PENALTY_BASE = 1.0e6
+# Levenberg-Marquardt damping: its start, the factor it falls by after an
+# accepted trial and grows by after a rejected one, and the rejected trials
+# in a row after which a match stalls
+LM_LAMBDA0 = 1.0e-3
+LM_FACTOR = 10.0
+LM_MAX_TRIALS = 30
 # grid points per stacked shoot; bounds the memory of a stack in 2-D
 MAX_STACK_POINTS = 2 ** 14
 
@@ -35,11 +42,17 @@ MAX_STACK_POINTS = 2 ** 14
 class OptSettings:
     max_iter: int = 200
     grad_tol: float = 1e-8
-    sufficient_decrease: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
     fd_step: float = 1e-5
-    init_step: float = 1.0
+
+    def __post_init__(self):
+        if not self.max_iter >= 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        if not 0.0 <= self.grad_tol < np.inf:
+            raise ValueError(
+                f"grad_tol must be finite and >= 0, got {self.grad_tol}")
+        if not 0.0 < self.fd_step < np.inf:
+            raise ValueError(
+                f"fd_step must be finite and > 0, got {self.fd_step}")
 
 
 @dataclass
@@ -78,7 +91,7 @@ class MatchResult:
     objective_history: np.ndarray
     final_l2_mismatch: float
     geodesic: geodesic.Trajectory
-    history_rows: list  # (iter, objective, grad_norm, step) for history.csv
+    history_rows: list  # (iter, objective, grad_norm, lambda), history.csv
 
 
 def half_space_modes(grid: Grid, n_modes: int) -> list:
@@ -126,10 +139,15 @@ def p_from_coeffs(problem: MatchProblem, coeffs: np.ndarray) -> ScalarField:
                        _p_rows(problem, np.asarray(coeffs)[None])[0])
 
 
-def _evaluate(problem: MatchProblem, coeff_rows: np.ndarray):
-    """(J, t_abort) of each coefficient row, from stacked shoots; t_abort is
-    NaN where the shoot reached T."""
+def _residuals(problem: MatchProblem, coeff_rows: np.ndarray):
+    """(r, J, t_abort) of each coefficient row, from stacked shoots.
+
+    r (B, *shape) holds rho(T) - rho1, NaN on the rows of aborted shoots; J
+    is 0.5 * mean(r^2), PENALTY_BASE + (T - t) where the shoot aborts at t;
+    t_abort is NaN where the shoot reached T.
+    """
     rows = np.asarray(coeff_rows, dtype=np.float64)
+    r = np.empty((len(rows),) + problem.grid.shape)
     j = np.empty(len(rows))
     t_abort = np.empty(len(rows))
     cap = max(1, MAX_STACK_POINTS // problem.grid.npoints)
@@ -139,17 +157,17 @@ def _evaluate(problem: MatchProblem, coeff_rows: np.ndarray):
         rho_T, t_abort[part] = geodesic.shoot_endpoints(
             problem.rho0, _p_rows(problem, rows[part]), problem.k, problem.T,
             problem.dt)
-        diff = rho_T - problem.rho1.values
-        j[part] = 0.5 * (diff ** 2).mean(axis=axes)
+        r[part] = rho_T - problem.rho1.values
+        j[part] = 0.5 * (r[part] ** 2).mean(axis=axes)
     aborted = ~np.isnan(t_abort)
     j[aborted] = PENALTY_BASE + (problem.T - t_abort[aborted])
-    return j, t_abort
+    return r, j, t_abort
 
 
 def objectives(problem: MatchProblem, coeff_rows: np.ndarray) -> np.ndarray:
     """0.5 * ||rho(T) - rho1||_2^2 for each row of coefficients (B, n_coeffs);
     a row whose shoot aborts at t scores PENALTY_BASE + (T - t)."""
-    return _evaluate(problem, coeff_rows)[0]
+    return _residuals(problem, coeff_rows)[1]
 
 
 def objective(problem: MatchProblem, coeffs: np.ndarray) -> float:
@@ -157,21 +175,19 @@ def objective(problem: MatchProblem, coeffs: np.ndarray) -> float:
     return float(objectives(problem, np.asarray(coeffs)[None])[0])
 
 
-def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
-                h: float | None = None) -> np.ndarray:
-    """Central finite-difference gradient: one stacked shoot per side.
+def _stencil(problem: MatchProblem, coeffs: np.ndarray, h: float):
+    """The central-difference stencil c +- h_i e_i as two stacked shoots:
+    (steps, (r+, J+), (r-, J-)), with steps h_i = h * max(1, |c_i|).
 
     Raises SolverAbort, naming the coordinate, when a shoot of the stencil
     aborts: the penalty would turn into a meaningless slope of order 1/h.
     """
-    if h is None:
-        h = problem.opt.fd_step
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("h must be positive")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     steps = h * np.maximum(1.0, np.abs(coeffs))
-    jp, t_plus = _evaluate(problem, coeffs + np.diag(steps))
-    jm, t_minus = _evaluate(problem, coeffs - np.diag(steps))
+    rp, jp, t_plus = _residuals(problem, coeffs + np.diag(steps))
+    rm, jm, t_minus = _residuals(problem, coeffs - np.diag(steps))
     t_abort = np.fmin(t_plus, t_minus)  # the earlier abort, NaN if none
     aborted = np.flatnonzero(~np.isnan(t_abort))
     if len(aborted):
@@ -180,79 +196,94 @@ def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
             f"FD stencil of coefficient {i} (step {steps[i]:.3e}) crosses "
             f"a shoot that aborts at t={t_abort[i]:.6g}",
             time=float(t_abort[i]))
+    return steps, (rp, jp), (rm, jm)
+
+
+def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
+                h: float | None = None) -> np.ndarray:
+    """Central finite-difference gradient: one stacked shoot per side.
+
+    Raises SolverAbort, naming the coordinate, when a shoot of the stencil
+    aborts.
+    """
+    steps, (_, jp), (_, jm) = _stencil(
+        problem, coeffs, problem.opt.fd_step if h is None else h)
     return (jp - jm) / (2.0 * steps)
 
 
-def solve_match(problem: MatchProblem) -> MatchResult:
-    """Descend the shooting objective from p0 = 0; always returns best-seen.
+def _normal_equations(problem: MatchProblem, coeffs: np.ndarray,
+                      r: np.ndarray):
+    """(g, H) at coeffs, whose residual is r: the gradient Jr^T r / N of the
+    mean-based objective and the Gauss-Newton matrix Jr^T Jr / N, with the
+    Jacobian Jr (n_coeffs, N) from the endpoints of the FD stencil.
 
-    Ends as stalled when the line search fails or when the FD stencil of a
-    gradient crosses an aborted shoot.
+    Jr is formed in place and freed on return. Raises SolverAbort when the
+    stencil crosses an aborted shoot.
+    """
+    steps, (rp, _), (rm, _) = _stencil(problem, coeffs, problem.opt.fd_step)
+    jac = rp.reshape(len(rp), -1)
+    jac -= rm.reshape(len(rm), -1)
+    jac /= (2.0 * steps)[:, None]
+    npoints = jac.shape[1]
+    return jac @ r.ravel() / npoints, jac @ jac.T / npoints
+
+
+def solve_match(problem: MatchProblem) -> MatchResult:
+    """Levenberg-Marquardt descent of the shooting objective from p0 = 0.
+
+    Each iteration forms the gradient g and the Gauss-Newton matrix H from
+    the FD stencil's endpoints, stops as converged when ||g|| <= grad_tol,
+    and otherwise shoots the trial c + s, (H + lambda diag H) s = -g. A trial
+    is accepted only when it lowers J, and lambda then falls by LM_FACTOR;
+    a rejected trial, an aborted one included, raises lambda by LM_FACTOR and
+    is retried. The history is monotone, so the last iterate is the best.
+
+    Ends as stalled after LM_MAX_TRIALS rejected trials in a row or when the
+    FD stencil crosses an aborted shoot.
     """
     opt = problem.opt
     n_coeffs = len(basis_fields(problem.grid, problem.n_modes))
     coeffs = np.zeros(n_coeffs)
-    history = []
+    r, j, _ = _residuals(problem, coeffs[None])
+    history = [float(j[0])]
     rows = []
-
-    j = objective(problem, coeffs)
-    history.append(j)
-    best_coeffs = coeffs.copy()
-    best_j = j
+    lam = LM_LAMBDA0
     status = "max_iter"
-    prev_coeffs = None
-    prev_grad = None
-    step = opt.init_step
 
     for it in range(opt.max_iter):
         try:
-            grad = gradient_fd(problem, coeffs)
+            g, hess = _normal_equations(problem, coeffs, r[0])
         except geodesic.SolverAbort:
             status = "stalled"
             break
-        gnorm = float(np.linalg.norm(grad))
-        rows.append((it, j, gnorm, step))
+        gnorm = float(np.linalg.norm(g))
         if gnorm <= opt.grad_tol:
             status = "converged"
+        else:
+            for _ in range(LM_MAX_TRIALS):
+                trial = coeffs + np.linalg.solve(
+                    hess + lam * np.diag(np.diag(hess)), -g)
+                r_trial, j_trial, _ = _residuals(problem, trial[None])
+                if j_trial[0] < history[-1]:
+                    break
+                lam *= LM_FACTOR
+            else:
+                status = "stalled"
+        rows.append((it, history[-1], gnorm, lam))
+        if status != "max_iter":
             break
-        if prev_grad is not None:
-            s = coeffs - prev_coeffs
-            y = grad - prev_grad
-            sy = float(s @ y)
-            yy = float(y @ y)
-            if sy > 0.0 and yy > 0.0:
-                step = sy / yy  # Barzilai-Borwein trial step
-        prev_coeffs = coeffs.copy()
-        prev_grad = grad.copy()
+        coeffs, r = trial, r_trial
+        history.append(float(j_trial[0]))
+        lam /= LM_FACTOR
 
-        accepted = False
-        t = step
-        for _ in range(opt.max_backtracks):
-            cand = coeffs - t * grad
-            jc = objective(problem, cand)
-            if jc <= j - opt.sufficient_decrease * t * gnorm ** 2:
-                accepted = True
-                break
-            t *= opt.backtrack_factor
-        if not accepted:
-            status = "stalled"
-            break
-        coeffs = cand
-        j = jc
-        step = t
-        history.append(j)
-        if j < best_j:
-            best_j = j
-            best_coeffs = coeffs.copy()
-
-    p0 = p_from_coeffs(problem, best_coeffs)
+    p0 = p_from_coeffs(problem, coeffs)
     traj = geodesic.shoot(problem.rho0, p0, problem.k, problem.T, problem.dt)
     mismatch = l2_norm_values(traj.states[-1].rho.values - problem.rho1.values)
     mismatch /= l2_norm_values(problem.rho1.values)
     return MatchResult(
         status=status,
         p0=p0,
-        coeffs=best_coeffs,
+        coeffs=coeffs,
         objective_history=np.array(history),
         final_l2_mismatch=mismatch,
         geodesic=traj,

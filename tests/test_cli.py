@@ -357,7 +357,39 @@ max_iter = 10
         assert result["status"] == "converged"
         assert result["final_l2_mismatch"] < 1e-12
         with open(os.path.join(out, "history.csv")) as fh:
-            assert fh.readline().strip() == "iter,objective,grad_norm,step"
+            assert fh.readline().strip() == "iter,objective,grad_norm,lambda"
+
+
+MATCH_CFG = """
+[grid]
+dim = 1
+n = 32
+[metric]
+k = 1
+[time]
+T = 0.2
+dt = 0.02
+[initial]
+rho = cos-bump amplitude 0.3 mode 1
+[matching]
+rho1 = cos-bump amplitude 0.3 mode 1
+n_modes = 2
+"""
+
+
+@pytest.mark.parametrize("setting", [
+    "fd_step = 0", "fd_step = nan", "grad_tol = -1", "grad_tol = nan",
+    "max_iter = -3"])
+def test_bad_optimizer_setting_is_a_config_error(tmp_path, capsys, setting):
+    cfg = write_config(tmp_path / "c.ini", MATCH_CFG + setting + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["match", "--config", cfg, "--output-dir", str(out),
+                     "--quiet"]) == 2
+    key = setting.split()[0]
+    assert f"[matching]: {key}" in capsys.readouterr().err
+    assert key in io.read_json(str(out / "error.json"))["error"]
+    assert not (out / "status.json").exists()
+    assert not (out / "result.json").exists()
 
 
 def test_preset_errors():

@@ -262,6 +262,88 @@ class TestSolveMatch:
         assert counts[0] == counts[1] == 1
 
 
+class TestLevenbergMarquardt:
+    def test_bump_translation_converges(self):
+        # the bump problem of acceptance criterion 8
+        g = grid1d()
+        x = g.coords[0]
+
+        def bump(c, w=0.7, base=0.5):
+            f = base + np.exp((np.cos(x - c) - 1) / w ** 2)
+            return sp.ScalarField(g, f / f.mean())
+
+        problem = ma.MatchProblem(bump(np.pi - 0.8), bump(np.pi + 0.8),
+                                  1, 1.0, 0.02, 8,
+                                  ma.OptSettings(grad_tol=1e-10))
+        result = ma.solve_match(problem)
+        assert result.status == "converged"
+        assert len(result.objective_history) - 1 <= 30
+        assert np.all(np.diff(result.objective_history) < 0.0)
+
+    def test_aborting_trial_is_rejected(self, monkeypatch):
+        # k = -1 with steep data: the first Gauss-Newton trial aborts
+        g = grid1d()
+        x = g.coords[0]
+
+        def steep(c):
+            f = 1 + 0.9 * np.cos(x - c)
+            return sp.ScalarField(g, f / f.mean())
+
+        problem = ma.MatchProblem(steep(0.0), steep(1.0), -1, 1.0, 0.02, 2,
+                                  ma.OptSettings(max_iter=3))
+        trial_aborts = []
+        residuals = ma._residuals
+
+        def spy(problem, rows):
+            out = residuals(problem, rows)
+            if len(rows) == 1:
+                trial_aborts.append(not np.isnan(out[2][0]))
+            return out
+
+        monkeypatch.setattr(ma, "_residuals", spy)
+        result = ma.solve_match(problem)
+        # trial_aborts[0] is the starting point c = 0
+        assert trial_aborts[:2] == [False, True]
+        assert result.history_rows[0][3] > ma.LM_LAMBDA0
+        assert np.all(np.diff(result.objective_history) < 0.0)
+        assert max(result.objective_history) < 1.0
+        assert result.status == "max_iter"
+        assert len(result.history_rows) == 3
+
+    def test_2d_self_consistency(self):
+        g = sp.make_grid(2, 16)
+        x, y = g.coords
+        rho0 = 1 + 0.2 * np.cos(x) * np.cos(y)
+        rho0 = sp.ScalarField(g, rho0 / rho0.mean())
+        pstar = 0.1 * np.sin(x) + 0.05 * np.cos(y) + 0.03 * np.sin(x + y)
+        rho1 = ge.shoot(rho0, sp.ScalarField(g, pstar), 2, 0.5,
+                        0.05).states[-1].rho
+        problem = ma.MatchProblem(rho0, sp.ScalarField(g, rho1.values),
+                                  2, 0.5, 0.05, 2,
+                                  ma.OptSettings(grad_tol=1e-10))
+        assert len(ma.basis_fields(g, 2)) == 24
+        result = ma.solve_match(problem)
+        assert result.status == "converged"
+        assert result.final_l2_mismatch <= 1e-6
+
+
+class TestOptSettings:
+    @pytest.mark.parametrize("kw", [
+        dict(max_iter=-3), dict(grad_tol=-1.0), dict(grad_tol=np.nan),
+        dict(grad_tol=np.inf), dict(fd_step=0.0), dict(fd_step=-1e-5),
+        dict(fd_step=np.nan), dict(fd_step=np.inf)])
+    def test_rejects_bad_settings(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            ma.OptSettings(**kw)
+
+    def test_accepts_zero_iterations_and_tolerance(self):
+        opt = ma.OptSettings(max_iter=0, grad_tol=0.0)
+        problem = make_problem(grid1d(), opt=opt)
+        result = ma.solve_match(problem)
+        assert result.status == "max_iter"
+        assert result.history_rows == []
+
+
 class TestProblemValidation:
     def test_rejects_negative_density(self):
         g = grid1d()
