@@ -132,7 +132,7 @@ def _epdiff_rhs(ops: Operators, u: np.ndarray) -> np.ndarray:
     divu = sum(du[j, j] for j in range(ops.grid.dim))
     conv = (u * dm).sum(axis=1)
     stretch = (m[:, None] * du).sum(axis=0)
-    return -ops.apply(ops.ainv_band, conv + divu * m + stretch)
+    return -ops.band.apply(ops.band.ainv_band, conv + divu * m + stretch)
 
 
 def epdiff_rhs(u: VectorField, k: int) -> VectorField:

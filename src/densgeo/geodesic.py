@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 
 from .spectral import (
+    Band,
     Grid,
     Operators,
     ScalarField,
@@ -76,13 +77,15 @@ def time_steps(T: float, dt: float):
     return n_steps, T / n_steps
 
 
-def _lrho(ops: Operators, rho: np.ndarray, p: np.ndarray):
+def _lrho(ops: Operators | Band, rho: np.ndarray, p: np.ndarray):
     """Dealiased L_rho p, with grad p and u = Ainv(rho grad p).
 
     rho and p may carry leading stack axes; grad p and u then carry the
     vector axis between those and the grid axes. Dealiasing placement
     (input, after the first product, and on the output) makes the discrete
-    operator exactly symmetric on the retained band.
+    operator exactly symmetric on the retained band. Every spectrum here is
+    masked, so callers pass the table's band view (`Operators.band`); the
+    full table gives the same values, bit for bit.
     """
     gradp = ops.ifft(ops.ik * (ops.fft(p) * ops.mask)[ops.vec])
     rho_v = rho[ops.vec]
@@ -91,7 +94,7 @@ def _lrho(ops: Operators, rho: np.ndarray, p: np.ndarray):
     return rhodot, gradp, u
 
 
-def _rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
+def _rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
     """Hamiltonian right-hand side d/dt of states y = (..., 2, *shape),
     each a stacked (rho, p)."""
     rhodot, gradp, u = _lrho(ops, y[ops.part[0]], y[ops.part[1]])
@@ -177,7 +180,7 @@ def apply_L_rho(rho: ScalarField, p: ScalarField, k: int) -> ScalarField:
     check_same_grid(rho.grid, p.grid)
     if not rho.values.min() > 0.0:
         raise StateError("rho must be strictly positive")
-    rhodot, _, _ = _lrho(operators(rho.grid, k), rho.values, p.values)
+    rhodot, _, _ = _lrho(operators(rho.grid, k).band, rho.values, p.values)
     return ScalarField(rho.grid, rhodot)
 
 
@@ -194,7 +197,7 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
         raise StateError("rho must be strictly positive")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    ops = operators(grid, k)
+    ops = operators(grid, k).band
     b = ops.apply(ops.mask, rhodot.values)
     b = b - b.mean()
     bnorm = l2_norm_values(b)
@@ -234,7 +237,7 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
 
 def horizontal_velocity(state: DensityState) -> VectorField:
     """u = Ainv(rho * grad p): the horizontal (Eulerian) velocity of the state."""
-    _, _, u = _lrho(operators(state.grid, state.k), state.rho.values,
+    _, _, u = _lrho(operators(state.grid, state.k).band, state.rho.values,
                     state.p.values)
     return VectorField(state.grid, u)
 
@@ -242,14 +245,14 @@ def horizontal_velocity(state: DensityState) -> VectorField:
 def hamiltonian_rhs(state: DensityState):
     """Time derivatives (rhodot, pdot) of the geodesic flow at a state."""
     y = np.stack((state.rho.values, state.p.values))
-    rhodot, pdot = _rhs(operators(state.grid, state.k), y)
+    rhodot, pdot = _rhs(operators(state.grid, state.k).band, y)
     return ScalarField(state.grid, rhodot), ScalarField(state.grid, pdot)
 
 
 def metric_energy(state: DensityState) -> float:
     """Kinetic energy 0.5 * <p, L_rho p>; zero iff p is constant."""
-    rhodot, _, _ = _lrho(operators(state.grid, state.k), state.rho.values,
-                         state.p.values)
+    rhodot, _, _ = _lrho(operators(state.grid, state.k).band,
+                         state.rho.values, state.p.values)
     return float(0.5 * (state.p.values * rhodot).mean())
 
 
@@ -272,7 +275,7 @@ def _guarded_step(ops: Operators, y: np.ndarray, dt: float):
     """
     at_rho, at_p = ops.part
     mass = y[at_rho].mean(axis=ops.axes)
-    y = rk4(partial(_rhs, ops), y, dt)
+    y = rk4(partial(_rhs, ops.band), y, dt)
     # in place, so that a new state is its stacked buffer
     y[at_p] -= y[at_p].mean(axis=ops.axes, keepdims=True)
     # at least 1-D: the reductions of step_rk4's one unstacked state are 0-d

@@ -238,8 +238,10 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     a rejected trial, an aborted one included, raises lambda by LM_FACTOR and
     is retried. The history is monotone, so the last iterate is the best.
 
-    Ends as stalled after LM_MAX_TRIALS rejected trials in a row or when the
-    FD stencil crosses an aborted shoot.
+    Ends as stalled after LM_MAX_TRIALS rejected trials in a row, when a
+    trial repeats the rejected one before it (lambda has fallen so far that
+    raising it no longer changes the step), or when the FD stencil crosses
+    an aborted shoot.
     """
     opt = problem.opt
     n_coeffs = len(basis_fields(problem.grid, problem.n_modes))
@@ -260,13 +262,20 @@ def solve_match(problem: MatchProblem) -> MatchResult:
         if gnorm <= opt.grad_tol:
             status = "converged"
         else:
+            rejected = None
             for _ in range(LM_MAX_TRIALS):
                 trial = coeffs + np.linalg.solve(
                     hess + lam * np.diag(np.diag(hess)), -g)
+                if rejected is not None and np.array_equal(trial, rejected):
+                    # lambda is too small to change the step, and the shoot
+                    # of a repeated trial is rejected again
+                    status = "stalled"
+                    break
                 r_trial, j_trial, _ = _residuals(problem, trial[None])
                 if j_trial[0] < history[-1]:
                     break
                 lam *= LM_FACTOR
+                rejected = trial
             else:
                 status = "stalled"
         rows.append((it, history[-1], gnorm, lam))

@@ -9,9 +9,12 @@ Raw formulas (before role normalization):
                                    (2-D: cos(x-c)+cos(y-c)-2 in the exponent)
 
 A field used as a density is normalized to unit mass and must be positive; a
-field used as a momentum potential is projected to mean zero.
+field used as a momentum potential is projected to mean zero. Every parameter
+must be finite, and a mode must be an integer.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,10 +31,20 @@ def _parse_kv(tokens: list) -> dict:
     out = {}
     for name, value in zip(tokens[::2], tokens[1::2]):
         try:
-            out[name] = float(value)
+            number = float(value)
         except ValueError:
             raise PresetError(f"bad numeric value {value!r} for {name!r}") from None
+        if not math.isfinite(number):
+            raise PresetError(f"{name!r} must be finite, got {value!r}")
+        out[name] = number
     return out
+
+
+def _mode(args: dict) -> int:
+    m = args.get("mode", 1.0)
+    if not m.is_integer():
+        raise PresetError(f"mode must be an integer, got {m}")
+    return int(m)
 
 
 def raw_preset(grid: Grid, spec: str) -> np.ndarray:
@@ -45,12 +58,12 @@ def raw_preset(grid: Grid, spec: str) -> np.ndarray:
     if name == "zero":
         return np.zeros(grid.shape)
     if name == "cos-bump":
-        a, m = args.get("amplitude", 0.5), int(args.get("mode", 1))
+        a, m = args.get("amplitude", 0.5), _mode(args)
         if abs(a) >= 1.0:
             raise PresetError(f"cos-bump amplitude must satisfy |a| < 1, got {a}")
         return 1.0 + a * np.cos(m * x)
     if name == "sin-bump":
-        a, m = args.get("amplitude", 0.5), int(args.get("mode", 1))
+        a, m = args.get("amplitude", 0.5), _mode(args)
         return a * np.sin(m * x)
     if name == "gauss-like":
         c, w = args.get("center", np.pi), args.get("width", 0.7)

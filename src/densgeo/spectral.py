@@ -11,6 +11,18 @@ transformed in one call. Every transform and Fourier symbol they use comes
 from one cached table per (grid, k), built by `operators`. Fields are real, so
 the table works on the half spectrum of real transforms: the last axis holds
 the wavenumbers 0 .. n/2 only, the other half being the complex conjugate.
+
+A spectrum that is dealiased before it is used, or that is zero outside the
+2/3-rule band, goes through the table's band view, `operators(...).band`. In
+2-D it holds the last-axis wavenumbers 0 .. n//3 only, and its transforms run
+the complex pass over the first axis on those columns alone: about two thirds
+of the work of rfft2/irfft2 in that pass, with bit-identical results (see
+`Band`). In 1-D there is no complex pass to prune, and the band is the table
+itself. The geodesic flow (L_rho, its CG inverse, the Hamiltonian right-hand
+side), `dealias` and EPDiff's final band-limited Ainv use the band; every user
+of an unmasked spectrum keeps the full half spectrum: `grad` of raw fields,
+`spectral_tail_fraction`, and in `epdiff` and `validation` point evaluation,
+the horizontality defect and the checks.
 """
 from __future__ import annotations
 
@@ -112,7 +124,8 @@ class Operators:
     to that half. A sum over the full spectrum is the sum over the half
     weighted by `weight`: 1 on the last-axis columns 0 and n/2, which are
     their own conjugate mirror, and 2 elsewhere. Its arrays, shared with
-    every caller, are read-only.
+    every caller, are read-only. `band` is the view for dealiased spectra:
+    a `Band` in 2-D, the table itself in 1-D.
     """
 
     def __init__(self, grid: Grid, k: int):
@@ -151,6 +164,7 @@ class Operators:
         for arr in (self.k_mesh, self.mask, self.ik, self.weight, self.a,
                     self.ainv, self.ainv_band, self.precond):
             arr.flags.writeable = False
+        self.band = self if grid.dim == 1 else Band(self)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         return getattr(np.fft, self._fft)(values)
@@ -169,6 +183,42 @@ class Operators:
     def div_hat(self, v: np.ndarray) -> np.ndarray:
         """Fourier coefficients of the divergence of v, (..., dim, *shape)."""
         return (self.ik * self.fft(v)).sum(axis=-self.grid.dim - 1)
+
+
+class Band:
+    """The 2/3-rule band of a 2-D operator table, with the table's interface.
+
+    A band spectrum holds the last-axis wavenumbers 0 .. n//3, the columns
+    the dealias mask keeps. The forward transform is rfft over the last axis,
+    cut to the band, then fft over the first axis on the band columns only;
+    the inverse is ifft over the first axis, then irfft to n points, which
+    pads the dropped columns with zeros. rfft2/irfft2 run the same 1-D
+    transforms line by line, so `fft` equals the table's transform cut to
+    the band, and `ifft` of a band spectrum equals the table's inverse of
+    that spectrum padded with zeros: bit for bit. Only the masked symbols
+    are here, so a symbol that is nonzero outside the band cannot be applied
+    through it by mistake. Its arrays are read-only.
+    """
+
+    def __init__(self, table: Operators):
+        self.grid = table.grid
+        self.axes, self.zero, self.vec, self.part = (
+            table.axes, table.zero, table.vec, table.part)
+        self._cut = (Ellipsis, slice(table.grid.n // 3 + 1))
+        self.mask, self.ik, self.ainv_band, self.precond = (
+            np.ascontiguousarray(arr[self._cut]) for arr in
+            (table.mask, table.ik, table.ainv_band, table.precond))
+        for arr in (self.mask, self.ik, self.ainv_band, self.precond):
+            arr.flags.writeable = False
+
+    def fft(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.fft(np.fft.rfft(values)[self._cut], axis=-2)
+
+    def ifft(self, values_hat: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(np.fft.ifft(values_hat, axis=-2), self.grid.n)
+
+    apply = Operators.apply
+    div_hat = Operators.div_hat
 
 
 @lru_cache(maxsize=None)
@@ -218,8 +268,8 @@ class FourierMultiplier:
 
 def dealias(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Zero the top third of frequencies (2/3 rule) of a physical-space field."""
-    ops = operators(grid)
-    return ops.apply(ops.mask, values)
+    band = operators(grid).band
+    return band.apply(band.mask, values)
 
 
 def inertia_symbol(grid: Grid, k: int) -> FourierMultiplier:

@@ -392,6 +392,27 @@ def test_bad_optimizer_setting_is_a_config_error(tmp_path, capsys, setting):
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("entry,name", [
+    ("rho = cos-bump amplitude 0.5 mode 1.5", "mode"),
+    ("rho = cos-bump amplitude 0.5 mode inf", "mode"),
+    ("p = sin-bump amplitude 0.2 mode nan", "mode"),
+    ("p = sin-bump amplitude nan mode 1", "amplitude"),
+    ("rho = gauss-like center 3 width nan", "width"),
+    ("rho = gauss-like center inf width 0.7", "center")])
+def test_bad_preset_parameter_is_a_config_error(tmp_path, capsys, entry,
+                                                name):
+    key = entry.split()[0]
+    text = "\n".join(entry if line.startswith(f"{key} =") else line
+                     for line in SHOOT_CFG.splitlines())
+    cfg = write_config(tmp_path / "c.ini", text)
+    out = tmp_path / "out"
+    assert cli.main(["shoot", "--config", cfg, "--output-dir", str(out),
+                     "--quiet"]) == 2
+    assert f"[initial] {key}" in capsys.readouterr().err
+    assert name in io.read_json(str(out / "error.json"))["error"]
+    assert not (out / "status.json").exists()
+
+
 def test_preset_errors():
     g = sp.make_grid(1, 32)
     with pytest.raises(presets.PresetError):

@@ -440,7 +440,7 @@ class TestStackedFlow:
     @pytest.mark.parametrize("dim,n,k", [(1, 32, 1), (1, 256, 2), (2, 32, 2)])
     def test_rk4_on_stack_equals_per_state(self, dim, n, k):
         g = sp.make_grid(dim, n)
-        rhs = partial(ge._rhs, sp.operators(g, k))
+        rhs = partial(ge._rhs, sp.operators(g, k).band)
         ys = state_stack(g, 5, seed=n + dim)
         stacked = ge.rk4(rhs, ys, 0.01)
         for y, out in zip(ys, stacked):

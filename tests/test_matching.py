@@ -310,6 +310,33 @@ class TestLevenbergMarquardt:
         assert result.status == "max_iter"
         assert len(result.history_rows) == 3
 
+    def test_stalls_at_the_first_repeated_trial(self, monkeypatch):
+        # the steep data of the test above, run to the FD gradient's noise
+        # floor: after 65 accepted steps lambda is so small that raising it
+        # no longer changes the step, and a repeated trial is rejected again
+        g = grid1d()
+        x = g.coords[0]
+
+        def steep(c):
+            f = 1 + 0.9 * np.cos(x - c)
+            return sp.ScalarField(g, f / f.mean())
+
+        problem = ma.MatchProblem(steep(0.0), steep(1.0), -1, 1.0, 0.2, 2)
+        trials = []
+        residuals = ma._residuals
+
+        def spy(problem, rows):
+            if len(rows) == 1:
+                trials.append(np.array(rows[0]))
+            return residuals(problem, rows)
+
+        monkeypatch.setattr(ma, "_residuals", spy)
+        result = ma.solve_match(problem)
+        assert result.status == "stalled"
+        assert result.history_rows[-1][2] > problem.opt.grad_tol
+        assert not any(np.array_equal(a, b)
+                       for a, b in zip(trials, trials[1:]))
+
     def test_2d_self_consistency(self):
         g = sp.make_grid(2, 16)
         x, y = g.coords
