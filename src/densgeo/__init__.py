@@ -1,16 +1,12 @@
 """Pseudospectral geodesic solvers for regularized transport metrics on torus densities."""
 
 from .spectral import (
-    FourierMultiplier,
     Grid,
     GridError,
     ScalarField,
     VectorField,
-    apply_A_inv,
-    apply_multiplier,
     divergence,
     gradient,
-    inertia_symbol,
     l2_inner,
     make_grid,
     operators,

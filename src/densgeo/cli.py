@@ -148,6 +148,9 @@ def cmd_shoot(cfg, args, outdir, manifest):
     T = _get(cfg, "time", "T", float, required=True)
     dt = _get(cfg, "time", "dt", float)
     stride = _get(cfg, "output", "snapshot_stride", int, default=10)
+    if stride < 1:
+        raise ConfigError(
+            f"[output] snapshot_stride: must be >= 1, got {stride}")
     rho0, rho_src = _load_scalar(cfg, grid, "initial", "rho", "rho")
     p0, p_src = _load_scalar(cfg, grid, "initial", "p", "p")
     state0 = geodesic.make_state(grid, rho0.values, p0.values, k)
@@ -256,8 +259,13 @@ def cmd_convergence(cfg, args, outdir, manifest):
     k = _metric_order(cfg)
     T = _get(cfg, "time", "T", float, required=True)
     _, dt = _time_steps(T, _get(cfg, "time", "dt", float, required=True))
-    rho_spec = _get(cfg, "initial", "rho", str, required=True)
-    p_spec = _get(cfg, "initial", "p", str, required=True)
+    # the initial data of the base and the doubled grid, loaded before the
+    # manifest so that a bad entry is a configuration error
+    initial = {}
+    for n_run in (grid.n, 2 * grid.n):
+        g = make_grid(grid.dim, n_run)
+        initial[n_run] = (_load_scalar(cfg, g, "initial", "rho", "rho")[0],
+                          _load_scalar(cfg, g, "initial", "p", "p")[0])
     manifest.update({"grid": {"dim": grid.dim, "n": grid.n}, "k": k,
                      "T": T, "dt": dt})
     io.write_json(os.path.join(outdir, "manifest.json"), manifest)
@@ -266,24 +274,20 @@ def cmd_convergence(cfg, args, outdir, manifest):
     finals = {}
 
     def run_one(label, n_run, dt_run):
-        g = make_grid(grid.dim, n_run)
-        rho0 = presets.density_preset(g, rho_spec)
-        p0 = presets.momentum_preset(g, p_spec)
         try:
-            traj = geodesic.shoot(rho0, p0, k, T, dt_run,
+            traj = geodesic.shoot(*initial[n_run], k, T, dt_run,
                                   store_every=10 ** 9)
-        except geodesic.SolverAbort as exc:
+        except geodesic.SolverAbort:
             rows.append((label, n_run, dt_run, "aborted", "", "", ""))
-            return None
+            return
         d0, dT = traj.diagnostics[0], traj.diagnostics[-1]
         drift = (abs(dT.energy - d0.energy) / abs(d0.energy)
                  if d0.energy != 0 else 0.0)
         rows.append((label, n_run, dt_run, "ok", drift,
                      dT.spectral_tail, abs(dT.mass - 1.0)))
         finals[label] = traj.states[-1].rho.values
-        return traj
 
-    for i, f in enumerate((1, 2, 4)):
+    for f in (1, 2, 4):
         run_one(f"dt/{f}", grid.n, dt / f)
     run_one("2n", 2 * grid.n, dt)
 

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import geodesic
-from .geodesic import SolverAbort, rk4, time_steps
+from .geodesic import SolverAbort, integrate_one, rk4, time_steps
 from .spectral import (
     Grid,
     Operators,
@@ -152,11 +152,20 @@ def _det(d: np.ndarray) -> np.ndarray:
 
 
 def _flow_rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
-    """d/dt of the stacked state y = (disp, u): (u o phi, EPDiff)."""
-    disp, u = y
+    """d/dt of a one-member stack y = ((disp, u),): (u o phi, EPDiff)."""
+    ((disp, u),) = y
     grid = ops.grid
     return np.stack((eval_periodic(grid, u, grid.coords + disp),
-                     _epdiff_rhs(ops, u)))
+                     _epdiff_rhs(ops, u)))[None]
+
+
+def _flow_step(ops: Operators, y: np.ndarray, dt: float):
+    """One RK4 step of _flow_rhs; it fails when the flow map stops being a
+    grid-resolved diffeomorphism."""
+    y = rk4(partial(_flow_rhs, ops), y, dt)
+    jac = jacobian_det(ops.grid, y[0, 0]).min()
+    return y, [None if jac > 0.0 else
+               f"Jacobian lost positivity (min {jac:.3e})"]
 
 
 def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
@@ -167,24 +176,12 @@ def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
     stored (t, DiffeoState). Aborts when the flow map stops being a
     grid-resolved diffeomorphism (nonpositive Jacobian).
     """
-    n_steps, dt = time_steps(T, dt)
-    grid = state0.grid
-    k = state0.k
-    rhs = partial(_flow_rhs, operators(grid, k))
-    y = np.stack((state0.disp.components, state0.u.components))
-    out = [(0.0, state0)]
-    for i in range(n_steps):
-        y = rk4(rhs, y, dt)
-        t = (i + 1) * dt
-        jac = jacobian_det(grid, y[0])
-        if not jac.min() > 0.0:
-            raise SolverAbort(
-                f"t={t:.6g}: Jacobian lost positivity (min {jac.min():.3e})",
-                time=t)
-        if (i + 1) % store_every == 0 or (i + 1) == n_steps:
-            out.append((t, DiffeoState(VectorField(grid, y[0]),
-                                       VectorField(grid, y[1]), k)))
-    return out
+    grid, k = state0.grid, state0.k
+    y = np.stack((state0.disp.components, state0.u.components))[None]
+    stored = integrate_one(partial(_flow_step, operators(grid, k)), y, T, dt,
+                           store_every)
+    return [(t, DiffeoState(VectorField(grid, y[0, 0]),
+                            VectorField(grid, y[0, 1]), k)) for t, y in stored]
 
 
 class InversionError(RuntimeError):
@@ -330,24 +327,20 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
     stride = max(1, n_steps // max(1, n_checks - 1))
 
     traj = geodesic.shoot(rho0, p0, k, T, dt, store_every=stride)
-    state0 = traj.states[0]
-    u0 = geodesic.horizontal_velocity(state0)
-    # both integrators store the time (i + 1) * dt of step i
-    ep_by_time = dict(integrate_epdiff(identity_state(grid, u0, k), T, dt,
-                                       store_every=stride))
+    u0 = geodesic.horizontal_velocity(traj.states[0])
+    ep = integrate_epdiff(identity_state(grid, u0, k), T, dt,
+                          store_every=stride)
     discrepancies = []
     defects = []
-    for t, dstate in zip(traj.times, traj.states):
-        phi = ep_by_time.get(t)
-        if phi is None:
-            continue
+    # both flows store through geodesic.integrate: the same times, in order
+    for dstate, (_, phi) in zip(traj.states, ep):
         rho_ep = pushforward_density(rho0, phi)
         discrepancies.append(
             l2_norm_values(rho_ep.values - dstate.rho.values))
         defects.append(horizontality_defect(phi.u, rho_ep, k))
 
     e_dens = [d.energy for d in traj.diagnostics]
-    e_ep = [epdiff_energy(s.u, k) for s in ep_by_time.values()]
+    e_ep = [epdiff_energy(s.u, k) for _, s in ep]
 
     def rel_drift(values):
         ref = abs(values[0])

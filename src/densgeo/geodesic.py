@@ -267,23 +267,19 @@ def diagnostics_for(state: DensityState) -> Diagnostics:
     )
 
 
-def _guarded_step(ops: Operators, y: np.ndarray, dt: float):
-    """One RK4 step of states y (..., 2, *shape), guarded per state.
-
-    Returns the stepped states and, per state in flat order, the reason it
-    failed a guard (no longer finite, positivity lost, mass drift) or None.
-    """
+def step_rk4(ops: Operators, y: np.ndarray, dt: float):
+    """One RK4 step of a stack of states y (B, 2, *shape). Returns the new
+    stack and per member the guard it failed (no longer finite, positivity
+    lost, mass drift), or None."""
     at_rho, at_p = ops.part
     mass = y[at_rho].mean(axis=ops.axes)
     y = rk4(partial(_rhs, ops.band), y, dt)
     # in place, so that a new state is its stacked buffer
     y[at_p] -= y[at_p].mean(axis=ops.axes, keepdims=True)
-    # at least 1-D: the reductions of step_rk4's one unstacked state are 0-d
-    finite, rho_min, drift = np.atleast_1d(
-        np.isfinite(y).all(axis=(-ops.grid.dim - 1,) + ops.axes),
-        y[at_rho].min(axis=ops.axes),
-        np.abs(y[at_rho].mean(axis=ops.axes) - mass))
-    reasons = [None] * len(finite)
+    finite = np.isfinite(y).all(axis=(-ops.grid.dim - 1,) + ops.axes)
+    rho_min = y[at_rho].min(axis=ops.axes)
+    drift = np.abs(y[at_rho].mean(axis=ops.axes) - mass)
+    reasons = [None] * len(y)
     for i in np.flatnonzero(~(finite & (rho_min > 0.0)
                               & (drift <= MASS_DRIFT_TOL))):
         if not finite[i]:
@@ -296,18 +292,41 @@ def _guarded_step(ops: Operators, y: np.ndarray, dt: float):
     return y, reasons
 
 
-def step_rk4(state: DensityState, dt: float) -> DensityState:
-    """One classical RK4 step; aborts on positivity loss or mass drift."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    grid = state.grid
-    y, (reason,) = _guarded_step(
-        operators(grid, state.k),
-        np.stack((state.rho.values, state.p.values)), dt)
+def integrate(step, y: np.ndarray, T: float, dt: float, store_every: int = 0):
+    """Step the stack y (B, ...) over time_steps(T, dt) by step(y, dt) ->
+    (y, reasons), a reason (None for a good step) per member, dropping each
+    member whose step fails. Given store_every, stores (t, y) at t = 0,
+    every store_every steps and at the last step. Returns the final stack
+    of the members that reached T; per member its abort time (NaN if none)
+    and reason (None if none); and the stored pairs."""
+    n_steps, dt = time_steps(T, dt)
+    t_abort, reasons = np.full(len(y), np.nan), [None] * len(y)
+    live = np.arange(len(y))
+    stored = [(0.0, y)] if store_every else []
+    for i in range(1, n_steps + 1):
+        y, why = step(y, dt)
+        if any(why):
+            ok = np.array([r is None for r in why])
+            for j in np.flatnonzero(~ok):
+                t_abort[live[j]], reasons[live[j]] = i * dt, why[j]
+            live, y = live[ok], y[ok]
+            if not len(live):
+                break
+        if store_every and (i % store_every == 0 or i == n_steps):
+            stored.append((i * dt, y))
+    return y, t_abort, reasons, stored
+
+
+def integrate_one(step, y: np.ndarray, T: float, dt: float, store_every: int):
+    """`integrate` on a one-member stack y (1, ...): its stored (t, y) pairs,
+    or SolverAbort("t=...: reason") at the time of its failed step."""
+    if not store_every >= 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    _, t_abort, (reason,), stored = integrate(step, y, T, dt, store_every)
     if reason is not None:
-        raise SolverAbort(reason)
-    return DensityState(ScalarField(grid, y[0]), ScalarField(grid, y[1]),
-                        state.k)
+        t = float(t_abort[0])
+        raise SolverAbort(f"t={t:.6g}: {reason}", time=t)
+    return stored
 
 
 def default_dt(state: DensityState, cfl: float = 0.5) -> float | None:
@@ -327,7 +346,6 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     Backward runs negate p, integrate forward, and negate back (the flow is
     time-reversible). Aborts propagate with the failing time attached.
     """
-    n_steps, dt = time_steps(T, dt)
     if k in (-1, 0):
         log.warning(
             "k=%d is in the local regime: global existence is not guaranteed "
@@ -337,25 +355,16 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     if backward:
         p_init = -p_init
     state = make_state(grid, rho0.values, p_init, k)
-    times = [0.0]
-    states = [state]
-    diags = [diagnostics_for(state)]
-    for i in range(n_steps):
-        t = (i + 1) * dt
-        try:
-            state = step_rk4(state, dt)
-        except SolverAbort as exc:
-            raise SolverAbort(f"t={t:.6g}: {exc}", time=t) from None
-        if (i + 1) % store_every == 0 or (i + 1) == n_steps:
-            times.append(t)
-            states.append(state)
-            diags.append(diagnostics_for(state))
+    stored = integrate_one(partial(step_rk4, operators(grid, k)),
+                           np.stack((state.rho.values, state.p.values))[None],
+                           T, dt, store_every)
     if backward:
-        # in place: each stored p is a view into its state's stacked buffer
-        for s in states:
-            np.negative(s.p.values, out=s.p.values)
-        diags = [diagnostics_for(s) for s in states]
-    return Trajectory(np.array(times), states, diags)
+        for _, y in stored:  # in place: a state is a view into its y
+            np.negative(y[0, 1], out=y[0, 1])
+    states = [DensityState(ScalarField(grid, y[0, 0]),
+                           ScalarField(grid, y[0, 1]), k) for _, y in stored]
+    return Trajectory(np.array([t for t, _ in stored]), states,
+                      [diagnostics_for(s) for s in states])
 
 
 def shoot_endpoints(rho0: ScalarField, p0: np.ndarray, k: int, T: float,
@@ -365,31 +374,28 @@ def shoot_endpoints(rho0: ScalarField, p0: np.ndarray, k: int, T: float,
 
     Each member is prepared as `shoot` prepares its state and takes the same
     steps as `shoot`, so its endpoint is bit-identical to shoot's. Every
-    member is validated and guarded as `make_state` and `step_rk4` do; a
+    member is validated as `make_state` does and guarded by `step_rk4`; a
     member that fails a step's guard is dropped from the stack. Returns
     (rho_T, t_abort): t_abort (B,) holds the time of each member's failed
     step, NaN for a member that reached T; rho_T (B, *shape) holds the
     final densities, NaN on the rows of aborted members.
     """
-    n_steps, dt = time_steps(T, dt)
     ops = operators(rho0.grid, k)
+    y, t_abort, _, _ = integrate(partial(step_rk4, ops),
+                                 _initial_stack(ops, rho0, p0), T, dt)
+    rho_T = np.full((len(t_abort),) + rho0.grid.shape, np.nan)
+    rho_T[np.isnan(t_abort)] = y[ops.part[0]]
+    return rho_T, t_abort
+
+
+def _initial_stack(ops: Operators, rho0: ScalarField, p0: np.ndarray):
+    """The validated stack (B, 2, *shape) of (rho0, p), p in p0, with the
+    mean subtractions of shoot's p_init and of make_state. Built inside the
+    call to integrate, so that no name holds it while the steps run."""
     at_rho, at_p = ops.part
-    # the mean subtractions of shoot's p_init and of make_state
     p = p0 - p0.mean(axis=ops.axes, keepdims=True)
     y = np.empty((len(p), 2) + rho0.grid.shape)
     y[at_rho] = rho0.values
     y[at_p] = p - p.mean(axis=ops.axes, keepdims=True)
     _validate(y[at_rho], y[at_p], ops.axes)
-    t_abort = np.full(len(y), np.nan)
-    live = np.arange(len(y))
-    for i in range(n_steps):
-        if not len(live):
-            break
-        y, reasons = _guarded_step(ops, y, dt)
-        failed = np.array([r is not None for r in reasons])
-        if failed.any():
-            t_abort[live[failed]] = (i + 1) * dt
-            live, y = live[~failed], y[~failed]
-    rho_T = np.full((len(t_abort),) + rho0.grid.shape, np.nan)
-    rho_T[live] = y[at_rho]
-    return rho_T, t_abort
+    return y

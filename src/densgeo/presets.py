@@ -10,7 +10,9 @@ Raw formulas (before role normalization):
 
 A field used as a density is normalized to unit mass and must be positive; a
 field used as a momentum potential is projected to mean zero. Every parameter
-must be finite, and a mode must be an integer.
+must be finite, and a mode must be an integer with |m| <= n//3, inside the
+dealiased band: a higher mode is sampled as an alias (mode 40 as mode 8 on
+n = 32) or as zero (sin-bump at the Nyquist mode).
 """
 from __future__ import annotations
 
@@ -40,10 +42,13 @@ def _parse_kv(tokens: list) -> dict:
     return out
 
 
-def _mode(args: dict) -> int:
+def _mode(grid: Grid, args: dict) -> int:
     m = args.get("mode", 1.0)
     if not m.is_integer():
         raise PresetError(f"mode must be an integer, got {m}")
+    if abs(m) > grid.n // 3:
+        raise PresetError(f"mode must satisfy |m| <= n//3 = {grid.n // 3} "
+                          f"(the dealiased band), got {int(m)}")
     return int(m)
 
 
@@ -58,12 +63,12 @@ def raw_preset(grid: Grid, spec: str) -> np.ndarray:
     if name == "zero":
         return np.zeros(grid.shape)
     if name == "cos-bump":
-        a, m = args.get("amplitude", 0.5), _mode(args)
+        a, m = args.get("amplitude", 0.5), _mode(grid, args)
         if abs(a) >= 1.0:
             raise PresetError(f"cos-bump amplitude must satisfy |a| < 1, got {a}")
         return 1.0 + a * np.cos(m * x)
     if name == "sin-bump":
-        a, m = args.get("amplitude", 0.5), _mode(args)
+        a, m = args.get("amplitude", 0.5), _mode(grid, args)
         return a * np.sin(m * x)
     if name == "gauss-like":
         c, w = args.get("center", np.pi), args.get("width", 0.7)

@@ -56,11 +56,6 @@ class Grid:
         return (self.n,) * self.dim
 
     @property
-    def spectrum_shape(self) -> tuple:
-        """Shape of a half spectrum: n//2 + 1 wavenumbers on the last axis."""
-        return self.shape[:-1] + (self.n // 2 + 1,)
-
-    @property
     def npoints(self) -> int:
         return self.n ** self.dim
 
@@ -119,13 +114,13 @@ class Operators:
     Arrays may carry leading axes; the transforms act on the trailing grid
     axes. They are the real transforms rfft/irfft in 1-D and rfft2/irfft2 in
     2-D, looked up on numpy.fft at call time so that a patched numpy.fft sees
-    every call. A spectrum holds the last-axis wavenumbers 0 .. n/2
-    (grid.spectrum_shape), and every symbol is the full-grid symbol sliced
-    to that half. A sum over the full spectrum is the sum over the half
-    weighted by `weight`: 1 on the last-axis columns 0 and n/2, which are
-    their own conjugate mirror, and 2 elsewhere. Its arrays, shared with
-    every caller, are read-only. `band` is the view for dealiased spectra:
-    a `Band` in 2-D, the table itself in 1-D.
+    every call. A spectrum holds the last-axis wavenumbers 0 .. n/2, and
+    every symbol is the full-grid symbol sliced to that half. A sum over the
+    full spectrum is the sum over the half weighted by `weight`: 1 on the
+    last-axis columns 0 and n/2, which are their own conjugate mirror, and 2
+    elsewhere. Its arrays, shared with every caller, are read-only. `band`
+    is the view for dealiased spectra: a `Band` in 2-D, the table itself in
+    1-D.
     """
 
     def __init__(self, grid: Grid, k: int):
@@ -254,37 +249,10 @@ class VectorField:
         self.components = comps.reshape((self.grid.dim,) + self.grid.shape)
 
 
-@dataclass
-class FourierMultiplier:
-    """Real, even symbol over the half spectrum (maps real to real fields)."""
-
-    grid: Grid
-    symbol: np.ndarray
-
-    def __post_init__(self):
-        self.symbol = np.asarray(self.symbol, dtype=np.float64).reshape(
-            self.grid.spectrum_shape)
-
-
 def dealias(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Zero the top third of frequencies (2/3 rule) of a physical-space field."""
     band = operators(grid).band
     return band.apply(band.mask, values)
-
-
-def inertia_symbol(grid: Grid, k: int) -> FourierMultiplier:
-    """Symbol of A = (1 - Laplacian)^(k+1): (1 + |xi|^2)^(k+1). k = -1 is identity."""
-    return FourierMultiplier(grid, operators(grid, k).a)
-
-
-def inverse_inertia_symbol(grid: Grid, k: int) -> FourierMultiplier:
-    return FourierMultiplier(grid, operators(grid, k).ainv)
-
-
-def apply_multiplier(m: FourierMultiplier, f: ScalarField) -> ScalarField:
-    """Apply a Fourier multiplier to a scalar field. Output mean = symbol(0) * input mean."""
-    check_same_grid(m.grid, f.grid)
-    return ScalarField(f.grid, operators(f.grid).apply(m.symbol, f.values))
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -294,12 +262,6 @@ def gradient(f: ScalarField) -> VectorField:
 def divergence(v: VectorField) -> ScalarField:
     ops = operators(v.grid)
     return ScalarField(v.grid, ops.ifft(ops.div_hat(v.components)))
-
-
-def apply_A_inv(k: int, v: VectorField) -> VectorField:
-    """Componentwise (1 - Laplacian)^-(k+1)."""
-    ops = operators(v.grid, k)
-    return VectorField(v.grid, ops.apply(ops.ainv, v.components))
 
 
 def l2_inner(f: ScalarField, g: ScalarField) -> float:

@@ -5,7 +5,7 @@
 Not part of the test suite (the name does not match test_*.py). It times a
 dealiased transform pair on the full half spectrum (rfft2/irfft2) and on the
 2/3-rule band, one Hamiltonian right-hand side on each, and one guarded RK4
-step of the flow as `shoot` takes it.
+step of the one-member stack that `shoot` steps.
 """
 import numpy as np
 import pytest
@@ -41,5 +41,5 @@ def test_rhs(benchmark, ops, state, table):
 
 
 def test_guarded_rk4_step(benchmark, ops, state):
-    y, reasons = benchmark(ge._guarded_step, ops, state, DT)
+    y, reasons = benchmark(ge.step_rk4, ops, state[None], DT)
     assert reasons == [None]

@@ -329,6 +329,17 @@ p = sin-bump amplitude 0.2 mode 1
         assert lines[0] == "run,n,dt,status,energy_drift,spectral_tail,mass_error"
         assert len(lines) == 5  # dt/{1,2,4} and 2n
 
+    def test_bad_preset_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini", SHOOT_CFG.replace(
+            "amplitude 0.5 mode 1", "amplitude 1.5 mode 1"))
+        out = tmp_path / "out"
+        assert cli.main(["convergence", "--config", cfg, "--output-dir",
+                         str(out), "--quiet"]) == 2
+        assert "[initial] rho" in capsys.readouterr().err
+        assert "amplitude" in io.read_json(str(out / "error.json"))["error"]
+        assert not (out / "status.json").exists()
+        assert not (out / "manifest.json").exists()
+
 
 class TestMatchCommand:
     def test_identical_targets(self, tmp_path):
@@ -392,13 +403,26 @@ def test_bad_optimizer_setting_is_a_config_error(tmp_path, capsys, setting):
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_bad_snapshot_stride_is_a_config_error(tmp_path, stride):
+    cfg = write_config(tmp_path / "c.ini", SHOOT_CFG.replace(
+        "snapshot_stride = 10", f"snapshot_stride = {stride}"))
+    out = tmp_path / "out"
+    assert cli.main(["shoot", "--config", cfg, "--output-dir", str(out),
+                     "--quiet"]) == 2
+    assert "snapshot_stride" in io.read_json(str(out / "error.json"))["error"]
+    assert not (out / "status.json").exists()
+
+
 @pytest.mark.parametrize("entry,name", [
     ("rho = cos-bump amplitude 0.5 mode 1.5", "mode"),
     ("rho = cos-bump amplitude 0.5 mode inf", "mode"),
     ("p = sin-bump amplitude 0.2 mode nan", "mode"),
     ("p = sin-bump amplitude nan mode 1", "amplitude"),
     ("rho = gauss-like center 3 width nan", "width"),
-    ("rho = gauss-like center inf width 0.7", "center")])
+    ("rho = gauss-like center inf width 0.7", "center"),
+    ("rho = cos-bump amplitude 0.5 mode 40", "mode"),
+    ("p = sin-bump amplitude 0.5 mode 16", "mode")])
 def test_bad_preset_parameter_is_a_config_error(tmp_path, capsys, entry,
                                                 name):
     key = entry.split()[0]
@@ -421,6 +445,10 @@ def test_preset_errors():
         presets.raw_preset(g, "no-such-preset")
     with pytest.raises(presets.PresetError):
         presets.density_preset(g, "sin-bump amplitude 0.5 mode 1")  # signed
+    presets.raw_preset(g, "sin-bump amplitude 0.5 mode -10")  # |m| = n//3
+    for mode in (11, -11):
+        with pytest.raises(presets.PresetError, match="n//3 = 10"):
+            presets.raw_preset(g, f"cos-bump amplitude 0.5 mode {mode}")
 
 
 def test_field_io_bit_exact(tmp_path):

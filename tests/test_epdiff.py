@@ -76,6 +76,16 @@ class TestIntegrate:
         order = np.log2(drifts[0] / drifts[1]) / 2.0  # two halvings
         assert order > 3.0
 
+    def test_aborts_when_the_jacobian_folds(self):
+        # a strong k = 0 compression folds the flow map before T
+        g = grid1d(32)
+        u = sp.VectorField(g, (sp.dealias(g, 5.0 * np.sin(g.coords[0])),))
+        with pytest.raises(ge.SolverAbort) as info:
+            ep.integrate_epdiff(ep.identity_state(g, u, 0), 2.0, 0.01)
+        assert str(info.value) == (
+            "t=0.27: Jacobian lost positivity (min -1.247e-02)")
+        assert info.value.time == 0.27
+
 
 class TestEvalPeriodic:
     def test_exact_on_band_limited(self):

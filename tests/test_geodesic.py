@@ -176,35 +176,47 @@ class TestHamiltonianRHS:
         assert np.abs(fd - rhodot.values).max() < 5e-7  # O(eps^2) + spectral
 
 
+def stack_of(state):
+    """The one-member stack (1, 2, *shape) that shoot steps."""
+    return np.stack((state.rho.values, state.p.values))[None]
+
+
+def steps(state, dt, count):
+    """`count` stacked RK4 steps of one state; every step must pass."""
+    ops = sp.operators(state.grid, state.k)
+    y = stack_of(state)
+    for _ in range(count):
+        y, reasons = ge.step_rk4(ops, y, dt)
+        assert reasons == [None]
+    return y
+
+
 class TestStepRK4:
     def test_rest_state_fixed(self):
         g = grid1d()
         state = ge.make_state(g, 1 + 0.3 * np.cos(g.coords[0]),
                               np.zeros(g.shape), 1)
-        out = ge.step_rk4(state, 0.1)
-        assert np.array_equal(out.rho.values, state.rho.values)
-        assert np.array_equal(out.p.values, state.p.values)
+        assert np.array_equal(steps(state, 0.1, 1), stack_of(state))
 
     def test_reverse_step_local_error(self):
         g = grid1d()
         state = smooth_state(g)
         for dt in (0.1, 0.05):
-            fwd = ge.step_rk4(state, dt)
-            back = ge.step_rk4(
-                ge.DensityState(fwd.rho,
-                                sp.ScalarField(g, -fwd.p.values), 1), dt)
-            err = np.abs(back.rho.values - state.rho.values).max()
+            (rho, p), = steps(state, dt, 1)
+            (back, _), = steps(ge.DensityState(sp.ScalarField(g, rho),
+                                               sp.ScalarField(g, -p), 1),
+                               dt, 1)
+            err = np.abs(back - state.rho.values).max()
             assert err < 5.0 * dt ** 5
 
     def test_one_step_order(self):
         g = grid1d()
         state = smooth_state(g)
-        ref = ge.step_rk4(ge.step_rk4(state, 0.025), 0.025)
-        half = ge.step_rk4(ge.step_rk4(ge.step_rk4(ge.step_rk4(
-            state, 0.0125), 0.0125), 0.0125), 0.0125)
-        coarse = ge.step_rk4(state, 0.05)
-        e1 = np.abs(coarse.rho.values - half.rho.values).max()
-        e2 = np.abs(ref.rho.values - half.rho.values).max()
+        ref = steps(state, 0.025, 2)[0, 0]
+        half = steps(state, 0.0125, 4)[0, 0]
+        coarse = steps(state, 0.05, 1)[0, 0]
+        e1 = np.abs(coarse - half).max()
+        e2 = np.abs(ref - half).max()
         assert e1 / e2 > 12.0  # halving dt shrinks one-step error ~16x
 
 
@@ -366,10 +378,9 @@ class TestNonFiniteRejected:
         g = grid1d(16)
         rho = np.ones(g.shape)
         rho[2] = np.nan
-        state = ge.DensityState(sp.ScalarField(g, rho),
-                                sp.ScalarField(g, np.zeros(g.shape)), 1)
-        with pytest.raises(ge.SolverAbort):
-            ge.step_rk4(state, 0.01)
+        y = np.stack((rho, np.zeros(g.shape)))[None]
+        _, reasons = ge.step_rk4(sp.operators(g, 1), y, 0.01)
+        assert reasons == ["state is no longer finite"]
 
 
 class TestTimeSteps:
@@ -398,6 +409,13 @@ class TestTimeSteps:
         traj = ge.shoot(state.rho, state.p, 1, 1.0, 0.3)
         assert len(traj.times) == 5  # 4 steps
         assert traj.times[-1] == 1.0
+
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_shoot_rejects_store_every_below_one(self, stride):
+        # integrate stores nothing at 0; a shoot would have no end state
+        state = smooth_state(grid1d(16))
+        with pytest.raises(ValueError, match="store_every"):
+            ge.shoot(state.rho, state.p, 1, 0.1, 0.05, store_every=stride)
 
     def test_shoot_step_count_not_fooled_by_rounding(self):
         g = grid1d(16)
@@ -445,6 +463,24 @@ class TestStackedFlow:
         stacked = ge.rk4(rhs, ys, 0.01)
         for y, out in zip(ys, stacked):
             assert np.array_equal(ge.rk4(rhs, y, 0.01), out)
+
+    def test_integrate_drops_failed_members_and_stores(self):
+        # members (value, bound) step value += dt and fail past their bound
+        def step(y, dt):
+            y = y + [dt, 0.0]
+            return y, [None if v <= b else f"past {b}" for v, b in y]
+
+        y0 = np.array([[0.0, np.inf], [0.0, 0.25], [0.0, 0.55]])
+        y, t_abort, reasons, stored = ge.integrate(step, y0, 1.0, 0.1,
+                                                   store_every=4)
+        assert reasons == [None, "past 0.25", "past 0.55"]
+        assert np.isnan(t_abort[0])
+        assert list(t_abort[1:]) == [3 * 0.1, 6 * 0.1]
+        assert [t for t, _ in stored] == [0.0, 4 * 0.1, 8 * 0.1, 10 * 0.1]
+        assert [len(s) for _, s in stored] == [3, 2, 1, 1]
+        assert y is stored[-1][1] and len(y) == 1
+        _, _, _, stored = ge.integrate(step, y0, 1.0, 0.1)
+        assert stored == []
 
     @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
     def test_shoot_endpoints_equal_shoot(self, dim, n):
