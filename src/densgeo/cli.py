@@ -335,7 +335,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         outdir = args.output_dir or _get(cfg, "run", "output_dir", str,
                                          default="densgeo-out")
-        io.ensure_dir(outdir)
+        try:
+            io.ensure_dir(outdir)
+        except OSError as exc:
+            raise ConfigError(
+                f"output directory {outdir}: {exc.strerror}") from None
         manifest = _common_manifest(cfg, args, args.command, args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

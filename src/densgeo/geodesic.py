@@ -71,9 +71,14 @@ def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
 
 def time_steps(T: float, dt: float):
     """(n_steps, step) that end exactly at T: ceil(T/dt) steps of T/n_steps."""
+    if not (math.isfinite(T) and math.isfinite(dt)):
+        raise ValueError(f"T and dt must be finite, got T={T}, dt={dt}")
     if not (T > 0.0 and dt > 0.0):
         raise ValueError("T and dt must be positive")
-    n_steps = math.ceil(T / dt * (1.0 - STEP_RTOL))
+    ratio = T / dt * (1.0 - STEP_RTOL)
+    if not math.isfinite(ratio):
+        raise ValueError(f"T/dt = {T}/{dt} is too many steps to count")
+    n_steps = math.ceil(ratio)
     return n_steps, T / n_steps
 
 

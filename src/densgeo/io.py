@@ -49,16 +49,24 @@ def read_field(path, expected_grid: Grid | None = None):
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FieldFormatError(f"{path}: bad header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FieldFormatError(f"{path}: bad header: not a JSON object")
     for key in ("dim", "n", "kind", "components", "byte_order"):
         if key not in header:
             raise FieldFormatError(f"{path}: header missing {key!r}")
     if header["byte_order"] != "little":
         raise FieldFormatError(f"{path}: unsupported byte order")
+    for key in ("dim", "n", "components"):
+        # a JSON integer; bool is a subclass of int in Python
+        if type(header[key]) is not int:
+            raise FieldFormatError(
+                f"{path}: header {key!r} must be an integer, "
+                f"got {header[key]!r}")
     try:
         grid = make_grid(header["dim"], header["n"])
-        ncomp = int(header["components"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FieldFormatError(f"{path}: bad header: {exc}") from None
+    ncomp = header["components"]
     if expected_grid is not None and grid != expected_grid:
         raise FieldFormatError(
             f"{path}: grid {grid} does not match expected {expected_grid}"

@@ -11,6 +11,8 @@ transformed in one call. Every transform and Fourier symbol they use comes
 from one cached table per (grid, k), built by `operators`. Fields are real, so
 the table works on the half spectrum of real transforms: the last axis holds
 the wavenumbers 0 .. n/2 only, the other half being the complex conjugate.
+The table builds its wave vectors and symbols on that half directly; a `Grid`
+is only its size and coordinates.
 
 A spectrum that is dealiased before it is used, or that is zero outside the
 2/3-rule band, goes through the table's band view, `operators(...).band`. In
@@ -69,35 +71,6 @@ class Grid:
         x = np.arange(self.n) * self.spacing
         return np.stack(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
-    @cached_property
-    def wavenumbers(self) -> tuple:
-        """Integer frequencies per axis in FFT layout, covering -n/2 .. n/2-1."""
-        k = np.fft.fftfreq(self.n, 1.0 / self.n).astype(np.int64)
-        return tuple(k for _ in range(self.dim))
-
-    @cached_property
-    def k_mesh(self) -> np.ndarray:
-        """Stacked wave vectors, (dim, *shape)."""
-        k = self.wavenumbers[0].astype(np.float64)
-        return np.stack(np.meshgrid(*([k] * self.dim), indexing="ij"))
-
-    @cached_property
-    def ksq(self) -> np.ndarray:
-        return sum(km ** 2 for km in self.k_mesh)
-
-    @cached_property
-    def ik(self) -> np.ndarray:
-        """1j*k per axis, (dim, *shape), with the Nyquist mode zeroed
-        (keeps derivatives real)."""
-        ik = 1j * self.k_mesh
-        ik[np.abs(self.k_mesh) == self.n // 2] = 0.0
-        return ik
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keep modes with |k_j| <= n//3 on every axis."""
-        return np.all(np.abs(self.k_mesh) <= self.n // 3, axis=0)
-
 
 def make_grid(dim: int, n: int) -> Grid:
     return Grid(int(dim), int(n))
@@ -114,13 +87,13 @@ class Operators:
     Arrays may carry leading axes; the transforms act on the trailing grid
     axes. They are the real transforms rfft/irfft in 1-D and rfft2/irfft2 in
     2-D, looked up on numpy.fft at call time so that a patched numpy.fft sees
-    every call. A spectrum holds the last-axis wavenumbers 0 .. n/2, and
-    every symbol is the full-grid symbol sliced to that half. A sum over the
-    full spectrum is the sum over the half weighted by `weight`: 1 on the
-    last-axis columns 0 and n/2, which are their own conjugate mirror, and 2
-    elsewhere. Its arrays, shared with every caller, are read-only. `band`
-    is the view for dealiased spectra: a `Band` in 2-D, the table itself in
-    1-D.
+    every call. A spectrum holds the last-axis wavenumbers 0 .. n/2, and the
+    wave vectors and every symbol are built on that half directly. A sum
+    over the full spectrum is the sum over the half weighted by `weight`: 1
+    on the last-axis columns 0 and n/2, which are their own conjugate
+    mirror, and 2 elsewhere. Its arrays, shared with every caller, are
+    read-only. `band` is the view for dealiased spectra: a `Band` in 2-D,
+    the table itself in 1-D.
     """
 
     def __init__(self, grid: Grid, k: int):
@@ -131,11 +104,18 @@ class Operators:
                                  else ("rfft2", "irfft2"))
         # the real-space size of an inverse transform's output
         self._size = grid.n if grid.dim == 1 else grid.shape
-        half = (Ellipsis, slice(grid.n // 2 + 1))
-        self.k_mesh = grid.k_mesh[half]
-        self.mask = grid.dealias_mask[half]
-        self.ik = grid.ik[half]
-        self.weight = np.full(grid.n // 2 + 1, 2.0)
+        # wave vectors in FFT layout, the last axis cut to 0 .. n/2; its
+        # Nyquist entry stays -n/2, as in the full layout: rfftfreq's +n/2
+        # would change the 2-D horizontality defect's cross terms k0*k1
+        n = grid.n
+        freq = np.fft.fftfreq(n, 1.0 / n)
+        self.k_mesh = np.stack(np.meshgrid(
+            *([freq] * (grid.dim - 1) + [freq[:n // 2 + 1]]), indexing="ij"))
+        self.mask = np.all(np.abs(self.k_mesh) <= n // 3, axis=0)
+        # 1j*k with the Nyquist mode zeroed, which keeps derivatives real
+        self.ik = 1j * self.k_mesh
+        self.ik[np.abs(self.k_mesh) == n // 2] = 0.0
+        self.weight = np.full(n // 2 + 1, 2.0)
         self.weight[[0, -1]] = 1.0
         # precomputed indices into arrays with leading axes, so that the hot
         # paths build no index tuples: the grid axes, the mean mode, a new
@@ -145,14 +125,14 @@ class Operators:
         self.zero = (Ellipsis,) + (0,) * grid.dim
         self.vec = (Ellipsis, None) + trail
         self.part = tuple((Ellipsis, i) + trail for i in range(2))
-        base = (1.0 + grid.ksq)[half]
+        ksq = sum(km ** 2 for km in self.k_mesh)
+        base = 1.0 + ksq
         # A = (1 - Laplacian)^(k+1) and its inverse; k = -1 is the identity
         self.a = base ** (k + 1)
         self.ainv = base ** (-(k + 1))
         self.ainv_band = self.ainv * self.mask
         # the exact constant-density inverse of L_rho on the retained band,
         # (1 + |xi|^2)^(k+1) / |xi|^2, zero on the mean mode
-        ksq = grid.ksq[half].copy()
         ksq[self.zero] = 1.0
         self.precond = self.mask * self.a / ksq
         self.precond[self.zero] = 0.0

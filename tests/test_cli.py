@@ -90,6 +90,25 @@ p = zero
                        str(tmp_path / "out")])
         assert rc == 2
 
+    def test_infinite_T_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini",
+                           SHOOT_CFG.replace("T = 0.2", "T = inf"))
+        out = tmp_path / "out"
+        rc = cli.main(["shoot", "--config", cfg, "--output-dir", str(out)])
+        assert rc == 2
+        assert "config error: [time]" in capsys.readouterr().err
+        assert (out / "error.json").exists()
+        assert not (out / "status.json").exists()
+
+    def test_output_dir_naming_a_file_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini", SHOOT_CFG)
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        rc = cli.main(["shoot", "--config", cfg, "--output-dir", str(out)])
+        assert rc == 2
+        assert "config error: output directory" in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
     def test_malformed_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini",
                            SHOOT_CFG.replace("k = 1", "k = -2"))
@@ -485,6 +504,51 @@ p = zero
 """)
     assert cli.main(["shoot", "--config", cfg, "--output-dir",
                      str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dim", 1.7), ("dim", True), ("n", 16.9), ("n", 16.0),
+    ("components", 1.5), ("components", True)])
+def test_non_integer_header_is_a_format_error(tmp_path, key, value):
+    # each header would otherwise read as a valid 1-D n = 16 scalar
+    path = tmp_path / "rho.field"
+    header = {"dim": 1, "n": 16, "kind": "scalar", "components": 1,
+              "byte_order": "little", key: value}
+    path.write_bytes((json.dumps(header) + "\n").encode()
+                     + np.ones(16).astype("<f8").tobytes())
+    with pytest.raises(io.FieldFormatError, match=f"{key!r} must be an int"):
+        io.read_field(str(path))
+
+
+def test_non_object_header_is_a_format_error(tmp_path):
+    path = tmp_path / "rho.field"
+    path.write_bytes(b"5\n" + np.ones(16).astype("<f8").tobytes())
+    with pytest.raises(io.FieldFormatError, match="not a JSON object"):
+        io.read_field(str(path))
+
+
+def test_non_integer_header_file_entry_exits_2(tmp_path, capsys):
+    path = tmp_path / "rho.field"
+    header = {"dim": 1, "n": 32.5, "kind": "scalar", "components": 1,
+              "byte_order": "little"}
+    path.write_bytes((json.dumps(header) + "\n").encode()
+                     + np.ones(32).astype("<f8").tobytes())
+    cfg = write_config(tmp_path / "c.ini", f"""
+[grid]
+dim = 1
+n = 32
+[metric]
+k = 1
+[time]
+T = 0.1
+dt = 0.01
+[initial]
+rho = file:{path}
+p = zero
+""")
+    assert cli.main(["shoot", "--config", cfg, "--output-dir",
+                     str(tmp_path / "out")]) == 2
+    assert "[initial] rho:" in capsys.readouterr().err
 
 
 def test_read_field_grid_mismatch(tmp_path):

@@ -4,6 +4,7 @@ from scipy.optimize import brentq
 
 from densgeo import epdiff as ep, geodesic as ge, spectral as sp
 from densgeo import validation as va
+from fullgrid import full_grid
 
 
 def grid1d(n=64):
@@ -33,14 +34,15 @@ class TestEpdiffRHS:
         x = g.coords[0]
         uv = sp.dealias(g, 0.3 * np.sin(x) + 0.1 * np.cos(3 * x))
         k = 0
-        a_sym = (1.0 + g.ksq) ** (k + 1)
-        ik = g.ik[0]
+        full = full_grid(g)
+        a_sym = (1.0 + full.ksq) ** (k + 1)
+        ik = full.ik[0]
         m = np.fft.ifft(a_sym * np.fft.fft(uv)).real
         ux = np.fft.ifft(ik * np.fft.fft(uv)).real
         mx = np.fft.ifft(ik * np.fft.fft(m)).real
         total = sp.dealias(g, uv * mx) + 2.0 * sp.dealias(g, ux * m)
         direct = -np.fft.ifft(
-            np.fft.fft(total) * g.dealias_mask / a_sym).real
+            np.fft.fft(total) * full.mask / a_sym).real
         out = ep.epdiff_rhs(sp.VectorField(g, (uv,)), k)
         assert np.abs(out.components[0] - direct).max() < 1e-12
 
@@ -131,8 +133,9 @@ class TestEvalPeriodic:
 def dense_series(g, values, points):
     """The full series over the non-Nyquist modes, every exponential taken
     by np.exp."""
-    keep = np.abs(g.wavenumbers[0]) != g.n // 2
-    modes = g.wavenumbers[0][keep].astype(np.float64)
+    freq = full_grid(g).freq
+    keep = np.abs(freq) != g.n // 2
+    modes = freq[keep]
     fhat = np.fft.fftn(values, axes=tuple(range(1, g.dim + 1)))
     fhat = fhat[(Ellipsis,) + np.ix_(*[keep] * g.dim)]
     e = [np.exp(1j * np.outer(x, modes)) for x in points]

@@ -403,6 +403,13 @@ class TestTimeSteps:
         with pytest.raises(ValueError):
             ge.time_steps(T, dt)
 
+    @pytest.mark.parametrize("T,dt,match", [
+        (np.inf, 0.1, "finite"), (1.0, np.inf, "finite"),
+        (-np.inf, 0.1, "finite"), (1e300, 1e-300, "too many steps")])
+    def test_rejects_non_finite_and_uncountable(self, T, dt, match):
+        with pytest.raises(ValueError, match=match):
+            ge.time_steps(T, dt)
+
     def test_shoot_stops_exactly_at_T(self):
         g = grid1d(16)
         state = smooth_state(g)

@@ -2,13 +2,15 @@
 
 The table transforms real fields with rfft/irfft and keeps the last-axis
 wavenumbers 0 .. n/2 only. Each reference below is the same formula on the
-full spectrum, with complex fftn/ifftn and the full-grid symbols of `Grid`;
-on random real stacks the two agree to roundoff.
+full spectrum, with complex fftn/ifftn and full-grid symbols built from
+np.fft.fftfreq by `fullgrid.full_grid`, independently of the table; on random
+real stacks the two agree to roundoff.
 """
 import numpy as np
 import pytest
 
 from densgeo import epdiff as ep, geodesic as ge, spectral as sp
+from fullgrid import full_grid
 
 RTOL = 1e-13
 CASES = [(dim, n) for dim in (1, 2) for n in (8, 16, 32)]
@@ -23,10 +25,11 @@ class Full:
 
     def __init__(self, grid, k=-1):
         self.g = grid
+        self.wave = full_grid(grid)
         self.axes = tuple(range(-grid.dim, 0))
         self.vec = (Ellipsis, None) + (slice(None),) * grid.dim
-        self.a = (1.0 + grid.ksq) ** (k + 1)
-        self.ainv_band = grid.dealias_mask / self.a
+        self.a = (1.0 + self.wave.ksq) ** (k + 1)
+        self.ainv_band = self.wave.mask / self.a
 
     def fft(self, v):
         return np.fft.fftn(v, axes=self.axes)
@@ -38,21 +41,22 @@ class Full:
         return self.ifft(sym * self.fft(v))
 
     def grad(self, v):
-        return self.ifft(self.g.ik * self.fft(v)[self.vec])
+        return self.ifft(self.wave.ik * self.fft(v)[self.vec])
 
     def div(self, v):
-        return self.ifft((self.g.ik * self.fft(v)).sum(axis=-self.g.dim - 1))
+        return self.ifft(
+            (self.wave.ik * self.fft(v)).sum(axis=-self.g.dim - 1))
 
     def rhs(self, y):
         """The Hamiltonian right-hand side of a stack y (B, 2, *shape)."""
-        g, mask = self.g, self.g.dealias_mask
+        ik, mask = self.wave.ik, self.wave.mask
         rho, p = y[:, 0], y[:, 1]
-        gradp = self.ifft(g.ik * (self.fft(p) * mask)[self.vec])
+        gradp = self.ifft(ik * (self.fft(p) * mask)[self.vec])
         u = self.apply(self.ainv_band, rho[self.vec] * gradp)
         rhodot = -self.ifft(
-            (g.ik * self.fft(rho[self.vec] * u)).sum(axis=1) * mask)
+            (ik * self.fft(rho[self.vec] * u)).sum(axis=1) * mask)
         adv = self.fft((gradp * u).sum(axis=1)) * mask
-        adv[(Ellipsis,) + (0,) * g.dim] = 0.0
+        adv[(Ellipsis,) + (0,) * self.g.dim] = 0.0
         return np.stack((rhodot, -self.ifft(adv)), axis=1)
 
 
@@ -67,7 +71,7 @@ def test_apply_matches_full_spectrum(dim, n):
     v = random_stack(g, (3, 2), seed=n + dim)
     for half_sym, full_sym in ((ops.a, full.a),
                                (ops.ainv_band, full.ainv_band),
-                               (ops.mask, g.dealias_mask)):
+                               (ops.mask, full.wave.mask)):
         assert rel_err(ops.apply(half_sym, v), full.apply(full_sym, v)) <= RTOL
 
 
@@ -92,11 +96,12 @@ def test_hamiltonian_rhs_matches_full_spectrum(dim, n):
 
 
 def full_tail_fraction(g, values):
-    power = np.abs(Full(g).fft(values)) ** 2
+    full = Full(g)
+    power = np.abs(full.fft(values)) ** 2
     power[(0,) * g.dim] = 0.0
-    retained = power * g.dealias_mask
-    maxabs = np.abs(g.k_mesh).max(axis=0)
-    tail = (maxabs > (2.0 * (g.n // 3)) / 3.0) & g.dealias_mask
+    retained = power * full.wave.mask
+    maxabs = np.abs(full.wave.k_mesh).max(axis=0)
+    tail = (maxabs > (2.0 * (g.n // 3)) / 3.0) & full.wave.mask
     return retained[tail].sum() / retained.sum()
 
 
@@ -115,7 +120,7 @@ def full_horizontality_defect(g, u, rho, k):
     k0 = 0 (the spectral derivative's convention)."""
     full = Full(g, k)
     what = full.fft(full.apply(full.a, u) / rho)
-    kvec = g.k_mesh.copy()
+    kvec = full.wave.k_mesh
     if g.dim == 2:
         kvec[0, g.n // 2] = 0.0
     ksq = (kvec ** 2).sum(axis=0)

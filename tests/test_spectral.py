@@ -4,6 +4,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from densgeo import spectral as sp
+from fullgrid import full_grid
 
 
 def grid1d(n=64):
@@ -25,9 +26,15 @@ def random_band_limited(rng, grid, max_mode=None):
 
 
 class TestMakeGrid:
-    def test_1d_wavenumbers(self):
-        g = sp.make_grid(1, 8)
-        assert sorted(g.wavenumbers[0]) == list(range(-4, 4))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_half_spectrum_layout(self, dim):
+        # the last axis holds 0 .. n/2-1 and the Nyquist mode as -n/2; in
+        # 2-D the first axis holds the full FFT layout
+        ops = sp.operators(sp.make_grid(dim, 8))
+        assert ops.k_mesh.shape == (dim,) + (8,) * (dim - 1) + (5,)
+        assert ops.k_mesh[-1].reshape(-1, 5)[0].tolist() == [0, 1, 2, 3, -4]
+        if dim == 2:
+            assert ops.k_mesh[0][:, 0].tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
 
     def test_2d_point_count(self):
         assert sp.make_grid(2, 16).npoints == 256
@@ -247,4 +254,5 @@ def test_operator_table_cached_and_read_only():
     assert sp.operators(sp.make_grid(1, 16), 2) is ops
     with pytest.raises(ValueError):
         ops.a[1] = 0.0
-    assert np.array_equal(ops.a, (1.0 + g.ksq)[..., :g.n // 2 + 1] ** 3)
+    half = (1.0 + full_grid(g).ksq)[..., :g.n // 2 + 1]
+    assert np.array_equal(ops.a, half ** 3)
