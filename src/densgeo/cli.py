@@ -18,8 +18,6 @@ import numpy as np
 from . import epdiff, geodesic, io, matching, presets, validation
 from .spectral import GridError, make_grid, l2_norm_values
 
-DEFAULT_SOLVER_TOL = 1e-10
-
 
 class ConfigError(ValueError):
     """Malformed run configuration; message names the offending section/key."""
@@ -95,16 +93,22 @@ def _load_scalar(cfg, grid, section, key, role, required=True):
             field.values = vals / vals.mean()
         else:
             field.values = vals - vals.mean()
-        return field, {"file": path, "sha256": digest}
-    try:
-        if role == "rho":
-            return presets.density_preset(grid, spec), {"preset": spec}
-        return presets.momentum_preset(grid, spec), {"preset": spec}
-    except presets.PresetError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
+        source = {"file": path, "sha256": digest}
+    else:
+        preset = (presets.density_preset if role == "rho"
+                  else presets.momentum_preset)
+        try:
+            field, source = preset(grid, spec), {"preset": spec}
+        except presets.PresetError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
+    # finite values near the float limit can overflow their mean
+    if not (np.isfinite(field.values).all()
+            and (role != "rho" or field.values.min() > 0.0)):
+        raise ConfigError(f"[{section}] {key}: values overflow normalization")
+    return field, source
 
 
-def _common_manifest(cfg, args, command, config_path):
+def _common_manifest(cfg, command, config_path):
     sections = {s: dict(cfg.items(s)) for s in cfg.sections()}
     return {
         "command": command,
@@ -142,7 +146,7 @@ DIAG_HEADER = ["t", "mass", "energy", "min_rho", "max_abs_p",
                "spectral_tail"]
 
 
-def cmd_shoot(cfg, args, outdir, manifest):
+def cmd_shoot(cfg, outdir, manifest):
     grid = _build_grid(cfg)
     k = _metric_order(cfg)
     T = _get(cfg, "time", "T", float, required=True)
@@ -175,7 +179,7 @@ def cmd_shoot(cfg, args, outdir, manifest):
     return f"shoot completed: {len(traj.times)} snapshots over T={T}"
 
 
-def cmd_match(cfg, args, outdir, manifest):
+def cmd_match(cfg, outdir, manifest):
     grid = _build_grid(cfg)
     k = _metric_order(cfg)
     T = _get(cfg, "time", "T", float, required=True)
@@ -218,7 +222,7 @@ def cmd_match(cfg, args, outdir, manifest):
             f"{result.final_l2_mismatch:.3e}")
 
 
-def cmd_epdiff_check(cfg, args, outdir, manifest):
+def cmd_epdiff_check(cfg, outdir, manifest):
     grid = _build_grid(cfg)
     k = _metric_order(cfg)
     if k < 0:
@@ -238,7 +242,7 @@ def cmd_epdiff_check(cfg, args, outdir, manifest):
             f"{report['l2_discrepancy_final']:.3e}")
 
 
-def cmd_validate(cfg, args, outdir, manifest):
+def cmd_validate(cfg, outdir, manifest):
     grid = _build_grid(cfg)
     k = _metric_order(cfg)
     seed = _get(cfg, "run", "seed", int, default=0)
@@ -254,11 +258,12 @@ def cmd_validate(cfg, args, outdir, manifest):
     return f"all {len(report['checks'])} invariant checks passed"
 
 
-def cmd_convergence(cfg, args, outdir, manifest):
+def cmd_convergence(cfg, outdir, manifest):
     grid = _build_grid(cfg)
     k = _metric_order(cfg)
     T = _get(cfg, "time", "T", float, required=True)
     _, dt = _time_steps(T, _get(cfg, "time", "dt", float, required=True))
+    _time_steps(T, dt / 4)  # the finest run's step count is bounded too
     # the initial data of the base and the doubled grid, loaded before the
     # manifest so that a bad entry is a configuration error
     initial = {}
@@ -340,13 +345,13 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(
                 f"output directory {outdir}: {exc.strerror}") from None
-        manifest = _common_manifest(cfg, args, args.command, args.config)
+        manifest = _common_manifest(cfg, args.command, args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        message = COMMANDS[args.command](cfg, args, outdir, manifest)
+        message = COMMANDS[args.command](cfg, outdir, manifest)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         io.write_json(os.path.join(outdir, "error.json"),

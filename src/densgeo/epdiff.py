@@ -48,6 +48,10 @@ class DiffeoState:
 # points per block of eval_periodic: its work arrays are (modes, block), small
 # enough to be reused from call to call instead of taken from fresh pages
 EVAL_BLOCK = 512
+INVERT_TOL = 1e-12
+INVERT_MAX_ITER = 200
+LIFT_RTOL = 1e-6  # horizontal_lift's L2 tolerance on rho against phi
+N_CHECKS = 11  # cross_validate's comparison times, about evenly spaced
 
 
 def identity_state(grid: Grid, u: VectorField, k: int) -> DiffeoState:
@@ -188,8 +192,7 @@ class InversionError(RuntimeError):
     """Newton inversion of the flow map failed."""
 
 
-def invert_map(grid: Grid, disp, tol: float = 1e-12,
-               max_iter: int = 200) -> np.ndarray:
+def invert_map(grid: Grid, disp) -> np.ndarray:
     """Inverse displacement q with (x + q) + disp(x + q) = x, by Newton.
 
     Rejects a map whose Jacobian det(I + grad disp) is not positive on the
@@ -198,9 +201,9 @@ def invert_map(grid: Grid, disp, tol: float = 1e-12,
     starting from q = -disp, with the Jacobian I + (grad disp)(x + q): each
     iteration evaluates disp and its gradient at x + q in one eval_periodic
     call and solves the dim x dim system per point in closed form. It stops
-    once max |res| < tol, after taking the last step. Raises InversionError
-    at once on a non-finite residual or a non-positive determinant at a
-    point, and after max_iter iterations.
+    once max |res| < INVERT_TOL, after taking the last step. Raises
+    InversionError at once on a non-finite residual or a non-positive
+    determinant at a point, and after INVERT_MAX_ITER iterations.
     """
     disp = np.asarray(disp)
     dim = grid.dim
@@ -210,7 +213,7 @@ def invert_map(grid: Grid, disp, tol: float = 1e-12,
         raise SolverAbort(f"Jacobian not positive (min {jac.min():.3e})")
     fields = np.concatenate((disp, grad.reshape((dim * dim,) + grid.shape)))
     q = -disp
-    for _ in range(max_iter):
+    for _ in range(INVERT_MAX_ITER):
         vals = eval_periodic(grid, fields, grid.coords + q)
         res = q + vals[:dim]
         err = np.abs(res).max()
@@ -226,10 +229,11 @@ def invert_map(grid: Grid, disp, tol: float = 1e-12,
         else:
             q = q - np.stack(((1.0 + d[1, 1]) * res[0] - d[0, 1] * res[1],
                               (1.0 + d[0, 0]) * res[1] - d[1, 0] * res[0])) / det
-        if err < tol:
+        if err < INVERT_TOL:
             return q
     raise InversionError(
-        f"map inversion stalled at residual {err:.3e} after {max_iter} iterations")
+        f"map inversion stalled at residual {err:.3e} after "
+        f"{INVERT_MAX_ITER} iterations")
 
 
 def project_left(phi: DiffeoState):
@@ -263,8 +267,8 @@ def pushforward_density(rho0: ScalarField, phi: DiffeoState):
     return ScalarField(grid, vals / mass)
 
 
-def horizontal_lift(rho: ScalarField, p: ScalarField, phi: DiffeoState,
-                    rtol: float = 1e-6) -> VectorField:
+def horizontal_lift(rho: ScalarField, p: ScalarField,
+                    phi: DiffeoState) -> VectorField:
     """Eulerian horizontal velocity u = Ainv(rho grad p) over the fiber of phi.
 
     Rejects rho that disagrees with project_left(phi); compose the result with
@@ -273,7 +277,7 @@ def horizontal_lift(rho: ScalarField, p: ScalarField, phi: DiffeoState,
     check_same_grid(rho.grid, phi.grid)
     projected = project_left(phi)
     mismatch = l2_norm_values(projected.values - rho.values)
-    if mismatch > rtol:
+    if mismatch > LIFT_RTOL:
         raise ValueError(
             f"rho does not match the projection of phi (L2 error {mismatch:.3e})")
     state = geodesic.make_state(rho.grid, rho.values, p.values, phi.k)
@@ -312,7 +316,7 @@ def epdiff_energy(u: VectorField, k: int) -> float:
 
 
 def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
-                   dt: float, n_checks: int = 11) -> dict:
+                   dt: float) -> dict:
     """Run the density geodesic and the lifted horizontal EPDiff flow side by side.
 
     Reports the L2 discrepancy between the density trajectory and the left
@@ -324,7 +328,7 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
         raise ValueError("cross validation requires k >= 0")
     grid = rho0.grid
     n_steps, dt = time_steps(T, dt)
-    stride = max(1, n_steps // max(1, n_checks - 1))
+    stride = max(1, n_steps // (N_CHECKS - 1))
 
     traj = geodesic.shoot(rho0, p0, k, T, dt, store_every=stride)
     u0 = geodesic.horizontal_velocity(traj.states[0])

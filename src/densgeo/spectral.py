@@ -16,15 +16,14 @@ is only its size and coordinates.
 
 A spectrum that is dealiased before it is used, or that is zero outside the
 2/3-rule band, goes through the table's band view, `operators(...).band`. In
-2-D it holds the last-axis wavenumbers 0 .. n//3 only, and its transforms run
-the complex pass over the first axis on those columns alone: about two thirds
-of the work of rfft2/irfft2 in that pass, with bit-identical results (see
-`Band`). In 1-D there is no complex pass to prune, and the band is the table
-itself. The geodesic flow (L_rho, its CG inverse, the Hamiltonian right-hand
-side), `dealias` and EPDiff's final band-limited Ainv use the band; every user
-of an unmasked spectrum keeps the full half spectrum: `grad` of raw fields,
-`spectral_tail_fraction`, and in `epdiff` and `validation` point evaluation,
-the horizontality defect and the checks.
+2-D it holds the last-axis wavenumbers 0 .. n//3 only. Its transforms are the
+table's, cut to those columns, so their first-axis pass does about two thirds
+of the table's work (see `Band`). In 1-D there is no complex pass to prune,
+and the band is the table itself. The geodesic flow (L_rho, its CG inverse,
+the Hamiltonian right-hand side), `dealias` and EPDiff's final band-limited
+Ainv use the band; every user of an unmasked spectrum keeps the full half
+spectrum: `grad` of raw fields, `spectral_tail_fraction`, and in `epdiff` and
+`validation` point evaluation, the horizontality defect and the checks.
 """
 from __future__ import annotations
 
@@ -85,25 +84,24 @@ class Operators:
     """Transforms and Fourier symbols of one grid and metric order k.
 
     Arrays may carry leading axes; the transforms act on the trailing grid
-    axes. They are the real transforms rfft/irfft in 1-D and rfft2/irfft2 in
-    2-D, looked up on numpy.fft at call time so that a patched numpy.fft sees
-    every call. A spectrum holds the last-axis wavenumbers 0 .. n/2, and the
-    wave vectors and every symbol are built on that half directly. A sum
-    over the full spectrum is the sum over the half weighted by `weight`: 1
-    on the last-axis columns 0 and n/2, which are their own conjugate
-    mirror, and 2 elsewhere. Its arrays, shared with every caller, are
-    read-only. `band` is the view for dealiased spectra: a `Band` in 2-D,
-    the table itself in 1-D.
+    axes: rfft/irfft in 1-D; in 2-D, rfft over the last axis cut to `cols`,
+    then fft over the first, and back ifft, then irfft to n points, which
+    zero-pads the cut columns. With all n/2 + 1 columns, the table's cut,
+    that is numpy's rfft2/irfft2, bit for bit. Each is looked up on
+    numpy.fft at call time, so that a patched numpy.fft sees every call. A
+    spectrum holds the last-axis wavenumbers 0 .. n/2, and the wave vectors
+    and every symbol are built on that half directly. A sum over the full
+    spectrum is the sum over the half weighted by `weight`: 1 on the
+    last-axis columns 0 and n/2, which are their own conjugate mirror, and 2
+    elsewhere. Its arrays, shared with every caller, are read-only. `band`
+    is the view for dealiased spectra: a `Band` in 2-D, the table in 1-D.
     """
 
     def __init__(self, grid: Grid, k: int):
         if k < -1:
             raise ValueError(f"metric order k must be >= -1, got {k}")
         self.grid = grid
-        self._fft, self._ifft = (("rfft", "irfft") if grid.dim == 1
-                                 else ("rfft2", "irfft2"))
-        # the real-space size of an inverse transform's output
-        self._size = grid.n if grid.dim == 1 else grid.shape
+        self.cols = (Ellipsis, slice(grid.n // 2 + 1))
         # wave vectors in FFT layout, the last axis cut to 0 .. n/2; its
         # Nyquist entry stays -n/2, as in the full layout: rfftfreq's +n/2
         # would change the 2-D horizontality defect's cross terms k0*k1
@@ -142,10 +140,14 @@ class Operators:
         self.band = self if grid.dim == 1 else Band(self)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        return getattr(np.fft, self._fft)(values)
+        if self.grid.dim == 1:
+            return np.fft.rfft(values)
+        return np.fft.fft(np.fft.rfft(values)[self.cols], axis=-2)
 
     def ifft(self, values_hat: np.ndarray) -> np.ndarray:
-        return getattr(np.fft, self._ifft)(values_hat, self._size)
+        if self.grid.dim == 1:
+            return np.fft.irfft(values_hat, self.grid.n)
+        return np.fft.irfft(np.fft.ifft(values_hat, axis=-2), self.grid.n)
 
     def apply(self, symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Real Fourier multiplier: values -> ifft(symbol * fft(values))."""
@@ -164,34 +166,26 @@ class Band:
     """The 2/3-rule band of a 2-D operator table, with the table's interface.
 
     A band spectrum holds the last-axis wavenumbers 0 .. n//3, the columns
-    the dealias mask keeps. The forward transform is rfft over the last axis,
-    cut to the band, then fft over the first axis on the band columns only;
-    the inverse is ifft over the first axis, then irfft to n points, which
-    pads the dropped columns with zeros. rfft2/irfft2 run the same 1-D
-    transforms line by line, so `fft` equals the table's transform cut to
-    the band, and `ifft` of a band spectrum equals the table's inverse of
-    that spectrum padded with zeros: bit for bit. Only the masked symbols
-    are here, so a symbol that is nonzero outside the band cannot be applied
-    through it by mistake. Its arrays are read-only.
+    the dealias mask keeps. Its transforms are the table's with that column
+    cut (see `Operators`), so on spectra that are zero outside the band they
+    give the table's values bit for bit. Only the masked symbols are here,
+    so a symbol that is nonzero outside the band, such as `a`, cannot be
+    applied through it by mistake. Its arrays are read-only.
     """
 
     def __init__(self, table: Operators):
         self.grid = table.grid
         self.axes, self.zero, self.vec, self.part = (
             table.axes, table.zero, table.vec, table.part)
-        self._cut = (Ellipsis, slice(table.grid.n // 3 + 1))
+        self.cols = (Ellipsis, slice(table.grid.n // 3 + 1))
         self.mask, self.ik, self.ainv_band, self.precond = (
-            np.ascontiguousarray(arr[self._cut]) for arr in
+            np.ascontiguousarray(arr[self.cols]) for arr in
             (table.mask, table.ik, table.ainv_band, table.precond))
         for arr in (self.mask, self.ik, self.ainv_band, self.precond):
             arr.flags.writeable = False
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fft(np.fft.rfft(values)[self._cut], axis=-2)
-
-    def ifft(self, values_hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.ifft(values_hat, axis=-2), self.grid.n)
-
+    fft = Operators.fft
+    ifft = Operators.ifft
     apply = Operators.apply
     div_hat = Operators.div_hat
 

@@ -1,9 +1,12 @@
-"""The 2/3-rule band view of the operator table against the full half spectrum.
+"""The table's transforms and its 2/3-rule band view against numpy's.
 
-In 2-D the band transforms run the first-axis pass on the last-axis columns
-0 .. n//3 only. The reference is the table itself, whose rfft2/irfft2 run
-over all n//2 + 1 columns: on spectra that are zero outside the band, every
-value must be equal bit for bit, not just to roundoff.
+The table's transforms must equal numpy's rfft/irfft in 1-D and rfft2/irfft2
+in 2-D, bit for bit. In 2-D the band transforms run the first-axis pass on
+the last-axis columns 0 .. n//3 only; the reference is rfft2 cut to those
+columns and irfft2 of the zero-padded spectrum, and band operators are
+checked against the table's, whose transforms run over all n//2 + 1
+columns. On spectra that are zero outside the band, every value must be
+equal bit for bit, not just to roundoff.
 """
 from types import SimpleNamespace
 from unittest import mock
@@ -42,6 +45,23 @@ def test_1d_band_is_the_table(n, k):
     assert ops.band is ops
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+def test_table_transforms_are_numpys(dim, n, lead):
+    g = sp.make_grid(dim, n)
+    ops = sp.operators(g)
+    rng = np.random.default_rng(n + dim)
+    v = rng.normal(size=lead + g.shape)
+    ref = np.fft.rfft(v) if dim == 1 else np.fft.rfft2(v)
+    got = ops.fft(v)
+    assert got.shape == ref.shape and np.array_equal(got, ref)
+    spectrum = ref * (1.0 + rng.normal(size=ref.shape))
+    inverse = (np.fft.irfft(spectrum, n) if dim == 1
+               else np.fft.irfft2(spectrum, g.shape))
+    assert np.array_equal(ops.ifft(spectrum), inverse)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=SIZES, lead=LEADS, k=ORDERS, seed=st.integers(0, 2 ** 16))
 def test_band_transforms_equal_full_half_spectrum(n, lead, k, seed):
@@ -52,10 +72,12 @@ def test_band_transforms_equal_full_half_spectrum(n, lead, k, seed):
     for sym in (band.mask, band.ik, band.ainv_band, band.precond):
         assert sym.shape[-1] == m and not sym.flags.writeable
     _, v = fields(g, lead, seed)
-    assert np.array_equal(band.fft(v), ops.fft(v)[..., :m])
-    masked = ops.fft(v) * ops.mask
+    full = np.fft.rfft2(v)
+    assert np.array_equal(band.fft(v), full[..., :m])
+    masked = full * ops.mask
     assert not masked[..., m:].any()
-    assert np.array_equal(band.ifft(masked[..., :m]), ops.ifft(masked))
+    assert np.array_equal(band.ifft(masked[..., :m]),
+                          np.fft.irfft2(masked, g.shape))
     for name in ("mask", "ainv_band", "precond"):
         assert np.array_equal(band.apply(getattr(band, name), v),
                               ops.apply(getattr(ops, name), v))

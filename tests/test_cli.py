@@ -551,6 +551,75 @@ p = zero
     assert "[initial] rho:" in capsys.readouterr().err
 
 
+FILE_CFG = """
+[grid]
+dim = 1
+n = 32
+[metric]
+k = 2
+[time]
+T = 1e-5
+dt = 1e-6
+[initial]
+rho = uniform
+p = zero
+"""
+
+
+def file_entry_config(tmp_path, key, values):
+    """FILE_CFG with the [initial] key set to values: a preset string, or
+    an array written to a field file."""
+    if not isinstance(values, str):
+        path = tmp_path / f"{key}.field"
+        io.write_field(str(path), sp.ScalarField(sp.make_grid(1, 32), values))
+        values = f"file:{path}"
+    text = "\n".join(f"{key} = {values}" if line.startswith(f"{key} =")
+                     else line for line in FILE_CFG.splitlines())
+    return write_config(tmp_path / "c.ini", text)
+
+
+@pytest.mark.parametrize("key,values", [
+    ("rho", np.linspace(1.0, 1.7, 32) * 1e308),
+    ("p", np.tile([1.7e308, -1.7e308], 16)),
+    ("p", "sin-bump amplitude 1.7e308 mode 1")])
+def test_overflowing_initial_field_is_a_config_error(tmp_path, capsys, key,
+                                                     values):
+    cfg = file_entry_config(tmp_path, key, values)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["shoot", "--config", cfg, "--output-dir", str(out),
+                       "--quiet"])
+    assert rc == 2
+    assert f"[initial] {key}:" in capsys.readouterr().err
+    assert "normalization" in io.read_json(str(out / "error.json"))["error"]
+    assert not (out / "status.json").exists()
+
+
+def test_large_momentum_file_runs(tmp_path):
+    g = sp.make_grid(1, 32)
+    p = 1e6 * presets.raw_preset(g, "gauss-like center 1 width 0.5")
+    cfg = file_entry_config(tmp_path, "p", p)
+    out = tmp_path / "out"
+    assert cli.main(["shoot", "--config", cfg, "--output-dir", str(out),
+                     "--quiet"]) == 0
+    assert io.read_json(str(out / "status.json"))["status"] == "ok"
+
+
+@pytest.mark.parametrize("command,dt", [("shoot", "1e-300"),
+                                        ("convergence", "3e-12")])
+def test_step_count_over_the_bound_is_a_config_error(tmp_path, capsys,
+                                                     command, dt):
+    # convergence also runs dt/4: 3e-12 is in bounds, 7.5e-13 is not
+    cfg = write_config(tmp_path / "c.ini",
+                       FILE_CFG.replace("dt = 1e-6", f"dt = {dt}"))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--output-dir", str(out),
+                     "--quiet"]) == 2
+    assert "config error: [time]" in capsys.readouterr().err
+    assert "MAX_STEPS" in io.read_json(str(out / "error.json"))["error"]
+    assert not (out / "status.json").exists()
+
+
 def test_read_field_grid_mismatch(tmp_path):
     g = sp.make_grid(1, 32)
     path = str(tmp_path / "f.field")

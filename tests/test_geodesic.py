@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densgeo import epdiff, geodesic as ge, spectral as sp
+from densgeo import epdiff, geodesic as ge, presets, spectral as sp
 
 
 def grid1d(n=64):
@@ -335,6 +335,20 @@ def test_state_invariants_enforced():
         ge.make_state(g, 2 * np.ones(g.shape), np.zeros(g.shape), 1)  # mass 2
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_large_momentum_accepted(dim):
+    # the mean of p after its subtraction is roundoff of size eps * max|p|,
+    # far above 1e-12 here
+    g = sp.make_grid(dim, 32)
+    p = 1e6 * presets.raw_preset(g, "gauss-like center 1 width 0.5")
+    one = np.ones(g.shape)
+    state = ge.make_state(g, one, p, 2)
+    assert np.array_equal(state.p.values, p - p.mean())
+    traj = ge.shoot(sp.ScalarField(g, one), sp.ScalarField(g, p), 2,
+                    1e-5, 1e-6)
+    assert len(traj.times) == 11  # all 10 steps taken
+
+
 def test_default_dt_cfl():
     g = grid1d()
     state = smooth_state(g)
@@ -409,6 +423,12 @@ class TestTimeSteps:
     def test_rejects_non_finite_and_uncountable(self, T, dt, match):
         with pytest.raises(ValueError, match=match):
             ge.time_steps(T, dt)
+
+    def test_step_count_bounded(self):
+        assert ge.time_steps(1.0, 1e-7) == (10 ** 7, 1e-7)
+        for dt in (0.99e-7, 1e-300):
+            with pytest.raises(ValueError, match="MAX_STEPS = 10000000"):
+                ge.time_steps(1.0, dt)
 
     def test_shoot_stops_exactly_at_T(self):
         g = grid1d(16)
