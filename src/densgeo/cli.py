@@ -189,9 +189,13 @@ def cmd_match(cfg, outdir, manifest):
     n_modes = _get(cfg, "matching", "n_modes", int, default=8)
     max_iter = _get(cfg, "matching", "max_iter", int, default=200)
     grad_tol = _get(cfg, "matching", "grad_tol", float, default=1e-8)
-    fd_step = _get(cfg, "matching", "fd_step", float, default=1e-5)
+    if cfg.has_option("matching", "fd_step"):
+        raise ConfigError(
+            "[matching]: fd_step is not a setting: the Levenberg-Marquardt "
+            "Jacobian is exact (tangent-linear), with no finite-difference "
+            "step")
     try:
-        opt = matching.OptSettings(max_iter, grad_tol, fd_step)
+        opt = matching.OptSettings(max_iter, grad_tol)
         problem = matching.MatchProblem(rho0, rho1, k, T, dt, n_modes, opt)
     except ValueError as exc:
         raise ConfigError(f"[matching]: {exc}") from None
@@ -199,8 +203,7 @@ def cmd_match(cfg, outdir, manifest):
         "grid": {"dim": grid.dim, "n": grid.n}, "k": k, "T": T, "dt": dt,
         "n_modes": n_modes,
         "inputs": {"rho0": rho0_src, "rho1": rho1_src},
-        "optimizer": {"max_iter": opt.max_iter, "grad_tol": opt.grad_tol,
-                      "fd_step": opt.fd_step},
+        "optimizer": {"max_iter": opt.max_iter, "grad_tol": opt.grad_tol},
     })
     io.write_json(os.path.join(outdir, "manifest.json"), manifest)
     result = matching.solve_match(problem)

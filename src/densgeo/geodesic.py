@@ -9,7 +9,8 @@ with inertia operator A = (1 - Laplacian)^(k+1). The first equation is the
 operator field L_rho applied to p; L_rho is self-adjoint and strictly positive
 on mean-zero fields, which the preconditioned CG inverse exploits. Products are
 dealiased with the 2/3 rule, arranged so that the discrete L_rho is exactly
-symmetric.
+symmetric. The flow linearized along a shoot (`shoot_tangents`) gives the
+derivatives of its endpoint, matching's exact Jacobian.
 """
 from __future__ import annotations
 
@@ -112,6 +113,34 @@ def _rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
     # shoot slower in paired runs
     return np.stack((rhodot, -ops.ifft(adv_hat)),
                     axis=-ops.grid.dim - 1)
+
+
+def _tangent_rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
+    """d/dt of tangent stacks y (B, 1 + m, 2, *shape): row 0 of a member is
+    a state (rho, p), and rows 1.. are tangents (drho, dp) carried by the
+    flow linearized there,
+
+        drho_t = -div(drho u + rho du),  du = Ainv(drho grad p + rho grad dp),
+        dp_t   = -(grad dp . u + grad p . du),
+
+    masked as `_rhs` masks, dp_t mean-free. All rows go through the same
+    transform calls as one `_rhs` (8 in 1-D), and row 0 gets `_rhs`'s value
+    bit for bit.
+    """
+    vec_axis = -ops.grid.dim - 1
+    rho, drho = y[:, :1, 0], y[:, 1:, 0]
+    gradp = ops.ifft(ops.ik * (ops.fft(y[:, :, 1]) * ops.mask)[ops.vec])
+    w = rho[ops.vec] * gradp
+    w[:, 1:] += drho[ops.vec] * gradp[:, :1]
+    u = ops.apply(ops.ainv_band, w)
+    flux = rho[ops.vec] * u
+    flux[:, 1:] += drho[ops.vec] * u[:, :1]
+    rhodot = -ops.ifft(ops.div_hat(flux) * ops.mask)
+    adv = (gradp * u[:, :1]).sum(axis=vec_axis)
+    adv[:, 1:] += (gradp[:, :1] * u[:, 1:]).sum(axis=vec_axis)
+    adv_hat = ops.fft(adv) * ops.mask
+    adv_hat[ops.zero] = 0.0
+    return np.stack((rhodot, -ops.ifft(adv_hat)), axis=vec_axis)
 
 
 @dataclass(frozen=True)
@@ -268,18 +297,22 @@ def diagnostics_for(state: DensityState) -> Diagnostics:
     )
 
 
-def step_rk4(ops: Operators, y: np.ndarray, dt: float):
-    """One RK4 step of a stack of states y (B, 2, *shape). Returns the new
-    stack and per member the guard it failed (no longer finite, positivity
-    lost, mass drift), or None."""
+def step_rk4(ops: Operators, y: np.ndarray, dt: float, rhs=_rhs):
+    """One RK4 step of y' = rhs(ops.band, y) on a stack y (B, ...) of
+    states (2, *shape) or, with rhs=_tangent_rhs, of tangent stacks
+    (1 + m, 2, *shape). Subtracts the mean of every p row. Returns the new
+    stack and per member the guard its state (row 0 of a tangent stack)
+    failed (no longer finite, positivity lost, mass drift), or None."""
     at_rho, at_p = ops.part
-    mass = y[at_rho].mean(axis=ops.axes)
-    y = rk4(partial(_rhs, ops.band), y, dt)
+    states = (len(y), -1, 2) + ops.grid.shape  # a state per member: [:, 0]
+    mass = y.reshape(states)[:, 0][at_rho].mean(axis=ops.axes)
+    y = rk4(partial(rhs, ops.band), y, dt)
     # in place, so that a new state is its stacked buffer
     y[at_p] -= y[at_p].mean(axis=ops.axes, keepdims=True)
-    finite = np.isfinite(y).all(axis=(-ops.grid.dim - 1,) + ops.axes)
-    rho_min = y[at_rho].min(axis=ops.axes)
-    drift = np.abs(y[at_rho].mean(axis=ops.axes) - mass)
+    base = y.reshape(states)[:, 0]
+    finite = np.isfinite(base).all(axis=(-ops.grid.dim - 1,) + ops.axes)
+    rho_min = base[at_rho].min(axis=ops.axes)
+    drift = np.abs(base[at_rho].mean(axis=ops.axes) - mass)
     reasons = [None] * len(y)
     for i in np.flatnonzero(~(finite & (rho_min > 0.0)
                               & (drift <= MASS_DRIFT_TOL))):
@@ -386,6 +419,34 @@ def shoot_endpoints(rho0: ScalarField, p0: np.ndarray, k: int, T: float,
     rho_T = np.full((len(t_abort),) + rho0.grid.shape, np.nan)
     rho_T[np.isnan(t_abort)] = y[ops.part[0]]
     return rho_T, t_abort
+
+
+def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
+                   T: float, dt: float):
+    """The shoot from (rho0, p0) and the derivatives of its final density
+    along the initial momenta dp0 (m, *shape), by the linearized flow (see
+    `_tangent_rhs`) stepped with the base as one tangent stack.
+
+    The base is prepared as `shoot_endpoints` prepares a member and takes
+    the same steps, so its endpoint is bit-identical to shoot_endpoints';
+    only the base is guarded. Returns (rho_T, drho_T), (*shape) and
+    (m, *shape); raises SolverAbort("t=...: reason") when the base fails a
+    step. At rest (p0 = 0) the linearized flow is drho_t = L_rho0 dp,
+    dp_t = 0, on which RK4 is exact: drho_T is T L_rho0 dp0, one stacked
+    L_rho apply with no time loop.
+    """
+    ops = operators(rho0.grid, k)
+    base = _initial_stack(ops, rho0, p0[None])
+    if not base[ops.part[1]].any():
+        time_steps(T, dt)  # the same checks of T and dt
+        return base[0, 0], T * _lrho(ops.band, base[0, 0], dp0)[0]
+    y = np.zeros((1, 1 + len(dp0), 2) + rho0.grid.shape)
+    y[:, 0] = base
+    y[0, 1:, 1] = dp0
+    # a stride of MAX_STEPS stores t = 0 and T only
+    _, y = integrate_one(partial(step_rk4, ops, rhs=_tangent_rhs), y, T, dt,
+                         MAX_STEPS)[-1]
+    return y[0, 0, 0], y[0, 1:, 0]
 
 
 def _initial_stack(ops: Operators, rho0: ScalarField, p0: np.ndarray):

@@ -3,14 +3,17 @@
 Finds an initial momentum potential p0, parametrized by low Fourier modes,
 that steers rho0 to rho1 at time T under the geodesic flow. The objective
 J(c) = 0.5 * mean((rho(T; c) - rho1)^2) is a least-squares problem, solved
-by Levenberg-Marquardt: the central-difference stencil c +- h_i e_i gives the
-residual Jacobian from its endpoints, and a trial step is accepted only when
+by Levenberg-Marquardt on the exact residual Jacobian: the tangent-linear
+flow carries one tangent per basis field with the base shoot (see
+`geodesic.shoot_tangents`), and at c = 0, where every match starts, the
+Jacobian is T L_rho0 B without a shoot. A trial step is accepted only when
 it lowers J, so the objective history is monotone.
 
 Every objective value comes from `_residuals`, which shoots a whole stack of
-coefficient rows at once: a stencil is two stacked shoots, one per side,
-each split into stacks of at most MAX_STACK_POINTS grid points. Stacked
-members are independent, so the split does not change any value.
+coefficient rows at once, and every Jacobian from tangent stacks; each stack
+holds at most MAX_STACK_POINTS grid points, and more rows are split over
+several stacks. Stacked rows are independent, so the split does not change
+any value.
 """
 from __future__ import annotations
 
@@ -36,13 +39,14 @@ LM_FACTOR = 10.0
 LM_MAX_TRIALS = 30
 # grid points per stacked shoot; bounds the memory of a stack in 2-D
 MAX_STACK_POINTS = 2 ** 14
+# gradient_fd's default relative step
+FD_STEP = 1.0e-5
 
 
 @dataclass(frozen=True)
 class OptSettings:
     max_iter: int = 200
     grad_tol: float = 1e-8
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if not self.max_iter >= 0:
@@ -50,9 +54,6 @@ class OptSettings:
         if not 0.0 <= self.grad_tol < np.inf:
             raise ValueError(
                 f"grad_tol must be finite and >= 0, got {self.grad_tol}")
-        if not 0.0 < self.fd_step < np.inf:
-            raise ValueError(
-                f"fd_step must be finite and > 0, got {self.fd_step}")
 
 
 @dataclass
@@ -175,9 +176,10 @@ def objective(problem: MatchProblem, coeffs: np.ndarray) -> float:
     return float(objectives(problem, np.asarray(coeffs)[None])[0])
 
 
-def _stencil(problem: MatchProblem, coeffs: np.ndarray, h: float):
-    """The central-difference stencil c +- h_i e_i as two stacked shoots:
-    (steps, (r+, J+), (r-, J-)), with steps h_i = h * max(1, |c_i|).
+def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
+                h: float = FD_STEP) -> np.ndarray:
+    """Central finite-difference gradient over the stencil c +- h_i e_i,
+    h_i = h * max(1, |c_i|): one stacked shoot per side.
 
     Raises SolverAbort, naming the coordinate, when a shoot of the stencil
     aborts: the penalty would turn into a meaningless slope of order 1/h.
@@ -186,8 +188,8 @@ def _stencil(problem: MatchProblem, coeffs: np.ndarray, h: float):
         raise ValueError("h must be positive")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     steps = h * np.maximum(1.0, np.abs(coeffs))
-    rp, jp, t_plus = _residuals(problem, coeffs + np.diag(steps))
-    rm, jm, t_minus = _residuals(problem, coeffs - np.diag(steps))
+    _, jp, t_plus = _residuals(problem, coeffs + np.diag(steps))
+    _, jm, t_minus = _residuals(problem, coeffs - np.diag(steps))
     t_abort = np.fmin(t_plus, t_minus)  # the earlier abort, NaN if none
     aborted = np.flatnonzero(~np.isnan(t_abort))
     if len(aborted):
@@ -196,34 +198,43 @@ def _stencil(problem: MatchProblem, coeffs: np.ndarray, h: float):
             f"FD stencil of coefficient {i} (step {steps[i]:.3e}) crosses "
             f"a shoot that aborts at t={t_abort[i]:.6g}",
             time=float(t_abort[i]))
-    return steps, (rp, jp), (rm, jm)
-
-
-def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
-                h: float | None = None) -> np.ndarray:
-    """Central finite-difference gradient: one stacked shoot per side.
-
-    Raises SolverAbort, naming the coordinate, when a shoot of the stencil
-    aborts.
-    """
-    steps, (_, jp), (_, jm) = _stencil(
-        problem, coeffs, problem.opt.fd_step if h is None else h)
     return (jp - jm) / (2.0 * steps)
+
+
+def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
+    """The residual Jacobian d rho(T) / dc (n_coeffs, N) at coeffs, from
+    tangent stacks of the base shoot and at most MAX_STACK_POINTS // N - 1
+    (at least 1) basis fields each; the base is shot again for each stack.
+
+    Raises SolverAbort when the base shoot aborts or a tangent is not
+    finite.
+    """
+    grid = problem.grid
+    p = _p_rows(problem, coeffs[None])[0]
+    basis = _p_rows(problem, np.eye(len(coeffs)))
+    per_stack = max(1, MAX_STACK_POINTS // grid.npoints - 1)
+    jac = np.empty((len(basis), grid.npoints))
+    for lo in range(0, len(basis), per_stack):
+        part = slice(lo, lo + per_stack)
+        _, drho = geodesic.shoot_tangents(problem.rho0, p, basis[part],
+                                          problem.k, problem.T, problem.dt)
+        jac[part] = drho.reshape(len(drho), -1)
+    bad = np.flatnonzero(~np.isfinite(jac).all(axis=1))
+    if len(bad):
+        raise geodesic.SolverAbort(
+            f"the tangent of coefficient {bad[0]} is not finite")
+    return jac
 
 
 def _normal_equations(problem: MatchProblem, coeffs: np.ndarray,
                       r: np.ndarray):
     """(g, H) at coeffs, whose residual is r: the gradient Jr^T r / N of the
     mean-based objective and the Gauss-Newton matrix Jr^T Jr / N, with the
-    Jacobian Jr (n_coeffs, N) from the endpoints of the FD stencil.
+    exact Jacobian Jr (n_coeffs, N) of `_jacobian`.
 
-    Jr is formed in place and freed on return. Raises SolverAbort when the
-    stencil crosses an aborted shoot.
+    Raises SolverAbort when the Jacobian fails (`_jacobian`).
     """
-    steps, (rp, _), (rm, _) = _stencil(problem, coeffs, problem.opt.fd_step)
-    jac = rp.reshape(len(rp), -1)
-    jac -= rm.reshape(len(rm), -1)
-    jac /= (2.0 * steps)[:, None]
+    jac = _jacobian(problem, coeffs)
     npoints = jac.shape[1]
     return jac @ r.ravel() / npoints, jac @ jac.T / npoints
 
@@ -232,16 +243,17 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     """Levenberg-Marquardt descent of the shooting objective from p0 = 0.
 
     Each iteration forms the gradient g and the Gauss-Newton matrix H from
-    the FD stencil's endpoints, stops as converged when ||g|| <= grad_tol,
-    and otherwise shoots the trial c + s, (H + lambda diag H) s = -g. A trial
-    is accepted only when it lowers J, and lambda then falls by LM_FACTOR;
-    a rejected trial, an aborted one included, raises lambda by LM_FACTOR and
-    is retried. The history is monotone, so the last iterate is the best.
+    the exact Jacobian (`_jacobian`; at c = 0 without a shoot), stops as
+    converged when ||g|| <= grad_tol, and otherwise shoots the trial c + s,
+    (H + lambda diag H) s = -g. A trial is accepted only when it lowers J,
+    and lambda then falls by LM_FACTOR; a rejected trial, an aborted one
+    included, raises lambda by LM_FACTOR and is retried. The history is monotone, so the last iterate is the best.
 
     Ends as stalled after LM_MAX_TRIALS rejected trials in a row, when a
     trial repeats the rejected one before it (lambda has fallen so far that
-    raising it no longer changes the step), or when the FD stencil crosses
-    an aborted shoot.
+    raising it no longer changes the step), or when the Jacobian fails: its
+    base shoot aborts or a tangent is not finite. A stalled match returns
+    the best coefficients seen, the last accepted ones.
     """
     opt = problem.opt
     n_coeffs = len(basis_fields(problem.grid, problem.n_modes))

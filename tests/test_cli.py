@@ -422,6 +422,18 @@ def test_bad_optimizer_setting_is_a_config_error(tmp_path, capsys, setting):
     assert not (out / "result.json").exists()
 
 
+def test_fd_step_is_a_config_error(tmp_path, capsys):
+    # the Jacobian is exact: a finite-difference step would set nothing
+    cfg = write_config(tmp_path / "c.ini", MATCH_CFG + "fd_step = 1e-5\n")
+    out = tmp_path / "out"
+    assert cli.main(["match", "--config", cfg, "--output-dir", str(out),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "[matching]: fd_step" in err and "exact" in err
+    assert "fd_step" in io.read_json(str(out / "error.json"))["error"]
+    assert not (out / "status.json").exists()
+
+
 @pytest.mark.parametrize("stride", ["0", "-3"])
 def test_bad_snapshot_stride_is_a_config_error(tmp_path, stride):
     cfg = write_config(tmp_path / "c.ini", SHOOT_CFG.replace(

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -175,7 +177,7 @@ class TestGradientFD:
 
     def test_stencil_across_an_abort_raises(self):
         problem = violent_problem()
-        h = problem.opt.fd_step
+        h = ma.FD_STEP
         lo, _ = abort_boundary(problem, 1, 0.0, 5.0, h)
         coeffs = np.zeros(4)
         coeffs[1] = lo
@@ -196,6 +198,111 @@ class TestGradientFD:
         problem = make_problem(grid1d())
         with pytest.raises(ValueError):
             ma.gradient_fd(problem, np.zeros(8), h=0.0)
+
+
+def fd_jacobian(problem, coeffs, h=ma.FD_STEP):
+    """The central-difference residual Jacobian (n_coeffs, N), steps
+    h * max(1, |c_i|)."""
+    steps = h * np.maximum(1.0, np.abs(coeffs))
+    rp, _, _ = ma._residuals(problem, coeffs + np.diag(steps))
+    rm, _, _ = ma._residuals(problem, coeffs - np.diag(steps))
+    return (rp - rm).reshape(len(coeffs), -1) / (2.0 * steps)[:, None]
+
+
+def tangent_problem(dim):
+    """A translated target: 8 coefficients in 1-D (n 32, k 1), 24 in 2-D
+    (n 16, k 2)."""
+    if dim == 1:
+        g = grid1d()
+        return make_problem(g, rho1_vals=1 + 0.2 * np.cos(g.coords[0] - 0.4))
+    g = sp.make_grid(2, 16)
+    coords = g.coords
+    rho0 = 1 + 0.2 * np.prod(np.cos(coords), axis=0)
+    rho1 = 1 + 0.2 * np.prod(np.cos(coords - 0.3), axis=0)
+    return ma.MatchProblem(sp.ScalarField(g, rho0 / rho0.mean()),
+                           sp.ScalarField(g, rho1 / rho1.mean()),
+                           2, 0.5, 0.05, 2)
+
+
+def tangent_point(problem, at):
+    """c = 0 (at rest) or a small random c (moving)."""
+    n = len(ma.basis_fields(problem.grid, problem.n_modes))
+    if at == "rest":
+        return np.zeros(n)
+    return 0.1 * np.random.default_rng(5).normal(size=n)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+class TestTangentJacobian:
+    @pytest.mark.parametrize("at", ["rest", "moving"])
+    def test_agrees_with_fd_jacobian(self, dim, at):
+        problem = tangent_problem(dim)
+        coeffs = tangent_point(problem, at)
+        fd = fd_jacobian(problem, coeffs)
+        jac = ma._jacobian(problem, coeffs)
+        assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("at", ["rest", "moving"])
+    def test_taylor_remainder_is_second_order(self, dim, at):
+        problem = tangent_problem(dim)
+        coeffs = tangent_point(problem, at)
+        d = np.random.default_rng(6).normal(size=len(coeffs))
+        r, _, _ = ma._residuals(problem, coeffs[None])
+        jd = d @ ma._jacobian(problem, coeffs)
+        remainders = []
+        for eps in (1e-2, 1e-3, 1e-4):
+            r_eps, _, _ = ma._residuals(problem, (coeffs + eps * d)[None])
+            remainders.append(np.linalg.norm((r_eps - r).ravel() - eps * jd))
+        ratios = np.array(remainders[:-1]) / remainders[1:]
+        assert np.all((70.0 < ratios) & (ratios < 130.0)), ratios
+
+    def test_rest_shortcut_equals_integrated_tangent(self, dim):
+        problem = tangent_problem(dim)
+        coeffs = tangent_point(problem, "rest")
+        shortcut = ma._jacobian(problem, coeffs)
+        # the same tangents stepped through the time loop from rest
+        basis = ma._p_rows(problem, np.eye(len(coeffs)))
+        y = np.zeros((1, 1 + len(basis), 2) + problem.grid.shape)
+        y[0, 0, 0] = problem.rho0.values
+        y[0, 1:, 1] = basis
+        step = partial(ge.step_rk4, sp.operators(problem.grid, problem.k),
+                       rhs=ge._tangent_rhs)
+        _, y = ge.integrate_one(step, y, problem.T, problem.dt,
+                                ge.MAX_STEPS)[-1]
+        integrated = y[0, 1:, 0].reshape(len(basis), -1)
+        assert np.abs(integrated - shortcut).max() <= (
+            1e-13 * np.abs(shortcut).max())
+
+    def test_base_endpoint_equals_shoot_endpoints(self, dim):
+        problem = tangent_problem(dim)
+        coeffs = tangent_point(problem, "moving")
+        p = ma._p_rows(problem, coeffs[None])
+        basis = ma._p_rows(problem, np.eye(len(coeffs)))
+        rho_T, _ = ge.shoot_tangents(problem.rho0, p[0], basis, problem.k,
+                                     problem.T, problem.dt)
+        ends, _ = ge.shoot_endpoints(problem.rho0, p, problem.k, problem.T,
+                                     problem.dt)
+        assert np.array_equal(rho_T, ends[0])
+
+    @pytest.mark.parametrize("at", ["rest", "moving"])
+    def test_split_stacks_equal_one_stack(self, dim, at, monkeypatch):
+        problem = tangent_problem(dim)
+        coeffs = tangent_point(problem, at)
+        whole = ma._jacobian(problem, coeffs)
+        # the base and 5 tangents per stack: 8 = 5 + 3, 24 = 4 * 5 + 4
+        monkeypatch.setattr(ma, "MAX_STACK_POINTS", 6 * problem.grid.npoints)
+        assert np.array_equal(ma._jacobian(problem, coeffs), whole)
+
+
+def test_jacobian_base_abort_raises_at_its_time():
+    problem = violent_problem()
+    coeffs = np.zeros(4)
+    coeffs[1] = 5.0
+    _, _, t_abort = ma._residuals(problem, coeffs[None])
+    assert not np.isnan(t_abort[0])
+    with pytest.raises(ge.SolverAbort) as info:
+        ma._jacobian(problem, coeffs)
+    assert info.value.time == t_abort[0]
 
 
 class TestSolveMatch:
@@ -237,9 +344,23 @@ class TestSolveMatch:
         assert np.array_equal(r1.coeffs, r2.coeffs)
         assert np.array_equal(r1.objective_history, r2.objective_history)
 
-    def test_stencil_abort_ends_stalled_at_best_seen(self):
-        # a stencil this wide aborts at the start: no gradient, no step
-        problem = violent_problem(opt=ma.OptSettings(fd_step=3.0))
+    @pytest.mark.parametrize("failure", ["abort", "nan"])
+    def test_jacobian_failure_ends_stalled_at_best_seen(self, failure,
+                                                        monkeypatch):
+        # the first Jacobian fails: its base aborts, or a tangent is NaN
+        g = grid1d()
+        problem = make_problem(g, rho1_vals=1 + 0.2 * np.cos(g.coords[0] - 0.6),
+                               n_modes=2)
+        shoot_tangents = ge.shoot_tangents
+
+        def failing(*args):
+            if failure == "abort":
+                raise ge.SolverAbort("t=0.02: positivity lost", time=0.02)
+            rho_T, drho_T = shoot_tangents(*args)
+            drho_T[1, 3] = np.nan
+            return rho_T, drho_T
+
+        monkeypatch.setattr(ge, "shoot_tangents", failing)
         result = ma.solve_match(problem)
         assert result.status == "stalled"
         assert np.array_equal(result.coeffs, np.zeros(4))
@@ -311,7 +432,7 @@ class TestLevenbergMarquardt:
         assert len(result.history_rows) == 3
 
     def test_stalls_at_the_first_repeated_trial(self, monkeypatch):
-        # the steep data of the test above, run to the FD gradient's noise
+        # the steep data of the test above, run to the objective's noise
         # floor: after 65 accepted steps lambda is so small that raising it
         # no longer changes the step, and a repeated trial is rejected again
         g = grid1d()
@@ -357,8 +478,7 @@ class TestLevenbergMarquardt:
 class TestOptSettings:
     @pytest.mark.parametrize("kw", [
         dict(max_iter=-3), dict(grad_tol=-1.0), dict(grad_tol=np.nan),
-        dict(grad_tol=np.inf), dict(fd_step=0.0), dict(fd_step=-1e-5),
-        dict(fd_step=np.nan), dict(fd_step=np.inf)])
+        dict(grad_tol=np.inf)])
     def test_rejects_bad_settings(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             ma.OptSettings(**kw)
