@@ -9,8 +9,11 @@ with inertia operator A = (1 - Laplacian)^(k+1). The first equation is the
 operator field L_rho applied to p; L_rho is self-adjoint and strictly positive
 on mean-zero fields, which the preconditioned CG inverse exploits. Products are
 dealiased with the 2/3 rule, arranged so that the discrete L_rho is exactly
-symmetric. The flow linearized along a shoot (`shoot_tangents`) gives the
-derivatives of its endpoint, matching's exact Jacobian.
+symmetric. p enters only through grad p, and p_t is dealiased, so the flow
+carries p as its masked band spectrum: a state is one real row of rho's grid
+values and that spectrum (`_rows`), and only `shoot` returns p to the grid.
+The flow linearized along a shoot (`shoot_tangents`) gives the derivatives of
+its endpoint, matching's exact Jacobian.
 """
 from __future__ import annotations
 
@@ -96,40 +99,74 @@ def _lrho(ops: Operators | Band, rho: np.ndarray, p: np.ndarray):
     masked, so callers pass the table's band view (`Operators.band`); the
     full table gives the same values, bit for bit.
     """
-    gradp = ops.ifft(ops.ik * (ops.fft(p) * ops.mask)[ops.vec])
+    return _lrho_hat(ops, rho, ops.fft(p) * ops.mask)
+
+
+def _lrho_hat(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
+    """`_lrho` of a momentum given by its masked spectrum p_hat."""
+    gradp = ops.ifft(ops.ik * p_hat[ops.vec])
     rho_v = rho[ops.vec]
     u = ops.apply(ops.ainv_band, rho_v * gradp)
     rhodot = -ops.ifft(ops.div_hat(rho_v * u) * ops.mask)
     return rhodot, gradp, u
 
 
+def _rows(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
+    """Stacked states (..., R) as real rows: the grid values of rho, then
+    the spectrum p_hat on ops' columns viewed as reals. Real linear
+    combinations of rows are the complex ones of their spectra, bit for bit,
+    so `rk4` steps rows as plain arrays."""
+    lead = rho.shape[:-ops.grid.dim]
+    return np.concatenate((rho.reshape(lead + (-1,)),
+                           p_hat.view(np.float64).reshape(lead + (-1,))),
+                          axis=-1)
+
+
+def _state_rows(ops: Operators | Band, rho: np.ndarray, p: np.ndarray):
+    """`_rows` of states (rho, p) given on the grid: p_hat is p's masked
+    spectrum on ops' columns, its mean mode zeroed."""
+    p_hat = ops.fft(p) * ops.mask
+    p_hat[ops.zero] = 0.0
+    return _rows(ops, rho, p_hat)
+
+
+def _split(ops: Operators | Band, y: np.ndarray):
+    """Views (rho, p_hat) of rows y (..., R) built by `_rows`."""
+    lead, npoints = y.shape[:-1], ops.grid.npoints
+    p_hat = y[..., npoints:].view(np.complex128)
+    return (y[..., :npoints].reshape(lead + ops.grid.shape),
+            p_hat.reshape(lead + ops.mask.shape))
+
+
 def _rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
-    """Hamiltonian right-hand side d/dt of states y = (..., 2, *shape),
-    each a stacked (rho, p)."""
-    rhodot, gradp, u = _lrho(ops, y[ops.part[0]], y[ops.part[1]])
-    adv_hat = ops.fft((gradp * u).sum(axis=-ops.grid.dim - 1)) * ops.mask
-    adv_hat[ops.zero] = 0.0  # mean-zero representative of p_t
-    # np.stack, not writes into an np.empty_like(y): those made the 128^2
-    # shoot slower in paired runs
-    return np.stack((rhodot, -ops.ifft(adv_hat)),
-                    axis=-ops.grid.dim - 1)
+    """Hamiltonian right-hand side d/dt of stacked states y (..., R), each
+    a row (rho, p_hat) (see `_rows`) whose p_hat is masked and mean-free.
+    p enters only through grad p, so the flow never needs it in physical
+    space, and p_t's spectrum is masked and mean-free again: 6 transform
+    calls in 1-D."""
+    rho, p_hat = _split(ops, y)
+    rhodot, gradp, u = _lrho_hat(ops, rho, p_hat)
+    pdot_hat = ops.fft((gradp * u).sum(axis=-ops.grid.dim - 1)) * ops.mask
+    pdot_hat[ops.zero] = 0.0  # mean-zero representative of p_t
+    return _rows(ops, rhodot, np.negative(pdot_hat, out=pdot_hat))
 
 
 def _tangent_rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
-    """d/dt of tangent stacks y (B, 1 + m, 2, *shape): row 0 of a member is
-    a state (rho, p), and rows 1.. are tangents (drho, dp) carried by the
-    flow linearized there,
+    """d/dt of tangent stacks y (B, 1 + m, R): row 0 of a member is a state
+    (rho, p_hat) as `_rhs` takes it, and rows 1.. are tangents
+    (drho, dp_hat) carried by the flow linearized there,
 
         drho_t = -div(drho u + rho du),  du = Ainv(drho grad p + rho grad dp),
         dp_t   = -(grad dp . u + grad p . du),
 
     masked as `_rhs` masks, dp_t mean-free. All rows go through the same
-    transform calls as one `_rhs` (8 in 1-D), and row 0 gets `_rhs`'s value
+    transform calls as one `_rhs` (6 in 1-D), and row 0 gets `_rhs`'s value
     bit for bit.
     """
     vec_axis = -ops.grid.dim - 1
-    rho, drho = y[:, :1, 0], y[:, 1:, 0]
-    gradp = ops.ifft(ops.ik * (ops.fft(y[:, :, 1]) * ops.mask)[ops.vec])
+    rho_all, p_hat = _split(ops, y)
+    rho, drho = rho_all[:, :1], rho_all[:, 1:]
+    gradp = ops.ifft(ops.ik * p_hat[ops.vec])
     w = rho[ops.vec] * gradp
     w[:, 1:] += drho[ops.vec] * gradp[:, :1]
     u = ops.apply(ops.ainv_band, w)
@@ -140,7 +177,7 @@ def _tangent_rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
     adv[:, 1:] += (gradp[:, :1] * u[:, 1:]).sum(axis=vec_axis)
     adv_hat = ops.fft(adv) * ops.mask
     adv_hat[ops.zero] = 0.0
-    return np.stack((rhodot, -ops.ifft(adv_hat)), axis=vec_axis)
+    return _rows(ops, rhodot, np.negative(adv_hat, out=adv_hat))
 
 
 @dataclass(frozen=True)
@@ -274,9 +311,11 @@ def horizontal_velocity(state: DensityState) -> VectorField:
 
 def hamiltonian_rhs(state: DensityState):
     """Time derivatives (rhodot, pdot) of the geodesic flow at a state."""
-    y = np.stack((state.rho.values, state.p.values))
-    rhodot, pdot = _rhs(operators(state.grid, state.k).band, y)
-    return ScalarField(state.grid, rhodot), ScalarField(state.grid, pdot)
+    ops = operators(state.grid, state.k).band
+    y = _state_rows(ops, state.rho.values, state.p.values)
+    rhodot, pdot_hat = _split(ops, _rhs(ops, y))
+    return (ScalarField(state.grid, rhodot),
+            ScalarField(state.grid, ops.ifft(pdot_hat)))
 
 
 def metric_energy(state: DensityState) -> float:
@@ -299,20 +338,20 @@ def diagnostics_for(state: DensityState) -> Diagnostics:
 
 def step_rk4(ops: Operators, y: np.ndarray, dt: float, rhs=_rhs):
     """One RK4 step of y' = rhs(ops.band, y) on a stack y (B, ...) of
-    states (2, *shape) or, with rhs=_tangent_rhs, of tangent stacks
-    (1 + m, 2, *shape). Subtracts the mean of every p row. Returns the new
-    stack and per member the guard its state (row 0 of a tangent stack)
-    failed (no longer finite, positivity lost, mass drift), or None."""
-    at_rho, at_p = ops.part
-    states = (len(y), -1, 2) + ops.grid.shape  # a state per member: [:, 0]
-    mass = y.reshape(states)[:, 0][at_rho].mean(axis=ops.axes)
+    states (R,) (see `_rows`, on ops.band) or, with rhs=_tangent_rhs, of
+    tangent stacks (1 + m, R). Returns the new stack and per member the
+    guard its state (row 0 of a tangent stack) failed (no longer finite,
+    positivity lost, mass drift), or None. p_hat's mean mode needs no
+    correction: it starts at 0 and every p_t has it 0."""
+    npoints = ops.grid.npoints
+    states = (len(y), -1, y.shape[-1])  # a state per member: [:, 0]
+    mass = y.reshape(states)[:, 0, :npoints].mean(axis=-1)
     y = rk4(partial(rhs, ops.band), y, dt)
-    # in place, so that a new state is its stacked buffer
-    y[at_p] -= y[at_p].mean(axis=ops.axes, keepdims=True)
     base = y.reshape(states)[:, 0]
-    finite = np.isfinite(base).all(axis=(-ops.grid.dim - 1,) + ops.axes)
-    rho_min = base[at_rho].min(axis=ops.axes)
-    drift = np.abs(base[at_rho].mean(axis=ops.axes) - mass)
+    finite = np.isfinite(base).all(axis=-1)
+    rho = base[:, :npoints]
+    rho_min = rho.min(axis=-1)
+    drift = np.abs(rho.mean(axis=-1) - mass)
     reasons = [None] * len(y)
     for i in np.flatnonzero(~(finite & (rho_min > 0.0)
                               & (drift <= MASS_DRIFT_TOL))):
@@ -378,8 +417,11 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
 
     Takes ceil(T/dt) equal steps that end exactly at T (see time_steps),
     from a state prepared as `shoot_endpoints` prepares each member.
-    Backward runs negate p, integrate forward, and negate back (the flow is
-    time-reversible). Aborts propagate with the failing time attached.
+    The flow carries p's band spectrum only; the part of p0 outside the
+    band, p_out, never changes, and each stored p is the band part plus
+    p_out. Backward runs negate p, integrate forward, and negate back (the
+    flow is time-reversible). Aborts propagate with the failing time
+    attached.
     """
     if k in (-1, 0):
         log.warning(
@@ -387,17 +429,24 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
             "and positivity loss is expected behavior", k)
     grid = rho0.grid
     ops = operators(grid, k)
-    p = -p0.values if backward else p0.values
-    stored = integrate_one(partial(step_rk4, ops),
-                           _initial_stack(ops, rho0, p[None]), T, dt,
-                           store_every)
-    if backward:
-        for _, y in stored:  # in place: a state is a view into its y
-            np.negative(y[0, 1], out=y[0, 1])
-    states = [DensityState(ScalarField(grid, y[0, 0]),
-                           ScalarField(grid, y[0, 1]), k) for _, y in stored]
-    return Trajectory(np.array([t for t, _ in stored]), states,
-                      [diagnostics_for(s) for s in states])
+    band = ops.band
+    y, p = _initial_stack(ops, rho0,
+                          (-p0.values if backward else p0.values)[None])
+    p_out = p[0]  # p0's part outside the band, in p's buffer
+    p_out -= band.ifft(_split(band, y[0])[1])
+    stored = integrate_one(partial(step_rk4, ops), y, T, dt, store_every)
+    times, states = np.array([t for t, _ in stored]), []
+    stored.reverse()
+    while stored:  # each row is freed once its state is built
+        _, y = stored.pop()
+        rho, p_hat = _split(band, y[0])
+        p = band.ifft(p_hat)
+        p += p_out
+        if backward:
+            np.negative(p, out=p)
+        states.append(DensityState(ScalarField(grid, rho.copy()),
+                                   ScalarField(grid, p), k))
+    return Trajectory(times, states, [diagnostics_for(s) for s in states])
 
 
 def shoot_endpoints(rho0: ScalarField, p0: np.ndarray, k: int, T: float,
@@ -415,9 +464,9 @@ def shoot_endpoints(rho0: ScalarField, p0: np.ndarray, k: int, T: float,
     """
     ops = operators(rho0.grid, k)
     y, t_abort, _, _ = integrate(partial(step_rk4, ops),
-                                 _initial_stack(ops, rho0, p0), T, dt)
+                                 _initial_stack(ops, rho0, p0)[0], T, dt)
     rho_T = np.full((len(t_abort),) + rho0.grid.shape, np.nan)
-    rho_T[np.isnan(t_abort)] = y[ops.part[0]]
+    rho_T[np.isnan(t_abort)] = _split(ops.band, y)[0]
     return rho_T, t_abort
 
 
@@ -431,33 +480,32 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
     the same steps, so its endpoint is bit-identical to shoot_endpoints';
     only the base is guarded. Returns (rho_T, drho_T), (*shape) and
     (m, *shape); raises SolverAbort("t=...: reason") when the base fails a
-    step. At rest (p0 = 0) the linearized flow is drho_t = L_rho0 dp,
-    dp_t = 0, on which RK4 is exact: drho_T is T L_rho0 dp0, one stacked
-    L_rho apply with no time loop.
+    step. At rest (p0's band part 0) the linearized flow is
+    drho_t = L_rho0 dp, dp_t = 0, on which RK4 is exact: drho_T is
+    T L_rho0 dp0, one stacked L_rho apply with no time loop.
     """
     ops = operators(rho0.grid, k)
-    base = _initial_stack(ops, rho0, p0[None])
-    if not base[ops.part[1]].any():
+    band = ops.band
+    base = _initial_stack(ops, rho0, p0[None])[0]
+    if not _split(band, base)[1].any():
         time_steps(T, dt)  # the same checks of T and dt
-        return base[0, 0], T * _lrho(ops.band, base[0, 0], dp0)[0]
-    y = np.zeros((1, 1 + len(dp0), 2) + rho0.grid.shape)
-    y[:, 0] = base
-    y[0, 1:, 1] = dp0
+        rho = _split(band, base[0])[0]
+        return rho, T * _lrho(band, rho, dp0)[0]
+    y = np.concatenate((base, _state_rows(band, np.zeros_like(dp0), dp0)))
     # a stride of MAX_STEPS stores t = 0 and T only
-    _, y = integrate_one(partial(step_rk4, ops, rhs=_tangent_rhs), y, T, dt,
-                         MAX_STEPS)[-1]
-    return y[0, 0, 0], y[0, 1:, 0]
+    _, y = integrate_one(partial(step_rk4, ops, rhs=_tangent_rhs), y[None],
+                         T, dt, MAX_STEPS)[-1]
+    rho_T = _split(band, y[0])[0]
+    return rho_T[0], rho_T[1:]
 
 
 def _initial_stack(ops: Operators, rho0: ScalarField, p0: np.ndarray):
-    """The validated stack (B, 2, *shape) of (rho0, p), p in p0 with its
-    mean subtracted twice: the second subtraction removes most of the
-    roundoff the first leaves. Built inside the call to integrate, so that
-    no name holds it while the steps run."""
-    at_rho, at_p = ops.part
+    """The validated stack (B, R) of states (rho0, p_hat) on ops.band (see
+    `_rows`), p_hat the masked, mean-free spectrum of p in p0 with its mean
+    subtracted twice: the second subtraction removes most of the roundoff
+    the first leaves; and those p (B, *shape)."""
     p = p0 - p0.mean(axis=ops.axes, keepdims=True)
-    y = np.empty((len(p), 2) + rho0.grid.shape)
-    y[at_rho] = rho0.values
-    y[at_p] = p - p.mean(axis=ops.axes, keepdims=True)
-    _validate(y[at_rho], y[at_p], ops.axes)
-    return y
+    p -= p.mean(axis=ops.axes, keepdims=True)
+    rho = np.broadcast_to(rho0.values, p.shape)
+    _validate(rho, p, ops.axes)
+    return _state_rows(ops.band, rho, p), p

@@ -6,8 +6,9 @@ J(c) = 0.5 * mean((rho(T; c) - rho1)^2) is a least-squares problem, solved
 by Levenberg-Marquardt on the exact residual Jacobian: the tangent-linear
 flow carries one tangent per basis field with the base shoot (see
 `geodesic.shoot_tangents`), and at c = 0, where every match starts, the
-Jacobian is T L_rho0 B without a shoot. A trial step is accepted only when
-it lowers J, so the objective history is monotone.
+Jacobian is T L_rho0 B and the residual rho0 - rho1, both without a
+shoot. A trial step is accepted only when it lowers J, so the objective
+history is monotone.
 
 Every objective value comes from `_residuals`, which shoots a whole stack of
 coefficient rows at once, and every Jacobian from tangent stacks; each stack
@@ -242,12 +243,14 @@ def _normal_equations(problem: MatchProblem, coeffs: np.ndarray,
 def solve_match(problem: MatchProblem) -> MatchResult:
     """Levenberg-Marquardt descent of the shooting objective from p0 = 0.
 
-    Each iteration forms the gradient g and the Gauss-Newton matrix H from
-    the exact Jacobian (`_jacobian`; at c = 0 without a shoot), stops as
+    At c = 0 the flow rests, so the first residual is rho0 - rho1 without a
+    shoot. Each iteration forms the gradient g and the Gauss-Newton matrix H
+    from the exact Jacobian (`_jacobian`; at c = 0 without a shoot), stops as
     converged when ||g|| <= grad_tol, and otherwise shoots the trial c + s,
     (H + lambda diag H) s = -g. A trial is accepted only when it lowers J,
     and lambda then falls by LM_FACTOR; a rejected trial, an aborted one
-    included, raises lambda by LM_FACTOR and is retried. The history is monotone, so the last iterate is the best.
+    included, raises lambda by LM_FACTOR and is retried. The history is
+    monotone, so the last iterate is the best.
 
     Ends as stalled after LM_MAX_TRIALS rejected trials in a row, when a
     trial repeats the rejected one before it (lambda has fallen so far that
@@ -258,8 +261,11 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     opt = problem.opt
     n_coeffs = len(basis_fields(problem.grid, problem.n_modes))
     coeffs = np.zeros(n_coeffs)
-    r, j, _ = _residuals(problem, coeffs[None])
-    history = [float(j[0])]
+    # the flow from p = 0 rests exactly, rho(T) = rho0: no shoot, and the
+    # problem's checks are the ones a shoot makes of rho0
+    r = (problem.rho0.values - problem.rho1.values)[None]
+    axes = operators(problem.grid).axes
+    history = [float(0.5 * (r ** 2).mean(axis=axes)[0])]
     rows = []
     lam = LM_LAMBDA0
     status = "max_iter"

@@ -116,13 +116,11 @@ class Operators:
         self.weight = np.full(n // 2 + 1, 2.0)
         self.weight[[0, -1]] = 1.0
         # precomputed indices into arrays with leading axes, so that the hot
-        # paths build no index tuples: the grid axes, the mean mode, a new
-        # vector axis before the grid axes, and entry i of the axis there
-        trail = (slice(None),) * grid.dim
+        # paths build no index tuples: the grid axes, the mean mode, and a
+        # new vector axis before the grid axes
         self.axes = tuple(range(-grid.dim, 0))
         self.zero = (Ellipsis,) + (0,) * grid.dim
-        self.vec = (Ellipsis, None) + trail
-        self.part = tuple((Ellipsis, i) + trail for i in range(2))
+        self.vec = (Ellipsis, None) + (slice(None),) * grid.dim
         ksq = sum(km ** 2 for km in self.k_mesh)
         base = 1.0 + ksq
         # A = (1 - Laplacian)^(k+1) and its inverse; k = -1 is the identity
@@ -175,8 +173,7 @@ class Band:
 
     def __init__(self, table: Operators):
         self.grid = table.grid
-        self.axes, self.zero, self.vec, self.part = (
-            table.axes, table.zero, table.vec, table.part)
+        self.axes, self.zero, self.vec = table.axes, table.zero, table.vec
         self.cols = (Ellipsis, slice(table.grid.n // 3 + 1))
         self.mask, self.ik, self.ainv_band, self.precond = (
             np.ascontiguousarray(arr[self.cols]) for arr in

@@ -1,15 +1,20 @@
-"""Layer timings of the 2-D flow at n = 128, k = 2 (the shoot-2d grid), and
-of one matching Jacobian at the match-1d size.
+"""Layer timings of the 2-D flow at n = 128, k = 2 (the shoot-2d grid), of
+the 1-D flow at n = 32, k = 1 (the match-1d grid), and of one matching
+Jacobian at the match-1d size.
 
     PYTHONPATH=src python -m pytest tests/bench_layers.py --benchmark-only
 
 Not part of the test suite (the name does not match test_*.py). It times a
 dealiased transform pair on the full half spectrum (rfft2/irfft2) and on the
-2/3-rule band, one Hamiltonian right-hand side on each, and one guarded RK4
-step of the one-member stack that `shoot` steps. The Jacobian case (1-D
-n = 32, k = 1, 3 modes = 6 coefficients, T = 0.5, dt = 0.02: 25 steps) times
-the central-difference stencil (two stacked shoots of 6 members), the
-tangent stack (the base and 6 tangents) and the c = 0 shortcut.
+2/3-rule band, and on both grids one Hamiltonian right-hand side and one
+guarded RK4 step of the stacks that the flow steps: a state is a row of the
+grid values of rho and p's band spectrum (`geodesic._rows`). On the 2-D grid
+that is the one-member stack of `shoot`; on the 1-D grid, the 7-member stack
+of a matching Jacobian's size, where per-call overhead dominates. The
+Jacobian case (1-D n = 32, k = 1, 3 modes = 6 coefficients, T = 0.5,
+dt = 0.02: 25 steps) times the central-difference stencil (two stacked
+shoots of 6 members), the tangent stack (the base and 6 tangents) and the
+c = 0 shortcut.
 """
 import numpy as np
 import pytest
@@ -17,37 +22,50 @@ import pytest
 from densgeo import geodesic as ge, matching as ma, spectral as sp
 from test_matching import fd_jacobian
 
-N, K, DT = 128, 2, 0.01
+# dim -> (n, k, dt, stack members)
+FLOWS = {2: (128, 2, 0.01, 1), 1: (32, 1, 0.02, 7)}
 
 
-@pytest.fixture(scope="module")
-def ops():
-    return sp.operators(sp.make_grid(2, N), K)
+def flow(dim):
+    """The table of a grid and a smooth stack of states (B, R) of the size
+    and strength of the workload's inputs there."""
+    n, k, dt, members = FLOWS[dim]
+    ops = sp.operators(sp.make_grid(dim, n), k)
+    x = ops.grid.coords
+    rho = 1.0 + 0.4 * np.cos(x[0]) * np.cos(2 * x[-1]) + 0.2 * np.sin(
+        3 * x[0] + x[-1])
+    amp = 15.0 if dim == 2 else 0.3
+    p = np.stack([amp * (np.sin(x[0] + 2 * x[-1]) + 0.5 * np.cos(
+        3 * x[0] - x[-1]) + 0.1 * i * np.sin(2 * x[0]))
+        for i in range(members)])
+    p -= p.mean(axis=ops.axes, keepdims=True)
+    band = ops.band
+    return ops, dt, ge._state_rows(
+        band, np.broadcast_to(rho / rho.mean(), p.shape), p)
 
 
-@pytest.fixture(scope="module")
-def state(ops):
-    """A smooth (rho, p) of the size and strength of shoot-2d's inputs."""
-    x, y = ops.grid.coords
-    rho = 1.0 + 0.4 * np.cos(x) * np.cos(2 * y) + 0.2 * np.sin(3 * x + y)
-    p = 15.0 * (np.sin(x + 2 * y) + 0.5 * np.cos(3 * x - y))
-    return np.stack((rho / rho.mean(), p - p.mean()))
+@pytest.fixture(scope="module", params=[2, 1], ids=["2d-n128", "1d-n32"])
+def stack(request):
+    return flow(request.param)
 
 
 @pytest.mark.parametrize("table", ["full", "band"])
-def test_dealiased_transform_pair(benchmark, ops, state, table):
+def test_dealiased_transform_pair(benchmark, table):
+    ops, _, y = flow(2)
     t = ops if table == "full" else ops.band
-    benchmark(lambda: t.ifft(t.fft(state[1]) * t.mask))
+    p = t.ifft(ge._split(ops.band, y)[1][0])
+    benchmark(lambda: t.ifft(t.fft(p) * t.mask))
 
 
-@pytest.mark.parametrize("table", ["full", "band"])
-def test_rhs(benchmark, ops, state, table):
-    benchmark(ge._rhs, ops if table == "full" else ops.band, state)
+def test_rhs(benchmark, stack):
+    ops, _, y = stack
+    benchmark(ge._rhs, ops.band, y)
 
 
-def test_guarded_rk4_step(benchmark, ops, state):
-    y, reasons = benchmark(ge.step_rk4, ops, state[None], DT)
-    assert reasons == [None]
+def test_guarded_rk4_step(benchmark, stack):
+    ops, dt, y = stack
+    _, reasons = benchmark(ge.step_rk4, ops, y, dt)
+    assert reasons == [None] * len(y)
 
 
 @pytest.fixture(scope="module")

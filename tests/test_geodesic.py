@@ -177,12 +177,20 @@ class TestHamiltonianRHS:
 
 
 def stack_of(state):
-    """The one-member stack (1, 2, *shape) that shoot steps."""
-    return np.stack((state.rho.values, state.p.values))[None]
+    """The one-member stack (1, R) of rows (rho, p_hat) that shoot steps."""
+    band = sp.operators(state.grid, state.k).band
+    return ge._state_rows(band, state.rho.values, state.p.values)[None]
+
+
+def fields_of(state, y):
+    """The physical (rho, p) stack (B, 2, *shape) of rows y of state's grid."""
+    band = sp.operators(state.grid, state.k).band
+    rho, p_hat = ge._split(band, y)
+    return np.stack((rho, band.ifft(p_hat)), axis=1)
 
 
 def steps(state, dt, count):
-    """`count` stacked RK4 steps of one state; every step must pass."""
+    """`count` stacked RK4 steps of one state's rows; every step must pass."""
     ops = sp.operators(state.grid, state.k)
     y = stack_of(state)
     for _ in range(count):
@@ -202,19 +210,19 @@ class TestStepRK4:
         g = grid1d()
         state = smooth_state(g)
         for dt in (0.1, 0.05):
-            (rho, p), = steps(state, dt, 1)
-            (back, _), = steps(ge.DensityState(sp.ScalarField(g, rho),
-                                               sp.ScalarField(g, -p), 1),
-                               dt, 1)
+            (rho, p), = fields_of(state, steps(state, dt, 1))
+            back_state = ge.DensityState(sp.ScalarField(g, rho),
+                                         sp.ScalarField(g, -p), 1)
+            (back, _), = fields_of(state, steps(back_state, dt, 1))
             err = np.abs(back - state.rho.values).max()
             assert err < 5.0 * dt ** 5
 
     def test_one_step_order(self):
         g = grid1d()
         state = smooth_state(g)
-        ref = steps(state, 0.025, 2)[0, 0]
-        half = steps(state, 0.0125, 4)[0, 0]
-        coarse = steps(state, 0.05, 1)[0, 0]
+        ref, half, coarse = (fields_of(state, steps(state, dt, count))[0, 0]
+                             for dt, count in ((0.025, 2), (0.0125, 4),
+                                               (0.05, 1)))
         e1 = np.abs(coarse - half).max()
         e2 = np.abs(ref - half).max()
         assert e1 / e2 > 12.0  # halving dt shrinks one-step error ~16x
@@ -271,6 +279,26 @@ class TestShoot:
         err = np.abs(back.states[-1].rho.values
                      - traj.states[0].rho.values).max()
         assert err < 1e-9
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+    def test_out_of_band_momentum_carried_aside(self, dim, n, backward):
+        # the flow sees p only on the band; a mode above n/3 rides along in
+        # every stored p. rho and the band part differ from the band-only
+        # shoot's in the last bits only: on the band, the spectrum of a sum
+        # is the sum of the spectra to roundoff.
+        g = sp.make_grid(dim, n)
+        x = g.coords
+        rho0 = sp.ScalarField(g, 1 + 0.3 * np.cos(x[0]))
+        p_band = 0.3 * np.sin(x[0]) + 0.2 * np.cos(2 * x[-1])
+        p_out = 2.0 * np.cos((n // 3 + 1) * x[-1])
+        trajs = [ge.shoot(rho0, sp.ScalarField(g, p), 1, 0.3, 0.05,
+                          backward=backward) for p in (p_band, p_band + p_out)]
+        for a, b in zip(*(t.states for t in trajs)):
+            assert np.abs(b.rho.values - a.rho.values).max() <= 1e-14
+            assert np.abs(b.p.values - (a.p.values + p_out)).max() <= 1e-13
+        for a, b in zip(*(t.diagnostics for t in trajs)):
+            assert a.max_abs_p < 0.6 and b.max_abs_p > 2.0
 
     def test_abort_reports_time(self):
         # k = -1 steep data loses positivity; abort carries the failing time
@@ -392,8 +420,9 @@ class TestNonFiniteRejected:
         g = grid1d(16)
         rho = np.ones(g.shape)
         rho[2] = np.nan
-        y = np.stack((rho, np.zeros(g.shape)))[None]
-        _, reasons = ge.step_rk4(sp.operators(g, 1), y, 0.01)
+        ops = sp.operators(g, 1)
+        y = ge._state_rows(ops.band, rho, np.zeros(g.shape))
+        _, reasons = ge.step_rk4(ops, y[None], 0.01)
         assert reasons == ["state is no longer finite"]
 
 
@@ -485,8 +514,10 @@ class TestStackedFlow:
     @pytest.mark.parametrize("dim,n,k", [(1, 32, 1), (1, 256, 2), (2, 32, 2)])
     def test_rk4_on_stack_equals_per_state(self, dim, n, k):
         g = sp.make_grid(dim, n)
-        rhs = partial(ge._rhs, sp.operators(g, k).band)
+        band = sp.operators(g, k).band
+        rhs = partial(ge._rhs, band)
         ys = state_stack(g, 5, seed=n + dim)
+        ys = ge._state_rows(band, ys[:, 0], ys[:, 1])
         stacked = ge.rk4(rhs, ys, 0.01)
         for y, out in zip(ys, stacked):
             assert np.array_equal(ge.rk4(rhs, y, 0.01), out)

@@ -262,14 +262,15 @@ class TestTangentJacobian:
         shortcut = ma._jacobian(problem, coeffs)
         # the same tangents stepped through the time loop from rest
         basis = ma._p_rows(problem, np.eye(len(coeffs)))
-        y = np.zeros((1, 1 + len(basis), 2) + problem.grid.shape)
-        y[0, 0, 0] = problem.rho0.values
-        y[0, 1:, 1] = basis
-        step = partial(ge.step_rk4, sp.operators(problem.grid, problem.k),
-                       rhs=ge._tangent_rhs)
-        _, y = ge.integrate_one(step, y, problem.T, problem.dt,
+        ops = sp.operators(problem.grid, problem.k)
+        base = ge._state_rows(ops.band, problem.rho0.values,
+                              np.zeros(problem.grid.shape))
+        tangents = ge._state_rows(ops.band, np.zeros_like(basis), basis)
+        y = np.concatenate((base[None], tangents))
+        step = partial(ge.step_rk4, ops, rhs=ge._tangent_rhs)
+        _, y = ge.integrate_one(step, y[None], problem.T, problem.dt,
                                 ge.MAX_STEPS)[-1]
-        integrated = y[0, 1:, 0].reshape(len(basis), -1)
+        integrated = ge._split(ops.band, y[0, 1:])[0].reshape(len(basis), -1)
         assert np.abs(integrated - shortcut).max() <= (
             1e-13 * np.abs(shortcut).max())
 
@@ -312,6 +313,27 @@ class TestSolveMatch:
         assert result.status == "converged"
         assert len(result.objective_history) == 1
         assert np.all(result.p0.values == 0.0)
+
+    def test_start_takes_no_shoot(self, monkeypatch):
+        # the flow from c = 0 rests, so J(0) comes without a shoot and equals
+        # the shot value bit for bit
+        g = grid1d()
+        problem = make_problem(g, rho1_vals=1 + 0.2 * np.cos(g.coords[0] - 0.6),
+                               opt=ma.OptSettings(max_iter=3))
+        shot_rows = []
+        residuals = ma._residuals
+
+        def spy(problem, rows):
+            shot_rows.extend(np.array(rows))
+            return residuals(problem, rows)
+
+        monkeypatch.setattr(ma, "_residuals", spy)
+        result = ma.solve_match(problem)
+        assert shot_rows and all(row.any() for row in shot_rows)
+        r = problem.rho0.values - problem.rho1.values
+        assert result.objective_history[0] == 0.5 * np.mean(r ** 2)
+        assert result.objective_history[0] == residuals(
+            problem, np.zeros((1, 8)))[1][0]
 
     def test_self_consistency_recovers_endpoint(self):
         g = grid1d()
@@ -423,8 +445,8 @@ class TestLevenbergMarquardt:
 
         monkeypatch.setattr(ma, "_residuals", spy)
         result = ma.solve_match(problem)
-        # trial_aborts[0] is the starting point c = 0
-        assert trial_aborts[:2] == [False, True]
+        # trial_aborts[0] is the first trial: the start c = 0 takes no shoot
+        assert trial_aborts[:1] == [True]
         assert result.history_rows[0][3] > ma.LM_LAMBDA0
         assert np.all(np.diff(result.objective_history) < 0.0)
         assert max(result.objective_history) < 1.0
