@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import epdiff, geodesic, io, matching, presets, validation
-from .spectral import GridError, make_grid, l2_norm_values
+from .spectral import GridError, ScalarField, make_grid, l2_norm_values
 
 
 class ConfigError(ValueError):
@@ -44,7 +44,13 @@ def load_config(path) -> configparser.ConfigParser:
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        cfg.read(path)
+        with open(path, encoding="utf-8") as fh:
+            cfg.read_file(fh, source=path)
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return cfg
@@ -76,7 +82,12 @@ def _load_scalar(cfg, grid, section, key, role, required=True):
         path = spec[len("file:"):].strip()
         if not os.path.exists(path):
             raise ConfigError(f"[{section}] {key}: file not found: {path}")
-        digest = io.sha256_file(path)
+        try:
+            digest = io.sha256_file(path)
+        except OSError as exc:
+            raise ConfigError(
+                f"[{section}] {key}: cannot read {path}: {exc.strerror}"
+            ) from None
         expected = _get(cfg, section, f"{key}_checksum", str)
         if expected is not None and digest != expected:
             raise ConfigError(
@@ -86,6 +97,9 @@ def _load_scalar(cfg, grid, section, key, role, required=True):
             field = io.read_field(path, expected_grid=grid)
         except io.FieldFormatError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from None
+        if not isinstance(field, ScalarField):
+            raise ConfigError(f"[{section}] {key}: {path} holds a vector "
+                              "field, not a scalar field")
         vals = field.values
         if role == "rho":
             if not vals.min() > 0.0:

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import geodesic
-from .geodesic import SolverAbort, integrate_one, rk4, time_steps
+from .geodesic import SolverAbort, integrate, rk4, time_steps
 from .spectral import (
     Grid,
     Operators,
@@ -156,20 +156,21 @@ def _det(d: np.ndarray) -> np.ndarray:
 
 
 def _flow_rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
-    """d/dt of a one-member stack y = ((disp, u),): (u o phi, EPDiff)."""
-    ((disp, u),) = y
+    """d/dt of y = (disp, u): (u o phi, EPDiff)."""
+    disp, u = y
     grid = ops.grid
     return np.stack((eval_periodic(grid, u, grid.coords + disp),
-                     _epdiff_rhs(ops, u)))[None]
+                     _epdiff_rhs(ops, u)))
 
 
 def _flow_step(ops: Operators, y: np.ndarray, dt: float):
     """One RK4 step of _flow_rhs; it fails when the flow map stops being a
     grid-resolved diffeomorphism."""
     y = rk4(partial(_flow_rhs, ops), y, dt)
-    jac = jacobian_det(ops.grid, y[0, 0]).min()
-    return y, [None if jac > 0.0 else
-               f"Jacobian lost positivity (min {jac:.3e})"]
+    jac = jacobian_det(ops.grid, y[0]).min()
+    if jac > 0.0:
+        return y, None
+    return y, f"Jacobian lost positivity (min {jac:.3e})"
 
 
 def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
@@ -180,12 +181,14 @@ def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
     stored (t, DiffeoState). Aborts when the flow map stops being a
     grid-resolved diffeomorphism (nonpositive Jacobian).
     """
+    if not store_every >= 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
     grid, k = state0.grid, state0.k
-    y = np.stack((state0.disp.components, state0.u.components))[None]
-    stored = integrate_one(partial(_flow_step, operators(grid, k)), y, T, dt,
-                           store_every)
-    return [(t, DiffeoState(VectorField(grid, y[0, 0]),
-                            VectorField(grid, y[0, 1]), k)) for t, y in stored]
+    y = np.stack((state0.disp.components, state0.u.components))
+    _, stored = integrate(partial(_flow_step, operators(grid, k)), y, T, dt,
+                          store_every)
+    return [(t, DiffeoState(VectorField(grid, disp), VectorField(grid, u), k))
+            for t, (disp, u) in stored]
 
 
 class InversionError(RuntimeError):

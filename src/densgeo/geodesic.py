@@ -12,8 +12,10 @@ dealiased with the 2/3 rule, arranged so that the discrete L_rho is exactly
 symmetric. p enters only through grad p, and p_t is dealiased, so the flow
 carries p as its masked band spectrum: a state is one real row of rho's grid
 values and that spectrum (`_rows`), and only `shoot` returns p to the grid.
-The flow linearized along a shoot (`shoot_tangents`) gives the derivatives of
-its endpoint, matching's exact Jacobian.
+Every shoot steps the rows (1 + m, R) of one state: row 0 is the state and
+rows 1.. are m tangents, carried by the flow linearized along it (`_rhs`).
+A plain shoot has m = 0; the tangents of `shoot_tangents` give the
+derivatives of its endpoint, matching's exact Jacobian.
 """
 from __future__ import annotations
 
@@ -99,12 +101,7 @@ def _lrho(ops: Operators | Band, rho: np.ndarray, p: np.ndarray):
     masked, so callers pass the table's band view (`Operators.band`); the
     full table gives the same values, bit for bit.
     """
-    return _lrho_hat(ops, rho, ops.fft(p) * ops.mask)
-
-
-def _lrho_hat(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
-    """`_lrho` of a momentum given by its masked spectrum p_hat."""
-    gradp = ops.ifft(ops.ik * p_hat[ops.vec])
+    gradp = ops.ifft(ops.ik * (ops.fft(p) * ops.mask)[ops.vec])
     rho_v = rho[ops.vec]
     u = ops.apply(ops.ainv_band, rho_v * gradp)
     rhodot = -ops.ifft(ops.div_hat(rho_v * u) * ops.mask)
@@ -115,10 +112,11 @@ def _rows(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
     """Stacked states (..., R) as real rows: the grid values of rho, then
     the spectrum p_hat on ops' columns viewed as reals. Real linear
     combinations of rows are the complex ones of their spectra, bit for bit,
-    so `rk4` steps rows as plain arrays."""
+    so `rk4` steps rows as plain arrays. The stack may be empty."""
     lead = rho.shape[:-ops.grid.dim]
-    return np.concatenate((rho.reshape(lead + (-1,)),
-                           p_hat.view(np.float64).reshape(lead + (-1,))),
+    return np.concatenate((rho.reshape(lead + (ops.grid.npoints,)),
+                           p_hat.view(np.float64).reshape(
+                               lead + (2 * ops.mask.size,))),
                           axis=-1)
 
 
@@ -138,46 +136,38 @@ def _split(ops: Operators | Band, y: np.ndarray):
             p_hat.reshape(lead + ops.mask.shape))
 
 
+def _dual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of dual rows a, b (1 + m, ...): a[0] b[0] in row 0 and, in
+    tangent row i, its linearization a[0] b[i] + a[i] b[0]. With m = 0 it
+    is the plain product."""
+    if len(a) == 1:
+        return a * b
+    out = a[:1] * b
+    out[1:] += a[1:] * b[:1]
+    return out
+
+
 def _rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
-    """Hamiltonian right-hand side d/dt of stacked states y (..., R), each
-    a row (rho, p_hat) (see `_rows`) whose p_hat is masked and mean-free.
-    p enters only through grad p, so the flow never needs it in physical
-    space, and p_t's spectrum is masked and mean-free again: 6 transform
-    calls in 1-D."""
-    rho, p_hat = _split(ops, y)
-    rhodot, gradp, u = _lrho_hat(ops, rho, p_hat)
-    pdot_hat = ops.fft((gradp * u).sum(axis=-ops.grid.dim - 1)) * ops.mask
-    pdot_hat[ops.zero] = 0.0  # mean-zero representative of p_t
-    return _rows(ops, rhodot, np.negative(pdot_hat, out=pdot_hat))
-
-
-def _tangent_rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
-    """d/dt of tangent stacks y (B, 1 + m, R): row 0 of a member is a state
-    (rho, p_hat) as `_rhs` takes it, and rows 1.. are tangents
+    """d/dt of rows y (1 + m, R): row 0 is a state (rho, p_hat) (see
+    `_rows`) whose p_hat is masked and mean-free, and rows 1.. are tangents
     (drho, dp_hat) carried by the flow linearized there,
 
         drho_t = -div(drho u + rho du),  du = Ainv(drho grad p + rho grad dp),
-        dp_t   = -(grad dp . u + grad p . du),
+        dp_t   = -(grad p . du + grad dp . u),
 
-    masked as `_rhs` masks, dp_t mean-free. All rows go through the same
-    transform calls as one `_rhs` (6 in 1-D), and row 0 gets `_rhs`'s value
-    bit for bit.
+    each product a dual one (`_dual`). p enters only through grad p, so the
+    flow never needs it in physical space, and p_t's spectrum is masked and
+    mean-free again. All rows go through the same transform calls: 6 in 1-D.
     """
-    vec_axis = -ops.grid.dim - 1
-    rho_all, p_hat = _split(ops, y)
-    rho, drho = rho_all[:, :1], rho_all[:, 1:]
+    rho, p_hat = _split(ops, y)
     gradp = ops.ifft(ops.ik * p_hat[ops.vec])
-    w = rho[ops.vec] * gradp
-    w[:, 1:] += drho[ops.vec] * gradp[:, :1]
-    u = ops.apply(ops.ainv_band, w)
-    flux = rho[ops.vec] * u
-    flux[:, 1:] += drho[ops.vec] * u[:, :1]
-    rhodot = -ops.ifft(ops.div_hat(flux) * ops.mask)
-    adv = (gradp * u[:, :1]).sum(axis=vec_axis)
-    adv[:, 1:] += (gradp[:, :1] * u[:, 1:]).sum(axis=vec_axis)
-    adv_hat = ops.fft(adv) * ops.mask
-    adv_hat[ops.zero] = 0.0
-    return _rows(ops, rhodot, np.negative(adv_hat, out=adv_hat))
+    rho_v = rho[ops.vec]
+    u = ops.apply(ops.ainv_band, _dual(rho_v, gradp))
+    rhodot = -ops.ifft(ops.div_hat(_dual(rho_v, u)) * ops.mask)
+    adv = _dual(gradp, u).sum(axis=-ops.grid.dim - 1)
+    pdot_hat = ops.fft(adv) * ops.mask
+    pdot_hat[ops.zero] = 0.0  # mean-zero representative of p_t
+    return _rows(ops, rhodot, np.negative(pdot_hat, out=pdot_hat))
 
 
 @dataclass(frozen=True)
@@ -207,19 +197,17 @@ class DensityState:
         return self.rho.grid
 
 
-def _validate(rho: np.ndarray, p: np.ndarray, axes: tuple) -> None:
-    """Check the state invariants of every member of a stack of states
-    (rho and p with the grid on `axes`); reports the worst member. p's mean
+def _validate(rho: np.ndarray, p: np.ndarray) -> None:
+    """Check the invariants of a state (rho, p) given on the grid. p's mean
     is left unchecked: callers subtract it, which leaves roundoff only."""
     if not (np.isfinite(rho).all() and np.isfinite(p).all()):
         raise StateError("rho and p must be finite")
-    rho_min = rho.min(axis=axes)
-    if not (rho_min > 0.0).all():
-        raise StateError(
-            f"rho must be strictly positive (min {rho_min.min():.3e})")
-    mass_err = np.abs(rho.mean(axis=axes) - 1.0)
-    if not (mass_err <= MASS_TOL).all():
-        raise StateError(f"rho mass deviates from 1 by {mass_err.max():.3e}")
+    rho_min = rho.min()
+    if not rho_min > 0.0:
+        raise StateError(f"rho must be strictly positive (min {rho_min:.3e})")
+    mass_err = abs(rho.mean() - 1.0)
+    if not mass_err <= MASS_TOL:
+        raise StateError(f"rho mass deviates from 1 by {mass_err:.3e}")
 
 
 @dataclass
@@ -237,9 +225,7 @@ def make_state(grid: Grid, rho_values, p_values, k: int) -> DensityState:
         raise StateError("p must be finite")
     p = ScalarField(grid, p_vals - p_vals.mean())
     state = DensityState(rho, p, k)
-    # not operators(...).axes: building the table here, before the run's
-    # first step, left shoot-2d with a 0.8 MB higher peak RSS
-    _validate(rho.values, p.values, tuple(range(-grid.dim, 0)))
+    _validate(rho.values, p.values)
     return state
 
 
@@ -312,8 +298,10 @@ def horizontal_velocity(state: DensityState) -> VectorField:
 def hamiltonian_rhs(state: DensityState):
     """Time derivatives (rhodot, pdot) of the geodesic flow at a state."""
     ops = operators(state.grid, state.k).band
-    y = _state_rows(ops, state.rho.values, state.p.values)
-    rhodot, pdot_hat = _split(ops, _rhs(ops, y))
+    # rows (1, R): on a bare row (R,), _dual would read 2-D's vector axis
+    # as tangent rows
+    y = _state_rows(ops, state.rho.values, state.p.values)[None]
+    rhodot, pdot_hat = _split(ops, _rhs(ops, y)[0])
     return (ScalarField(state.grid, rhodot),
             ScalarField(state.grid, ops.ifft(pdot_hat)))
 
@@ -336,70 +324,45 @@ def diagnostics_for(state: DensityState) -> Diagnostics:
     )
 
 
-def step_rk4(ops: Operators, y: np.ndarray, dt: float, rhs=_rhs):
-    """One RK4 step of y' = rhs(ops.band, y) on a stack y (B, ...) of
-    states (R,) (see `_rows`, on ops.band) or, with rhs=_tangent_rhs, of
-    tangent stacks (1 + m, R). Returns the new stack and per member the
-    guard its state (row 0 of a tangent stack) failed (no longer finite,
-    positivity lost, mass drift), or None. p_hat's mean mode needs no
-    correction: it starts at 0 and every p_t has it 0."""
+def step_rk4(ops: Operators, y: np.ndarray, dt: float):
+    """One RK4 step of y' = _rhs(ops.band, y) on the rows y (1 + m, R) of a
+    state and its tangents (see `_rows`, on ops.band). Returns the new rows
+    and the guard the state (row 0) failed (no longer finite, positivity
+    lost, mass drift), or None; tangents are not guarded. p_hat's mean mode
+    needs no correction: it starts at 0 and every p_t has it 0."""
     npoints = ops.grid.npoints
-    states = (len(y), -1, y.shape[-1])  # a state per member: [:, 0]
-    mass = y.reshape(states)[:, 0, :npoints].mean(axis=-1)
-    y = rk4(partial(rhs, ops.band), y, dt)
-    base = y.reshape(states)[:, 0]
-    finite = np.isfinite(base).all(axis=-1)
-    rho = base[:, :npoints]
-    rho_min = rho.min(axis=-1)
-    drift = np.abs(rho.mean(axis=-1) - mass)
-    reasons = [None] * len(y)
-    for i in np.flatnonzero(~(finite & (rho_min > 0.0)
-                              & (drift <= MASS_DRIFT_TOL))):
-        if not finite[i]:
-            reasons[i] = "state is no longer finite"
-        elif not rho_min[i] > 0.0:
-            reasons[i] = (f"positivity lost: min rho {rho_min[i]:.3e} "
-                          "(under-resolved or outside the global regime)")
-        else:
-            reasons[i] = f"mass drift {drift[i]:.3e} exceeds {MASS_DRIFT_TOL}"
-    return y, reasons
+    mass = y[0, :npoints].mean()
+    y = rk4(partial(_rhs, ops.band), y, dt)
+    state = y[0]
+    if not np.isfinite(state).all():
+        return y, "state is no longer finite"
+    rho = state[:npoints]
+    rho_min = rho.min()
+    if not rho_min > 0.0:
+        return y, (f"positivity lost: min rho {rho_min:.3e} "
+                   "(under-resolved or outside the global regime)")
+    drift = abs(rho.mean() - mass)
+    if not drift <= MASS_DRIFT_TOL:
+        return y, f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL}"
+    return y, None
 
 
 def integrate(step, y: np.ndarray, T: float, dt: float, store_every: int = 0):
-    """Step the stack y (B, ...) over time_steps(T, dt) by step(y, dt) ->
-    (y, reasons), a reason (None for a good step) per member, dropping each
-    member whose step fails. Given store_every, stores (t, y) at t = 0,
-    every store_every steps and at the last step. Returns the final stack
-    of the members that reached T; per member its abort time (NaN if none)
-    and reason (None if none); and the stored pairs."""
+    """Step y over time_steps(T, dt) by step(y, dt) -> (y, reason), the
+    reason None for a good step. Given store_every, stores (t, y) at t = 0,
+    every store_every steps and at the last step. Returns the final y and
+    the stored pairs; raises SolverAbort("t=...: reason") with the time of
+    the first failed step."""
     n_steps, dt = time_steps(T, dt)
-    t_abort, reasons = np.full(len(y), np.nan), [None] * len(y)
-    live = np.arange(len(y))
     stored = [(0.0, y)] if store_every else []
     for i in range(1, n_steps + 1):
-        y, why = step(y, dt)
-        if any(why):
-            ok = np.array([r is None for r in why])
-            for j in np.flatnonzero(~ok):
-                t_abort[live[j]], reasons[live[j]] = i * dt, why[j]
-            live, y = live[ok], y[ok]
-            if not len(live):
-                break
+        y, reason = step(y, dt)
+        if reason is not None:
+            t = i * dt
+            raise SolverAbort(f"t={t:.6g}: {reason}", time=t)
         if store_every and (i % store_every == 0 or i == n_steps):
             stored.append((i * dt, y))
-    return y, t_abort, reasons, stored
-
-
-def integrate_one(step, y: np.ndarray, T: float, dt: float, store_every: int):
-    """`integrate` on a one-member stack y (1, ...): its stored (t, y) pairs,
-    or SolverAbort("t=...: reason") at the time of its failed step."""
-    if not store_every >= 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
-    _, t_abort, (reason,), stored = integrate(step, y, T, dt, store_every)
-    if reason is not None:
-        t = float(t_abort[0])
-        raise SolverAbort(f"t={t:.6g}: {reason}", time=t)
-    return stored
+    return y, stored
 
 
 def default_dt(state: DensityState) -> float | None:
@@ -416,13 +379,14 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     """Integrate the geodesic flow from (rho0, p0) over [0, T].
 
     Takes ceil(T/dt) equal steps that end exactly at T (see time_steps),
-    from a state prepared as `shoot_endpoints` prepares each member.
-    The flow carries p's band spectrum only; the part of p0 outside the
-    band, p_out, never changes, and each stored p is the band part plus
-    p_out. Backward runs negate p, integrate forward, and negate back (the
-    flow is time-reversible). Aborts propagate with the failing time
-    attached.
+    from the state `_initial_rows` prepares, with no tangent rows. The flow
+    carries p's band spectrum only; the part of p0 outside the band, p_out,
+    never changes, and each stored p is the band part plus p_out. Backward
+    runs negate p, integrate forward, and negate back (the flow is
+    time-reversible). Aborts propagate with the failing time attached.
     """
+    if not store_every >= 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
     if k in (-1, 0):
         log.warning(
             "k=%d is in the local regime: global existence is not guaranteed "
@@ -430,11 +394,9 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     grid = rho0.grid
     ops = operators(grid, k)
     band = ops.band
-    y, p = _initial_stack(ops, rho0,
-                          (-p0.values if backward else p0.values)[None])
-    p_out = p[0]  # p0's part outside the band, in p's buffer
-    p_out -= band.ifft(_split(band, y[0])[1])
-    stored = integrate_one(partial(step_rk4, ops), y, T, dt, store_every)
+    y, p_out = _initial_rows(ops, rho0, -p0.values if backward else p0.values)
+    p_out -= band.ifft(_split(band, y[0])[1])  # p0's part outside the band
+    _, stored = integrate(partial(step_rk4, ops), y, T, dt, store_every)
     times, states = np.array([t for t, _ in stored]), []
     stored.reverse()
     while stored:  # each row is freed once its state is built
@@ -449,63 +411,39 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     return Trajectory(times, states, [diagnostics_for(s) for s in states])
 
 
-def shoot_endpoints(rho0: ScalarField, p0: np.ndarray, k: int, T: float,
-                    dt: float):
-    """Final densities of independent shoots from rho0, one per momentum in
-    the stack p0 (B, *shape), integrated together as one stack.
-
-    Each member is prepared as `shoot` prepares its state and takes the same
-    steps as `shoot`, so its endpoint is bit-identical to shoot's. Every
-    member is validated (`_initial_stack`) and guarded by `step_rk4`; a
-    member that fails a step's guard is dropped from the stack. Returns
-    (rho_T, t_abort): t_abort (B,) holds the time of each member's failed
-    step, NaN for a member that reached T; rho_T (B, *shape) holds the
-    final densities, NaN on the rows of aborted members.
-    """
-    ops = operators(rho0.grid, k)
-    y, t_abort, _, _ = integrate(partial(step_rk4, ops),
-                                 _initial_stack(ops, rho0, p0)[0], T, dt)
-    rho_T = np.full((len(t_abort),) + rho0.grid.shape, np.nan)
-    rho_T[np.isnan(t_abort)] = _split(ops.band, y)[0]
-    return rho_T, t_abort
-
-
 def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
                    T: float, dt: float):
     """The shoot from (rho0, p0) and the derivatives of its final density
-    along the initial momenta dp0 (m, *shape), by the linearized flow (see
-    `_tangent_rhs`) stepped with the base as one tangent stack.
+    along the initial momenta dp0 (m, *shape), m >= 0, by the linearized
+    flow (see `_rhs`) stepped with the state as its rows (1 + m, R).
 
-    The base is prepared as `shoot_endpoints` prepares a member and takes
-    the same steps, so its endpoint is bit-identical to shoot_endpoints';
-    only the base is guarded. Returns (rho_T, drho_T), (*shape) and
-    (m, *shape); raises SolverAbort("t=...: reason") when the base fails a
-    step. At rest (p0's band part 0) the linearized flow is
-    drho_t = L_rho0 dp, dp_t = 0, on which RK4 is exact: drho_T is
-    T L_rho0 dp0, one stacked L_rho apply with no time loop.
+    The state is prepared and stepped as `shoot` prepares and steps it, so
+    its endpoint is bit-identical to shoot's; only the state is guarded.
+    Returns (rho_T, drho_T), (*shape) and (m, *shape); raises
+    SolverAbort("t=...: reason") at the time of the state's failed step.
+    At rest (p0's band part 0) the linearized flow is drho_t = L_rho0 dp,
+    dp_t = 0, on which RK4 is exact: drho_T is T L_rho0 dp0, one stacked
+    L_rho apply with no time loop.
     """
     ops = operators(rho0.grid, k)
     band = ops.band
-    base = _initial_stack(ops, rho0, p0[None])[0]
-    if not _split(band, base)[1].any():
+    base = _initial_rows(ops, rho0, p0)[0]
+    rho, p_hat = _split(band, base[0])
+    if not p_hat.any():
         time_steps(T, dt)  # the same checks of T and dt
-        rho = _split(band, base[0])[0]
         return rho, T * _lrho(band, rho, dp0)[0]
     y = np.concatenate((base, _state_rows(band, np.zeros_like(dp0), dp0)))
-    # a stride of MAX_STEPS stores t = 0 and T only
-    _, y = integrate_one(partial(step_rk4, ops, rhs=_tangent_rhs), y[None],
-                         T, dt, MAX_STEPS)[-1]
-    rho_T = _split(band, y[0])[0]
+    y, _ = integrate(partial(step_rk4, ops), y, T, dt)
+    rho_T = _split(band, y)[0]
     return rho_T[0], rho_T[1:]
 
 
-def _initial_stack(ops: Operators, rho0: ScalarField, p0: np.ndarray):
-    """The validated stack (B, R) of states (rho0, p_hat) on ops.band (see
-    `_rows`), p_hat the masked, mean-free spectrum of p in p0 with its mean
-    subtracted twice: the second subtraction removes most of the roundoff
-    the first leaves; and those p (B, *shape)."""
-    p = p0 - p0.mean(axis=ops.axes, keepdims=True)
-    p -= p.mean(axis=ops.axes, keepdims=True)
-    rho = np.broadcast_to(rho0.values, p.shape)
-    _validate(rho, p, ops.axes)
-    return _state_rows(ops.band, rho, p), p
+def _initial_rows(ops: Operators, rho0: ScalarField, p0: np.ndarray):
+    """The rows (1, R) of the validated state (rho0, p_hat) on ops.band (see
+    `_rows`), p_hat the masked, mean-free spectrum of p, which is p0 with
+    its mean subtracted twice: the second subtraction removes most of the
+    roundoff the first leaves; and p."""
+    p = p0 - p0.mean()
+    p -= p.mean()
+    _validate(rho0.values, p)
+    return _state_rows(ops.band, rho0.values[None], p[None]), p

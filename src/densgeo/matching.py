@@ -10,11 +10,11 @@ Jacobian is T L_rho0 B and the residual rho0 - rho1, both without a
 shoot. A trial step is accepted only when it lowers J, so the objective
 history is monotone.
 
-Every objective value comes from `_residuals`, which shoots a whole stack of
-coefficient rows at once, and every Jacobian from tangent stacks; each stack
-holds at most MAX_STACK_POINTS grid points, and more rows are split over
-several stacks. Stacked rows are independent, so the split does not change
-any value.
+Every objective value comes from `_residuals`, which shoots one coefficient
+row at a time, and every Jacobian from tangent stacks: the base shoot and its
+tangents stepped together, at most MAX_STACK_POINTS grid points per stack,
+more tangents split over several stacks. Tangents are independent given the
+base, so the split does not change any value.
 """
 from __future__ import annotations
 
@@ -38,7 +38,8 @@ PENALTY_BASE = 1.0e6
 LM_LAMBDA0 = 1.0e-3
 LM_FACTOR = 10.0
 LM_MAX_TRIALS = 30
-# grid points per stacked shoot; bounds the memory of a stack in 2-D
+# grid points per tangent stack (the base and its tangents); bounds the
+# memory of a Jacobian's shoot in 2-D
 MAX_STACK_POINTS = 2 ** 14
 # gradient_fd's default relative step
 FD_STEP = 1.0e-5
@@ -142,25 +143,28 @@ def p_from_coeffs(problem: MatchProblem, coeffs: np.ndarray) -> ScalarField:
 
 
 def _residuals(problem: MatchProblem, coeff_rows: np.ndarray):
-    """(r, J, t_abort) of each coefficient row, from stacked shoots.
+    """(r, J, t_abort) of each coefficient row, one shoot per row
+    (`geodesic.shoot_tangents` with no tangents).
 
     r (B, *shape) holds rho(T) - rho1, NaN on the rows of aborted shoots; J
-    is 0.5 * mean(r^2), PENALTY_BASE + (T - t) where the shoot aborts at t;
-    t_abort is NaN where the shoot reached T.
+    is 0.5 * mean(r^2), PENALTY_BASE + (T - t) where the shoot aborts at t
+    (the SolverAbort's time); t_abort is NaN where the shoot reached T.
     """
-    rows = np.asarray(coeff_rows, dtype=np.float64)
-    r = np.empty((len(rows),) + problem.grid.shape)
-    j = np.empty(len(rows))
-    t_abort = np.empty(len(rows))
-    cap = max(1, MAX_STACK_POINTS // problem.grid.npoints)
-    axes = operators(problem.grid).axes
-    for lo in range(0, len(rows), cap):
-        part = slice(lo, lo + cap)
-        rho_T, t_abort[part] = geodesic.shoot_endpoints(
-            problem.rho0, _p_rows(problem, rows[part]), problem.k, problem.T,
-            problem.dt)
-        r[part] = rho_T - problem.rho1.values
-        j[part] = 0.5 * (r[part] ** 2).mean(axis=axes)
+    grid = problem.grid
+    p = _p_rows(problem, np.asarray(coeff_rows, dtype=np.float64))
+    r = np.full(p.shape, np.nan)
+    t_abort = np.full(len(p), np.nan)
+    no_tangents = np.empty((0,) + grid.shape)
+    for i, p_row in enumerate(p):
+        try:
+            rho_T, _ = geodesic.shoot_tangents(problem.rho0, p_row,
+                                               no_tangents, problem.k,
+                                               problem.T, problem.dt)
+        except geodesic.SolverAbort as exc:
+            t_abort[i] = exc.time
+        else:
+            r[i] = rho_T - problem.rho1.values
+    j = 0.5 * (r ** 2).mean(axis=operators(grid).axes)
     aborted = ~np.isnan(t_abort)
     j[aborted] = PENALTY_BASE + (problem.T - t_abort[aborted])
     return r, j, t_abort
@@ -180,7 +184,7 @@ def objective(problem: MatchProblem, coeffs: np.ndarray) -> float:
 def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
                 h: float = FD_STEP) -> np.ndarray:
     """Central finite-difference gradient over the stencil c +- h_i e_i,
-    h_i = h * max(1, |c_i|): one stacked shoot per side.
+    h_i = h * max(1, |c_i|): two shoots per coefficient.
 
     Raises SolverAbort, naming the coordinate, when a shoot of the stencil
     aborts: the penalty would turn into a meaningless slope of order 1/h.

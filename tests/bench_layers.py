@@ -6,15 +6,14 @@ Jacobian at the match-1d size.
 
 Not part of the test suite (the name does not match test_*.py). It times a
 dealiased transform pair on the full half spectrum (rfft2/irfft2) and on the
-2/3-rule band, and on both grids one Hamiltonian right-hand side and one
-guarded RK4 step of the stacks that the flow steps: a state is a row of the
-grid values of rho and p's band spectrum (`geodesic._rows`). On the 2-D grid
-that is the one-member stack of `shoot`; on the 1-D grid, the 7-member stack
-of a matching Jacobian's size, where per-call overhead dominates. The
-Jacobian case (1-D n = 32, k = 1, 3 modes = 6 coefficients, T = 0.5,
-dt = 0.02: 25 steps) times the central-difference stencil (two stacked
-shoots of 6 members), the tangent stack (the base and 6 tangents) and the
-c = 0 shortcut.
+2/3-rule band, and one Hamiltonian right-hand side and one guarded RK4 step
+of the rows the flow steps: a state, a row of the grid values of rho and p's
+band spectrum (`geodesic._rows`), and its m tangents. The cases are one
+state (m = 0, a plain shoot) on each grid, and on the 1-D grid the rows of a
+match-1d Jacobian (the state and 6 tangents), where per-call overhead
+dominates. The Jacobian case (1-D n = 32, k = 1, 3 modes = 6 coefficients,
+T = 0.5, dt = 0.02: 25 steps) times the central-difference stencil (12
+shoots), the tangent rows (the base and 6 tangents) and the c = 0 shortcut.
 """
 import numpy as np
 import pytest
@@ -22,14 +21,16 @@ import pytest
 from densgeo import geodesic as ge, matching as ma, spectral as sp
 from test_matching import fd_jacobian
 
-# dim -> (n, k, dt, stack members)
-FLOWS = {2: (128, 2, 0.01, 1), 1: (32, 1, 0.02, 7)}
+# case -> (dim, n, k, dt, tangents)
+FLOWS = {"2d-n128": (2, 128, 2, 0.01, 0),
+         "1d-n32": (1, 32, 1, 0.02, 0),
+         "1d-n32-jacobian": (1, 32, 1, 0.02, 6)}
 
 
-def flow(dim):
-    """The table of a grid and a smooth stack of states (B, R) of the size
-    and strength of the workload's inputs there."""
-    n, k, dt, members = FLOWS[dim]
+def flow(case):
+    """The table of a grid and the rows (1 + m, R) of a smooth state of the
+    size and strength of the workload's inputs there and m tangents."""
+    dim, n, k, dt, m = FLOWS[case]
     ops = sp.operators(sp.make_grid(dim, n), k)
     x = ops.grid.coords
     rho = 1.0 + 0.4 * np.cos(x[0]) * np.cos(2 * x[-1]) + 0.2 * np.sin(
@@ -37,21 +38,21 @@ def flow(dim):
     amp = 15.0 if dim == 2 else 0.3
     p = np.stack([amp * (np.sin(x[0] + 2 * x[-1]) + 0.5 * np.cos(
         3 * x[0] - x[-1]) + 0.1 * i * np.sin(2 * x[0]))
-        for i in range(members)])
+        for i in range(1 + m)])
     p -= p.mean(axis=ops.axes, keepdims=True)
-    band = ops.band
-    return ops, dt, ge._state_rows(
-        band, np.broadcast_to(rho / rho.mean(), p.shape), p)
+    rhos = np.zeros(p.shape)  # tangents (0, dp)
+    rhos[0] = rho / rho.mean()
+    return ops, dt, ge._state_rows(ops.band, rhos, p)
 
 
-@pytest.fixture(scope="module", params=[2, 1], ids=["2d-n128", "1d-n32"])
+@pytest.fixture(scope="module", params=list(FLOWS))
 def stack(request):
     return flow(request.param)
 
 
 @pytest.mark.parametrize("table", ["full", "band"])
 def test_dealiased_transform_pair(benchmark, table):
-    ops, _, y = flow(2)
+    ops, _, y = flow("2d-n128")
     t = ops if table == "full" else ops.band
     p = t.ifft(ge._split(ops.band, y)[1][0])
     benchmark(lambda: t.ifft(t.fft(p) * t.mask))
@@ -64,8 +65,8 @@ def test_rhs(benchmark, stack):
 
 def test_guarded_rk4_step(benchmark, stack):
     ops, dt, y = stack
-    _, reasons = benchmark(ge.step_rk4, ops, y, dt)
-    assert reasons == [None] * len(y)
+    _, reason = benchmark(ge.step_rk4, ops, y, dt)
+    assert reason is None
 
 
 @pytest.fixture(scope="module")

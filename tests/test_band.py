@@ -94,9 +94,12 @@ def test_flow_on_band_equals_full_half_spectrum(n, lead, k, seed):
         assert np.array_equal(got, ref)
 
     def flow(t):
-        """(rho_t, p_t) on the grid; each view carries p on its own columns"""
+        """(rho_t, p_t) on the grid; each view carries p on its own columns.
+        The rows are one state and, given a stack, tangents: its other
+        members."""
         y = ge._state_rows(t, rho, p)
-        rhodot, pdot_hat = ge._split(t, ge._rhs(t, y))
+        rows = y.reshape(-1, y.shape[-1])
+        rhodot, pdot_hat = ge._split(t, ge._rhs(t, rows).reshape(y.shape))
         return rhodot, t.ifft(pdot_hat)
 
     for got, ref in zip(flow(ops.band), flow(ops)):

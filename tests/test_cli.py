@@ -638,3 +638,40 @@ def test_read_field_grid_mismatch(tmp_path):
     io.write_field(path, sp.ScalarField(g, np.zeros(g.shape)))
     with pytest.raises(io.FieldFormatError):
         io.read_field(path, expected_grid=sp.make_grid(1, 64))
+
+
+def test_vector_field_file_as_scalar_entry_exits_2(tmp_path, capsys):
+    g = sp.make_grid(1, 32)
+    path = tmp_path / "v.field"
+    io.write_field(str(path), sp.VectorField(g, np.ones((1,) + g.shape)))
+    cfg = write_config(tmp_path / "c.ini",
+                       FILE_CFG.replace("rho = uniform", f"rho = file:{path}"))
+    out = tmp_path / "out"
+    assert cli.main(["shoot", "--config", cfg, "--output-dir", str(out),
+                     "--quiet"]) == 2
+    assert "[initial] rho:" in capsys.readouterr().err
+    assert "vector field" in io.read_json(str(out / "error.json"))["error"]
+
+
+def test_directory_as_field_file_exits_2(tmp_path, capsys):
+    (tmp_path / "d.field").mkdir()
+    cfg = write_config(tmp_path / "c.ini", FILE_CFG.replace(
+        "p = zero", f"p = file:{tmp_path / 'd.field'}"))
+    assert cli.main(["shoot", "--config", cfg, "--output-dir",
+                     str(tmp_path / "out"), "--quiet"]) == 2
+    assert "[initial] p: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "c.ini"
+    if kind == "directory":
+        path.mkdir()
+    else:  # not UTF-8: a Latin-1 comment
+        path.write_bytes(FILE_CFG.encode() + "; caf\xe9\n".encode("latin-1"))
+    out = tmp_path / "out"
+    assert cli.main(["shoot", "--config", str(path), "--output-dir",
+                     str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+    assert not out.exists()

@@ -88,6 +88,14 @@ class TestIntegrate:
             "t=0.27: Jacobian lost positivity (min -1.247e-02)")
         assert info.value.time == 0.27
 
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_rejects_store_every_below_one(self, stride):
+        # integrate stores nothing at 0: there would be no end state
+        g = grid1d(16)
+        with pytest.raises(ValueError, match="store_every"):
+            ep.integrate_epdiff(ep.identity_state(g, zero_velocity(g), 1),
+                                0.1, 0.05, store_every=stride)
+
 
 class TestEvalPeriodic:
     def test_exact_on_band_limited(self):

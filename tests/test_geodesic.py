@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,7 +175,8 @@ class TestHamiltonianRHS:
 
 
 def stack_of(state):
-    """The one-member stack (1, R) of rows (rho, p_hat) that shoot steps."""
+    """The rows (1, R) of one state (rho, p_hat), with no tangents, as
+    shoot steps them."""
     band = sp.operators(state.grid, state.k).band
     return ge._state_rows(band, state.rho.values, state.p.values)[None]
 
@@ -190,12 +189,12 @@ def fields_of(state, y):
 
 
 def steps(state, dt, count):
-    """`count` stacked RK4 steps of one state's rows; every step must pass."""
+    """`count` RK4 steps of one state's rows; every step must pass."""
     ops = sp.operators(state.grid, state.k)
     y = stack_of(state)
     for _ in range(count):
-        y, reasons = ge.step_rk4(ops, y, dt)
-        assert reasons == [None]
+        y, reason = ge.step_rk4(ops, y, dt)
+        assert reason is None
     return y
 
 
@@ -422,8 +421,8 @@ class TestNonFiniteRejected:
         rho[2] = np.nan
         ops = sp.operators(g, 1)
         y = ge._state_rows(ops.band, rho, np.zeros(g.shape))
-        _, reasons = ge.step_rk4(ops, y[None], 0.01)
-        assert reasons == ["state is no longer finite"]
+        _, reason = ge.step_rk4(ops, y[None], 0.01)
+        assert reason == "state is no longer finite"
 
 
 class TestTimeSteps:
@@ -511,81 +510,78 @@ def state_stack(grid, n_members, seed):
 
 
 class TestStackedFlow:
-    @pytest.mark.parametrize("dim,n,k", [(1, 32, 1), (1, 256, 2), (2, 32, 2)])
-    def test_rk4_on_stack_equals_per_state(self, dim, n, k):
-        g = sp.make_grid(dim, n)
-        band = sp.operators(g, k).band
-        rhs = partial(ge._rhs, band)
-        ys = state_stack(g, 5, seed=n + dim)
-        ys = ge._state_rows(band, ys[:, 0], ys[:, 1])
-        stacked = ge.rk4(rhs, ys, 0.01)
-        for y, out in zip(ys, stacked):
-            assert np.array_equal(ge.rk4(rhs, y, 0.01), out)
+    def test_integrate_stores_and_raises_at_the_failing_step(self):
+        # y = (value, bound) steps value += dt and fails past its bound
+        calls = []
 
-    def test_integrate_drops_failed_members_and_stores(self):
-        # members (value, bound) step value += dt and fail past their bound
         def step(y, dt):
+            calls.append(y[0])
             y = y + [dt, 0.0]
-            return y, [None if v <= b else f"past {b}" for v, b in y]
+            return y, None if y[0] <= y[1] else f"past {y[1]}"
 
-        y0 = np.array([[0.0, np.inf], [0.0, 0.25], [0.0, 0.55]])
-        y, t_abort, reasons, stored = ge.integrate(step, y0, 1.0, 0.1,
-                                                   store_every=4)
-        assert reasons == [None, "past 0.25", "past 0.55"]
-        assert np.isnan(t_abort[0])
-        assert list(t_abort[1:]) == [3 * 0.1, 6 * 0.1]
+        y, stored = ge.integrate(step, np.array([0.0, np.inf]), 1.0, 0.1,
+                                 store_every=4)
         assert [t for t, _ in stored] == [0.0, 4 * 0.1, 8 * 0.1, 10 * 0.1]
-        assert [len(s) for _, s in stored] == [3, 2, 1, 1]
-        assert y is stored[-1][1] and len(y) == 1
-        _, _, _, stored = ge.integrate(step, y0, 1.0, 0.1)
-        assert stored == []
+        assert y is stored[-1][1] and len(calls) == 10
+        assert ge.integrate(step, y, 1.0, 0.1)[1] == []
+        calls.clear()
+        with pytest.raises(ge.SolverAbort,
+                           match=r"^t=0\.3: past 0\.25$") as info:
+            ge.integrate(step, np.array([0.0, 0.25]), 1.0, 0.1, store_every=1)
+        assert info.value.time == 3 * 0.1
+        assert len(calls) == 3  # no step after the failed one
 
     @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
     def test_shoot_endpoints_equal_shoot(self, dim, n):
+        # shoot_tangents with no tangents ends where shoot ends, bit for bit
         g = sp.make_grid(dim, n)
         ys = state_stack(g, 4, seed=7)
         rho0 = sp.ScalarField(g, ys[0, 0])
-        rho_T, t_abort = ge.shoot_endpoints(rho0, ys[:, 1], 2, 0.3, 0.02)
-        assert np.all(np.isnan(t_abort))
-        for p, end in zip(ys[:, 1], rho_T):
+        no_tangents = np.empty((0,) + g.shape)
+        for p in ys[:, 1]:
+            end, drho = ge.shoot_tangents(rho0, p, no_tangents, 2, 0.3, 0.02)
+            assert drho.shape == no_tangents.shape
             traj = ge.shoot(rho0, sp.ScalarField(g, p), 2, 0.3, 0.02)
             assert np.array_equal(traj.states[-1].rho.values, end)
 
     def test_aborted_members_dropped_with_their_times(self):
         # k = -1 steep data: strong sin(x) momenta lose positivity, weak ones
-        # reach T; each member matches its own serial shoot
+        # reach T; shoot_tangents aborts, or ends, as shoot does
         g = grid1d(32)
         x = g.coords[0]
         rho0 = sp.ScalarField(g, 1 + 0.9 * np.cos(x))
-        amps = [0.0, 3.0, 0.05, 5.0, 1.0]
-        p0 = np.array([a * np.sin(x) for a in amps])
-        rho_T, t_abort = ge.shoot_endpoints(rho0, p0, -1, 2.0, 0.01)
+        dp = np.stack([np.cos(x), np.sin(2 * x)])
         aborts = 0
-        for p, end, t in zip(p0, rho_T, t_abort):
+        for amp in [0.0, 3.0, 0.05, 5.0, 1.0]:
+            p = amp * np.sin(x)
             try:
                 traj = ge.shoot(rho0, sp.ScalarField(g, p), -1, 2.0, 0.01)
             except ge.SolverAbort as exc:
                 aborts += 1
-                assert t == exc.time
-                assert np.all(np.isnan(end))
+                with pytest.raises(ge.SolverAbort) as info:
+                    ge.shoot_tangents(rho0, p, dp, -1, 2.0, 0.01)
+                assert info.value.time == exc.time
+                assert str(info.value) == str(exc)
             else:
-                assert np.isnan(t)
+                end, _ = ge.shoot_tangents(rho0, p, dp, -1, 2.0, 0.01)
                 assert np.array_equal(traj.states[-1].rho.values, end)
-        assert 0 < aborts < len(amps)
+        assert 0 < aborts < 5
 
     def test_stack_validated_like_make_state(self):
         g = grid1d(16)
-        p0 = np.zeros((3,) + g.shape)
-        p0[1, 3] = np.nan
+        p0 = np.zeros(g.shape)
+        p0[3] = np.nan
         with pytest.raises(ge.StateError, match="finite"):
-            ge.shoot_endpoints(sp.ScalarField(g, np.ones(g.shape)), p0,
-                               1, 0.1, 0.01)
+            ge.shoot_tangents(sp.ScalarField(g, np.ones(g.shape)), p0,
+                              np.zeros((2,) + g.shape), 1, 0.1, 0.01)
 
     def test_only_shoot_warns_about_local_regime(self, caplog):
         g = grid1d(16)
         rho0 = sp.ScalarField(g, np.ones(g.shape))
+        x = g.coords[0]
         with caplog.at_level("WARNING", logger="densgeo.geodesic"):
-            ge.shoot_endpoints(rho0, np.zeros((2,) + g.shape), -1, 0.1, 0.05)
+            ge.shoot_tangents(rho0, 0.1 * np.sin(x), np.cos(x)[None], -1,
+                              0.1, 0.05)
             assert not caplog.records
             ge.shoot(rho0, sp.ScalarField(g, np.zeros(g.shape)), -1, 0.1, 0.05)
         assert len(caplog.records) == 1

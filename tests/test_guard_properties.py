@@ -84,21 +84,29 @@ def test_time_steps_end_exactly_at_T(T, ratio):
 @settings(max_examples=12, deadline=None)
 @given(amps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
        shift=st.floats(0.0, 2 * np.pi))
-@example(amps=[0.1, 0.8], shift=0.0)  # one member reaches T, one aborts
+@example(amps=[0.1, 0.8], shift=0.0)  # one shoot reaches T, one aborts
 def test_shoot_endpoints_partial_output_is_valid(amps, shift):
     # k = -1 on a steep density: momenta above about 0.3 lose positivity and
-    # abort before T, weaker ones reach it
+    # abort before T, weaker ones reach it. Matching's residuals are NaN
+    # rows with the penalty where a shoot aborts, and valid endpoints
+    # elsewhere.
     g = sp.make_grid(1, 32)
     x = g.coords[0]
     rho0 = sp.ScalarField(g, 1.0 + 0.9 * np.cos(x))
-    p0 = np.array([a * np.sin(x + shift) for a in amps])
     T = 1.0
-    rho_T, t_abort = ge.shoot_endpoints(rho0, p0, -1, T, 0.02)
-    assert rho_T.shape == p0.shape and t_abort.shape == (len(amps),)
-    for row, t in zip(rho_T, t_abort):
+    problem = ma.MatchProblem(rho0, rho0, -1, T, 0.02, 1)
+    # a sin(x + shift) in the basis cos(x), sin(x)
+    rows = np.array([[a * np.sin(shift), a * np.cos(shift)] for a in amps])
+    r, j, t_abort = ma._residuals(problem, rows)
+    assert r.shape == (len(amps),) + g.shape
+    assert j.shape == t_abort.shape == (len(amps),)
+    for r_row, j_row, t in zip(r, j, t_abort):
         if np.isnan(t):
-            assert np.isfinite(row).all() and row.min() > 0.0
-            assert abs(row.mean() - 1.0) <= ge.MASS_TOL
+            rho_T = r_row + rho0.values
+            assert np.isfinite(rho_T).all() and rho_T.min() > 0.0
+            assert abs(rho_T.mean() - 1.0) <= ge.MASS_TOL
+            assert j_row == 0.5 * np.mean(r_row ** 2)
         else:
             assert 0.0 < t <= T
-            assert np.isnan(row).all()
+            assert np.isnan(r_row).all()
+            assert j_row == ma.PENALTY_BASE + (T - t)

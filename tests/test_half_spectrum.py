@@ -94,7 +94,9 @@ def test_hamiltonian_rhs_matches_full_spectrum(dim, n):
     y[:, 0] = 1.0 + 0.3 * rng.uniform(size=(4,) + g.shape)
     ops = sp.operators(g, 2)
     rows = ge._state_rows(ops, y[:, 0], y[:, 1])
-    rhodot, pdot_hat = ge._split(ops, ge._rhs(ops, rows))
+    # each state alone, as rows (1, R) with no tangents
+    rhodot, pdot_hat = ge._split(
+        ops, np.concatenate([ge._rhs(ops, row[None]) for row in rows]))
     got = np.stack((rhodot, ops.ifft(pdot_hat)), axis=1)
     assert rel_err(got, Full(g, 2).rhs(y)) <= RTOL
 

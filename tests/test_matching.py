@@ -79,16 +79,20 @@ def violent_problem(**kw):
 
 
 def abort_boundary(problem, i, lo, hi, width):
-    """Bisect coefficient i between a finite lo and an aborting hi, many
-    points per stacked evaluation, until hi - lo < width."""
+    """Bisect coefficient i between a finite lo and an aborting hi until
+    hi - lo < width."""
+    def aborts(amp):
+        row = np.zeros(4)
+        row[i] = amp
+        return ma.objective(problem, row) >= ma.PENALTY_BASE
+
+    assert aborts(hi) and not aborts(lo)
     while hi - lo >= width:
-        amps = np.linspace(lo, hi, 17)
-        rows = np.zeros((len(amps), 4))
-        rows[:, i] = amps
-        aborted = ma.objectives(problem, rows) >= ma.PENALTY_BASE
-        assert aborted[-1] and not aborted[0]
-        first = int(np.argmax(aborted))
-        lo, hi = amps[first - 1], amps[first]
+        mid = 0.5 * (lo + hi)
+        if aborts(mid):
+            hi = mid
+        else:
+            lo = mid
     return lo, hi
 
 
@@ -121,22 +125,6 @@ class TestStackedObjectives:
             jm = ma.objective(problem, cp)
             ref[i] = (jp - jm) / (2.0 * step)
         assert np.array_equal(ma.gradient_fd(problem, coeffs, h=h), ref)
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_split_stacks_equal_one_stack(self, dim, monkeypatch):
-        g = sp.make_grid(dim, 16)
-        coords = g.coords
-        rho0 = 1 + 0.2 * np.prod(np.cos(coords), axis=0)
-        rho1 = 1 + 0.2 * np.prod(np.cos(coords - 0.3), axis=0)
-        problem = ma.MatchProblem(
-            sp.ScalarField(g, rho0 / rho0.mean()),
-            sp.ScalarField(g, rho1 / rho1.mean()), 2, 0.2, 0.02, 2)
-        n = len(ma.basis_fields(g, 2))
-        coeffs = 0.05 * np.random.default_rng(4).normal(size=n)
-        whole = ma.gradient_fd(problem, coeffs)
-        # 3 members per stack: uneven splits of every half-stencil
-        monkeypatch.setattr(ma, "MAX_STACK_POINTS", 3 * g.npoints)
-        assert np.array_equal(ma.gradient_fd(problem, coeffs), whole)
 
 
 class TestGradientFD:
@@ -183,13 +171,15 @@ class TestGradientFD:
         coeffs[1] = lo
         assert ma.objective(problem, coeffs) < 1.0
         # the first coefficient whose serial stencil meets an abort
-        first = None
-        for i in range(4):
+        def stencil_aborts(i):
             cp = coeffs.copy()
             for sign in (1.0, -1.0):
                 cp[i] = coeffs[i] + sign * h * max(1.0, abs(coeffs[i]))
                 if ma.objective(problem, cp) >= ma.PENALTY_BASE:
-                    first = i if first is None else first
+                    return True
+            return False
+
+        first = next((i for i in range(4) if stencil_aborts(i)), None)
         assert first is not None
         with pytest.raises(ge.SolverAbort, match=rf"coefficient {first}\b"):
             ma.gradient_fd(problem, coeffs)
@@ -267,10 +257,9 @@ class TestTangentJacobian:
                               np.zeros(problem.grid.shape))
         tangents = ge._state_rows(ops.band, np.zeros_like(basis), basis)
         y = np.concatenate((base[None], tangents))
-        step = partial(ge.step_rk4, ops, rhs=ge._tangent_rhs)
-        _, y = ge.integrate_one(step, y[None], problem.T, problem.dt,
-                                ge.MAX_STEPS)[-1]
-        integrated = ge._split(ops.band, y[0, 1:])[0].reshape(len(basis), -1)
+        y, _ = ge.integrate(partial(ge.step_rk4, ops), y, problem.T,
+                            problem.dt)
+        integrated = ge._split(ops.band, y[1:])[0].reshape(len(basis), -1)
         assert np.abs(integrated - shortcut).max() <= (
             1e-13 * np.abs(shortcut).max())
 
@@ -281,9 +270,9 @@ class TestTangentJacobian:
         basis = ma._p_rows(problem, np.eye(len(coeffs)))
         rho_T, _ = ge.shoot_tangents(problem.rho0, p[0], basis, problem.k,
                                      problem.T, problem.dt)
-        ends, _ = ge.shoot_endpoints(problem.rho0, p, problem.k, problem.T,
-                                     problem.dt)
-        assert np.array_equal(rho_T, ends[0])
+        traj = ge.shoot(problem.rho0, sp.ScalarField(problem.grid, p[0]),
+                        problem.k, problem.T, problem.dt)
+        assert np.array_equal(rho_T, traj.states[-1].rho.values)
 
     @pytest.mark.parametrize("at", ["rest", "moving"])
     def test_split_stacks_equal_one_stack(self, dim, at, monkeypatch):
@@ -293,6 +282,32 @@ class TestTangentJacobian:
         # the base and 5 tangents per stack: 8 = 5 + 3, 24 = 4 * 5 + 4
         monkeypatch.setattr(ma, "MAX_STACK_POINTS", 6 * problem.grid.npoints)
         assert np.array_equal(ma._jacobian(problem, coeffs), whole)
+
+
+def test_residual_abort_times_are_the_shoots():
+    # violent_problem's data over T = 1: sin(x) momenta above about 0.3
+    # abort before T
+    rho0 = violent_problem().rho0
+    problem = ma.MatchProblem(rho0, rho0, -1, 1.0, 0.02, 2)
+    rows = np.zeros((3, 4))
+    rows[:, 1] = [5.0, 0.1, 0.8]
+    r, j, t_abort = ma._residuals(problem, rows)
+    aborts = 0
+    for row, r_row, j_row, t in zip(rows, r, j, t_abort):
+        p0 = ma.p_from_coeffs(problem, row)
+        try:
+            traj = ge.shoot(problem.rho0, p0, problem.k, problem.T,
+                            problem.dt)
+        except ge.SolverAbort as exc:
+            aborts += 1
+            assert t == exc.time
+            assert j_row == ma.PENALTY_BASE + (problem.T - exc.time)
+            assert np.isnan(r_row).all()
+        else:
+            assert np.isnan(t)
+            assert np.array_equal(r_row, traj.states[-1].rho.values
+                                  - problem.rho1.values)
+    assert 0 < aborts < len(rows)
 
 
 def test_jacobian_base_abort_raises_at_its_time():
