@@ -16,7 +16,13 @@ import time
 import numpy as np
 
 from . import epdiff, geodesic, io, matching, presets, validation
-from .spectral import GridError, ScalarField, make_grid, l2_norm_values
+from .spectral import (
+    GridError,
+    ScalarField,
+    l2_norm_values,
+    make_grid,
+    operators,
+)
 
 
 class ConfigError(ValueError):
@@ -65,10 +71,17 @@ def _build_grid(cfg):
         raise ConfigError(f"[grid]: {exc}") from None
 
 
-def _metric_order(cfg):
+def _metric_order(cfg, *grids):
+    """[metric] k, checked on each grid the command runs on: its inertia
+    symbol must be finite there."""
     k = _get(cfg, "metric", "k", int, required=True)
     if k < -1:
         raise ConfigError(f"[metric] k: must be >= -1, got {k}")
+    for grid in grids:
+        try:
+            operators(grid, k)
+        except ValueError as exc:
+            raise ConfigError(f"[metric] k: {exc}") from None
     return k
 
 
@@ -162,7 +175,7 @@ DIAG_HEADER = ["t", "mass", "energy", "min_rho", "max_abs_p",
 
 def cmd_shoot(cfg, outdir, manifest):
     grid = _build_grid(cfg)
-    k = _metric_order(cfg)
+    k = _metric_order(cfg, grid)
     T = _get(cfg, "time", "T", float, required=True)
     dt = _get(cfg, "time", "dt", float)
     stride = _get(cfg, "output", "snapshot_stride", int, default=10)
@@ -195,7 +208,7 @@ def cmd_shoot(cfg, outdir, manifest):
 
 def cmd_match(cfg, outdir, manifest):
     grid = _build_grid(cfg)
-    k = _metric_order(cfg)
+    k = _metric_order(cfg, grid)
     T = _get(cfg, "time", "T", float, required=True)
     _, dt = _time_steps(T, _get(cfg, "time", "dt", float, required=True))
     rho0, rho0_src = _load_scalar(cfg, grid, "initial", "rho", "rho")
@@ -241,7 +254,7 @@ def cmd_match(cfg, outdir, manifest):
 
 def cmd_epdiff_check(cfg, outdir, manifest):
     grid = _build_grid(cfg)
-    k = _metric_order(cfg)
+    k = _metric_order(cfg, grid)
     if k < 0:
         raise ConfigError("[metric] k: epdiff-check requires k >= 0")
     T = _get(cfg, "time", "T", float, required=True)
@@ -261,7 +274,7 @@ def cmd_epdiff_check(cfg, outdir, manifest):
 
 def cmd_validate(cfg, outdir, manifest):
     grid = _build_grid(cfg)
-    k = _metric_order(cfg)
+    k = _metric_order(cfg, grid)
     seed = _get(cfg, "run", "seed", int, default=0)
     manifest.update({"grid": {"dim": grid.dim, "n": grid.n}, "k": k,
                      "seed": seed})
@@ -277,7 +290,7 @@ def cmd_validate(cfg, outdir, manifest):
 
 def cmd_convergence(cfg, outdir, manifest):
     grid = _build_grid(cfg)
-    k = _metric_order(cfg)
+    k = _metric_order(cfg, grid, make_grid(grid.dim, 2 * grid.n))
     T = _get(cfg, "time", "T", float, required=True)
     _, dt = _time_steps(T, _get(cfg, "time", "dt", float, required=True))
     _time_steps(T, dt / 4)  # the finest run's step count is bounded too

@@ -91,20 +91,24 @@ def time_steps(T: float, dt: float):
     return n_steps, T / n_steps
 
 
-def _lrho(ops: Operators | Band, rho: np.ndarray, p: np.ndarray):
-    """Dealiased L_rho p, with grad p and u = Ainv(rho grad p).
+def _lrho(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
+    """Dealiased L_rho p of p's masked spectrum p_hat, with grad p and
+    u = Ainv(rho grad p): the one kernel of the operator.
 
-    rho and p may carry leading stack axes; grad p and u then carry the
-    vector axis between those and the grid axes. Dealiasing placement
-    (input, after the first product, and on the output) makes the discrete
-    operator exactly symmetric on the retained band. Every spectrum here is
-    masked, so callers pass the table's band view (`Operators.band`); the
+    Its products are dual ones (`_dual`): a grid rho (*shape) applies L_rho
+    to each of a stack of p_hat, and rows (1 + m, ...) of a state and m
+    tangents give L_rho p in row 0 and, in tangent row i, its linearization
+    -div(drho u + rho du), du = Ainv(drho grad p + rho grad dp). grad p and u
+    carry the vector axis before the grid axes. Dealiasing placement (input,
+    after the first product, and on the output) makes the discrete operator
+    exactly symmetric on the retained band. Callers on the grid pass
+    `ops.fft(p) * ops.mask` on the table's band view (`Operators.band`); the
     full table gives the same values, bit for bit.
     """
-    gradp = ops.ifft(ops.ik * (ops.fft(p) * ops.mask)[ops.vec])
+    gradp = ops.ifft(ops.ik * p_hat[ops.vec])
     rho_v = rho[ops.vec]
-    u = ops.apply(ops.ainv_band, rho_v * gradp)
-    rhodot = -ops.ifft(ops.div_hat(rho_v * u) * ops.mask)
+    u = ops.apply(ops.ainv_band, _dual(rho_v, gradp))
+    rhodot = -ops.ifft(ops.div_hat(_dual(rho_v, u)) * ops.mask)
     return rhodot, gradp, u
 
 
@@ -150,20 +154,15 @@ def _dual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
     """d/dt of rows y (1 + m, R): row 0 is a state (rho, p_hat) (see
     `_rows`) whose p_hat is masked and mean-free, and rows 1.. are tangents
-    (drho, dp_hat) carried by the flow linearized there,
-
-        drho_t = -div(drho u + rho du),  du = Ainv(drho grad p + rho grad dp),
-        dp_t   = -(grad p . du + grad dp . u),
-
-    each product a dual one (`_dual`). p enters only through grad p, so the
-    flow never needs it in physical space, and p_t's spectrum is masked and
-    mean-free again. All rows go through the same transform calls: 6 in 1-D.
+    (drho, dp_hat) carried by the flow linearized there. rho_t and its
+    tangents are `_lrho`'s; p_t = -grad p . u, and in the tangent rows
+    dp_t = -(grad p . du + grad dp . u), a dual product too. p enters only
+    through grad p, so the flow never needs it in physical space, and p_t's
+    spectrum is masked and mean-free again. All rows go through the same
+    transform calls: 6 in 1-D.
     """
     rho, p_hat = _split(ops, y)
-    gradp = ops.ifft(ops.ik * p_hat[ops.vec])
-    rho_v = rho[ops.vec]
-    u = ops.apply(ops.ainv_band, _dual(rho_v, gradp))
-    rhodot = -ops.ifft(ops.div_hat(_dual(rho_v, u)) * ops.mask)
+    rhodot, gradp, u = _lrho(ops, rho, p_hat)
     adv = _dual(gradp, u).sum(axis=-ops.grid.dim - 1)
     pdot_hat = ops.fft(adv) * ops.mask
     pdot_hat[ops.zero] = 0.0  # mean-zero representative of p_t
@@ -234,7 +233,8 @@ def apply_L_rho(rho: ScalarField, p: ScalarField, k: int) -> ScalarField:
     check_same_grid(rho.grid, p.grid)
     if not rho.values.min() > 0.0:
         raise StateError("rho must be strictly positive")
-    rhodot, _, _ = _lrho(operators(rho.grid, k).band, rho.values, p.values)
+    ops = operators(rho.grid, k).band
+    rhodot, _, _ = _lrho(ops, rho.values, ops.fft(p.values) * ops.mask)
     return ScalarField(rho.grid, rhodot)
 
 
@@ -265,7 +265,7 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
     q = z.copy()
     rz = float((r * z).mean())
     for iters in range(1, max_iter + 1):
-        lq, _, _ = _lrho(ops, rho.values, q)
+        lq, _, _ = _lrho(ops, rho.values, ops.fft(q) * ops.mask)
         qlq = float((q * lq).mean())
         if qlq <= 0.0:
             raise SolverAbort(
@@ -290,8 +290,8 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
 
 def horizontal_velocity(state: DensityState) -> VectorField:
     """u = Ainv(rho * grad p): the horizontal (Eulerian) velocity of the state."""
-    _, _, u = _lrho(operators(state.grid, state.k).band, state.rho.values,
-                    state.p.values)
+    ops = operators(state.grid, state.k).band
+    _, _, u = _lrho(ops, state.rho.values, ops.fft(state.p.values) * ops.mask)
     return VectorField(state.grid, u)
 
 
@@ -308,8 +308,9 @@ def hamiltonian_rhs(state: DensityState):
 
 def metric_energy(state: DensityState) -> float:
     """Kinetic energy 0.5 * <p, L_rho p>; zero iff p is constant."""
-    rhodot, _, _ = _lrho(operators(state.grid, state.k).band,
-                         state.rho.values, state.p.values)
+    ops = operators(state.grid, state.k).band
+    rhodot, _, _ = _lrho(ops, state.rho.values,
+                         ops.fft(state.p.values) * ops.mask)
     return float(0.5 * (state.p.values * rhodot).mean())
 
 
@@ -431,7 +432,7 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
     rho, p_hat = _split(band, base[0])
     if not p_hat.any():
         time_steps(T, dt)  # the same checks of T and dt
-        return rho, T * _lrho(band, rho, dp0)[0]
+        return rho, T * _lrho(band, rho, band.fft(dp0) * band.mask)[0]
     y = np.concatenate((base, _state_rows(band, np.zeros_like(dp0), dp0)))
     y, _ = integrate(partial(step_rk4, ops), y, T, dt)
     rho_T = _split(band, y)[0]

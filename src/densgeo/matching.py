@@ -10,11 +10,13 @@ Jacobian is T L_rho0 B and the residual rho0 - rho1, both without a
 shoot. A trial step is accepted only when it lowers J, so the objective
 history is monotone.
 
-Every objective value comes from `_residuals`, which shoots one coefficient
-row at a time, and every Jacobian from tangent stacks: the base shoot and its
-tangents stepped together, at most MAX_STACK_POINTS grid points per stack,
-more tangents split over several stacks. Tangents are independent given the
-base, so the split does not change any value.
+Every objective value comes from `_residual`, one shoot of one coefficient
+vector, whose SolverAbort reports an abort: `objective` scores it with a
+penalty, Levenberg-Marquardt rejects the trial and `gradient_fd` names the
+coefficient. Every Jacobian comes from tangent stacks: the base shoot and
+its tangents stepped together, at most MAX_STACK_POINTS grid points per
+stack, more tangents split over several stacks. Tangents are independent
+given the base, so the split does not change any value.
 """
 from __future__ import annotations
 
@@ -51,6 +53,9 @@ class OptSettings:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(
+                f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.max_iter >= 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
         if not 0.0 <= self.grad_tol < np.inf:
@@ -77,6 +82,10 @@ class MatchProblem:
                 raise ValueError(f"{name} must be strictly positive")
             if not abs(f.values.mean() - 1.0) <= geodesic.MASS_TOL:
                 raise ValueError(f"{name} must have unit mass")
+        geodesic.time_steps(self.T, self.dt)
+        if not isinstance(self.n_modes, (int, np.integer)):
+            raise ValueError(
+                f"n_modes must be an integer, got {self.n_modes!r}")
         if self.n_modes < 1 or self.n_modes > self.rho0.grid.n // 3:
             raise ValueError(
                 f"n_modes must lie in [1, n/3], got {self.n_modes}")
@@ -125,60 +134,37 @@ def basis_fields(grid: Grid, n_modes: int) -> list:
     return out
 
 
-def _p_rows(problem: MatchProblem, coeff_rows: np.ndarray) -> np.ndarray:
-    """Mean-zero momenta (B, *shape) of coefficient rows (B, n_coeffs)."""
-    basis = basis_fields(problem.grid, problem.n_modes)
-    if coeff_rows.shape[1] != len(basis):
-        raise ValueError(
-            f"expected {len(basis)} coefficients, got {coeff_rows.shape[1]}")
-    vals = np.zeros((len(coeff_rows),) + problem.grid.shape)
-    for c, b in zip(coeff_rows.T, basis):
-        vals += np.multiply.outer(c, b)
-    return vals - vals.mean(axis=operators(problem.grid).axes, keepdims=True)
-
-
 def p_from_coeffs(problem: MatchProblem, coeffs: np.ndarray) -> ScalarField:
-    return ScalarField(problem.grid,
-                       _p_rows(problem, np.asarray(coeffs)[None])[0])
+    """The mean-zero momentum sum_i c_i b_i of coefficients c over
+    `basis_fields`."""
+    basis = basis_fields(problem.grid, problem.n_modes)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.shape != (len(basis),):
+        raise ValueError(
+            f"expected {len(basis)} coefficients, got shape {coeffs.shape}")
+    p = np.zeros(problem.grid.shape)
+    for c, b in zip(coeffs, basis):
+        p += c * b
+    return ScalarField(problem.grid, p - p.mean())
 
 
-def _residuals(problem: MatchProblem, coeff_rows: np.ndarray):
-    """(r, J, t_abort) of each coefficient row, one shoot per row
-    (`geodesic.shoot_tangents` with no tangents).
-
-    r (B, *shape) holds rho(T) - rho1, NaN on the rows of aborted shoots; J
-    is 0.5 * mean(r^2), PENALTY_BASE + (T - t) where the shoot aborts at t
-    (the SolverAbort's time); t_abort is NaN where the shoot reached T.
-    """
-    grid = problem.grid
-    p = _p_rows(problem, np.asarray(coeff_rows, dtype=np.float64))
-    r = np.full(p.shape, np.nan)
-    t_abort = np.full(len(p), np.nan)
-    no_tangents = np.empty((0,) + grid.shape)
-    for i, p_row in enumerate(p):
-        try:
-            rho_T, _ = geodesic.shoot_tangents(problem.rho0, p_row,
-                                               no_tangents, problem.k,
-                                               problem.T, problem.dt)
-        except geodesic.SolverAbort as exc:
-            t_abort[i] = exc.time
-        else:
-            r[i] = rho_T - problem.rho1.values
-    j = 0.5 * (r ** 2).mean(axis=operators(grid).axes)
-    aborted = ~np.isnan(t_abort)
-    j[aborted] = PENALTY_BASE + (problem.T - t_abort[aborted])
-    return r, j, t_abort
-
-
-def objectives(problem: MatchProblem, coeff_rows: np.ndarray) -> np.ndarray:
-    """0.5 * ||rho(T) - rho1||_2^2 for each row of coefficients (B, n_coeffs);
-    a row whose shoot aborts at t scores PENALTY_BASE + (T - t)."""
-    return _residuals(problem, coeff_rows)[1]
+def _residual(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
+    """rho(T) - rho1 of the shoot of coeffs' momentum (`shoot_tangents`
+    with no tangents). Raises the shoot's SolverAbort, with its time."""
+    rho_T, _ = geodesic.shoot_tangents(
+        problem.rho0, p_from_coeffs(problem, coeffs).values,
+        np.empty((0,) + problem.grid.shape), problem.k, problem.T, problem.dt)
+    return rho_T - problem.rho1.values
 
 
 def objective(problem: MatchProblem, coeffs: np.ndarray) -> float:
-    """0.5 * ||rho(T) - rho1||_2^2; aborted shoots return a large penalty."""
-    return float(objectives(problem, np.asarray(coeffs)[None])[0])
+    """0.5 * ||rho(T) - rho1||_2^2; a shoot that aborts at t scores
+    PENALTY_BASE + (T - t)."""
+    try:
+        r = _residual(problem, coeffs)
+    except geodesic.SolverAbort as exc:
+        return PENALTY_BASE + (problem.T - exc.time)
+    return float(0.5 * np.mean(r ** 2))
 
 
 def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
@@ -186,24 +172,29 @@ def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
     """Central finite-difference gradient over the stencil c +- h_i e_i,
     h_i = h * max(1, |c_i|): two shoots per coefficient.
 
-    Raises SolverAbort, naming the coordinate, when a shoot of the stencil
-    aborts: the penalty would turn into a meaningless slope of order 1/h.
+    Raises SolverAbort at the first coefficient whose stencil meets an
+    abort, naming it and the earlier abort time of its two shoots: the
+    penalty would turn into a meaningless slope of order 1/h.
     """
     if not h > 0.0:
         raise ValueError("h must be positive")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     steps = h * np.maximum(1.0, np.abs(coeffs))
-    _, jp, t_plus = _residuals(problem, coeffs + np.diag(steps))
-    _, jm, t_minus = _residuals(problem, coeffs - np.diag(steps))
-    t_abort = np.fmin(t_plus, t_minus)  # the earlier abort, NaN if none
-    aborted = np.flatnonzero(~np.isnan(t_abort))
-    if len(aborted):
-        i = aborted[0]
-        raise geodesic.SolverAbort(
-            f"FD stencil of coefficient {i} (step {steps[i]:.3e}) crosses "
-            f"a shoot that aborts at t={t_abort[i]:.6g}",
-            time=float(t_abort[i]))
-    return (jp - jm) / (2.0 * steps)
+    grad = np.empty(len(coeffs))
+    for i, shift in enumerate(np.diag(steps)):
+        values, times = [], []
+        for trial in (coeffs + shift, coeffs - shift):
+            try:
+                values.append(0.5 * np.mean(_residual(problem, trial) ** 2))
+            except geodesic.SolverAbort as exc:
+                times.append(exc.time)
+        if times:
+            raise geodesic.SolverAbort(
+                f"FD stencil of coefficient {i} (step {steps[i]:.3e}) "
+                f"crosses a shoot that aborts at t={min(times):.6g}",
+                time=min(times))
+        grad[i] = (values[0] - values[1]) / (2.0 * steps[i])
+    return grad
 
 
 def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
@@ -215,8 +206,9 @@ def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
     finite.
     """
     grid = problem.grid
-    p = _p_rows(problem, coeffs[None])[0]
-    basis = _p_rows(problem, np.eye(len(coeffs)))
+    p = p_from_coeffs(problem, coeffs).values
+    basis = np.array(basis_fields(grid, problem.n_modes))
+    basis -= basis.mean(axis=operators(grid).axes, keepdims=True)
     per_stack = max(1, MAX_STACK_POINTS // grid.npoints - 1)
     jac = np.empty((len(basis), grid.npoints))
     for lo in range(0, len(basis), per_stack):
@@ -229,19 +221,6 @@ def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
         raise geodesic.SolverAbort(
             f"the tangent of coefficient {bad[0]} is not finite")
     return jac
-
-
-def _normal_equations(problem: MatchProblem, coeffs: np.ndarray,
-                      r: np.ndarray):
-    """(g, H) at coeffs, whose residual is r: the gradient Jr^T r / N of the
-    mean-based objective and the Gauss-Newton matrix Jr^T Jr / N, with the
-    exact Jacobian Jr (n_coeffs, N) of `_jacobian`.
-
-    Raises SolverAbort when the Jacobian fails (`_jacobian`).
-    """
-    jac = _jacobian(problem, coeffs)
-    npoints = jac.shape[1]
-    return jac @ r.ravel() / npoints, jac @ jac.T / npoints
 
 
 def solve_match(problem: MatchProblem) -> MatchResult:
@@ -267,19 +246,21 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     coeffs = np.zeros(n_coeffs)
     # the flow from p = 0 rests exactly, rho(T) = rho0: no shoot, and the
     # problem's checks are the ones a shoot makes of rho0
-    r = (problem.rho0.values - problem.rho1.values)[None]
-    axes = operators(problem.grid).axes
-    history = [float(0.5 * (r ** 2).mean(axis=axes)[0])]
+    r = problem.rho0.values - problem.rho1.values
+    history = [float(0.5 * np.mean(r ** 2))]
     rows = []
     lam = LM_LAMBDA0
     status = "max_iter"
 
     for it in range(opt.max_iter):
         try:
-            g, hess = _normal_equations(problem, coeffs, r[0])
+            jac = _jacobian(problem, coeffs)
         except geodesic.SolverAbort:
             status = "stalled"
             break
+        # the gradient and the Gauss-Newton matrix of the mean-based J
+        g = jac @ r.ravel() / r.size
+        hess = jac @ jac.T / r.size
         gnorm = float(np.linalg.norm(g))
         if gnorm <= opt.grad_tol:
             status = "converged"
@@ -293,9 +274,14 @@ def solve_match(problem: MatchProblem) -> MatchResult:
                     # of a repeated trial is rejected again
                     status = "stalled"
                     break
-                r_trial, j_trial, _ = _residuals(problem, trial[None])
-                if j_trial[0] < history[-1]:
-                    break
+                try:
+                    r_trial = _residual(problem, trial)
+                except geodesic.SolverAbort:
+                    pass  # an aborted trial is rejected
+                else:
+                    j_trial = float(0.5 * np.mean(r_trial ** 2))
+                    if j_trial < history[-1]:
+                        break
                 lam *= LM_FACTOR
                 rejected = trial
             else:
@@ -304,7 +290,7 @@ def solve_match(problem: MatchProblem) -> MatchResult:
         if status != "max_iter":
             break
         coeffs, r = trial, r_trial
-        history.append(float(j_trial[0]))
+        history.append(j_trial)
         lam /= LM_FACTOR
 
     p0 = p_from_coeffs(problem, coeffs)

@@ -124,7 +124,12 @@ class Operators:
         ksq = sum(km ** 2 for km in self.k_mesh)
         base = 1.0 + ksq
         # A = (1 - Laplacian)^(k+1) and its inverse; k = -1 is the identity
-        self.a = base ** (k + 1)
+        with np.errstate(over="ignore"):
+            self.a = base ** (k + 1)
+        if not np.isfinite(self.a).all():
+            raise ValueError(
+                f"metric order k={k} is too large for {grid}: the inertia "
+                "symbol (1 + |xi|^2)^(k+1) overflows")
         self.ainv = base ** (-(k + 1))
         self.ainv_band = self.ainv * self.mask
         # the exact constant-density inverse of L_rho on the retained band,

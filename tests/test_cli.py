@@ -434,6 +434,24 @@ def test_fd_step_is_a_config_error(tmp_path, capsys):
     assert not (out / "status.json").exists()
 
 
+@pytest.mark.parametrize("command,n", [
+    ("shoot", 32), ("match", 32), ("epdiff-check", 32), ("validate", 32),
+    ("convergence", 16)])
+def test_overflowing_metric_order_is_a_config_error(tmp_path, capsys,
+                                                     command, n):
+    # k = 127: the inertia symbol (1 + |xi|^2)^(k+1) overflows on 1-D n 32,
+    # 257^128, but not on n 16, which convergence doubles to n 32
+    cfg = write_config(tmp_path / "c.ini", MATCH_CFG.replace(
+        "n = 32", f"n = {n}").replace("k = 1", "k = 127").replace(
+        "[matching]", "p = sin-bump amplitude 0.1 mode 1\n[matching]"))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--output-dir", str(out),
+                     "--quiet"]) == 2
+    assert "config error: [metric] k" in capsys.readouterr().err
+    assert "k=127" in io.read_json(str(out / "error.json"))["error"]
+    assert not (out / "status.json").exists()
+
+
 @pytest.mark.parametrize("stride", ["0", "-3"])
 def test_bad_snapshot_stride_is_a_config_error(tmp_path, stride):
     cfg = write_config(tmp_path / "c.ini", SHOOT_CFG.replace(

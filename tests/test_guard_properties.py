@@ -87,26 +87,26 @@ def test_time_steps_end_exactly_at_T(T, ratio):
 @example(amps=[0.1, 0.8], shift=0.0)  # one shoot reaches T, one aborts
 def test_shoot_endpoints_partial_output_is_valid(amps, shift):
     # k = -1 on a steep density: momenta above about 0.3 lose positivity and
-    # abort before T, weaker ones reach it. Matching's residuals are NaN
-    # rows with the penalty where a shoot aborts, and valid endpoints
-    # elsewhere.
+    # abort before T, weaker ones reach it. Matching's residual is a valid
+    # endpoint where the shoot reaches T, and its SolverAbort, scored with
+    # the penalty, where it aborts.
     g = sp.make_grid(1, 32)
     x = g.coords[0]
     rho0 = sp.ScalarField(g, 1.0 + 0.9 * np.cos(x))
     T = 1.0
     problem = ma.MatchProblem(rho0, rho0, -1, T, 0.02, 1)
-    # a sin(x + shift) in the basis cos(x), sin(x)
-    rows = np.array([[a * np.sin(shift), a * np.cos(shift)] for a in amps])
-    r, j, t_abort = ma._residuals(problem, rows)
-    assert r.shape == (len(amps),) + g.shape
-    assert j.shape == t_abort.shape == (len(amps),)
-    for r_row, j_row, t in zip(r, j, t_abort):
-        if np.isnan(t):
-            rho_T = r_row + rho0.values
+    for a in amps:
+        # a sin(x + shift) in the basis cos(x), sin(x)
+        coeffs = np.array([a * np.sin(shift), a * np.cos(shift)])
+        j = ma.objective(problem, coeffs)
+        try:
+            r = ma._residual(problem, coeffs)
+        except ge.SolverAbort as exc:
+            assert 0.0 < exc.time <= T
+            assert j == ma.PENALTY_BASE + (T - exc.time)
+        else:
+            assert r.shape == g.shape
+            rho_T = r + rho0.values
             assert np.isfinite(rho_T).all() and rho_T.min() > 0.0
             assert abs(rho_T.mean() - 1.0) <= ge.MASS_TOL
-            assert j_row == 0.5 * np.mean(r_row ** 2)
-        else:
-            assert 0.0 < t <= T
-            assert np.isnan(r_row).all()
-            assert j_row == ma.PENALTY_BASE + (T - t)
+            assert j == 0.5 * np.mean(r ** 2)

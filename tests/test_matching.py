@@ -68,6 +68,26 @@ class TestObjective:
         coeffs[1] = 5.0  # large sin(x) momentum
         assert ma.objective(problem, coeffs) >= ma.PENALTY_BASE
 
+    def test_penalty_is_base_plus_the_time_left(self):
+        # 2 of these 5 momenta abort the shoot before T
+        problem = violent_problem()
+        rows = np.zeros((5, 4))
+        rows[:, 1] = [0.0, 5.0, 0.01, 0.3, 0.03]
+        rows[:, 2] = [0.0, 0.1, -0.002, 0.0, 0.001]
+        aborts = 0
+        for row in rows:
+            value = ma.objective(problem, row)
+            try:
+                traj = ge.shoot(problem.rho0, ma.p_from_coeffs(problem, row),
+                                problem.k, problem.T, problem.dt)
+            except ge.SolverAbort as exc:
+                aborts += 1
+                assert value == ma.PENALTY_BASE + (problem.T - exc.time)
+            else:
+                r = traj.states[-1].rho.values - problem.rho1.values
+                assert value == 0.5 * np.mean(r ** 2) < ma.PENALTY_BASE
+        assert aborts == 2
+
 
 def violent_problem(**kw):
     """k = -1 with steep data: strong sin(x) momenta abort the shoot."""
@@ -97,16 +117,6 @@ def abort_boundary(problem, i, lo, hi, width):
 
 
 class TestStackedObjectives:
-    def test_objectives_equal_objective_per_row(self):
-        problem = violent_problem()
-        rows = np.zeros((5, 4))
-        rows[:, 1] = [0.0, 5.0, 0.01, 0.3, 0.03]
-        rows[:, 2] = [0.0, 0.1, -0.002, 0.0, 0.001]
-        values = ma.objectives(problem, rows)
-        assert np.sum(values >= ma.PENALTY_BASE) == 2
-        for row, value in zip(rows, values):
-            assert ma.objective(problem, row) == value
-
     def test_gradient_equals_serial_objective_loop(self):
         g = grid1d()
         x = g.coords[0]
@@ -125,6 +135,31 @@ class TestStackedObjectives:
             jm = ma.objective(problem, cp)
             ref[i] = (jp - jm) / (2.0 * step)
         assert np.array_equal(ma.gradient_fd(problem, coeffs, h=h), ref)
+
+
+@pytest.fixture(scope="module")
+def stencil_at_abort():
+    """violent_problem at a point whose FD stencil meets an abort: sin(x)'s
+    coefficient within FD_STEP below the abort boundary. Also the first
+    coefficient whose stencil, shot serially, meets an abort."""
+    problem = violent_problem()
+    h = ma.FD_STEP
+    lo, _ = abort_boundary(problem, 1, 0.0, 5.0, h)
+    coeffs = np.zeros(4)
+    coeffs[1] = lo
+    assert ma.objective(problem, coeffs) < 1.0
+
+    def stencil_aborts(i):
+        cp = coeffs.copy()
+        for sign in (1.0, -1.0):
+            cp[i] = coeffs[i] + sign * h * max(1.0, abs(coeffs[i]))
+            if ma.objective(problem, cp) >= ma.PENALTY_BASE:
+                return True
+        return False
+
+    first = next((i for i in range(4) if stencil_aborts(i)), None)
+    assert first is not None
+    return problem, coeffs, first
 
 
 class TestGradientFD:
@@ -163,26 +198,37 @@ class TestGradientFD:
                              - richardson) / np.linalg.norm(richardson)
         assert rel < 0.01
 
-    def test_stencil_across_an_abort_raises(self):
-        problem = violent_problem()
-        h = ma.FD_STEP
-        lo, _ = abort_boundary(problem, 1, 0.0, 5.0, h)
-        coeffs = np.zeros(4)
-        coeffs[1] = lo
-        assert ma.objective(problem, coeffs) < 1.0
-        # the first coefficient whose serial stencil meets an abort
-        def stencil_aborts(i):
-            cp = coeffs.copy()
-            for sign in (1.0, -1.0):
-                cp[i] = coeffs[i] + sign * h * max(1.0, abs(coeffs[i]))
-                if ma.objective(problem, cp) >= ma.PENALTY_BASE:
-                    return True
-            return False
-
-        first = next((i for i in range(4) if stencil_aborts(i)), None)
-        assert first is not None
+    def test_stencil_across_an_abort_raises(self, stencil_at_abort):
+        problem, coeffs, first = stencil_at_abort
         with pytest.raises(ge.SolverAbort, match=rf"coefficient {first}\b"):
             ma.gradient_fd(problem, coeffs)
+
+    def test_stencil_stops_at_the_first_aborting_coefficient(
+            self, stencil_at_abort, monkeypatch):
+        # the two shoots of each coefficient up to the one it names
+        problem, coeffs, first = stencil_at_abort
+        shoots = []
+        shoot_tangents = ge.shoot_tangents
+
+        def counted(*args):
+            shoots.append(1)
+            return shoot_tangents(*args)
+
+        monkeypatch.setattr(ge, "shoot_tangents", counted)
+        with pytest.raises(ge.SolverAbort) as info:
+            ma.gradient_fd(problem, coeffs)
+        assert len(shoots) == 2 * (first + 1)
+        # the earlier abort of the named coefficient's two shoots
+        step = ma.FD_STEP * max(1.0, abs(coeffs[first]))
+        times = []
+        for sign in (1.0, -1.0):
+            cp = coeffs.copy()
+            cp[first] += sign * step
+            try:
+                ma._residual(problem, cp)
+            except ge.SolverAbort as exc:
+                times.append(exc.time)
+        assert info.value.time == min(times)
 
     def test_rejects_nonpositive_h(self):
         problem = make_problem(grid1d())
@@ -194,9 +240,18 @@ def fd_jacobian(problem, coeffs, h=ma.FD_STEP):
     """The central-difference residual Jacobian (n_coeffs, N), steps
     h * max(1, |c_i|)."""
     steps = h * np.maximum(1.0, np.abs(coeffs))
-    rp, _, _ = ma._residuals(problem, coeffs + np.diag(steps))
-    rm, _, _ = ma._residuals(problem, coeffs - np.diag(steps))
-    return (rp - rm).reshape(len(coeffs), -1) / (2.0 * steps)[:, None]
+    jac = np.empty((len(coeffs), problem.grid.npoints))
+    for i, shift in enumerate(np.diag(steps)):
+        diff = (ma._residual(problem, coeffs + shift)
+                - ma._residual(problem, coeffs - shift))
+        jac[i] = diff.ravel() / (2.0 * steps[i])
+    return jac
+
+
+def mean_free_basis(problem):
+    """The momenta of the unit coefficient vectors (n_coeffs, *shape)."""
+    n = len(ma.basis_fields(problem.grid, problem.n_modes))
+    return np.array([ma.p_from_coeffs(problem, e).values for e in np.eye(n)])
 
 
 def tangent_problem(dim):
@@ -237,11 +292,11 @@ class TestTangentJacobian:
         problem = tangent_problem(dim)
         coeffs = tangent_point(problem, at)
         d = np.random.default_rng(6).normal(size=len(coeffs))
-        r, _, _ = ma._residuals(problem, coeffs[None])
+        r = ma._residual(problem, coeffs)
         jd = d @ ma._jacobian(problem, coeffs)
         remainders = []
         for eps in (1e-2, 1e-3, 1e-4):
-            r_eps, _, _ = ma._residuals(problem, (coeffs + eps * d)[None])
+            r_eps = ma._residual(problem, coeffs + eps * d)
             remainders.append(np.linalg.norm((r_eps - r).ravel() - eps * jd))
         ratios = np.array(remainders[:-1]) / remainders[1:]
         assert np.all((70.0 < ratios) & (ratios < 130.0)), ratios
@@ -251,7 +306,7 @@ class TestTangentJacobian:
         coeffs = tangent_point(problem, "rest")
         shortcut = ma._jacobian(problem, coeffs)
         # the same tangents stepped through the time loop from rest
-        basis = ma._p_rows(problem, np.eye(len(coeffs)))
+        basis = mean_free_basis(problem)
         ops = sp.operators(problem.grid, problem.k)
         base = ge._state_rows(ops.band, problem.rho0.values,
                               np.zeros(problem.grid.shape))
@@ -266,12 +321,11 @@ class TestTangentJacobian:
     def test_base_endpoint_equals_shoot_endpoints(self, dim):
         problem = tangent_problem(dim)
         coeffs = tangent_point(problem, "moving")
-        p = ma._p_rows(problem, coeffs[None])
-        basis = ma._p_rows(problem, np.eye(len(coeffs)))
-        rho_T, _ = ge.shoot_tangents(problem.rho0, p[0], basis, problem.k,
+        p = ma.p_from_coeffs(problem, coeffs)
+        rho_T, _ = ge.shoot_tangents(problem.rho0, p.values,
+                                     mean_free_basis(problem), problem.k,
                                      problem.T, problem.dt)
-        traj = ge.shoot(problem.rho0, sp.ScalarField(problem.grid, p[0]),
-                        problem.k, problem.T, problem.dt)
+        traj = ge.shoot(problem.rho0, p, problem.k, problem.T, problem.dt)
         assert np.array_equal(rho_T, traj.states[-1].rho.values)
 
     @pytest.mark.parametrize("at", ["rest", "moving"])
@@ -291,21 +345,21 @@ def test_residual_abort_times_are_the_shoots():
     problem = ma.MatchProblem(rho0, rho0, -1, 1.0, 0.02, 2)
     rows = np.zeros((3, 4))
     rows[:, 1] = [5.0, 0.1, 0.8]
-    r, j, t_abort = ma._residuals(problem, rows)
     aborts = 0
-    for row, r_row, j_row, t in zip(rows, r, j, t_abort):
+    for row in rows:
         p0 = ma.p_from_coeffs(problem, row)
         try:
             traj = ge.shoot(problem.rho0, p0, problem.k, problem.T,
                             problem.dt)
         except ge.SolverAbort as exc:
             aborts += 1
-            assert t == exc.time
-            assert j_row == ma.PENALTY_BASE + (problem.T - exc.time)
-            assert np.isnan(r_row).all()
+            with pytest.raises(ge.SolverAbort) as info:
+                ma._residual(problem, row)
+            assert info.value.time == exc.time
+            assert str(info.value) == str(exc)
         else:
-            assert np.isnan(t)
-            assert np.array_equal(r_row, traj.states[-1].rho.values
+            assert np.array_equal(ma._residual(problem, row),
+                                  traj.states[-1].rho.values
                                   - problem.rho1.values)
     assert 0 < aborts < len(rows)
 
@@ -314,11 +368,11 @@ def test_jacobian_base_abort_raises_at_its_time():
     problem = violent_problem()
     coeffs = np.zeros(4)
     coeffs[1] = 5.0
-    _, _, t_abort = ma._residuals(problem, coeffs[None])
-    assert not np.isnan(t_abort[0])
+    with pytest.raises(ge.SolverAbort) as residual_abort:
+        ma._residual(problem, coeffs)
     with pytest.raises(ge.SolverAbort) as info:
         ma._jacobian(problem, coeffs)
-    assert info.value.time == t_abort[0]
+    assert info.value.time == residual_abort.value.time
 
 
 class TestSolveMatch:
@@ -335,20 +389,20 @@ class TestSolveMatch:
         g = grid1d()
         problem = make_problem(g, rho1_vals=1 + 0.2 * np.cos(g.coords[0] - 0.6),
                                opt=ma.OptSettings(max_iter=3))
-        shot_rows = []
-        residuals = ma._residuals
+        shot = []
+        residual = ma._residual
 
-        def spy(problem, rows):
-            shot_rows.extend(np.array(rows))
-            return residuals(problem, rows)
+        def spy(problem, coeffs):
+            shot.append(np.array(coeffs))
+            return residual(problem, coeffs)
 
-        monkeypatch.setattr(ma, "_residuals", spy)
+        monkeypatch.setattr(ma, "_residual", spy)
         result = ma.solve_match(problem)
-        assert shot_rows and all(row.any() for row in shot_rows)
+        assert shot and all(coeffs.any() for coeffs in shot)
         r = problem.rho0.values - problem.rho1.values
         assert result.objective_history[0] == 0.5 * np.mean(r ** 2)
-        assert result.objective_history[0] == residuals(
-            problem, np.zeros((1, 8)))[1][0]
+        assert result.objective_history[0] == ma.objective(problem,
+                                                           np.zeros(8))
 
     def test_self_consistency_recovers_endpoint(self):
         g = grid1d()
@@ -450,15 +504,18 @@ class TestLevenbergMarquardt:
         problem = ma.MatchProblem(steep(0.0), steep(1.0), -1, 1.0, 0.02, 2,
                                   ma.OptSettings(max_iter=3))
         trial_aborts = []
-        residuals = ma._residuals
+        residual = ma._residual
 
-        def spy(problem, rows):
-            out = residuals(problem, rows)
-            if len(rows) == 1:
-                trial_aborts.append(not np.isnan(out[2][0]))
-            return out
+        def spy(problem, coeffs):
+            try:
+                r = residual(problem, coeffs)
+            except ge.SolverAbort:
+                trial_aborts.append(True)
+                raise
+            trial_aborts.append(False)
+            return r
 
-        monkeypatch.setattr(ma, "_residuals", spy)
+        monkeypatch.setattr(ma, "_residual", spy)
         result = ma.solve_match(problem)
         # trial_aborts[0] is the first trial: the start c = 0 takes no shoot
         assert trial_aborts[:1] == [True]
@@ -481,14 +538,13 @@ class TestLevenbergMarquardt:
 
         problem = ma.MatchProblem(steep(0.0), steep(1.0), -1, 1.0, 0.2, 2)
         trials = []
-        residuals = ma._residuals
+        residual = ma._residual
 
-        def spy(problem, rows):
-            if len(rows) == 1:
-                trials.append(np.array(rows[0]))
-            return residuals(problem, rows)
+        def spy(problem, coeffs):
+            trials.append(np.array(coeffs))
+            return residual(problem, coeffs)
 
-        monkeypatch.setattr(ma, "_residuals", spy)
+        monkeypatch.setattr(ma, "_residual", spy)
         result = ma.solve_match(problem)
         assert result.status == "stalled"
         assert result.history_rows[-1][2] > problem.opt.grad_tol
@@ -520,6 +576,10 @@ class TestOptSettings:
         with pytest.raises(ValueError, match=next(iter(kw))):
             ma.OptSettings(**kw)
 
+    def test_rejects_non_integer_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            ma.OptSettings(max_iter=2.5)
+
     def test_accepts_zero_iterations_and_tolerance(self):
         opt = ma.OptSettings(max_iter=0, grad_tol=0.0)
         problem = make_problem(grid1d(), opt=opt)
@@ -542,6 +602,13 @@ class TestProblemValidation:
         one = sp.ScalarField(g, np.ones(g.shape))
         with pytest.raises(ValueError):
             ma.MatchProblem(one, one, 1, 1.0, 0.01, 11)  # n/3 = 10
+
+    @pytest.mark.parametrize("kw,name", [
+        (dict(T=-1.0), "positive"), (dict(dt=np.nan), "finite"),
+        (dict(T=1.0, dt=1e-300), "MAX_STEPS"), (dict(n_modes=2.5), "n_modes")])
+    def test_rejects_bad_time_and_modes(self, kw, name):
+        with pytest.raises(ValueError, match=name):
+            make_problem(grid1d(), **kw)
 
     def test_rejects_nan_density(self):
         g = grid1d()

@@ -69,6 +69,14 @@ class TestInertiaSymbol:
         with pytest.raises(ValueError):
             sp.operators(grid1d(8), -2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_k_whose_symbol_overflows(self):
+        # 257^(k+1), 1 + 16^2 at n 32's largest |xi|, is finite up to k 126
+        g = grid1d(32)
+        assert np.isfinite(sp.Operators(g, 126).a).all()
+        with pytest.raises(ValueError, match=r"k=127 .*n=32"):
+            sp.Operators(g, 127)
+
 
 class TestApplyMultiplier:
     def test_identity_round_trip(self):
