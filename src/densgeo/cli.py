@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 import time
@@ -36,8 +37,6 @@ def _get(cfg, section, key, cast, default=None, required=False):
         return default
     raw = cfg.get(section, key)
     try:
-        if cast is bool:
-            return cfg.getboolean(section, key)
         return cast(raw)
     except ValueError:
         raise ConfigError(
@@ -86,7 +85,12 @@ def _metric_order(cfg, *grids):
 
 
 def _load_scalar(cfg, grid, section, key, role, required=True):
-    """Initial data entry: preset string or file:PATH; returns (field, source)."""
+    """Initial data entry: preset string or file:PATH; returns (field, source).
+
+    Both give raw values, normalized here by role: a density ("rho") must be
+    positive and is scaled to unit mass, a momentum potential is projected
+    to mean zero.
+    """
     spec = _get(cfg, section, key, str, required=required)
     if spec is None:
         return None, None
@@ -113,26 +117,23 @@ def _load_scalar(cfg, grid, section, key, role, required=True):
         if not isinstance(field, ScalarField):
             raise ConfigError(f"[{section}] {key}: {path} holds a vector "
                               "field, not a scalar field")
-        vals = field.values
-        if role == "rho":
-            if not vals.min() > 0.0:
-                raise ConfigError(f"[{section}] {key}: density not positive")
-            field.values = vals / vals.mean()
-        else:
-            field.values = vals - vals.mean()
-        source = {"file": path, "sha256": digest}
+        vals, source = field.values, {"file": path, "sha256": digest}
     else:
-        preset = (presets.density_preset if role == "rho"
-                  else presets.momentum_preset)
         try:
-            field, source = preset(grid, spec), {"preset": spec}
+            vals = presets.raw_preset(grid, spec)
         except presets.PresetError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from None
+        source = {"preset": spec}
+    if role == "rho":
+        if not vals.min() > 0.0:
+            raise ConfigError(f"[{section}] {key}: density not positive")
+        vals = vals / vals.mean()
+    else:
+        vals = vals - vals.mean()
     # finite values near the float limit can overflow their mean
-    if not (np.isfinite(field.values).all()
-            and (role != "rho" or field.values.min() > 0.0)):
+    if not (np.isfinite(vals).all() and (role != "rho" or vals.min() > 0.0)):
         raise ConfigError(f"[{section}] {key}: values overflow normalization")
-    return field, source
+    return ScalarField(grid, vals), source
 
 
 def _common_manifest(cfg, command, config_path):
@@ -163,14 +164,10 @@ def _time_steps(T, dt):
 
 
 def _diag_rows(times, diags):
-    return [
-        (t, d.mass, d.energy, d.min_rho, d.max_abs_p, d.spectral_tail)
-        for t, d in zip(times, diags)
-    ]
+    return [(t,) + dataclasses.astuple(d) for t, d in zip(times, diags)]
 
 
-DIAG_HEADER = ["t", "mass", "energy", "min_rho", "max_abs_p",
-               "spectral_tail"]
+DIAG_HEADER = ["t"] + [f.name for f in dataclasses.fields(geodesic.Diagnostics)]
 
 
 def cmd_shoot(cfg, outdir, manifest):

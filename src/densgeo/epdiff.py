@@ -50,7 +50,6 @@ class DiffeoState:
 EVAL_BLOCK = 512
 INVERT_TOL = 1e-12
 INVERT_MAX_ITER = 200
-LIFT_RTOL = 1e-6  # horizontal_lift's L2 tolerance on rho against phi
 N_CHECKS = 11  # cross_validate's comparison times, about evenly spaced
 
 
@@ -137,10 +136,6 @@ def _epdiff_rhs(ops: Operators, u: np.ndarray) -> np.ndarray:
     conv = (u * dm).sum(axis=1)
     stretch = (m[:, None] * du).sum(axis=0)
     return -ops.band.apply(ops.band.ainv_band, conv + divu * m + stretch)
-
-
-def epdiff_rhs(u: VectorField, k: int) -> VectorField:
-    return VectorField(u.grid, _epdiff_rhs(operators(u.grid, k), u.components))
 
 
 def jacobian_det(grid: Grid, disp) -> np.ndarray:
@@ -239,27 +234,15 @@ def invert_map(grid: Grid, disp) -> np.ndarray:
         f"{INVERT_MAX_ITER} iterations")
 
 
-def project_left(phi: DiffeoState):
-    """Left projection: rho = Jac(phi^{-1}), normalized to unit mass."""
-    rho, _ = project_left_report(phi)
-    return rho
-
-
-def project_left_report(phi: DiffeoState):
-    """As project_left, also returning the pre-normalization mass error."""
-    grid = phi.grid
-    q = invert_map(grid, phi.disp.components)
-    rho_vals = jacobian_det(grid, q)
-    mass = float(rho_vals.mean())
-    return ScalarField(grid, rho_vals / mass), abs(mass - 1.0)
-
-
 def pushforward_density(rho0: ScalarField, phi: DiffeoState):
     """Pushforward (rho0 o phi^{-1}) * Jac(phi^{-1}), normalized to unit mass.
 
-    This is the left projection of the flow started at a diffeomorphism
-    projecting to rho0, computed without constructing that diffeomorphism:
-    the flow from the identity composed on the right leaves it invariant.
+    For the uniform rho0 this is the left projection pi(phi) = phi_* mu,
+    Jac(phi^{-1}): eval_periodic returns the constant 1 exactly, so the
+    density is the normalized Jacobian bit for bit. For another rho0 it is
+    the left projection of the flow started at a diffeomorphism projecting
+    to rho0, computed without constructing that diffeomorphism: the flow
+    from the identity composed on the right leaves it invariant.
     """
     grid = phi.grid
     check_same_grid(grid, rho0.grid)
@@ -268,23 +251,6 @@ def pushforward_density(rho0: ScalarField, phi: DiffeoState):
     vals = eval_periodic(grid, rho0.values, points) * jacobian_det(grid, q)
     mass = float(vals.mean())
     return ScalarField(grid, vals / mass)
-
-
-def horizontal_lift(rho: ScalarField, p: ScalarField,
-                    phi: DiffeoState) -> VectorField:
-    """Eulerian horizontal velocity u = Ainv(rho grad p) over the fiber of phi.
-
-    Rejects rho that disagrees with project_left(phi); compose the result with
-    phi (eval_periodic at x + disp) for the Lagrangian form.
-    """
-    check_same_grid(rho.grid, phi.grid)
-    projected = project_left(phi)
-    mismatch = l2_norm_values(projected.values - rho.values)
-    if mismatch > LIFT_RTOL:
-        raise ValueError(
-            f"rho does not match the projection of phi (L2 error {mismatch:.3e})")
-    state = geodesic.make_state(rho.grid, rho.values, p.values, phi.k)
-    return geodesic.horizontal_velocity(state)
 
 
 def horizontality_defect(u: VectorField, rho: ScalarField, k: int) -> float:

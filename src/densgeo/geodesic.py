@@ -228,11 +228,19 @@ def make_state(grid: Grid, rho_values, p_values, k: int) -> DensityState:
     return state
 
 
-def apply_L_rho(rho: ScalarField, p: ScalarField, k: int) -> ScalarField:
-    """p -> -div(rho * Ainv(rho * grad p)); mean-zero output."""
-    check_same_grid(rho.grid, p.grid)
+def _check_operands(rho: ScalarField, f: ScalarField, name: str) -> None:
+    """rho and f of apply_L_rho or solve_L_rho: on one grid, finite, and
+    rho positive."""
+    check_same_grid(rho.grid, f.grid)
+    if not (np.isfinite(rho.values).all() and np.isfinite(f.values).all()):
+        raise StateError(f"rho and {name} must be finite")
     if not rho.values.min() > 0.0:
         raise StateError("rho must be strictly positive")
+
+
+def apply_L_rho(rho: ScalarField, p: ScalarField, k: int) -> ScalarField:
+    """p -> -div(rho * Ainv(rho * grad p)); mean-zero output."""
+    _check_operands(rho, p, "p")
     ops = operators(rho.grid, k).band
     rhodot, _, _ = _lrho(ops, rho.values, ops.fft(p.values) * ops.mask)
     return ScalarField(rho.grid, rhodot)
@@ -245,10 +253,8 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
     Preconditioner: the exact constant-density inverse symbol
     (1+|xi|^2)^(k+1)/|xi|^2 on nonzero retained modes.
     """
-    check_same_grid(rho.grid, rhodot.grid)
+    _check_operands(rho, rhodot, "rhodot")
     grid = rho.grid
-    if not rho.values.min() > 0.0:
-        raise StateError("rho must be strictly positive")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     ops = operators(grid, k).band
@@ -388,6 +394,7 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     """
     if not store_every >= 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
+    check_same_grid(rho0.grid, p0.grid)
     if k in (-1, 0):
         log.warning(
             "k=%d is in the local regime: global existence is not guaranteed "

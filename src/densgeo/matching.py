@@ -75,6 +75,7 @@ class MatchProblem:
 
     def __post_init__(self):
         check_same_grid(self.rho0.grid, self.rho1.grid)
+        operators(self.rho0.grid, self.k)  # raises for k the grid cannot use
         for name, f in (("rho0", self.rho0), ("rho1", self.rho1)):
             if not np.isfinite(f.values).all():
                 raise ValueError(f"{name} must be finite")
@@ -261,6 +262,7 @@ def solve_match(problem: MatchProblem) -> MatchResult:
         # the gradient and the Gauss-Newton matrix of the mean-based J
         g = jac @ r.ravel() / r.size
         hess = jac @ jac.T / r.size
+        del jac  # freed before the final shoot, whose snapshots set the peak
         gnorm = float(np.linalg.norm(g))
         if gnorm <= opt.grad_tol:
             status = "converged"

@@ -1,6 +1,6 @@
 """Analytic initial-data presets; part of the CLI contract.
 
-Raw formulas (before role normalization):
+Raw formulas, returned as grid values:
   uniform                          1
   zero                             0
   cos-bump amplitude a mode m      1 + a*cos(m*x)         (|a| < 1)
@@ -8,11 +8,12 @@ Raw formulas (before role normalization):
   gauss-like center c width w      0.5 + exp((cos(x-c)-1)/w^2)
                                    (2-D: cos(x-c)+cos(y-c)-2 in the exponent)
 
-A field used as a density is normalized to unit mass and must be positive; a
-field used as a momentum potential is projected to mean zero. Every parameter
-must be finite, and a mode must be an integer with |m| <= n//3, inside the
-dealiased band: a higher mode is sampled as an alias (mode 40 as mode 8 on
-n = 32) or as zero (sin-bump at the Nyquist mode).
+Every parameter must be finite, and a mode must be an integer with
+|m| <= n//3, inside the dealiased band: a higher mode is sampled as an alias
+(mode 40 as mode 8 on n = 32) or as zero (sin-bump at the Nyquist mode).
+The formulas are not normalized here: the CLI's `_load_scalar` normalizes a
+preset and a field file alike, a density to unit mass (it must be positive)
+and a momentum potential to mean zero.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .spectral import Grid, ScalarField
+from .spectral import Grid
 
 
 class PresetError(ValueError):
@@ -79,16 +80,3 @@ def raw_preset(grid: Grid, spec: str) -> np.ndarray:
             expo = expo + np.cos(grid.coords[1] - c) - 1.0
         return 0.5 + np.exp(expo / w ** 2)
     raise PresetError(f"unknown preset {name!r}")
-
-
-def density_preset(grid: Grid, spec: str) -> ScalarField:
-    vals = raw_preset(grid, spec)
-    mass = vals.mean()
-    if vals.min() <= 0.0 or mass <= 0.0:
-        raise PresetError(f"preset {spec!r} is not a positive density")
-    return ScalarField(grid, vals / mass)
-
-
-def momentum_preset(grid: Grid, spec: str) -> ScalarField:
-    vals = raw_preset(grid, spec)
-    return ScalarField(grid, vals - vals.mean())

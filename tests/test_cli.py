@@ -12,6 +12,12 @@ def write_config(path, text):
     return str(path)
 
 
+def density(grid, spec):
+    """A preset normalized to unit mass, as the CLI loads a density."""
+    vals = presets.raw_preset(grid, spec)
+    return sp.ScalarField(grid, vals / vals.mean())
+
+
 SHOOT_CFG = """
 [run]
 seed = 0
@@ -140,7 +146,7 @@ p = zero
 class TestFieldFileInputs:
     def test_file_input_roundtrip(self, tmp_path):
         g = sp.make_grid(1, 32)
-        rho = presets.density_preset(g, "cos-bump amplitude 0.4 mode 1")
+        rho = density(g, "cos-bump amplitude 0.4 mode 1")
         rho_path = str(tmp_path / "rho.field")
         io.write_field(rho_path, rho)
         cfg = write_config(tmp_path / "c.ini", f"""
@@ -164,7 +170,7 @@ p = zero
 
     def test_corrupted_field_file_rejected(self, tmp_path):
         g = sp.make_grid(1, 32)
-        rho = presets.density_preset(g, "uniform")
+        rho = density(g, "uniform")
         rho_path = str(tmp_path / "rho.field")
         io.write_field(rho_path, rho)
         with open(rho_path, "r+b") as fh:  # truncate the payload
@@ -216,7 +222,7 @@ p = zero
 
     def test_checksum_mismatch_rejected(self, tmp_path):
         g = sp.make_grid(1, 32)
-        rho = presets.density_preset(g, "uniform")
+        rho = density(g, "uniform")
         rho_path = str(tmp_path / "rho.field")
         io.write_field(rho_path, rho)
         cfg = write_config(tmp_path / "c.ini", f"""
@@ -492,8 +498,6 @@ def test_preset_errors():
         presets.raw_preset(g, "cos-bump amplitude 1.5 mode 1")
     with pytest.raises(presets.PresetError):
         presets.raw_preset(g, "no-such-preset")
-    with pytest.raises(presets.PresetError):
-        presets.density_preset(g, "sin-bump amplitude 0.5 mode 1")  # signed
     presets.raw_preset(g, "sin-bump amplitude 0.5 mode -10")  # |m| = n//3
     for mode in (11, -11):
         with pytest.raises(presets.PresetError, match="n//3 = 10"):
@@ -622,6 +626,19 @@ def test_overflowing_initial_field_is_a_config_error(tmp_path, capsys, key,
     assert rc == 2
     assert f"[initial] {key}:" in capsys.readouterr().err
     assert "normalization" in io.read_json(str(out / "error.json"))["error"]
+    assert not (out / "status.json").exists()
+
+
+@pytest.mark.parametrize("values", [
+    "sin-bump amplitude 0.5 mode 1",
+    np.where(np.arange(32) == 5, 0.0, 1.0)])
+def test_nonpositive_density_is_a_config_error(tmp_path, capsys, values):
+    # a preset and a field file go through the same density checks
+    cfg = file_entry_config(tmp_path, "rho", values)
+    out = tmp_path / "out"
+    assert cli.main(["shoot", "--config", cfg, "--output-dir", str(out),
+                     "--quiet"]) == 2
+    assert "[initial] rho: density not positive" in capsys.readouterr().err
     assert not (out / "status.json").exists()
 
 

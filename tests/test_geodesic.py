@@ -228,6 +228,15 @@ class TestStepRK4:
 
 
 class TestShoot:
+    def test_rejects_p0_on_another_grid(self):
+        # named by both grids, not by numpy's broadcast of their spectra
+        rho0 = sp.ScalarField(grid1d(16), np.ones(16))
+        p0 = sp.ScalarField(grid1d(32), np.zeros(32))
+        with pytest.raises(sp.GridError, match="n=16.*n=32"):
+            ge.shoot(rho0, p0, 1, 0.1, 0.01)
+        with pytest.raises(sp.GridError, match="n=16.*n=32"):
+            epdiff.cross_validate(rho0, p0, 1, 0.1, 0.01)
+
     def test_rest_trajectory_constant(self):
         g = grid1d()
         rho0 = sp.ScalarField(g, 1 + 0.3 * np.cos(g.coords[0]))
@@ -413,6 +422,25 @@ class TestNonFiniteRejected:
         with pytest.raises(ge.StateError):
             ge.shoot(sp.ScalarField(g, rho), sp.ScalarField(g, np.zeros(g.shape)),
                      1, 0.1, 0.01)
+
+    @pytest.mark.parametrize("name,value", [
+        ("rho", np.inf), ("rho", np.nan), ("p", np.inf), ("p", np.nan)])
+    def test_l_rho_rejects_non_finite_input(self, monkeypatch, name, value):
+        # at entry, before any L_rho product: an inf rho passes a min > 0
+        # check, and a NaN right-hand side would run CG to its limit
+        g = grid1d(16)
+        fields = {"rho": np.ones(g.shape), "p": np.cos(g.coords[0])}
+        fields[name][3] = value
+        rho, f = (sp.ScalarField(g, fields[key]) for key in ("rho", "p"))
+
+        def kernel(*args):
+            raise AssertionError("L_rho applied to non-finite input")
+
+        monkeypatch.setattr(ge, "_lrho", kernel)
+        with pytest.raises(ge.StateError, match="finite"):
+            ge.apply_L_rho(rho, f, 1)
+        with pytest.raises(ge.StateError, match="finite"):
+            ge.solve_L_rho(rho, f, 1)
 
     def test_step_aborts_on_nan_state(self):
         # a state built without validation must not step to a "valid" one

@@ -610,6 +610,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=name):
             make_problem(grid1d(), **kw)
 
+    @pytest.mark.parametrize("k", [127, -2])
+    def test_rejects_metric_order_the_grid_cannot_use(self, k):
+        # at construction, not at solve_match's first Jacobian
+        with pytest.raises(ValueError, match=f"k={k}|k must be >= -1"):
+            make_problem(grid1d(32), k=k, n_modes=2)
+
     def test_rejects_nan_density(self):
         g = grid1d()
         rho = np.ones(g.shape)
