@@ -125,8 +125,10 @@ def _load_scalar(cfg, grid, section, key, role, required=True):
             raise ConfigError(f"[{section}] {key}: {exc}") from None
         source = {"preset": spec}
     if role == "rho":
-        if not vals.min() > 0.0:
-            raise ConfigError(f"[{section}] {key}: density not positive")
+        try:
+            geodesic.check_density(vals, "density")
+        except geodesic.StateError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
         vals = vals / vals.mean()
     else:
         vals = vals - vals.mean()
@@ -384,8 +386,7 @@ def main(argv=None) -> int:
         io.write_json(os.path.join(outdir, "error.json"),
                       {"error": str(exc)})
         return 2
-    except (geodesic.SolverAbort, epdiff.InversionError,
-            RuntimeError) as exc:
+    except (geodesic.SolverAbort, RuntimeError) as exc:
         _write_status(outdir, False, str(exc), t0)
         if not args.quiet:
             print(f"aborted: {exc}", file=sys.stderr)

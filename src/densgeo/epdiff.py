@@ -1,13 +1,18 @@
-"""EPDiff flow on Diff(T^d) and the left projection to densities.
+"""EPDiff flow on Diff(T^d) and its projection to densities.
 
 This is the cross-validation side: geodesics of the right-invariant metric with
 inertia operator A = (1 - Laplacian)^(k+1), integrated in Eulerian momentum
-form with the flow map co-integrated as a periodic displacement. Horizontal
-initial momenta m = rho * grad p project onto density geodesics, which the
-density module computes independently.
+form. Horizontal initial momenta m = rho0 grad p project onto density
+geodesics, which the geodesic module computes independently: the flow map phi
+projects to the pushforward phi_* rho0 = (rho0 o psi) det(I + grad q), where
+psi = phi^{-1} = x + q.
 
-Compositions use exact band-limited Fourier evaluation at displaced points, so
-the spatial error budget stays spectral.
+So the flow carries the inverse map and the density rather than phi. Both are
+transported by u on the grid, q_t = -u - (u.grad) q and f_t = -u.grad f for
+f = rho0 o psi, next to EPDiff for u: spectral derivatives and grid products
+only, with no evaluation off the grid and no inversion. This is the standard
+LDDMM device (Beg, Miller, Trouve & Younes, IJCV 2005; Vialard, Risser,
+Rueckert & Cotter, IJCV 2012).
 """
 from __future__ import annotations
 
@@ -17,7 +22,14 @@ from functools import partial
 import numpy as np
 
 from . import geodesic
-from .geodesic import SolverAbort, integrate, rk4, time_steps
+from .geodesic import (
+    SolverAbort,
+    StateError,
+    check_density,
+    integrate,
+    rk4,
+    time_steps,
+)
 from .spectral import (
     Grid,
     Operators,
@@ -31,100 +43,35 @@ from .spectral import (
 
 @dataclass
 class DiffeoState:
-    """Torus diffeomorphism phi(x) = x + disp(x) with Eulerian velocity u."""
+    """Inverse flow map psi(x) = x + q(x), the transported density factor
+    f = rho0 o psi, and the Eulerian velocity u."""
 
-    disp: VectorField
+    q: VectorField
+    f: ScalarField
     u: VectorField
     k: int
 
     def __post_init__(self):
-        check_same_grid(self.disp.grid, self.u.grid)
+        check_same_grid(self.q.grid, self.f.grid)
+        check_same_grid(self.q.grid, self.u.grid)
 
     @property
     def grid(self) -> Grid:
-        return self.disp.grid
+        return self.q.grid
 
 
-# points per block of eval_periodic: its work arrays are (modes, block), small
-# enough to be reused from call to call instead of taken from fresh pages
-EVAL_BLOCK = 512
-INVERT_TOL = 1e-12
-INVERT_MAX_ITER = 200
 N_CHECKS = 11  # cross_validate's comparison times, about evenly spaced
 
 
-def identity_state(grid: Grid, u: VectorField, k: int) -> DiffeoState:
-    zeros = np.zeros((grid.dim,) + grid.shape)
-    return DiffeoState(VectorField(grid, zeros), u, k)
-
-
-def eval_periodic(grid: Grid, values: np.ndarray, points) -> np.ndarray:
-    """Evaluate band-limited grid fields at arbitrary points (exact).
-
-    values: (..., *grid.shape), any leading axes; points: array of shape
-    (dim, ...) with arbitrary real coordinates. Returns an array of shape
-    (..., *points[0].shape). The Fourier series handles periodicity without
-    wrapping. Nyquist modes are dropped (they are zero for dealiased fields
-    anyway). The series runs over the half spectrum, weighted for the
-    conjugate half. The points go in blocks of EVAL_BLOCK, so the work
-    arrays stay small; a block's exponentials are built once for all leading
-    components, as (modes, points) rows. In 2-D the sum is real arithmetic:
-    a real coefficient matrix per component (_coefficients_2d) between the
-    rows cos(j x), sin(j x) and cos(l y), -sin(l y), with one product buffer
-    reused across components.
-    """
-    values = np.asarray(values)
-    lead = values.shape[:values.ndim - grid.dim]
-    half = grid.n // 2
-    ops = operators(grid)
-    fhat = ops.fft(values)[..., :half] * (ops.weight[:half] / grid.npoints)
-    fhat = fhat.reshape((-1,) + fhat.shape[len(lead):])
-    pts = np.asarray(points).reshape(grid.dim, -1)
-    out = np.empty((len(fhat), pts.shape[1]))
-    coef = fhat if grid.dim == 1 else _coefficients_2d(fhat)
-    for start in range(0, pts.shape[1], EVAL_BLOCK):
-        blk = slice(start, start + EVAL_BLOCK)
-        e = _powers(pts[0, blk], half)
-        if grid.dim == 1:
-            for c, f in enumerate(coef):
-                out[c, blk] = (f @ e).real
-        else:
-            cs0 = np.concatenate((e.real, e.imag))
-            e = _powers(pts[1, blk], half)
-            cs1 = np.concatenate((e.real, -e.imag))
-            prod = np.empty_like(cs1)
-            for c, m in enumerate(coef):
-                np.matmul(m, cs0, out=prod)
-                prod *= cs1
-                prod.sum(axis=0, out=out[c, blk])
-    return out.reshape(lead + np.shape(points[0]))
-
-
-def _powers(x: np.ndarray, count: int) -> np.ndarray:
-    """exp(i j x) at the points x for j = 0 .. count - 1, as (count, len(x))
-    rows, powers of exp(i x) by repeated products."""
-    e = np.empty((count, len(x)), dtype=np.complex128)
-    e[0] = 1.0
-    np.exp(1j * x, out=e[1])
-    for j in range(2, count):
-        np.multiply(e[j - 1], e[1], out=e[j])
-    return e
-
-
-def _coefficients_2d(fhat: np.ndarray) -> np.ndarray:
-    """Real (2h, 2h) matrices M, h = fhat.shape[-1], one per component, with
-    Re sum_{j, l} fhat[j, l] exp(i (j x + l y)) = [cos(l y); -sin(l y)] . M
-    [cos(j x); sin(j x)] over |j|, l < h. The first axis holds its negative
-    wavenumbers in FFT order, and modes j and -j share cos(j x) and sin(j x):
-    their sum multiplies cos(j x) and i times their difference sin(j x)."""
-    half = fhat.shape[-1]
-    pos = fhat[:, :half]
-    neg = np.zeros_like(pos)
-    neg[:, 1:] = fhat[:, :half:-1]
-    plus, minus = pos + neg, pos - neg
-    cos_rows = np.concatenate((plus.real, plus.imag), axis=2)
-    sin_rows = np.concatenate((-minus.imag, minus.real), axis=2)
-    return np.concatenate((cos_rows, sin_rows), axis=1).transpose(0, 2, 1)
+def identity_state(rho0: ScalarField, u: VectorField, k: int) -> DiffeoState:
+    """The identity map carrying the density rho0, with velocity u. Raises
+    StateError for a non-finite u or a rho0 that is not finite and positive."""
+    check_same_grid(rho0.grid, u.grid)
+    check_density(rho0.values, "rho0")
+    if not np.isfinite(u.components).all():
+        raise StateError("u not finite")
+    return DiffeoState(VectorField(u.grid, np.zeros_like(u.components)), rho0,
+                       u, k)
 
 
 def _epdiff_rhs(ops: Operators, u: np.ndarray) -> np.ndarray:
@@ -138,31 +85,28 @@ def _epdiff_rhs(ops: Operators, u: np.ndarray) -> np.ndarray:
     return -ops.band.apply(ops.band.ainv_band, conv + divu * m + stretch)
 
 
-def jacobian_det(grid: Grid, disp) -> np.ndarray:
-    """det(I + grad disp) on the grid (spectral derivatives)."""
-    return _det(operators(grid).grad(np.asarray(disp)))
-
-
-def _det(d: np.ndarray) -> np.ndarray:
-    """det(I + d) of the displacement gradient d[i, j] = d_j disp_i."""
-    if len(d) == 1:
+def jacobian_det(grid: Grid, q) -> np.ndarray:
+    """det(I + grad q) on the grid (spectral derivatives)."""
+    d = operators(grid).grad(np.asarray(q))  # d[i, j] = d_j q_i
+    if grid.dim == 1:
         return 1.0 + d[0, 0]
     return (1.0 + d[0, 0]) * (1.0 + d[1, 1]) - d[0, 1] * d[1, 0]
 
 
 def _flow_rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
-    """d/dt of y = (disp, u): (u o phi, EPDiff)."""
-    disp, u = y
-    grid = ops.grid
-    return np.stack((eval_periodic(grid, u, grid.coords + disp),
-                     _epdiff_rhs(ops, u)))
+    """d/dt of the rows y = (q, f, u): (-u - (u.grad) q, -u.grad f, EPDiff)."""
+    dim = ops.grid.dim
+    u = y[dim + 1:]
+    adv = (u * ops.grad(y[:dim + 1])).sum(axis=1)  # (u.grad) of q and f
+    adv[:dim] += u
+    return np.concatenate((np.negative(adv, out=adv), _epdiff_rhs(ops, u)))
 
 
 def _flow_step(ops: Operators, y: np.ndarray, dt: float):
-    """One RK4 step of _flow_rhs; it fails when the flow map stops being a
-    grid-resolved diffeomorphism."""
+    """One RK4 step of _flow_rhs; it fails when the inverse map stops being
+    a grid-resolved diffeomorphism."""
     y = rk4(partial(_flow_rhs, ops), y, dt)
-    jac = jacobian_det(ops.grid, y[0]).min()
+    jac = jacobian_det(ops.grid, y[:ops.grid.dim]).min()
     if jac > 0.0:
         return y, None
     return y, f"Jacobian lost positivity (min {jac:.3e})"
@@ -170,95 +114,44 @@ def _flow_step(ops: Operators, y: np.ndarray, dt: float):
 
 def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
                      store_every: int = 1) -> list:
-    """RK4 on the coupled system (phi_t = u o phi, EPDiff for u).
+    """RK4 on the coupled system (transport of q and f by u, EPDiff for u).
 
     Takes ceil(T/dt) equal steps that end exactly at T. Returns the list of
-    stored (t, DiffeoState). Aborts when the flow map stops being a
+    stored (t, DiffeoState). Aborts when the inverse map stops being a
     grid-resolved diffeomorphism (nonpositive Jacobian).
     """
     if not store_every >= 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
-    grid, k = state0.grid, state0.k
-    y = np.stack((state0.disp.components, state0.u.components))
+    grid, k, dim = state0.grid, state0.k, state0.grid.dim
+    y = np.concatenate((state0.q.components, state0.f.values[None],
+                        state0.u.components))
     _, stored = integrate(partial(_flow_step, operators(grid, k)), y, T, dt,
                           store_every)
-    return [(t, DiffeoState(VectorField(grid, disp), VectorField(grid, u), k))
-            for t, (disp, u) in stored]
+    return [(t, DiffeoState(VectorField(grid, y[:dim]),
+                            ScalarField(grid, y[dim]),
+                            VectorField(grid, y[dim + 1:]), k))
+            for t, y in stored]
 
 
-class InversionError(RuntimeError):
-    """Newton inversion of the flow map failed."""
+def pushforward_density(phi: DiffeoState) -> ScalarField:
+    """The projection phi_* rho0 = f det(I + grad q), normalized to unit mass.
 
-
-def invert_map(grid: Grid, disp) -> np.ndarray:
-    """Inverse displacement q with (x + q) + disp(x + q) = x, by Newton.
-
-    Rejects a map whose Jacobian det(I + grad disp) is not positive on the
-    grid (SolverAbort): it is not a diffeomorphism, and its inverse is not a
-    map. Newton's method then solves res(q) = q + disp(x + q) = 0 pointwise,
-    starting from q = -disp, with the Jacobian I + (grad disp)(x + q): each
-    iteration evaluates disp and its gradient at x + q in one eval_periodic
-    call and solves the dim x dim system per point in closed form. It stops
-    once max |res| < INVERT_TOL, after taking the last step. Raises
-    InversionError at once on a non-finite residual or a non-positive
-    determinant at a point, and after INVERT_MAX_ITER iterations.
+    rho0 is the density the flow started from (`identity_state`), carried
+    as f. Raises SolverAbort when det(I + grad q) is not positive: the map
+    is not a diffeomorphism, and its "density" would not be one.
     """
-    disp = np.asarray(disp)
-    dim = grid.dim
-    grad = operators(grid).grad(disp)
-    jac = _det(grad)
+    jac = jacobian_det(phi.grid, phi.q.components)
     if not jac.min() > 0.0:
         raise SolverAbort(f"Jacobian not positive (min {jac.min():.3e})")
-    fields = np.concatenate((disp, grad.reshape((dim * dim,) + grid.shape)))
-    q = -disp
-    for _ in range(INVERT_MAX_ITER):
-        vals = eval_periodic(grid, fields, grid.coords + q)
-        res = q + vals[:dim]
-        err = np.abs(res).max()
-        if not np.isfinite(err):
-            raise InversionError("map inversion met a non-finite residual")
-        d = vals[dim:].reshape((dim, dim) + grid.shape)
-        det = _det(d)
-        if not det.min() > 0.0:
-            raise InversionError(
-                f"map inversion met a non-positive Jacobian (min {det.min():.3e})")
-        if dim == 1:
-            q = q - res / det
-        else:
-            q = q - np.stack(((1.0 + d[1, 1]) * res[0] - d[0, 1] * res[1],
-                              (1.0 + d[0, 0]) * res[1] - d[1, 0] * res[0])) / det
-        if err < INVERT_TOL:
-            return q
-    raise InversionError(
-        f"map inversion stalled at residual {err:.3e} after "
-        f"{INVERT_MAX_ITER} iterations")
-
-
-def pushforward_density(rho0: ScalarField, phi: DiffeoState):
-    """Pushforward (rho0 o phi^{-1}) * Jac(phi^{-1}), normalized to unit mass.
-
-    For the uniform rho0 this is the left projection pi(phi) = phi_* mu,
-    Jac(phi^{-1}): eval_periodic returns the constant 1 exactly, so the
-    density is the normalized Jacobian bit for bit. For another rho0 it is
-    the left projection of the flow started at a diffeomorphism projecting
-    to rho0, computed without constructing that diffeomorphism: the flow
-    from the identity composed on the right leaves it invariant.
-    """
-    grid = phi.grid
-    check_same_grid(grid, rho0.grid)
-    q = invert_map(grid, phi.disp.components)
-    points = grid.coords + q
-    vals = eval_periodic(grid, rho0.values, points) * jacobian_det(grid, q)
-    mass = float(vals.mean())
-    return ScalarField(grid, vals / mass)
+    vals = phi.f.values * jac
+    return ScalarField(phi.grid, vals / vals.mean())
 
 
 def horizontality_defect(u: VectorField, rho: ScalarField, k: int) -> float:
     """L2 norm of the divergence-free Hodge component of w = (1/rho) Au."""
     grid = u.grid
     check_same_grid(grid, rho.grid)
-    if not rho.values.min() > 0.0:
-        raise ValueError("rho must be strictly positive")
+    check_density(rho.values, "rho")
     ops = operators(grid, k)
     what = ops.fft(ops.apply(ops.a, u.components) / rho.values)
     # the gradient part k (k.w) / |k|^2, zero on the divergence-free
@@ -301,13 +194,13 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
 
     traj = geodesic.shoot(rho0, p0, k, T, dt, store_every=stride)
     u0 = geodesic.horizontal_velocity(traj.states[0])
-    ep = integrate_epdiff(identity_state(grid, u0, k), T, dt,
+    ep = integrate_epdiff(identity_state(rho0, u0, k), T, dt,
                           store_every=stride)
     discrepancies = []
     defects = []
     # both flows store through geodesic.integrate: the same times, in order
     for dstate, (_, phi) in zip(traj.states, ep):
-        rho_ep = pushforward_density(rho0, phi)
+        rho_ep = pushforward_density(phi)
         discrepancies.append(
             l2_norm_values(rho_ep.values - dstate.rho.values))
         defects.append(horizontality_defect(phi.u, rho_ep, k))

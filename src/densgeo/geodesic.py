@@ -188,6 +188,9 @@ class DensityState:
 
     def __post_init__(self):
         check_same_grid(self.rho.grid, self.p.grid)
+        if not isinstance(self.k, (int, np.integer)):
+            raise StateError(
+                f"metric order k must be an integer, got {self.k!r}")
         if self.k < -1:
             raise StateError(f"metric order k must be >= -1, got {self.k}")
 
@@ -196,17 +199,27 @@ class DensityState:
         return self.rho.grid
 
 
+def check_density(rho: np.ndarray, name: str = "rho",
+                  unit_mass: bool = False) -> None:
+    """The one density check: rho finite and positive and, with unit_mass,
+    of mass 1 within MASS_TOL. Raises StateError naming the field."""
+    if not np.isfinite(rho).all():
+        raise StateError(f"{name} not finite")
+    rho_min = rho.min()
+    if not rho_min > 0.0:
+        raise StateError(f"{name} not positive (min {rho_min:.3e})")
+    if unit_mass:
+        mass_err = abs(rho.mean() - 1.0)
+        if not mass_err <= MASS_TOL:
+            raise StateError(f"{name} mass deviates from 1 by {mass_err:.3e}")
+
+
 def _validate(rho: np.ndarray, p: np.ndarray) -> None:
     """Check the invariants of a state (rho, p) given on the grid. p's mean
     is left unchecked: callers subtract it, which leaves roundoff only."""
-    if not (np.isfinite(rho).all() and np.isfinite(p).all()):
-        raise StateError("rho and p must be finite")
-    rho_min = rho.min()
-    if not rho_min > 0.0:
-        raise StateError(f"rho must be strictly positive (min {rho_min:.3e})")
-    mass_err = abs(rho.mean() - 1.0)
-    if not mass_err <= MASS_TOL:
-        raise StateError(f"rho mass deviates from 1 by {mass_err:.3e}")
+    check_density(rho, unit_mass=True)
+    if not np.isfinite(p).all():
+        raise StateError("p not finite")
 
 
 @dataclass
@@ -221,7 +234,7 @@ def make_state(grid: Grid, rho_values, p_values, k: int) -> DensityState:
     rho = ScalarField(grid, rho_values)
     p_vals = np.asarray(p_values, dtype=np.float64).reshape(grid.shape)
     if not np.isfinite(p_vals).all():
-        raise StateError("p must be finite")
+        raise StateError("p not finite")
     p = ScalarField(grid, p_vals - p_vals.mean())
     state = DensityState(rho, p, k)
     _validate(rho.values, p.values)
@@ -232,10 +245,9 @@ def _check_operands(rho: ScalarField, f: ScalarField, name: str) -> None:
     """rho and f of apply_L_rho or solve_L_rho: on one grid, finite, and
     rho positive."""
     check_same_grid(rho.grid, f.grid)
-    if not (np.isfinite(rho.values).all() and np.isfinite(f.values).all()):
-        raise StateError(f"rho and {name} must be finite")
-    if not rho.values.min() > 0.0:
-        raise StateError("rho must be strictly positive")
+    check_density(rho.values)
+    if not np.isfinite(f.values).all():
+        raise StateError(f"{name} not finite")
 
 
 def apply_L_rho(rho: ScalarField, p: ScalarField, k: int) -> ScalarField:

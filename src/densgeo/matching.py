@@ -77,12 +77,7 @@ class MatchProblem:
         check_same_grid(self.rho0.grid, self.rho1.grid)
         operators(self.rho0.grid, self.k)  # raises for k the grid cannot use
         for name, f in (("rho0", self.rho0), ("rho1", self.rho1)):
-            if not np.isfinite(f.values).all():
-                raise ValueError(f"{name} must be finite")
-            if not f.values.min() > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-            if not abs(f.values.mean() - 1.0) <= geodesic.MASS_TOL:
-                raise ValueError(f"{name} must have unit mass")
+            geodesic.check_density(f.values, name, unit_mass=True)
         geodesic.time_steps(self.T, self.dt)
         if not isinstance(self.n_modes, (int, np.integer)):
             raise ValueError(

@@ -23,7 +23,7 @@ and the band is the table itself. The geodesic flow (L_rho, its CG inverse,
 the Hamiltonian right-hand side), `dealias` and EPDiff's final band-limited
 Ainv use the band; every user of an unmasked spectrum keeps the full half
 spectrum: `grad` of raw fields, `spectral_tail_fraction`, and in `epdiff` and
-`validation` point evaluation, the horizontality defect and the checks.
+`validation` the transport, the horizontality defect and the checks.
 """
 from __future__ import annotations
 
@@ -98,6 +98,8 @@ class Operators:
     """
 
     def __init__(self, grid: Grid, k: int):
+        if not isinstance(k, (int, np.integer)):
+            raise ValueError(f"metric order k must be an integer, got {k!r}")
         if k < -1:
             raise ValueError(f"metric order k must be >= -1, got {k}")
         self.grid = grid
@@ -192,9 +194,10 @@ class Band:
     div_hat = Operators.div_hat
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def operators(grid: Grid, k: int = -1) -> Operators:
-    """The operator table of (grid, k); k only sets the metric symbols."""
+    """The operator table of (grid, k); k only sets the metric symbols. Typed,
+    so that k = 2.0 reaches Operators' check instead of k = 2's table."""
     return Operators(grid, k)
 
 

@@ -164,7 +164,8 @@ def _check_epdiff_energy(rng, grid, k):
         dealias(grid, random_band_limited(rng, grid, amplitude=0.3))
         for _ in range(grid.dim)))
     states = epdiff.integrate_epdiff(
-        epdiff.identity_state(grid, u0, kk), 0.3, 0.005)
+        epdiff.identity_state(ScalarField(grid, np.ones(grid.shape)), u0, kk),
+        0.3, 0.005)
     energies = [epdiff.epdiff_energy(s.u, kk) for _, s in states]
     return max(abs(e - energies[0]) for e in energies) / energies[0], 1e-8
 
@@ -174,11 +175,13 @@ def _check_project_left_identity_translation(rng, grid, k):
     uniform = ScalarField(grid, np.ones(grid.shape))
     zero_u = VectorField(grid, tuple(np.zeros(grid.shape)
                                      for _ in range(grid.dim)))
-    ident = epdiff.identity_state(grid, zero_u, max(k, 0))
+    ident = epdiff.identity_state(uniform, zero_u, max(k, 0))
     c = rng.uniform(0.0, 2 * np.pi, size=grid.dim)
-    disp = tuple(np.full(grid.shape, ci) for ci in c)
-    trans = epdiff.DiffeoState(VectorField(grid, disp), zero_u, max(k, 0))
-    errors = [np.abs(epdiff.pushforward_density(uniform, phi).values - 1.0).max()
+    # the translation by c has the inverse map x - c
+    q = tuple(np.full(grid.shape, -ci) for ci in c)
+    trans = epdiff.DiffeoState(VectorField(grid, q), uniform, zero_u,
+                               max(k, 0))
+    errors = [np.abs(epdiff.pushforward_density(phi).values - 1.0).max()
               for phi in (ident, trans)]
     return max(errors), 1e-12
 

@@ -41,10 +41,18 @@ def test_harness_lists_found():
     assert [c for c, _ in WORKLOADS] == ["shoot", "match", "epdiff-check"]
 
 
+# spans on code that is gone: the EPDiff check carries the inverse map on the
+# grid, with no point evaluation and no Newton inversion; the tracer skips them
+RETIRED = [("epdiff", "eval_periodic"), ("epdiff", "invert_map")]
+
+
 @pytest.mark.parametrize("module,name", SPANS + [s for _, s in WORKLOADS])
 def test_traced_name_resolves(module, name):
-    assert callable(getattr(importlib.import_module(f"densgeo.{module}"),
-                            name, None)), f"densgeo.{module}.{name}"
+    found = getattr(importlib.import_module(f"densgeo.{module}"), name, None)
+    if (module, name) in RETIRED:
+        assert found is None, f"densgeo.{module}.{name} is retired"
+    else:
+        assert callable(found), f"densgeo.{module}.{name}"
 
 
 TINY = {

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densgeo import epdiff, geodesic as ge, presets, spectral as sp
+from densgeo import epdiff, geodesic as ge, matching as ma, presets, \
+    spectral as sp
 
 
 def grid1d(n=64):
@@ -167,9 +168,8 @@ class TestHamiltonianRHS:
         for sign in (+1, -1):
             u_init = sp.VectorField(g, tuple(sign * c for c in u0.components))
             states = epdiff.integrate_epdiff(
-                epdiff.identity_state(g, u_init, 1), eps, eps / 4)
-            rhos[sign] = epdiff.pushforward_density(
-                state.rho, states[-1][1]).values
+                epdiff.identity_state(state.rho, u_init, 1), eps, eps / 4)
+            rhos[sign] = epdiff.pushforward_density(states[-1][1]).values
         fd = (rhos[+1] - rhos[-1]) / (2 * eps)
         assert np.abs(fd - rhodot.values).max() < 5e-7  # O(eps^2) + spectral
 
@@ -369,6 +369,29 @@ def test_state_invariants_enforced():
         ge.make_state(g, np.cos(g.coords[0]), np.zeros(g.shape), 1)  # negative
     with pytest.raises(ge.StateError):
         ge.make_state(g, 2 * np.ones(g.shape), np.zeros(g.shape), 1)  # mass 2
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0])
+@pytest.mark.parametrize("entry", ["operators", "make_state", "shoot",
+                                   "solve_L_rho", "MatchProblem",
+                                   "cross_validate"])
+def test_rejects_non_integer_metric_order(entry, k):
+    # the CLI parses k as an integer, and k = 1.5 ran through the API as a
+    # fractional power of 1 - Laplacian
+    g = grid1d(16)
+    one = sp.ScalarField(g, np.ones(g.shape))
+    p = sp.ScalarField(g, 0.1 * np.sin(g.coords[0]))
+    sp.operators(g, 2)  # k = 2.0 must not be served k = 2's cached table
+    calls = {
+        "operators": lambda: sp.operators(g, k),
+        "make_state": lambda: ge.make_state(g, one.values, p.values, k),
+        "shoot": lambda: ge.shoot(one, p, k, 0.1, 0.01),
+        "solve_L_rho": lambda: ge.solve_L_rho(one, p, k),
+        "MatchProblem": lambda: ma.MatchProblem(one, one, k, 0.1, 0.01, 1),
+        "cross_validate": lambda: epdiff.cross_validate(one, p, k, 0.1, 0.01),
+    }
+    with pytest.raises(ValueError, match="must be an integer"):
+        calls[entry]()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
