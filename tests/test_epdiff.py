@@ -175,6 +175,56 @@ class TestProjectLeft:
             ep.pushforward_density(phi)
 
 
+class TestInvertMap:
+    # the flow carries the inverse map psi = x + q of its flow map phi
+    def test_1d_against_bisection(self):
+        # phi(x) is the particle path x' = u(t, x), by RK4 through the flow's
+        # own velocities at t, t + dt/2 and t + dt; inverting the transported
+        # psi by bisection must land on it
+        g = grid1d()
+        x = g.coords[0]
+        state = ge.make_state(g, 1 + 0.3 * np.cos(x), np.sin(x), 1)
+        T, dt = 1.0, 0.005
+        states = ep.integrate_epdiff(
+            ep.identity_state(state.rho, ge.horizontal_velocity(state), 1),
+            T, dt / 2)
+
+        def vel(i, pts):
+            return dense_series(g, states[i][1].u.components, pts[None])[0]
+
+        pts = x.copy()
+        for i in range(0, len(states) - 1, 2):
+            k1 = vel(i, pts)
+            k2 = vel(i + 1, pts + dt / 2 * k1)
+            k3 = vel(i + 1, pts + dt / 2 * k2)
+            k4 = vel(i + 2, pts + dt * k3)
+            pts = pts + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.abs(pts - x).max() > 0.4  # far from the identity
+
+        q = states[-1][1].q.components
+        lo, hi = x - 1.0, x + 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = mid + dense_series(g, q, mid[None])[0] < x
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        assert np.abs(pts - 0.5 * (lo + hi)).max() <= 1e-12
+
+    def test_folded_map_rejected(self):
+        # psi = x + 1.5 sin x folds (Jacobian 1 + 1.5 cos x): the step guard
+        # stops a flow started from it at the first step, as the projection
+        # refuses it
+        g = grid1d(32)
+        x = g.coords[0]
+        phi = ep.DiffeoState(sp.VectorField(g, (1.5 * np.sin(x),)),
+                             uniform(g), zero_velocity(g), 1)
+        with pytest.raises(ge.SolverAbort) as info:
+            ep.integrate_epdiff(phi, 0.1, 0.05)
+        assert str(info.value) == (
+            "t=0.05: Jacobian lost positivity (min -5.000e-01)")
+        with pytest.raises(ge.SolverAbort, match="Jacobian not positive"):
+            ep.pushforward_density(phi)
+
+
 class TestPushforward:
     def test_identity_returns_rho0(self):
         g = grid1d()
