@@ -33,6 +33,7 @@ from .spectral import (
     ScalarField,
     VectorField,
     check_same_grid,
+    is_integer,
     l2_norm_values,
     operators,
     spectral_tail_fraction,
@@ -188,7 +189,7 @@ class DensityState:
 
     def __post_init__(self):
         check_same_grid(self.rho.grid, self.p.grid)
-        if not isinstance(self.k, (int, np.integer)):
+        if not is_integer(self.k):
             raise StateError(
                 f"metric order k must be an integer, got {self.k!r}")
         if self.k < -1:

@@ -13,10 +13,16 @@ history is monotone.
 Every objective value comes from `_residual`, one shoot of one coefficient
 vector, whose SolverAbort reports an abort: `objective` scores it with a
 penalty, Levenberg-Marquardt rejects the trial and `gradient_fd` names the
-coefficient. Every Jacobian comes from tangent stacks: the base shoot and
+coefficient. Every Jacobian comes from tangent stacks: a base shoot and
 its tangents stepped together, at most MAX_STACK_POINTS grid points per
-stack, more tangents split over several stacks. Tangents are independent
-given the base, so the split does not change any value.
+stack (`_per_stack` tangents). When the whole Jacobian fits in one stack,
+the first trial of each Levenberg-Marquardt iteration is shot with its
+tangents, and if it is accepted they are the next iteration's Jacobian;
+the base ends bit for bit where a plain shoot ends, so no value changes.
+`_jacobian` shoots the Jacobian only where no trial carried it: at c = 0
+(without a time loop), after an iteration won by a retry, and when the
+tangents need several stacks, one base shoot per stack. Tangents are
+independent given the base, so the split does not change any value.
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ from .spectral import (
     Grid,
     ScalarField,
     check_same_grid,
+    is_integer,
     l2_norm_values,
     operators,
 )
@@ -53,7 +60,7 @@ class OptSettings:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if not isinstance(self.max_iter, (int, np.integer)):
+        if not is_integer(self.max_iter):
             raise ValueError(
                 f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.max_iter >= 0:
@@ -79,7 +86,7 @@ class MatchProblem:
         for name, f in (("rho0", self.rho0), ("rho1", self.rho1)):
             geodesic.check_density(f.values, name, unit_mass=True)
         geodesic.time_steps(self.T, self.dt)
-        if not isinstance(self.n_modes, (int, np.integer)):
+        if not is_integer(self.n_modes):
             raise ValueError(
                 f"n_modes must be an integer, got {self.n_modes!r}")
         if self.n_modes < 1 or self.n_modes > self.rho0.grid.n // 3:
@@ -144,13 +151,21 @@ def p_from_coeffs(problem: MatchProblem, coeffs: np.ndarray) -> ScalarField:
     return ScalarField(problem.grid, p - p.mean())
 
 
-def _residual(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
+def _residual(problem: MatchProblem, coeffs: np.ndarray, dp=None):
     """rho(T) - rho1 of the shoot of coeffs' momentum (`shoot_tangents`
-    with no tangents). Raises the shoot's SolverAbort, with its time."""
-    rho_T, _ = geodesic.shoot_tangents(
-        problem.rho0, p_from_coeffs(problem, coeffs).values,
-        np.empty((0,) + problem.grid.shape), problem.k, problem.T, problem.dt)
-    return rho_T - problem.rho1.values
+    with no tangents). Given tangent momenta dp (m, *shape), m >= 0, the
+    shoot carries them, and the result is (rho(T) - rho1, jac): jac (m, N)
+    holds the derivatives of rho(T) along dp, C-contiguous as `_jacobian`
+    builds it, so that it frees the shoot's rows. Raises the shoot's
+    SolverAbort, with its time."""
+    tangents = np.empty((0,) + problem.grid.shape) if dp is None else dp
+    rho_T, drho = geodesic.shoot_tangents(
+        problem.rho0, p_from_coeffs(problem, coeffs).values, tangents,
+        problem.k, problem.T, problem.dt)
+    r = rho_T - problem.rho1.values
+    if dp is None:
+        return r
+    return r, drho.reshape(len(drho), problem.grid.npoints).copy()
 
 
 def objective(problem: MatchProblem, coeffs: np.ndarray) -> float:
@@ -193,53 +208,59 @@ def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
     return grad
 
 
+def _basis_stack(problem: MatchProblem) -> np.ndarray:
+    """The basis fields (n_coeffs, *shape), each with its mean subtracted:
+    the tangent momenta of the Jacobian."""
+    basis = np.array(basis_fields(problem.grid, problem.n_modes))
+    basis -= basis.mean(axis=operators(problem.grid).axes, keepdims=True)
+    return basis
+
+
+def _per_stack(grid: Grid) -> int:
+    """The tangents a stack holds beside its base: MAX_STACK_POINTS // N - 1,
+    at least 1."""
+    return max(1, MAX_STACK_POINTS // grid.npoints - 1)
+
+
+def _check_tangents(jac: np.ndarray) -> None:
+    """Raises SolverAbort naming the first coefficient whose tangent (row
+    of jac) is not finite; only a shoot's base is guarded."""
+    bad = np.flatnonzero(~np.isfinite(jac).all(axis=1))
+    if len(bad):
+        raise geodesic.SolverAbort(
+            f"the tangent of coefficient {bad[0]} is not finite")
+
+
 def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
     """The residual Jacobian d rho(T) / dc (n_coeffs, N) at coeffs, from
-    tangent stacks of the base shoot and at most MAX_STACK_POINTS // N - 1
-    (at least 1) basis fields each; the base is shot again for each stack.
+    tangent stacks of the base shoot and at most `_per_stack` basis fields
+    each; the base is shot again for each stack. At c = 0 it takes no time
+    loop (see `shoot_tangents`). `solve_match` calls it where no accepted
+    trial carried the Jacobian, and checks its tangents (`_check_tangents`).
 
-    Raises SolverAbort when the base shoot aborts or a tangent is not
-    finite.
+    Raises SolverAbort when the base shoot aborts.
     """
-    grid = problem.grid
     p = p_from_coeffs(problem, coeffs).values
-    basis = np.array(basis_fields(grid, problem.n_modes))
-    basis -= basis.mean(axis=operators(grid).axes, keepdims=True)
-    per_stack = max(1, MAX_STACK_POINTS // grid.npoints - 1)
-    jac = np.empty((len(basis), grid.npoints))
+    basis = _basis_stack(problem)
+    per_stack = _per_stack(problem.grid)
+    jac = np.empty((len(basis), problem.grid.npoints))
     for lo in range(0, len(basis), per_stack):
         part = slice(lo, lo + per_stack)
         _, drho = geodesic.shoot_tangents(problem.rho0, p, basis[part],
                                           problem.k, problem.T, problem.dt)
         jac[part] = drho.reshape(len(drho), -1)
-    bad = np.flatnonzero(~np.isfinite(jac).all(axis=1))
-    if len(bad):
-        raise geodesic.SolverAbort(
-            f"the tangent of coefficient {bad[0]} is not finite")
     return jac
 
 
-def solve_match(problem: MatchProblem) -> MatchResult:
-    """Levenberg-Marquardt descent of the shooting objective from p0 = 0.
-
-    At c = 0 the flow rests, so the first residual is rho0 - rho1 without a
-    shoot. Each iteration forms the gradient g and the Gauss-Newton matrix H
-    from the exact Jacobian (`_jacobian`; at c = 0 without a shoot), stops as
-    converged when ||g|| <= grad_tol, and otherwise shoots the trial c + s,
-    (H + lambda diag H) s = -g. A trial is accepted only when it lowers J,
-    and lambda then falls by LM_FACTOR; a rejected trial, an aborted one
-    included, raises lambda by LM_FACTOR and is retried. The history is
-    monotone, so the last iterate is the best.
-
-    Ends as stalled after LM_MAX_TRIALS rejected trials in a row, when a
-    trial repeats the rejected one before it (lambda has fallen so far that
-    raising it no longer changes the step), or when the Jacobian fails: its
-    base shoot aborts or a tangent is not finite. A stalled match returns
-    the best coefficients seen, the last accepted ones.
-    """
+def _levenberg_marquardt(problem: MatchProblem):
+    """`solve_match`'s iterations: (status, coeffs, objective history,
+    history rows). Its Jacobians and shoots are freed when it returns."""
     opt = problem.opt
-    n_coeffs = len(basis_fields(problem.grid, problem.n_modes))
-    coeffs = np.zeros(n_coeffs)
+    basis = _basis_stack(problem)
+    # the first trial of an iteration carries the next Jacobian's tangents
+    # when they fit one stack; retries carry none
+    carried = basis if len(basis) <= _per_stack(problem.grid) else basis[:0]
+    coeffs = np.zeros(len(basis))
     # the flow from p = 0 rests exactly, rho(T) = rho0: no shoot, and the
     # problem's checks are the ones a shoot makes of rho0
     r = problem.rho0.values - problem.rho1.values
@@ -247,22 +268,26 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     rows = []
     lam = LM_LAMBDA0
     status = "max_iter"
+    jac = None  # the Jacobian at coeffs, when the accepted trial carried it
 
     for it in range(opt.max_iter):
         try:
-            jac = _jacobian(problem, coeffs)
+            if jac is None:
+                jac = _jacobian(problem, coeffs)
+            _check_tangents(jac)
         except geodesic.SolverAbort:
             status = "stalled"
             break
         # the gradient and the Gauss-Newton matrix of the mean-based J
         g = jac @ r.ravel() / r.size
         hess = jac @ jac.T / r.size
-        del jac  # freed before the final shoot, whose snapshots set the peak
+        jac = None
         gnorm = float(np.linalg.norm(g))
         if gnorm <= opt.grad_tol:
             status = "converged"
         else:
             rejected = None
+            dp = carried
             for _ in range(LM_MAX_TRIALS):
                 trial = coeffs + np.linalg.solve(
                     hess + lam * np.diag(np.diag(hess)), -g)
@@ -272,7 +297,7 @@ def solve_match(problem: MatchProblem) -> MatchResult:
                     status = "stalled"
                     break
                 try:
-                    r_trial = _residual(problem, trial)
+                    r_trial, jac_trial = _residual(problem, trial, dp)
                 except geodesic.SolverAbort:
                     pass  # an aborted trial is rejected
                 else:
@@ -281,15 +306,48 @@ def solve_match(problem: MatchProblem) -> MatchResult:
                         break
                 lam *= LM_FACTOR
                 rejected = trial
+                dp = basis[:0]
             else:
                 status = "stalled"
         rows.append((it, history[-1], gnorm, lam))
         if status != "max_iter":
             break
         coeffs, r = trial, r_trial
+        if len(jac_trial):
+            jac = jac_trial
         history.append(j_trial)
         lam /= LM_FACTOR
+    return status, coeffs, history, rows
 
+
+def solve_match(problem: MatchProblem) -> MatchResult:
+    """Levenberg-Marquardt descent of the shooting objective from p0 = 0.
+
+    At c = 0 the flow rests, so the first residual is rho0 - rho1 without a
+    shoot. Each iteration forms the gradient g and the Gauss-Newton matrix H
+    from the exact Jacobian, stops as converged when ||g|| <= grad_tol, and
+    otherwise shoots the trial c + s, (H + lambda diag H) s = -g. A trial is
+    accepted only when it lowers J, and lambda then falls by LM_FACTOR; a
+    rejected trial, an aborted one included, raises lambda by LM_FACTOR and
+    is retried. The history is monotone, so the last iterate is the best.
+
+    When the Jacobian fits in one stack (n_coeffs <= `_per_stack`), the
+    first trial of each iteration is shot with one tangent per basis field,
+    and when it is accepted its tangents are the next Jacobian. Retries are
+    plain shoots, so a rejection wastes at most one stack per iteration.
+    `_jacobian` shoots the Jacobian at c = 0 (without a time loop), after
+    an iteration won by a retry, and at every iteration when the tangents
+    need several stacks. A trial's residual is the same either way.
+
+    Ends as stalled after LM_MAX_TRIALS rejected trials in a row, when a
+    trial repeats the rejected one before it (lambda has fallen so far that
+    raising it no longer changes the step), or when the Jacobian fails: its
+    base shoot aborts or a tangent is not finite. A stalled match returns
+    the best coefficients seen, the last accepted ones. The final geodesic
+    is shot again from them, after the iterations' Jacobians are freed:
+    its snapshots set the peak memory.
+    """
+    status, coeffs, history, rows = _levenberg_marquardt(problem)
     p0 = p_from_coeffs(problem, coeffs)
     traj = geodesic.shoot(problem.rho0, p0, problem.k, problem.T, problem.dt)
     mismatch = l2_norm_values(traj.states[-1].rho.values - problem.rho1.values)

@@ -80,6 +80,12 @@ def check_same_grid(a: Grid, b: Grid) -> None:
         raise GridError(f"grid mismatch: {a} vs {b}")
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool (which int accepts): the
+    test of an integer setting such as a metric order or a mode count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class Operators:
     """Transforms and Fourier symbols of one grid and metric order k.
 
@@ -98,7 +104,7 @@ class Operators:
     """
 
     def __init__(self, grid: Grid, k: int):
-        if not isinstance(k, (int, np.integer)):
+        if not is_integer(k):
             raise ValueError(f"metric order k must be an integer, got {k!r}")
         if k < -1:
             raise ValueError(f"metric order k must be >= -1, got {k}")

@@ -1,6 +1,6 @@
 """Layer timings of the 2-D flow at n = 128, k = 2 (the shoot-2d grid), of
 the 1-D flow at n = 32, k = 1 (the match-1d grid), and of one matching
-Jacobian at the match-1d size.
+Jacobian and one solve_match at the match-1d size.
 
     PYTHONPATH=src python -m pytest tests/bench_layers.py --benchmark-only
 
@@ -14,6 +14,9 @@ match-1d Jacobian (the state and 6 tangents), where per-call overhead
 dominates. The Jacobian case (1-D n = 32, k = 1, 3 modes = 6 coefficients,
 T = 0.5, dt = 0.02: 25 steps) times the central-difference stencil (12
 shoots), the tangent rows (the base and 6 tangents) and the c = 0 shortcut.
+The solve_match case runs Levenberg-Marquardt on the same problem to
+convergence (5 iterations: the c = 0 Jacobian, 4 accepted trials each
+carrying the next Jacobian, and the final shoot).
 """
 import numpy as np
 import pytest
@@ -89,3 +92,8 @@ def test_matching_jacobian(benchmark, match_problem, method):
     jacobian = fd_jacobian if method == "fd_stencil" else ma._jacobian
     jac = benchmark(jacobian, match_problem, coeffs)
     assert jac.shape == (6, 32)
+
+
+def test_solve_match(benchmark, match_problem):
+    result = benchmark(ma.solve_match, match_problem)
+    assert result.status == "converged"

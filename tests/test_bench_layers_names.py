@@ -31,6 +31,7 @@ FROM_TESTS = sorted((node.module, alias.name) for node in IMPORTS
 def test_names_found():
     assert set(MODULES) == {"ge", "ma", "sp"}
     assert ("densgeo.matching", "_jacobian") in ATTRIBUTES
+    assert ("densgeo.matching", "solve_match") in ATTRIBUTES
     assert ("test_matching", "fd_jacobian") in FROM_TESTS
 
 

@@ -371,13 +371,13 @@ def test_state_invariants_enforced():
         ge.make_state(g, 2 * np.ones(g.shape), np.zeros(g.shape), 1)  # mass 2
 
 
-@pytest.mark.parametrize("k", [1.5, 2.0])
+@pytest.mark.parametrize("k", [1.5, 2.0, True])
 @pytest.mark.parametrize("entry", ["operators", "make_state", "shoot",
                                    "solve_L_rho", "MatchProblem",
                                    "cross_validate"])
 def test_rejects_non_integer_metric_order(entry, k):
     # the CLI parses k as an integer, and k = 1.5 ran through the API as a
-    # fractional power of 1 - Laplacian
+    # fractional power of 1 - Laplacian; True ran as k = 1
     g = grid1d(16)
     one = sp.ScalarField(g, np.ones(g.shape))
     p = sp.ScalarField(g, 0.1 * np.sin(g.coords[0]))

@@ -392,9 +392,9 @@ class TestSolveMatch:
         shot = []
         residual = ma._residual
 
-        def spy(problem, coeffs):
+        def spy(problem, coeffs, dp=None):
             shot.append(np.array(coeffs))
-            return residual(problem, coeffs)
+            return residual(problem, coeffs, dp)
 
         monkeypatch.setattr(ma, "_residual", spy)
         result = ma.solve_match(problem)
@@ -474,19 +474,45 @@ class TestSolveMatch:
         assert counts[0] == counts[1] == 1
 
 
-class TestLevenbergMarquardt:
-    def test_bump_translation_converges(self):
-        # the bump problem of acceptance criterion 8
+def bump_problem():
+    """The bump translation of acceptance criterion 8: 16 coefficients, 14
+    accepted trials, some iterations won by a retry."""
+    g = grid1d()
+    x = g.coords[0]
+
+    def bump(c, w=0.7, base=0.5):
+        f = base + np.exp((np.cos(x - c) - 1) / w ** 2)
+        return sp.ScalarField(g, f / f.mean())
+
+    return ma.MatchProblem(bump(np.pi - 0.8), bump(np.pi + 0.8), 1, 1.0,
+                           0.02, 8, ma.OptSettings(grad_tol=1e-10))
+
+
+def self_consistent_problem(dim, **kw):
+    """A target reached by a low-mode momentum, as in the benchmark's
+    match-1d: 1-D n 32, k 1, 3 modes (6 coefficients), T 0.5, dt 0.02 (25
+    steps), converged after 2 accepted trials; 2-D n 16, k 2, 2 modes (24
+    coefficients, one stack), T 0.5, dt 0.05."""
+    if dim == 1:
         g = grid1d()
         x = g.coords[0]
+        rho0 = sp.ScalarField(g, 1 + 0.2 * np.cos(x))
+        pstar = 0.1 * np.sin(x) + 0.05 * np.cos(2 * x)
+        args = (1, 0.5, 0.02, 3)
+    else:
+        g = sp.make_grid(2, 16)
+        x, y = g.coords
+        rho0 = 1 + 0.2 * np.cos(x) * np.cos(y)
+        rho0 = sp.ScalarField(g, rho0 / rho0.mean())
+        pstar = 0.1 * np.sin(x) + 0.05 * np.cos(y) + 0.03 * np.sin(x + y)
+        args = (2, 0.5, 0.05, 2)
+    rho1 = ge.shoot(rho0, sp.ScalarField(g, pstar), *args[:3]).states[-1].rho
+    return ma.MatchProblem(rho0, sp.ScalarField(g, rho1.values), *args, **kw)
 
-        def bump(c, w=0.7, base=0.5):
-            f = base + np.exp((np.cos(x - c) - 1) / w ** 2)
-            return sp.ScalarField(g, f / f.mean())
 
-        problem = ma.MatchProblem(bump(np.pi - 0.8), bump(np.pi + 0.8),
-                                  1, 1.0, 0.02, 8,
-                                  ma.OptSettings(grad_tol=1e-10))
+class TestLevenbergMarquardt:
+    def test_bump_translation_converges(self):
+        problem = bump_problem()
         result = ma.solve_match(problem)
         assert result.status == "converged"
         assert len(result.objective_history) - 1 <= 30
@@ -506,9 +532,9 @@ class TestLevenbergMarquardt:
         trial_aborts = []
         residual = ma._residual
 
-        def spy(problem, coeffs):
+        def spy(problem, coeffs, dp=None):
             try:
-                r = residual(problem, coeffs)
+                r = residual(problem, coeffs, dp)
             except ge.SolverAbort:
                 trial_aborts.append(True)
                 raise
@@ -540,9 +566,9 @@ class TestLevenbergMarquardt:
         trials = []
         residual = ma._residual
 
-        def spy(problem, coeffs):
+        def spy(problem, coeffs, dp=None):
             trials.append(np.array(coeffs))
-            return residual(problem, coeffs)
+            return residual(problem, coeffs, dp)
 
         monkeypatch.setattr(ma, "_residual", spy)
         result = ma.solve_match(problem)
@@ -552,20 +578,144 @@ class TestLevenbergMarquardt:
                        for a, b in zip(trials, trials[1:]))
 
     def test_2d_self_consistency(self):
-        g = sp.make_grid(2, 16)
-        x, y = g.coords
-        rho0 = 1 + 0.2 * np.cos(x) * np.cos(y)
-        rho0 = sp.ScalarField(g, rho0 / rho0.mean())
-        pstar = 0.1 * np.sin(x) + 0.05 * np.cos(y) + 0.03 * np.sin(x + y)
-        rho1 = ge.shoot(rho0, sp.ScalarField(g, pstar), 2, 0.5,
-                        0.05).states[-1].rho
-        problem = ma.MatchProblem(rho0, sp.ScalarField(g, rho1.values),
-                                  2, 0.5, 0.05, 2,
-                                  ma.OptSettings(grad_tol=1e-10))
-        assert len(ma.basis_fields(g, 2)) == 24
+        problem = self_consistent_problem(
+            2, opt=ma.OptSettings(grad_tol=1e-10))
+        assert len(ma.basis_fields(problem.grid, 2)) == 24
         result = ma.solve_match(problem)
         assert result.status == "converged"
         assert result.final_l2_mismatch <= 1e-6
+
+
+class TestCarriedTangents:
+    """The first trial of an iteration carries the next Jacobian's tangents
+    when they fit one stack; an accepted one is not shot again."""
+
+    def test_match_1d_size_takes_three_time_loops(self, monkeypatch):
+        # 2 trials, each carrying its Jacobian, and the final shoot; the
+        # Jacobian at c = 0 takes no time loop
+        problem = self_consistent_problem(1)
+        loops, steps = [], []
+        integrate = ge.integrate
+
+        def counted(step, *args, **kw):
+            loops.append(1)
+
+            def counted_step(y, dt):
+                steps.append(1)
+                return step(y, dt)
+
+            return integrate(counted_step, *args, **kw)
+
+        monkeypatch.setattr(ge, "integrate", counted)
+        result = ma.solve_match(problem)
+        assert result.status == "converged"
+        assert len(result.history_rows) == 3
+        assert (len(loops), len(steps)) == (3, 75)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_carried_jacobian_equals_jacobian(self, dim, monkeypatch):
+        problem = self_consistent_problem(dim)
+        trials, checked, shot_at = [], [], []
+        residual, check, jacobian = (ma._residual, ma._check_tangents,
+                                     ma._jacobian)
+
+        def spy_residual(problem, coeffs, dp=None):
+            out = residual(problem, coeffs, dp)
+            trials.append((np.array(coeffs), out[1]))
+            return out
+
+        def spy_jacobian(problem, coeffs):
+            shot_at.append(np.array(coeffs))
+            return jacobian(problem, coeffs)
+
+        monkeypatch.setattr(ma, "_residual", spy_residual)
+        monkeypatch.setattr(ma, "_check_tangents",
+                            lambda jac: checked.append(jac) or check(jac))
+        monkeypatch.setattr(ma, "_jacobian", spy_jacobian)
+        result = ma.solve_match(problem)
+        assert result.status == "converged"
+        carried = [(coeffs, jac) for coeffs, jac in trials
+                   if any(jac is c for c in checked)]
+        assert len(carried) == len(result.history_rows) - 1 >= 2
+        assert len(shot_at) == 1 and not shot_at[0].any()  # c = 0 only
+        for coeffs, jac in carried:
+            assert jac.shape == (len(coeffs), problem.grid.npoints)
+            assert np.array_equal(jac, jacobian(problem, coeffs))
+
+    def test_nan_in_a_carried_tangent_ends_stalled(self, monkeypatch):
+        # the first shoot away from rest is the first trial; it is accepted,
+        # and its carried Jacobian has a NaN tangent
+        problem = self_consistent_problem(1)
+        away = []
+        shoot_tangents = ge.shoot_tangents
+
+        def failing(rho0, p0, *args):
+            rho_T, drho_T = shoot_tangents(rho0, p0, *args)
+            if p0.any():
+                away.append(p0)
+                if len(away) == 1 and len(drho_T):
+                    drho_T[1, 3] = np.nan
+            return rho_T, drho_T
+
+        monkeypatch.setattr(ge, "shoot_tangents", failing)
+        result = ma.solve_match(problem)
+        assert result.status == "stalled"
+        assert np.array_equal(ma.p_from_coeffs(problem, result.coeffs).values,
+                              away[0])
+        # as a match stopped after the accepted trial, with no row for the
+        # iteration whose Jacobian failed
+        monkeypatch.setattr(ge, "shoot_tangents", shoot_tangents)
+        one = ma.solve_match(self_consistent_problem(
+            1, opt=ma.OptSettings(max_iter=1)))
+        assert np.array_equal(result.coeffs, one.coeffs)
+        assert np.array_equal(result.objective_history, one.objective_history)
+        assert result.history_rows == one.history_rows
+        assert len(result.history_rows) == 1
+
+    def test_two_stack_path_takes_the_same_steps(self, monkeypatch):
+        # criterion 8's bump, whose rejected first trials are retried with
+        # plain shoots, against a stack bound that splits its 16 tangents
+        # over two stacks: plain trials, and _jacobian at every iteration
+        def run(max_stack_points):
+            monkeypatch.setattr(ma, "MAX_STACK_POINTS", max_stack_points)
+            tangents, jacobians = [], []
+            residual, jacobian = ma._residual, ma._jacobian
+
+            def spy_residual(problem, coeffs, dp=None):
+                tangents.append(len(dp))
+                return residual(problem, coeffs, dp)
+
+            def spy_jacobian(problem, coeffs):
+                jacobians.append(1)
+                return jacobian(problem, coeffs)
+
+            monkeypatch.setattr(ma, "_residual", spy_residual)
+            monkeypatch.setattr(ma, "_jacobian", spy_jacobian)
+            result = ma.solve_match(bump_problem())
+            monkeypatch.setattr(ma, "_residual", residual)
+            monkeypatch.setattr(ma, "_jacobian", jacobian)
+            return result, tangents, len(jacobians)
+
+        problem = bump_problem()
+        assert len(ma._basis_stack(problem)) == 16
+        assert ma._per_stack(problem.grid) >= 16
+        one, one_tangents, one_jacobians = run(ma.MAX_STACK_POINTS)
+        two, two_tangents, two_jacobians = run(9 * problem.grid.npoints)
+        assert np.array_equal(one.objective_history, two.objective_history)
+        assert np.array_equal(one.coeffs, two.coeffs)
+        assert one.history_rows == two.history_rows
+        assert one.status == two.status == "converged"
+        # one stack: the first trial of each iteration carries 16 tangents
+        # and its retries none; a retry's win re-shoots the Jacobian
+        iterations = len(one.history_rows) - 1
+        assert one_tangents[0] == 16
+        assert set(one_tangents) == {0, 16}
+        assert one_tangents.count(16) == iterations < len(one_tangents)
+        assert 1 < one_jacobians < len(one.history_rows)
+        # two stacks: every trial is plain
+        assert set(two_tangents) == {0}
+        assert len(two_tangents) == len(one_tangents)
+        assert two_jacobians == len(two.history_rows)
 
 
 class TestOptSettings:
@@ -579,6 +729,10 @@ class TestOptSettings:
     def test_rejects_non_integer_max_iter(self):
         with pytest.raises(ValueError, match="max_iter"):
             ma.OptSettings(max_iter=2.5)
+
+    def test_rejects_boolean_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            ma.OptSettings(max_iter=True)
 
     def test_accepts_zero_iterations_and_tolerance(self):
         opt = ma.OptSettings(max_iter=0, grad_tol=0.0)
@@ -605,7 +759,8 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("kw,name", [
         (dict(T=-1.0), "positive"), (dict(dt=np.nan), "finite"),
-        (dict(T=1.0, dt=1e-300), "MAX_STEPS"), (dict(n_modes=2.5), "n_modes")])
+        (dict(T=1.0, dt=1e-300), "MAX_STEPS"), (dict(n_modes=2.5), "n_modes"),
+        (dict(n_modes=True), "n_modes")])
     def test_rejects_bad_time_and_modes(self, kw, name):
         with pytest.raises(ValueError, match=name):
             make_problem(grid1d(), **kw)
