@@ -13,6 +13,15 @@ f = rho0 o psi, next to EPDiff for u: spectral derivatives and grid products
 only, with no evaluation off the grid and no inversion. This is the standard
 LDDMM device (Beg, Miller, Trouve & Younes, IJCV 2005; Vialard, Risser,
 Rueckert & Cotter, IJCV 2012).
+
+u_t = -Ainv_band(...) is band-limited, so the flow carries u as its band
+spectrum, as the geodesic flow carries p: it steps one real row of q and f on
+the grid and u's spectrum on the `Band` columns (`_rows`). A right-hand side
+takes u, m = Au and their gradients from that spectrum in two inverse
+transforms and returns u_t as a spectrum; q and f stay on the grid, where
+their transport needs the full half spectrum. u0 must be band-limited (to
+roundoff), and each stored state gets its physical u back by one inverse
+transform.
 """
 from __future__ import annotations
 
@@ -31,6 +40,7 @@ from .geodesic import (
     time_steps,
 )
 from .spectral import (
+    Band,
     Grid,
     Operators,
     ScalarField,
@@ -61,6 +71,7 @@ class DiffeoState:
 
 
 N_CHECKS = 11  # cross_validate's comparison times, about evenly spaced
+BAND_RTOL = 1e-12  # u0's largest mode outside the band, relative: roundoff
 
 
 def identity_state(rho0: ScalarField, u: VectorField, k: int) -> DiffeoState:
@@ -74,15 +85,31 @@ def identity_state(rho0: ScalarField, u: VectorField, k: int) -> DiffeoState:
                        u, k)
 
 
-def _epdiff_rhs(ops: Operators, u: np.ndarray) -> np.ndarray:
-    """u_t = -Ainv{(u.grad)m + (div u)m + (grad u)^T m}, m = Au, dealiased."""
-    m = ops.apply(ops.a, u)
-    du = ops.grad(u)  # du[i, j] = d_j u_i
-    dm = ops.grad(m)
-    divu = sum(du[j, j] for j in range(ops.grid.dim))
+def _field_and_grad(band: Operators | Band, v_hat: np.ndarray):
+    """v (dim, *shape) and grad v (dim, dim, *shape), grad v[i, j] = d_j v_i,
+    on the grid from v's band spectrum v_hat: one inverse transform of the
+    stack [v_hat, ik v_hat]."""
+    dim = band.grid.dim
+    dv_hat = (band.ik * v_hat[band.vec]).reshape((dim * dim,) + band.mask.shape)
+    out = band.ifft(np.concatenate((v_hat, dv_hat)))
+    return out[:dim], out[dim:].reshape((dim, dim) + band.grid.shape)
+
+
+def _epdiff_rhs(band: Operators | Band, u_hat: np.ndarray):
+    """u on the grid and the band spectrum of EPDiff's
+    u_t = -Ainv{(u.grad)m + (div u)m + (grad u)^T m}, m = Au, dealiased,
+    from u's band spectrum u_hat. u, m and their gradients come from u_hat
+    in two inverse transforms, and u_t stays a spectrum: one forward
+    transform in all."""
+    dim = band.grid.dim
+    u, du = _field_and_grad(band, u_hat)
+    m, dm = _field_and_grad(band, band.a_band * u_hat)
+    divu = sum(du[j, j] for j in range(dim))
     conv = (u * dm).sum(axis=1)
     stretch = (m[:, None] * du).sum(axis=0)
-    return -ops.band.apply(ops.band.ainv_band, conv + divu * m + stretch)
+    ut_hat = band.fft(conv + divu * m + stretch)
+    ut_hat *= band.ainv_band
+    return u, np.negative(ut_hat, out=ut_hat)
 
 
 def jacobian_det(grid: Grid, q) -> np.ndarray:
@@ -93,20 +120,61 @@ def jacobian_det(grid: Grid, q) -> np.ndarray:
     return (1.0 + d[0, 0]) * (1.0 + d[1, 1]) - d[0, 1] * d[1, 0]
 
 
+def _rows(qf: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
+    """The row the flow steps: the grid values of q and f, stacked as qf
+    (dim + 1, *shape), then u's band spectrum u_hat viewed as reals, as
+    `geodesic._rows` lays out a density state."""
+    return np.concatenate((qf.ravel(), u_hat.view(np.float64).ravel()))
+
+
+def _split(band: Operators | Band, y: np.ndarray):
+    """Views (qf, u_hat) of a row y built by `_rows`."""
+    grid = band.grid
+    cut = (grid.dim + 1) * grid.npoints
+    return (y[:cut].reshape((grid.dim + 1,) + grid.shape),
+            y[cut:].view(np.complex128).reshape(
+                (grid.dim,) + band.mask.shape))
+
+
+def _initial_row(ops: Operators, state0: DiffeoState) -> np.ndarray:
+    """The row (see `_rows`) of a checked initial state: q and u finite, f
+    a density, and u band-limited. u_t is band-limited, so the flow can
+    carry u as its band spectrum only if u0 is too; u0's part outside the
+    band must be roundoff, and only that is cut."""
+    q, f, u = state0.q.components, state0.f.values, state0.u.components
+    for name, values in (("q", q), ("u", u)):
+        if not np.isfinite(values).all():
+            raise StateError(f"{name} not finite")
+    check_density(f, "f")
+    u_hat = ops.fft(u)
+    size = np.abs(u_hat)
+    outside, largest = size[..., ~ops.mask].max(), size.max()
+    if not outside <= BAND_RTOL * largest:
+        raise StateError(
+            f"u not band-limited: its largest mode outside the 2/3-rule band "
+            f"is {outside / largest:.3e} of its largest mode (dealias it "
+            "first)")
+    band = ops.band
+    return _rows(np.concatenate((q, f[None])), u_hat[band.cols] * band.mask)
+
+
 def _flow_rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
-    """d/dt of the rows y = (q, f, u): (-u - (u.grad) q, -u.grad f, EPDiff)."""
+    """d/dt of the row y = (q, f, u_hat) (see `_rows`): -u - (u.grad) q and
+    -u.grad f on the grid, and EPDiff's u_t as a band spectrum. 5 numpy
+    transform calls in 1-D, 10 in 2-D."""
     dim = ops.grid.dim
-    u = y[dim + 1:]
-    adv = (u * ops.grad(y[:dim + 1])).sum(axis=1)  # (u.grad) of q and f
+    qf, u_hat = _split(ops.band, y)
+    u, ut_hat = _epdiff_rhs(ops.band, u_hat)
+    adv = (u * ops.grad(qf)).sum(axis=1)  # (u.grad) of q and f
     adv[:dim] += u
-    return np.concatenate((np.negative(adv, out=adv), _epdiff_rhs(ops, u)))
+    return _rows(np.negative(adv, out=adv), ut_hat)
 
 
 def _flow_step(ops: Operators, y: np.ndarray, dt: float):
     """One RK4 step of _flow_rhs; it fails when the inverse map stops being
     a grid-resolved diffeomorphism."""
     y = rk4(partial(_flow_rhs, ops), y, dt)
-    jac = jacobian_det(ops.grid, y[:ops.grid.dim]).min()
+    jac = jacobian_det(ops.grid, _split(ops.band, y)[0][:ops.grid.dim]).min()
     if jac > 0.0:
         return y, None
     return y, f"Jacobian lost positivity (min {jac:.3e})"
@@ -117,20 +185,29 @@ def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
     """RK4 on the coupled system (transport of q and f by u, EPDiff for u).
 
     Takes ceil(T/dt) equal steps that end exactly at T. Returns the list of
-    stored (t, DiffeoState). Aborts when the inverse map stops being a
-    grid-resolved diffeomorphism (nonpositive Jacobian).
+    stored (t, DiffeoState). Raises StateError for an initial state with a
+    non-finite q or u, an f that is not a density, or a u that is not
+    band-limited (see `_initial_row`). Aborts when the inverse map stops
+    being a grid-resolved diffeomorphism (nonpositive Jacobian).
     """
     if not store_every >= 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
     grid, k, dim = state0.grid, state0.k, state0.grid.dim
-    y = np.concatenate((state0.q.components, state0.f.values[None],
-                        state0.u.components))
-    _, stored = integrate(partial(_flow_step, operators(grid, k)), y, T, dt,
-                          store_every)
-    return [(t, DiffeoState(VectorField(grid, y[:dim]),
-                            ScalarField(grid, y[dim]),
-                            VectorField(grid, y[dim + 1:]), k))
-            for t, y in stored]
+    ops = operators(grid, k)
+    band = ops.band
+    _, stored = integrate(partial(_flow_step, ops), _initial_row(ops, state0),
+                          T, dt, store_every)
+    states = []
+    stored.reverse()
+    while stored:  # each row is freed once its state is built
+        t, y = stored.pop()
+        qf, u_hat = _split(band, y)
+        qf = qf.copy()
+        states.append((t, DiffeoState(VectorField(grid, qf[:dim]),
+                                      ScalarField(grid, qf[dim]),
+                                      VectorField(grid, band.ifft(u_hat)),
+                                      k)))
+    return states
 
 
 def pushforward_density(phi: DiffeoState) -> ScalarField:

@@ -20,10 +20,12 @@ A spectrum that is dealiased before it is used, or that is zero outside the
 table's, cut to those columns, so their first-axis pass does about two thirds
 of the table's work (see `Band`). In 1-D there is no complex pass to prune,
 and the band is the table itself. The geodesic flow (L_rho, its CG inverse,
-the Hamiltonian right-hand side), `dealias` and EPDiff's final band-limited
-Ainv use the band; every user of an unmasked spectrum keeps the full half
+the Hamiltonian right-hand side), `dealias` and EPDiff's velocity (carried as
+its band spectrum: u, m = Au and their gradients, and the band-limited Ainv
+of u_t) use the band; every user of an unmasked spectrum keeps the full half
 spectrum: `grad` of raw fields, `spectral_tail_fraction`, and in `epdiff` and
-`validation` the transport, the horizontality defect and the checks.
+`validation` the transport of q and f, the Jacobian guard, the band check of
+EPDiff's initial velocity, the horizontality defect and the checks.
 """
 from __future__ import annotations
 
@@ -47,6 +49,11 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        for name in ("dim", "n"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise GridError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.dim not in (1, 2):
             raise GridError(f"dim must be 1 or 2, got {self.dim}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
@@ -72,7 +79,7 @@ class Grid:
 
 
 def make_grid(dim: int, n: int) -> Grid:
-    return Grid(int(dim), int(n))
+    return Grid(dim, n)
 
 
 def check_same_grid(a: Grid, b: Grid) -> None:
@@ -139,6 +146,7 @@ class Operators:
                 f"metric order k={k} is too large for {grid}: the inertia "
                 "symbol (1 + |xi|^2)^(k+1) overflows")
         self.ainv = base ** (-(k + 1))
+        self.a_band = self.a * self.mask
         self.ainv_band = self.ainv * self.mask
         # the exact constant-density inverse of L_rho on the retained band,
         # (1 + |xi|^2)^(k+1) / |xi|^2, zero on the mean mode
@@ -146,7 +154,7 @@ class Operators:
         self.precond = self.mask * self.a / ksq
         self.precond[self.zero] = 0.0
         for arr in (self.k_mesh, self.mask, self.ik, self.weight, self.a,
-                    self.ainv, self.ainv_band, self.precond):
+                    self.ainv, self.a_band, self.ainv_band, self.precond):
             arr.flags.writeable = False
         self.band = self if grid.dim == 1 else Band(self)
 
@@ -188,10 +196,12 @@ class Band:
         self.grid = table.grid
         self.axes, self.zero, self.vec = table.axes, table.zero, table.vec
         self.cols = (Ellipsis, slice(table.grid.n // 3 + 1))
-        self.mask, self.ik, self.ainv_band, self.precond = (
+        self.mask, self.ik, self.a_band, self.ainv_band, self.precond = (
             np.ascontiguousarray(arr[self.cols]) for arr in
-            (table.mask, table.ik, table.ainv_band, table.precond))
-        for arr in (self.mask, self.ik, self.ainv_band, self.precond):
+            (table.mask, table.ik, table.a_band, table.ainv_band,
+             table.precond))
+        for arr in (self.mask, self.ik, self.a_band, self.ainv_band,
+                    self.precond):
             arr.flags.writeable = False
 
     fft = Operators.fft

@@ -1,6 +1,7 @@
 """Layer timings of the 2-D flow at n = 128, k = 2 (the shoot-2d grid), of
-the 1-D flow at n = 32, k = 1 (the match-1d grid), and of one matching
-Jacobian and one solve_match at the match-1d size.
+the 1-D flow at n = 32, k = 1 (the match-1d grid), of one matching
+Jacobian and one solve_match at the match-1d size, and of one
+integrate_epdiff at the xval-2d size.
 
     PYTHONPATH=src python -m pytest tests/bench_layers.py --benchmark-only
 
@@ -16,12 +17,16 @@ T = 0.5, dt = 0.02: 25 steps) times the central-difference stencil (12
 shoots), the tangent rows (the base and 6 tangents) and the c = 0 shortcut.
 The solve_match case runs Levenberg-Marquardt on the same problem to
 convergence (5 iterations: the c = 0 Jacobian, 4 accepted trials each
-carrying the next Jacobian, and the final shoot).
+carrying the next Jacobian, and the final shoot). The EPDiff case (2-D
+n = 32, k = 2, T = 0.5, dt = 0.01: 50 steps, 11 stored states, as
+cross_validate stores them) integrates the identity map carrying a smooth
+density with the horizontal velocity of a unit-size momentum.
 """
 import numpy as np
 import pytest
 
-from densgeo import geodesic as ge, matching as ma, spectral as sp
+from densgeo import epdiff as ep, geodesic as ge, matching as ma, \
+    spectral as sp
 from test_matching import fd_jacobian
 
 # case -> (dim, n, k, dt, tangents)
@@ -97,3 +102,21 @@ def test_matching_jacobian(benchmark, match_problem, method):
 def test_solve_match(benchmark, match_problem):
     result = benchmark(ma.solve_match, match_problem)
     assert result.status == "converged"
+
+
+@pytest.fixture(scope="module")
+def epdiff_state():
+    """An xval-2d-sized initial state (2-D n = 32, k = 2)."""
+    g = sp.make_grid(2, 32)
+    x = g.coords
+    rho = 1.0 + 0.3 * np.cos(x[0]) * np.cos(2 * x[1]) + 0.1 * np.sin(
+        3 * x[0] + x[1])
+    p = np.sin(x[0] + 2 * x[1]) + 0.5 * np.cos(3 * x[0] - x[1])
+    state = ge.make_state(g, rho / rho.mean(), p, 2)
+    return ep.identity_state(state.rho, ge.horizontal_velocity(state), 2)
+
+
+def test_integrate_epdiff(benchmark, epdiff_state):
+    states = benchmark(ep.integrate_epdiff, epdiff_state, 0.5, 0.01,
+                       store_every=5)
+    assert len(states) == 11

@@ -15,7 +15,7 @@ import pytest
 BENCH = pathlib.Path(__file__).resolve().with_name("bench_layers.py")
 TREE = ast.parse(BENCH.read_text(), str(BENCH))
 IMPORTS = [node for node in ast.walk(TREE) if isinstance(node, ast.ImportFrom)]
-# the names bench_layers.py binds densgeo's modules to (ge, ma, sp)
+# the names bench_layers.py binds densgeo's modules to (ep, ge, ma, sp)
 MODULES = {alias.asname or alias.name: f"densgeo.{alias.name}"
            for node in IMPORTS if node.module == "densgeo"
            for alias in node.names}
@@ -29,7 +29,9 @@ FROM_TESTS = sorted((node.module, alias.name) for node in IMPORTS
 
 
 def test_names_found():
-    assert set(MODULES) == {"ge", "ma", "sp"}
+    assert set(MODULES) == {"ep", "ge", "ma", "sp"}
+    assert ("densgeo.epdiff", "integrate_epdiff") in ATTRIBUTES
+    assert ("densgeo.epdiff", "identity_state") in ATTRIBUTES
     assert ("densgeo.matching", "_jacobian") in ATTRIBUTES
     assert ("densgeo.matching", "solve_match") in ATTRIBUTES
     assert ("test_matching", "fd_jacobian") in FROM_TESTS

@@ -20,16 +20,23 @@ def uniform(grid):
     return sp.ScalarField(grid, np.ones(grid.shape))
 
 
+def rhs_on_grid(g, k, u):
+    """_epdiff_rhs of u's band spectrum, u and u_t returned to the grid."""
+    band = sp.operators(g, k).band
+    u_grid, ut_hat = ep._epdiff_rhs(band, band.fft(u) * band.mask)
+    return u_grid, band.ifft(ut_hat)
+
+
 class TestEpdiffRHS:
     def test_zero_velocity(self):
         g = grid1d()
-        out = ep._epdiff_rhs(sp.operators(g, 1), zero_velocity(g).components)
+        _, out = rhs_on_grid(g, 1, zero_velocity(g).components)
         assert np.all(out[0] == 0.0)
 
     def test_constant_velocity_is_geodesic(self):
         g = grid1d()
         u = sp.VectorField(g, (np.full(g.shape, 0.7),))
-        out = ep._epdiff_rhs(sp.operators(g, 1), u.components)
+        _, out = rhs_on_grid(g, 1, u.components)
         assert np.abs(out[0]).max() < 1e-13
 
     def test_against_direct_1d_form(self):
@@ -47,7 +54,8 @@ class TestEpdiffRHS:
         total = sp.dealias(g, uv * mx) + 2.0 * sp.dealias(g, ux * m)
         direct = -np.fft.ifft(
             np.fft.fft(total) * full.mask / a_sym).real
-        out = ep._epdiff_rhs(sp.operators(g, k), uv[None])
+        u, out = rhs_on_grid(g, k, uv[None])
+        assert np.abs(u[0] - uv).max() < 1e-15
         assert np.abs(out[0] - direct).max() < 1e-12
 
 
@@ -104,6 +112,40 @@ class TestIntegrate:
             ep.integrate_epdiff(
                 ep.identity_state(uniform(g), zero_velocity(g), 1),
                 0.1, 0.05, store_every=stride)
+
+
+class TestInitialState:
+    # the flow carries u as its band spectrum, so integrate_epdiff checks the
+    # whole initial state before the first step
+    @pytest.mark.parametrize("mode,accepted", [(10, True), (11, False),
+                                               (15, False)])
+    def test_velocity_must_be_band_limited(self, mode, accepted):
+        # n = 32 keeps the modes up to n // 3 = 10; the parent integrated
+        # mode n/2 - 1 = 15, though the flow only adds band-limited u_t
+        g = grid1d(32)
+        u = sp.VectorField(g, (0.1 * np.cos(mode * g.coords[0]),))
+        state0 = ep.identity_state(uniform(g), u, 1)
+        if accepted:
+            ep.integrate_epdiff(state0, 0.1, 0.05)
+            return
+        with pytest.raises(ge.StateError, match="u not band-limited"):
+            ep.integrate_epdiff(state0, 0.1, 0.05)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("f", np.nan), ("f", -0.5), ("q", np.nan), ("u", np.inf)])
+    def test_rejects_a_bad_hand_built_state(self, field, bad):
+        # at the parent a NaN or negative f ran to T, and a NaN q or an
+        # infinite u stopped at the first step as "min nan"
+        g = grid1d(32)
+        x = g.coords[0]
+        values = {"q": 0.1 * np.sin(x), "f": 1.0 + 0.3 * np.cos(x),
+                  "u": sp.dealias(g, 0.1 * np.sin(x))}
+        values[field][5] = bad
+        phi = ep.DiffeoState(sp.VectorField(g, (values["q"],)),
+                             sp.ScalarField(g, values["f"]),
+                             sp.VectorField(g, (values["u"],)), 1)
+        with pytest.raises(ge.StateError, match=f"^{field} not"):
+            ep.integrate_epdiff(phi, 0.1, 0.05)
 
 
 def dense_series(g, values, points):

@@ -44,6 +44,20 @@ class TestMakeGrid:
         with pytest.raises(sp.GridError):
             sp.make_grid(dim, n)
 
+    @pytest.mark.parametrize("dim,n", [(True, 32), (1, 32.7), (1, 32.0),
+                                       (1.0, 32), (1, "32"), (1, None)])
+    def test_rejects_non_integers(self, dim, n):
+        # Grid(True, 32) built a 1-D grid, make_grid(1, 32.7) truncated to
+        # n = 32, and Grid(1, 32.0) raised a bare TypeError
+        with pytest.raises(sp.GridError, match="must be an integer"):
+            sp.Grid(dim, n)
+        with pytest.raises(sp.GridError, match="must be an integer"):
+            sp.make_grid(dim, n)
+
+    def test_numpy_integers_give_the_same_grid(self):
+        g = sp.make_grid(np.int64(2), np.int32(16))
+        assert g == sp.Grid(2, 16) and type(g.n) is int and type(g.dim) is int
+
     def test_normalized_measure(self):
         g = grid1d()
         one = sp.ScalarField(g, np.ones(g.shape))

@@ -7,11 +7,17 @@ term's rfft) and 12 in 2-D, where each transform is two calls. A state with
 m tangents takes the same calls for all its rows, m = 0 included. The
 counters patch numpy.fft, so these counts also check that the operator table
 looks its transforms up there at call time.
+
+EPDiff carries u as its band spectrum too: a right-hand side takes u, m = Au
+and their gradients from it in two inverse transforms, transports q and f by
+one gradient (a forward and an inverse transform) and returns u_t as a
+spectrum, one forward transform: 5 calls in 1-D and 10 in 2-D. A guarded
+step adds the gradient of q that the Jacobian guard reads.
 """
 import numpy as np
 import pytest
 
-from densgeo import geodesic as ge, spectral as sp
+from densgeo import epdiff as ep, geodesic as ge, spectral as sp
 
 CASES = [(1, 32, 1, 6), (2, 32, 2, 12)]  # dim, n, k, calls per rhs
 
@@ -70,3 +76,21 @@ def test_hamiltonian_rhs_converts_at_both_ends(calls):
     calls[0] = 0
     ge.hamiltonian_rhs(state)
     assert calls[0] == 8
+
+
+@pytest.mark.parametrize("dim,per_rhs,per_step", [(1, 5, 22), (2, 10, 44)])
+def test_epdiff_rhs_and_step(calls, dim, per_rhs, per_step):
+    g = sp.make_grid(dim, 32)
+    ops = sp.operators(g, 2)
+    x = g.coords
+    state = ge.make_state(g, 1 + 0.3 * np.cos(x[0]),
+                          0.2 * np.sin(x[0]) + 0.1 * np.cos(x[-1]), 2)
+    y = ep._initial_row(ops, ep.identity_state(
+        state.rho, ge.horizontal_velocity(state), 2))
+    calls[0] = 0
+    ep._flow_rhs(ops, y)
+    assert calls[0] == per_rhs
+    calls[0] = 0
+    _, reason = ep._flow_step(ops, y, 0.01)
+    assert reason is None
+    assert calls[0] == per_step
