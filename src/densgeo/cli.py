@@ -71,11 +71,9 @@ def _build_grid(cfg):
 
 
 def _metric_order(cfg, *grids):
-    """[metric] k, checked on each grid the command runs on: its inertia
-    symbol must be finite there."""
+    """[metric] k, checked on each grid the command runs on by its operator
+    table: k >= -1, and the inertia symbol finite there."""
     k = _get(cfg, "metric", "k", int, required=True)
-    if k < -1:
-        raise ConfigError(f"[metric] k: must be >= -1, got {k}")
     for grid in grids:
         try:
             operators(grid, k)
@@ -84,17 +82,14 @@ def _metric_order(cfg, *grids):
     return k
 
 
-def _load_scalar(cfg, grid, section, key, role, required=True):
+def _load_scalar(cfg, grid, section, key, role):
     """Initial data entry: preset string or file:PATH; returns (field, source).
 
     Both give raw values, normalized here by role: a density ("rho") must be
     positive and is scaled to unit mass, a momentum potential is projected
     to mean zero.
     """
-    spec = _get(cfg, section, key, str, required=required)
-    if spec is None:
-        return None, None
-    spec = spec.strip()
+    spec = _get(cfg, section, key, str, required=True).strip()
     if spec.startswith("file:"):
         path = spec[len("file:"):].strip()
         if not os.path.exists(path):
@@ -274,11 +269,10 @@ def cmd_epdiff_check(cfg, outdir, manifest):
 def cmd_validate(cfg, outdir, manifest):
     grid = _build_grid(cfg)
     k = _metric_order(cfg, grid)
-    seed = _get(cfg, "run", "seed", int, default=0)
-    manifest.update({"grid": {"dim": grid.dim, "n": grid.n}, "k": k,
-                     "seed": seed})
+    manifest.update({"grid": {"dim": grid.dim, "n": grid.n}, "k": k})
     io.write_json(os.path.join(outdir, "manifest.json"), manifest)
-    report = validation.run_suite(dim=grid.dim, n=grid.n, k=k, seed=seed)
+    report = validation.run_suite(dim=grid.dim, n=grid.n, k=k,
+                                  seed=manifest["seed"])
     io.write_json(os.path.join(outdir, "validation.json"), report)
     if not report["all_passed"]:
         failed = [name for name, r in report["checks"].items()

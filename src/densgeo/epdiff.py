@@ -22,6 +22,9 @@ transforms and returns u_t as a spectrum; q and f stay on the grid, where
 their transport needs the full half spectrum. u0 must be band-limited (to
 roundoff), and each stored state gets its physical u back by one inverse
 transform.
+
+A `DiffeoState` checks its invariants when it is built, and `_flow_step`
+stops the flow at the first step whose map folds or whose f is not positive.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .geodesic import (
     SolverAbort,
     StateError,
     check_density,
+    check_finite,
     integrate,
     rk4,
     time_steps,
@@ -54,7 +58,8 @@ from .spectral import (
 @dataclass
 class DiffeoState:
     """Inverse flow map psi(x) = x + q(x), the transported density factor
-    f = rho0 o psi, and the Eulerian velocity u."""
+    f = rho0 o psi and the Eulerian velocity u of metric order k, checked when
+    built: q and u finite, f finite and positive, k an order the grid takes."""
 
     q: VectorField
     f: ScalarField
@@ -64,6 +69,10 @@ class DiffeoState:
     def __post_init__(self):
         check_same_grid(self.q.grid, self.f.grid)
         check_same_grid(self.q.grid, self.u.grid)
+        check_finite(self.q.components, "q")
+        check_finite(self.u.components, "u")
+        check_density(self.f.values, "f")
+        operators(self.grid, self.k)
 
     @property
     def grid(self) -> Grid:
@@ -75,12 +84,9 @@ BAND_RTOL = 1e-12  # u0's largest mode outside the band, relative: roundoff
 
 
 def identity_state(rho0: ScalarField, u: VectorField, k: int) -> DiffeoState:
-    """The identity map carrying the density rho0, with velocity u. Raises
-    StateError for a non-finite u or a rho0 that is not finite and positive."""
-    check_same_grid(rho0.grid, u.grid)
+    """The identity map carrying the density rho0, with velocity u; rho0 is
+    checked here, so that its StateError names it."""
     check_density(rho0.values, "rho0")
-    if not np.isfinite(u.components).all():
-        raise StateError("u not finite")
     return DiffeoState(VectorField(u.grid, np.zeros_like(u.components)), rho0,
                        u, k)
 
@@ -137,15 +143,11 @@ def _split(band: Operators | Band, y: np.ndarray):
 
 
 def _initial_row(ops: Operators, state0: DiffeoState) -> np.ndarray:
-    """The row (see `_rows`) of a checked initial state: q and u finite, f
-    a density, and u band-limited. u_t is band-limited, so the flow can
-    carry u as its band spectrum only if u0 is too; u0's part outside the
-    band must be roundoff, and only that is cut."""
+    """The row (see `_rows`) of an initial state whose u is band-limited;
+    the state checked the rest when it was built. u_t is band-limited, so
+    the flow can carry u as its band spectrum only if u0 is too; u0's part
+    outside the band must be roundoff, and only that is cut."""
     q, f, u = state0.q.components, state0.f.values, state0.u.components
-    for name, values in (("q", q), ("u", u)):
-        if not np.isfinite(values).all():
-            raise StateError(f"{name} not finite")
-    check_density(f, "f")
     u_hat = ops.fft(u)
     size = np.abs(u_hat)
     outside, largest = size[..., ~ops.mask].max(), size.max()
@@ -172,12 +174,16 @@ def _flow_rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
 
 def _flow_step(ops: Operators, y: np.ndarray, dt: float):
     """One RK4 step of _flow_rhs; it fails when the inverse map stops being
-    a grid-resolved diffeomorphism."""
+    a grid-resolved diffeomorphism or f stops being positive."""
     y = rk4(partial(_flow_rhs, ops), y, dt)
-    jac = jacobian_det(ops.grid, _split(ops.band, y)[0][:ops.grid.dim]).min()
-    if jac > 0.0:
-        return y, None
-    return y, f"Jacobian lost positivity (min {jac:.3e})"
+    qf = _split(ops.band, y)[0]
+    jac = jacobian_det(ops.grid, qf[:-1]).min()
+    if not jac > 0.0:
+        return y, f"Jacobian lost positivity (min {jac:.3e})"
+    f_min = qf[-1].min()
+    if not f_min > 0.0:
+        return y, f"f lost positivity (min {f_min:.3e})"
+    return y, None
 
 
 def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
@@ -185,10 +191,9 @@ def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
     """RK4 on the coupled system (transport of q and f by u, EPDiff for u).
 
     Takes ceil(T/dt) equal steps that end exactly at T. Returns the list of
-    stored (t, DiffeoState). Raises StateError for an initial state with a
-    non-finite q or u, an f that is not a density, or a u that is not
-    band-limited (see `_initial_row`). Aborts when the inverse map stops
-    being a grid-resolved diffeomorphism (nonpositive Jacobian).
+    stored (t, DiffeoState). Raises StateError for an initial u that is not
+    band-limited (see `_initial_row`). Aborts at the first step whose map
+    folds or whose f loses positivity (see `_flow_step`).
     """
     if not store_every >= 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
@@ -229,6 +234,7 @@ def horizontality_defect(u: VectorField, rho: ScalarField, k: int) -> float:
     grid = u.grid
     check_same_grid(grid, rho.grid)
     check_density(rho.values, "rho")
+    check_finite(u.components, "u")
     ops = operators(grid, k)
     what = ops.fft(ops.apply(ops.a, u.components) / rho.values)
     # the gradient part k (k.w) / |k|^2, zero on the divergence-free
@@ -247,6 +253,7 @@ def horizontality_defect(u: VectorField, rho: ScalarField, k: int) -> float:
 
 def epdiff_energy(u: VectorField, k: int) -> float:
     """Right-invariant energy <Au, u> (conserved along EPDiff solutions)."""
+    check_finite(u.components, "u")
     ops = operators(u.grid, k)
     total = 0.0
     for au, c in zip(ops.apply(ops.a, u.components), u.components):

@@ -16,6 +16,10 @@ Every shoot steps the rows (1 + m, R) of one state: row 0 is the state and
 rows 1.. are m tangents, carried by the flow linearized along it (`_rhs`).
 A plain shoot has m = 0; the tangents of `shoot_tangents` give the
 derivatives of its endpoint, matching's exact Jacobian.
+
+A `DensityState` checks its invariants when it is built, `make_state` adds
+unit mass, and `step_rk4`'s guard stops a shoot at the first step that
+breaks them: every state a shoot stores is valid.
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ from .spectral import (
     ScalarField,
     VectorField,
     check_same_grid,
-    is_integer,
     l2_norm_values,
     operators,
     spectral_tail_fraction,
@@ -58,7 +61,7 @@ class SolverAbort(RuntimeError):
 
 
 class StateError(ValueError):
-    """Density-state invariants violated."""
+    """A state's invariants violated."""
 
 
 def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
@@ -181,7 +184,8 @@ class Diagnostics:
 
 @dataclass
 class DensityState:
-    """Hamiltonian coordinates: positive unit-mass rho and mean-zero momentum p."""
+    """Hamiltonian coordinates (rho, p) of metric order k, checked when built:
+    rho finite and positive, p finite, k an order the grid's table takes."""
 
     rho: ScalarField
     p: ScalarField
@@ -189,23 +193,26 @@ class DensityState:
 
     def __post_init__(self):
         check_same_grid(self.rho.grid, self.p.grid)
-        if not is_integer(self.k):
-            raise StateError(
-                f"metric order k must be an integer, got {self.k!r}")
-        if self.k < -1:
-            raise StateError(f"metric order k must be >= -1, got {self.k}")
+        check_density(self.rho.values)
+        check_finite(self.p.values, "p")
+        operators(self.grid, self.k)
 
     @property
     def grid(self) -> Grid:
         return self.rho.grid
 
 
+def check_finite(values: np.ndarray, name: str) -> None:
+    """Raises StateError naming the field unless all its values are finite."""
+    if not np.isfinite(values).all():
+        raise StateError(f"{name} not finite")
+
+
 def check_density(rho: np.ndarray, name: str = "rho",
                   unit_mass: bool = False) -> None:
     """The one density check: rho finite and positive and, with unit_mass,
     of mass 1 within MASS_TOL. Raises StateError naming the field."""
-    if not np.isfinite(rho).all():
-        raise StateError(f"{name} not finite")
+    check_finite(rho, name)
     rho_min = rho.min()
     if not rho_min > 0.0:
         raise StateError(f"{name} not positive (min {rho_min:.3e})")
@@ -213,14 +220,6 @@ def check_density(rho: np.ndarray, name: str = "rho",
         mass_err = abs(rho.mean() - 1.0)
         if not mass_err <= MASS_TOL:
             raise StateError(f"{name} mass deviates from 1 by {mass_err:.3e}")
-
-
-def _validate(rho: np.ndarray, p: np.ndarray) -> None:
-    """Check the invariants of a state (rho, p) given on the grid. p's mean
-    is left unchecked: callers subtract it, which leaves roundoff only."""
-    check_density(rho, unit_mass=True)
-    if not np.isfinite(p).all():
-        raise StateError("p not finite")
 
 
 @dataclass
@@ -231,14 +230,13 @@ class Trajectory:
 
 
 def make_state(grid: Grid, rho_values, p_values, k: int) -> DensityState:
-    """Build a state, pinning the mean-zero representative of p; validates."""
-    rho = ScalarField(grid, rho_values)
+    """The `DensityState` of rho and p's mean-zero representative, of unit
+    mass; p is checked finite before its mean is taken."""
     p_vals = np.asarray(p_values, dtype=np.float64).reshape(grid.shape)
-    if not np.isfinite(p_vals).all():
-        raise StateError("p not finite")
-    p = ScalarField(grid, p_vals - p_vals.mean())
-    state = DensityState(rho, p, k)
-    _validate(rho.values, p.values)
+    check_finite(p_vals, "p")
+    state = DensityState(ScalarField(grid, rho_values),
+                         ScalarField(grid, p_vals - p_vals.mean()), k)
+    check_density(state.rho.values, unit_mass=True)
     return state
 
 
@@ -247,8 +245,7 @@ def _check_operands(rho: ScalarField, f: ScalarField, name: str) -> None:
     rho positive."""
     check_same_grid(rho.grid, f.grid)
     check_density(rho.values)
-    if not np.isfinite(f.values).all():
-        raise StateError(f"{name} not finite")
+    check_finite(f.values, name)
 
 
 def apply_L_rho(rho: ScalarField, p: ScalarField, k: int) -> ScalarField:
@@ -415,7 +412,8 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     grid = rho0.grid
     ops = operators(grid, k)
     band = ops.band
-    y, p_out = _initial_rows(ops, rho0, -p0.values if backward else p0.values)
+    y, p_out = _initial_rows(ops, rho0, -p0.values if backward else p0.values,
+                             k)
     p_out -= band.ifft(_split(band, y[0])[1])  # p0's part outside the band
     _, stored = integrate(partial(step_rk4, ops), y, T, dt, store_every)
     times, states = np.array([t for t, _ in stored]), []
@@ -448,7 +446,7 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
     """
     ops = operators(rho0.grid, k)
     band = ops.band
-    base = _initial_rows(ops, rho0, p0)[0]
+    base = _initial_rows(ops, rho0, p0, k)[0]
     rho, p_hat = _split(band, base[0])
     if not p_hat.any():
         time_steps(T, dt)  # the same checks of T and dt
@@ -459,12 +457,10 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
     return rho_T[0], rho_T[1:]
 
 
-def _initial_rows(ops: Operators, rho0: ScalarField, p0: np.ndarray):
-    """The rows (1, R) of the validated state (rho0, p_hat) on ops.band (see
-    `_rows`), p_hat the masked, mean-free spectrum of p, which is p0 with
-    its mean subtracted twice: the second subtraction removes most of the
-    roundoff the first leaves; and p."""
-    p = p0 - p0.mean()
+def _initial_rows(ops: Operators, rho0: ScalarField, p0: np.ndarray, k: int):
+    """The rows (1, R) of `make_state`'s state of (rho0, p0) on ops.band
+    (see `_rows`), its p with the mean subtracted once more: the second
+    subtraction removes most of the roundoff the first leaves; and that p."""
+    p = make_state(rho0.grid, rho0.values, p0, k).p.values
     p -= p.mean()
-    _validate(rho0.values, p)
     return _state_rows(ops.band, rho0.values[None], p[None]), p

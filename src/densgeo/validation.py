@@ -42,8 +42,8 @@ def random_band_limited(rng, grid: Grid, amplitude: float = 1.0,
     return vals
 
 
-def random_density(rng, grid: Grid, contrast: float = 0.3) -> ScalarField:
-    vals = 1.0 + random_band_limited(rng, grid, amplitude=contrast)
+def random_density(rng, grid: Grid) -> ScalarField:
+    vals = 1.0 + random_band_limited(rng, grid, amplitude=0.3)
     return ScalarField(grid, vals / vals.mean())
 
 

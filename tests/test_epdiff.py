@@ -104,6 +104,22 @@ class TestIntegrate:
             "t=0.27: Jacobian lost positivity (min -7.773e-02)")
         assert info.value.time == 0.27
 
+    def test_aborts_when_f_loses_positivity(self):
+        # a steep density carried by a strong velocity: f went below zero
+        # (to -0.604) while the Jacobian stayed positive, the run reached T
+        # with all 101 states, and the last one projected to a "density"
+        # with min -0.764
+        g = grid1d(32)
+        x = g.coords[0]
+        rho0 = 0.01 + np.exp((np.cos(x - np.pi) - 1.0) / 0.2 ** 2)
+        u = sp.VectorField(g, (sp.dealias(g, 0.5 * np.sin(x)),))
+        state0 = ep.identity_state(sp.ScalarField(g, rho0 / rho0.mean()), u,
+                                   1)
+        with pytest.raises(ge.SolverAbort) as info:
+            ep.integrate_epdiff(state0, 1.0, 0.01)
+        assert str(info.value) == "t=0.43: f lost positivity (min -2.311e-03)"
+        assert info.value.time == 0.43
+
     @pytest.mark.parametrize("stride", [0, -2])
     def test_rejects_store_every_below_one(self, stride):
         # integrate stores nothing at 0: there would be no end state
@@ -115,8 +131,8 @@ class TestIntegrate:
 
 
 class TestInitialState:
-    # the flow carries u as its band spectrum, so integrate_epdiff checks the
-    # whole initial state before the first step
+    # the flow carries u as its band spectrum, so integrate_epdiff checks
+    # that u0 is band-limited; a DiffeoState checks the rest when it is built
     @pytest.mark.parametrize("mode,accepted", [(10, True), (11, False),
                                                (15, False)])
     def test_velocity_must_be_band_limited(self, mode, accepted):
@@ -134,18 +150,18 @@ class TestInitialState:
     @pytest.mark.parametrize("field,bad", [
         ("f", np.nan), ("f", -0.5), ("q", np.nan), ("u", np.inf)])
     def test_rejects_a_bad_hand_built_state(self, field, bad):
-        # at the parent a NaN or negative f ran to T, and a NaN q or an
-        # infinite u stopped at the first step as "min nan"
+        # a NaN or negative f once ran to T, and a NaN q or an infinite u
+        # stopped at the first step as "min nan"; the state now refuses to
+        # be built
         g = grid1d(32)
         x = g.coords[0]
         values = {"q": 0.1 * np.sin(x), "f": 1.0 + 0.3 * np.cos(x),
                   "u": sp.dealias(g, 0.1 * np.sin(x))}
         values[field][5] = bad
-        phi = ep.DiffeoState(sp.VectorField(g, (values["q"],)),
-                             sp.ScalarField(g, values["f"]),
-                             sp.VectorField(g, (values["u"],)), 1)
         with pytest.raises(ge.StateError, match=f"^{field} not"):
-            ep.integrate_epdiff(phi, 0.1, 0.05)
+            ep.DiffeoState(sp.VectorField(g, (values["q"],)),
+                           sp.ScalarField(g, values["f"]),
+                           sp.VectorField(g, (values["u"],)), 1)
 
 
 def dense_series(g, values, points):
@@ -215,6 +231,19 @@ class TestProjectLeft:
                              uniform(g), zero_velocity(g), 1)
         with pytest.raises(ge.SolverAbort, match="Jacobian not positive"):
             ep.pushforward_density(phi)
+
+    @pytest.mark.parametrize("field,bad,message", [
+        ("f", -1.0, r"^f not positive \(min -1.000e\+00\)$"),
+        ("q", np.nan, "^q not finite$")])
+    def test_rejects_a_state_it_could_not_project(self, field, bad, message):
+        # f = 1 but for one entry -1 projected to a "density" with min
+        # -1.07, and a NaN q was refused as "Jacobian not positive (min nan)"
+        g = grid1d(32)
+        values = {"q": np.zeros(g.shape), "f": np.ones(g.shape)}
+        values[field][3] = bad
+        with pytest.raises(ge.StateError, match=message):
+            ep.DiffeoState(sp.VectorField(g, (values["q"],)),
+                           sp.ScalarField(g, values["f"]), zero_velocity(g), 1)
 
 
 class TestInvertMap:
@@ -321,6 +350,17 @@ class TestHorizontalityDefect:
         u = sp.VectorField(g, (0.1 * np.sin(g.coords[0]),))
         with pytest.raises(ge.StateError, match="rho not finite"):
             ep.horizontality_defect(u, sp.ScalarField(g, rho), 1)
+
+    @pytest.mark.parametrize("measure", [
+        lambda u, one: ep.horizontality_defect(u, one, 1),
+        lambda u, one: ep.epdiff_energy(u, 1)], ids=["defect", "energy"])
+    def test_rejects_a_non_finite_velocity(self, measure):
+        # both returned NaN for one NaN entry of u
+        g = grid1d(32)
+        u = 0.1 * np.sin(g.coords[0])
+        u[3] = np.nan
+        with pytest.raises(ge.StateError, match="^u not finite$"):
+            measure(sp.VectorField(g, (u,)), uniform(g))
 
     def test_stays_small_along_horizontal_trajectory(self):
         g = grid1d()

@@ -371,10 +371,24 @@ def test_state_invariants_enforced():
         ge.make_state(g, 2 * np.ones(g.shape), np.zeros(g.shape), 1)  # mass 2
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("rho", -1.0), ("rho", np.nan), ("p", np.nan)])
+def test_hand_built_state_checks_itself(field, bad):
+    # a DensityState with rho = -1 at one point constructed, and
+    # diagnostics_for reported min_rho -1.0
+    g = grid1d(16)
+    values = {"rho": np.ones(g.shape), "p": np.sin(g.coords[0])}
+    values[field][3] = bad
+    with pytest.raises(ge.StateError, match=f"^{field} not"):
+        ge.DensityState(sp.ScalarField(g, values["rho"]),
+                        sp.ScalarField(g, values["p"]), 1)
+
+
 @pytest.mark.parametrize("k", [1.5, 2.0, True])
 @pytest.mark.parametrize("entry", ["operators", "make_state", "shoot",
                                    "solve_L_rho", "MatchProblem",
-                                   "cross_validate"])
+                                   "cross_validate", "DensityState",
+                                   "DiffeoState"])
 def test_rejects_non_integer_metric_order(entry, k):
     # the CLI parses k as an integer, and k = 1.5 ran through the API as a
     # fractional power of 1 - Laplacian; True ran as k = 1
@@ -389,6 +403,10 @@ def test_rejects_non_integer_metric_order(entry, k):
         "solve_L_rho": lambda: ge.solve_L_rho(one, p, k),
         "MatchProblem": lambda: ma.MatchProblem(one, one, k, 0.1, 0.01, 1),
         "cross_validate": lambda: epdiff.cross_validate(one, p, k, 0.1, 0.01),
+        "DensityState": lambda: ge.DensityState(one, p, k),
+        "DiffeoState": lambda: epdiff.DiffeoState(
+            sp.VectorField(g, p.values[None]), one,
+            sp.VectorField(g, p.values[None]), k),
     }
     with pytest.raises(ValueError, match="must be an integer"):
         calls[entry]()

@@ -2,15 +2,21 @@
 import math
 import os
 import tempfile
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from densgeo import geodesic as ge, io, matching as ma, spectral as sp
+from densgeo import epdiff as ep, geodesic as ge, io, matching as ma, \
+    spectral as sp
 
 BAD = st.sampled_from([np.nan, np.inf, -np.inf])
 GRIDS = st.sampled_from([(1, 16), (2, 8)])
+# an entry put into an otherwise valid state: non-finite, or a finite value
+# of either sign, zero included
+ENTRIES = st.one_of(BAD, st.sampled_from([0.0, -0.0]),
+                    st.floats(-1e300, 1e300))
 
 
 def smooth_density(grid):
@@ -35,6 +41,50 @@ def test_make_state_rejects_non_finite(grid, index, bad, target):
     fields[target] = spoiled(fields[target], index, bad)
     with pytest.raises(ge.StateError, match="finite"):
         ge.make_state(g, fields["rho"], fields["p"], 1)
+
+
+def valid_entry(value, density):
+    return math.isfinite(value) and (value > 0.0 or not density)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=GRIDS, index=st.integers(0, 10 ** 6), value=ENTRIES,
+       target=st.sampled_from(["rho", "p"]))
+def test_density_state_builds_iff_valid(grid, index, value, target):
+    # a DensityState is built exactly when rho and p are finite and rho is
+    # positive
+    g = sp.make_grid(*grid)
+    fields = {"rho": smooth_density(g), "p": np.sin(g.coords[0])}
+    fields[target] = spoiled(fields[target], index, value)
+    build = partial(ge.DensityState, sp.ScalarField(g, fields["rho"]),
+                    sp.ScalarField(g, fields["p"]), 1)
+    if valid_entry(value, target == "rho"):
+        build()
+    else:
+        with pytest.raises(ge.StateError, match=f"^{target} not"):
+            build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=GRIDS, index=st.integers(0, 10 ** 6), value=ENTRIES,
+       target=st.sampled_from(["q", "f", "u"]))
+def test_diffeo_state_builds_iff_valid(grid, index, value, target):
+    # a DiffeoState is built exactly when q, f and u are finite and f is
+    # positive
+    g = sp.make_grid(*grid)
+    x = g.coords[0]
+    fields = {"q": 0.1 * np.sin(x)[None].repeat(g.dim, axis=0),
+              "f": smooth_density(g),
+              "u": 0.2 * np.cos(x)[None].repeat(g.dim, axis=0)}
+    fields[target] = spoiled(fields[target], index, value)
+    build = partial(ep.DiffeoState, sp.VectorField(g, fields["q"]),
+                    sp.ScalarField(g, fields["f"]),
+                    sp.VectorField(g, fields["u"]), 1)
+    if valid_entry(value, target == "f"):
+        build()
+    else:
+        with pytest.raises(ge.StateError, match=f"^{target} not"):
+            build()
 
 
 @settings(max_examples=30, deadline=None)
