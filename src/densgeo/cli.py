@@ -70,15 +70,18 @@ def _build_grid(cfg):
         raise ConfigError(f"[grid]: {exc}") from None
 
 
-def _metric_order(cfg, *grids):
+def _metric_order(cfg, *grids, check=None):
     """[metric] k, checked on each grid the command runs on by its operator
-    table: k >= -1, and the inertia symbol finite there."""
+    table: k >= -1, and the inertia symbol finite there; and by check(k),
+    the command's own rule, when given."""
     k = _get(cfg, "metric", "k", int, required=True)
-    for grid in grids:
-        try:
+    try:
+        for grid in grids:
             operators(grid, k)
-        except ValueError as exc:
-            raise ConfigError(f"[metric] k: {exc}") from None
+        if check is not None:
+            check(k)
+    except ValueError as exc:
+        raise ConfigError(f"[metric] k: {exc}") from None
     return k
 
 
@@ -230,13 +233,12 @@ def cmd_match(cfg, outdir, manifest):
     result = matching.solve_match(problem)
     io.write_field(os.path.join(outdir, "p0.field"), result.p0)
     io.write_field(os.path.join(outdir, "rho_final.field"),
-                   result.geodesic.states[-1].rho)
+                   result.final_state.rho)
     io.write_csv(os.path.join(outdir, "history.csv"),
                  ["iter", "objective", "grad_norm", "lambda"],
                  result.history_rows)
     io.write_csv(os.path.join(outdir, "diagnostics.csv"), DIAG_HEADER,
-                 _diag_rows(result.geodesic.times,
-                            result.geodesic.diagnostics))
+                 _diag_rows(result.times, result.diagnostics))
     io.write_json(os.path.join(outdir, "result.json"), {
         "status": result.status,
         "final_l2_mismatch": result.final_l2_mismatch,
@@ -248,9 +250,7 @@ def cmd_match(cfg, outdir, manifest):
 
 def cmd_epdiff_check(cfg, outdir, manifest):
     grid = _build_grid(cfg)
-    k = _metric_order(cfg, grid)
-    if k < 0:
-        raise ConfigError("[metric] k: epdiff-check requires k >= 0")
+    k = _metric_order(cfg, grid, check=epdiff.check_order)
     T = _get(cfg, "time", "T", float, required=True)
     _, dt = _time_steps(T, _get(cfg, "time", "dt", float, required=True))
     rho0, rho_src = _load_scalar(cfg, grid, "initial", "rho", "rho")

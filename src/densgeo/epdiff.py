@@ -261,6 +261,13 @@ def epdiff_energy(u: VectorField, k: int) -> float:
     return total
 
 
+def check_order(k: int) -> None:
+    """The cross-check's rule for the metric order: raises ValueError
+    unless k >= 0."""
+    if not k >= 0:
+        raise ValueError(f"EPDiff cross validation requires k >= 0, got {k}")
+
+
 def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
                    dt: float) -> dict:
     """Run the density geodesic and the lifted horizontal EPDiff flow side by side.
@@ -270,8 +277,7 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
     the relative energy drift on both sides. The reported dt is the step
     taken, T / ceil(T/dt).
     """
-    if k < 0:
-        raise ValueError("cross validation requires k >= 0")
+    check_order(k)
     grid = rho0.grid
     n_steps, dt = time_steps(T, dt)
     stride = max(1, n_steps // (N_CHECKS - 1))

@@ -65,17 +65,25 @@ class StateError(ValueError):
 
 
 def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of y' = f(y) on an array state."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    # in place, holding fewer arrays; the same roundings as
-    # y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4), since a + b == b + a exactly
-    acc = 2.0 * k2
-    acc += k1
-    acc += 2.0 * k3
-    acc += k4
+    """One classical Runge-Kutta step of y' = f(y) on an array state; f
+    returns a new array, which rk4 may overwrite.
+
+    Beside y and f's output it holds two arrays, the stage and the
+    accumulator (k1's array): each k is folded in once its stage is formed.
+    The roundings are those of the stages y + (dt / 2) k1, y + (dt / 2) k2,
+    y + dt k3 and of y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), since
+    a + b == b + a and a * b == b * a exactly."""
+    acc = f(y)
+    stage = np.multiply(acc, 0.5 * dt)
+    stage += y
+    for c in (0.5 * dt, dt):  # k2, then k3
+        k = f(stage)
+        np.multiply(k, c, out=stage)
+        stage += y
+        k *= 2.0
+        acc += k
+        del k  # freed before the next stage's f
+    acc += f(stage)
     acc *= dt / 6.0
     acc += y
     return acc
@@ -364,22 +372,50 @@ def step_rk4(ops: Operators, y: np.ndarray, dt: float):
     return y, None
 
 
-def integrate(step, y: np.ndarray, T: float, dt: float, store_every: int = 0):
+def integrate(step, y: np.ndarray, T: float, dt: float, store_every: int = 0,
+              observe=None):
     """Step y over time_steps(T, dt) by step(y, dt) -> (y, reason), the
-    reason None for a good step. Given store_every, stores (t, y) at t = 0,
-    every store_every steps and at the last step. Returns the final y and
-    the stored pairs; raises SolverAbort("t=...: reason") with the time of
-    the first failed step."""
+    reason None for a good step, and call observe(i, y) with the initial y
+    (i = 0) and after each good step i. Given store_every instead, the
+    observer stores (t, y) at t = 0, every store_every steps and at the last
+    step. Returns the final y and the stored pairs; raises
+    SolverAbort("t=...: reason") with the time of the first failed step."""
     n_steps, dt = time_steps(T, dt)
-    stored = [(0.0, y)] if store_every else []
+    stored = []
+    if store_every:
+        if observe is not None:
+            raise ValueError("give store_every or observe, not both")
+
+        def observe(i, y):
+            if i % store_every == 0 or i == n_steps:
+                stored.append((i * dt, y))
+    if observe is not None:
+        observe(0, y)
     for i in range(1, n_steps + 1):
         y, reason = step(y, dt)
         if reason is not None:
             t = i * dt
             raise SolverAbort(f"t={t:.6g}: {reason}", time=t)
-        if store_every and (i % store_every == 0 or i == n_steps):
-            stored.append((i * dt, y))
+        if observe is not None:
+            observe(i, y)
     return y, stored
+
+
+class Record:
+    """`integrate`'s observer that keeps a shoot's state, row 0 of its rows
+    (1 + m, R), at every step i of time_steps(T, dt) as rows[i]: one array
+    (n_steps + 1, R), allocated at step 0. rows stays None for a shoot at
+    rest, which takes no time loop (see `shoot_tangents`).
+    `recorded_trajectory` builds the shoot's states from it."""
+
+    def __init__(self, T: float, dt: float):
+        self.n_steps = time_steps(T, dt)[0]
+        self.rows = None
+
+    def __call__(self, i: int, y: np.ndarray) -> None:
+        if i == 0:
+            self.rows = np.empty((self.n_steps + 1, y.shape[-1]))
+        self.rows[i] = y[0]
 
 
 def default_dt(state: DensityState) -> float | None:
@@ -391,6 +427,15 @@ def default_dt(state: DensityState) -> float | None:
     return CFL * state.grid.spacing / umax
 
 
+def warn_local_regime(k: int) -> None:
+    """Logs that k in {-1, 0} is in the local regime; `shoot` logs it, and
+    `matching.solve_match` once per match."""
+    if k in (-1, 0):
+        log.warning(
+            "k=%d is in the local regime: global existence is not guaranteed "
+            "and positivity loss is expected behavior", k)
+
+
 def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
           store_every: int = 1, backward: bool = False) -> Trajectory:
     """Integrate the geodesic flow from (rho0, p0) over [0, T].
@@ -398,40 +443,54 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     Takes ceil(T/dt) equal steps that end exactly at T (see time_steps),
     from the state `_initial_rows` prepares, with no tangent rows. The flow
     carries p's band spectrum only; the part of p0 outside the band, p_out,
-    never changes, and each stored p is the band part plus p_out. Backward
-    runs negate p, integrate forward, and negate back (the flow is
-    time-reversible). Aborts propagate with the failing time attached.
+    never changes, and each stored p is the band part plus p_out
+    (`_row_state`). Backward runs negate p, integrate forward, and negate
+    back (the flow is time-reversible). Aborts propagate with the failing
+    time attached.
     """
     if not store_every >= 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
     check_same_grid(rho0.grid, p0.grid)
-    if k in (-1, 0):
-        log.warning(
-            "k=%d is in the local regime: global existence is not guaranteed "
-            "and positivity loss is expected behavior", k)
-    grid = rho0.grid
-    ops = operators(grid, k)
-    band = ops.band
+    warn_local_regime(k)
+    ops = operators(rho0.grid, k)
     y, p_out = _initial_rows(ops, rho0, -p0.values if backward else p0.values,
                              k)
-    p_out -= band.ifft(_split(band, y[0])[1])  # p0's part outside the band
+    p_out -= ops.band.ifft(_split(ops.band, y[0])[1])  # p0's out of band
     _, stored = integrate(partial(step_rk4, ops), y, T, dt, store_every)
     times, states = np.array([t for t, _ in stored]), []
     stored.reverse()
     while stored:  # each row is freed once its state is built
         _, y = stored.pop()
-        rho, p_hat = _split(band, y[0])
-        p = band.ifft(p_hat)
-        p += p_out
-        if backward:
-            np.negative(p, out=p)
-        states.append(DensityState(ScalarField(grid, rho.copy()),
-                                   ScalarField(grid, p), k))
+        states.append(_row_state(ops.band, y[0], p_out, k, backward))
     return Trajectory(times, states, [diagnostics_for(s) for s in states])
 
 
+def recorded_trajectory(rho0: ScalarField, p0: ScalarField, k: int, T: float,
+                        dt: float, rows: np.ndarray | None = None):
+    """The times, diagnostics and final state of the forward shoot from
+    (rho0, p0) over time_steps(T, dt) whose states a `Record` kept as rows
+    (n_steps + 1, R): bit for bit those of `shoot` with store_every 1. The
+    states are built one at a time, as `shoot` builds them. Without rows
+    the shoot rested (p0's band part must be 0): RK4 steps its zero
+    right-hand side exactly, so its state is the initial one at every time.
+    """
+    ops = operators(rho0.grid, k)
+    n_steps, dt = time_steps(T, dt)
+    y, p_out = _initial_rows(ops, rho0, p0.values, k)
+    p_out -= ops.band.ifft(_split(ops.band, y[0])[1])  # as `shoot` does
+    if rows is None:
+        if _split(ops.band, y[0])[1].any():
+            raise ValueError("a shoot from a moving state needs its rows")
+        rows = np.broadcast_to(y[0], (n_steps + 1, y.shape[-1]))
+    diagnostics = []
+    for row in rows:
+        state = _row_state(ops.band, row, p_out, k)
+        diagnostics.append(diagnostics_for(state))
+    return np.arange(n_steps + 1) * dt, diagnostics, state
+
+
 def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
-                   T: float, dt: float):
+                   T: float, dt: float, observe=None):
     """The shoot from (rho0, p0) and the derivatives of its final density
     along the initial momenta dp0 (m, *shape), m >= 0, by the linearized
     flow (see `_rhs`) stepped with the state as its rows (1 + m, R).
@@ -440,9 +499,10 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
     its endpoint is bit-identical to shoot's; only the state is guarded.
     Returns (rho_T, drho_T), (*shape) and (m, *shape); raises
     SolverAbort("t=...: reason") at the time of the state's failed step.
+    Given observe, `integrate` calls observe(i, rows) at every step i.
     At rest (p0's band part 0) the linearized flow is drho_t = L_rho0 dp,
     dp_t = 0, on which RK4 is exact: drho_T is T L_rho0 dp0, one stacked
-    L_rho apply with no time loop.
+    L_rho apply with no time loop, and observe is not called.
     """
     ops = operators(rho0.grid, k)
     band = ops.band
@@ -451,8 +511,13 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
     if not p_hat.any():
         time_steps(T, dt)  # the same checks of T and dt
         return rho, T * _lrho(band, rho, band.fft(dp0) * band.mask)[0]
-    y = np.concatenate((base, _state_rows(band, np.zeros_like(dp0), dp0)))
-    y, _ = integrate(partial(step_rk4, ops), y, T, dt)
+    del rho, p_hat
+    # integrate holds the only reference to the initial rows: the loop
+    # frees them after the first step
+    y, _ = integrate(
+        partial(step_rk4, ops),
+        np.concatenate((base, _state_rows(band, np.zeros_like(dp0), dp0))),
+        T, dt, observe=observe)
     rho_T = _split(band, y)[0]
     return rho_T[0], rho_T[1:]
 
@@ -464,3 +529,17 @@ def _initial_rows(ops: Operators, rho0: ScalarField, p0: np.ndarray, k: int):
     p = make_state(rho0.grid, rho0.values, p0, k).p.values
     p -= p.mean()
     return _state_rows(ops.band, rho0.values[None], p[None]), p
+
+
+def _row_state(band: Band, row: np.ndarray, p_out: np.ndarray, k: int,
+               backward: bool = False) -> DensityState:
+    """The `DensityState` of a shoot's state row (R,) (see `_rows`): rho
+    copied from the row, and p its band part plus p0's part p_out outside
+    the band, negated for a backward shoot."""
+    rho, p_hat = _split(band, row)
+    p = band.ifft(p_hat)
+    p += p_out
+    if backward:
+        np.negative(p, out=p)
+    return DensityState(ScalarField(band.grid, rho.copy()),
+                        ScalarField(band.grid, p), k)

@@ -23,6 +23,11 @@ the base ends bit for bit where a plain shoot ends, so no value changes.
 (without a time loop), after an iteration won by a retry, and when the
 tangents need several stacks, one base shoot per stack. Tangents are
 independent given the base, so the split does not change any value.
+
+Every trial keeps its state at every step (a `geodesic.Record`), and the
+match's final geodesic is the last accepted trial's record: `solve_match`
+builds its times, diagnostics and final state from it, with no shoot of
+its own, bit for bit those of `geodesic.shoot` from the coefficients.
 """
 from __future__ import annotations
 
@@ -105,7 +110,10 @@ class MatchResult:
     coeffs: np.ndarray
     objective_history: np.ndarray
     final_l2_mismatch: float
-    geodesic: geodesic.Trajectory
+    # the final geodesic, p0's: its times, diagnostics and final state
+    times: np.ndarray
+    diagnostics: list
+    final_state: geodesic.DensityState
     history_rows: list  # (iter, objective, grad_norm, lambda), history.csv
 
 
@@ -154,18 +162,21 @@ def p_from_coeffs(problem: MatchProblem, coeffs: np.ndarray) -> ScalarField:
 def _residual(problem: MatchProblem, coeffs: np.ndarray, dp=None):
     """rho(T) - rho1 of the shoot of coeffs' momentum (`shoot_tangents`
     with no tangents). Given tangent momenta dp (m, *shape), m >= 0, the
-    shoot carries them, and the result is (rho(T) - rho1, jac): jac (m, N)
-    holds the derivatives of rho(T) along dp, C-contiguous as `_jacobian`
-    builds it, so that it frees the shoot's rows. Raises the shoot's
-    SolverAbort, with its time."""
+    shoot carries them and keeps its state at every step (a
+    `geodesic.Record`), and the result is (rho(T) - rho1, jac, rows): jac
+    (m, N) holds the derivatives of rho(T) along dp, C-contiguous as
+    `_jacobian` builds it, so that it frees the shoot's rows, and rows are
+    the record's. Raises the shoot's SolverAbort, with its time."""
     tangents = np.empty((0,) + problem.grid.shape) if dp is None else dp
+    record = None if dp is None else geodesic.Record(problem.T, problem.dt)
     rho_T, drho = geodesic.shoot_tangents(
         problem.rho0, p_from_coeffs(problem, coeffs).values, tangents,
-        problem.k, problem.T, problem.dt)
+        problem.k, problem.T, problem.dt, record)
     r = rho_T - problem.rho1.values
     if dp is None:
         return r
-    return r, drho.reshape(len(drho), problem.grid.npoints).copy()
+    return (r, drho.reshape(len(drho), problem.grid.npoints).copy(),
+            record.rows)
 
 
 def objective(problem: MatchProblem, coeffs: np.ndarray) -> float:
@@ -254,7 +265,9 @@ def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
 
 def _levenberg_marquardt(problem: MatchProblem):
     """`solve_match`'s iterations: (status, coeffs, objective history,
-    history rows). Its Jacobians and shoots are freed when it returns."""
+    history rows, record): record holds the last accepted trial's state at
+    every step (the rows `_residual` returns), None while the match rests
+    at rho0. Its Jacobians and the other shoots are freed when it returns."""
     opt = problem.opt
     basis = _basis_stack(problem)
     # the first trial of an iteration carries the next Jacobian's tangents
@@ -269,6 +282,7 @@ def _levenberg_marquardt(problem: MatchProblem):
     lam = LM_LAMBDA0
     status = "max_iter"
     jac = None  # the Jacobian at coeffs, when the accepted trial carried it
+    record = None  # the accepted trial's states
 
     for it in range(opt.max_iter):
         try:
@@ -297,7 +311,8 @@ def _levenberg_marquardt(problem: MatchProblem):
                     status = "stalled"
                     break
                 try:
-                    r_trial, jac_trial = _residual(problem, trial, dp)
+                    r_trial, jac_trial, rows_trial = _residual(
+                        problem, trial, dp)
                 except geodesic.SolverAbort:
                     pass  # an aborted trial is rejected
                 else:
@@ -312,12 +327,12 @@ def _levenberg_marquardt(problem: MatchProblem):
         rows.append((it, history[-1], gnorm, lam))
         if status != "max_iter":
             break
-        coeffs, r = trial, r_trial
+        coeffs, r, record = trial, r_trial, rows_trial
         if len(jac_trial):
             jac = jac_trial
         history.append(j_trial)
         lam /= LM_FACTOR
-    return status, coeffs, history, rows
+    return status, coeffs, history, rows, record
 
 
 def solve_match(problem: MatchProblem) -> MatchResult:
@@ -343,14 +358,21 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     trial repeats the rejected one before it (lambda has fallen so far that
     raising it no longer changes the step), or when the Jacobian fails: its
     base shoot aborts or a tangent is not finite. A stalled match returns
-    the best coefficients seen, the last accepted ones. The final geodesic
-    is shot again from them, after the iterations' Jacobians are freed:
-    its snapshots set the peak memory.
+    the best coefficients seen, the last accepted ones.
+
+    Every trial keeps its state at every step (a `geodesic.Record`), so the
+    final geodesic is the last accepted trial's, with no shoot of its own:
+    its times, diagnostics and final state are built from the record, bit
+    for bit those of `geodesic.shoot` from the coefficients, one state at a
+    time. A match that accepted no trial rests at rho0. A k in {-1, 0}
+    logs the local-regime warning once, at the start.
     """
-    status, coeffs, history, rows = _levenberg_marquardt(problem)
+    geodesic.warn_local_regime(problem.k)
+    status, coeffs, history, rows, record = _levenberg_marquardt(problem)
     p0 = p_from_coeffs(problem, coeffs)
-    traj = geodesic.shoot(problem.rho0, p0, problem.k, problem.T, problem.dt)
-    mismatch = l2_norm_values(traj.states[-1].rho.values - problem.rho1.values)
+    times, diagnostics, final_state = geodesic.recorded_trajectory(
+        problem.rho0, p0, problem.k, problem.T, problem.dt, record)
+    mismatch = l2_norm_values(final_state.rho.values - problem.rho1.values)
     mismatch /= l2_norm_values(problem.rho1.values)
     return MatchResult(
         status=status,
@@ -358,6 +380,8 @@ def solve_match(problem: MatchProblem) -> MatchResult:
         coeffs=coeffs,
         objective_history=np.array(history),
         final_l2_mismatch=mismatch,
-        geodesic=traj,
+        times=times,
+        diagnostics=diagnostics,
+        final_state=final_state,
         history_rows=rows,
     )

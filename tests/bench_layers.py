@@ -16,8 +16,10 @@ dominates. The Jacobian case (1-D n = 32, k = 1, 3 modes = 6 coefficients,
 T = 0.5, dt = 0.02: 25 steps) times the central-difference stencil (12
 shoots), the tangent rows (the base and 6 tangents) and the c = 0 shortcut.
 The solve_match case runs Levenberg-Marquardt on the same problem to
-convergence (5 iterations: the c = 0 Jacobian, 4 accepted trials each
-carrying the next Jacobian, and the final shoot). The EPDiff case (2-D
+convergence (5 iterations: the c = 0 Jacobian and 4 accepted trials, each
+carrying the next Jacobian and keeping its state at every step; the last
+one's record is the final geodesic, with no shoot of its own: 4 time
+loops). The EPDiff case (2-D
 n = 32, k = 2, T = 0.5, dt = 0.01: 50 steps, 11 stored states, as
 cross_validate stores them) integrates the identity map carrying a smooth
 density with the horizontal velocity of a unit-size momentum.

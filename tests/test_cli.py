@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from densgeo import cli, io, presets, spectral as sp
+from densgeo import cli, epdiff, io, presets, spectral as sp
 
 
 def write_config(path, text):
@@ -324,6 +324,37 @@ p = sin-bump amplitude 0.2 mode 1
                     "energy_drift_density", "energy_drift_epdiff"):
             assert key in report
         assert report["l2_discrepancy_final"] < 1e-8
+
+    def test_negative_order_is_a_config_error(self, tmp_path, capsys):
+        # the CLI and cross_validate give epdiff.check_order's one message,
+        # and the CLI before the manifest
+        cfg = write_config(tmp_path / "c.ini", """
+[grid]
+dim = 1
+n = 32
+[metric]
+k = -1
+[time]
+T = 0.2
+dt = 0.02
+[initial]
+rho = uniform
+p = zero
+""")
+        out = tmp_path / "out"
+        assert cli.main(["epdiff-check", "--config", cfg, "--output-dir",
+                         str(out)]) == 2
+        with pytest.raises(ValueError) as info:
+            epdiff.check_order(-1)
+        g = sp.make_grid(1, 32)
+        with pytest.raises(ValueError) as api:
+            epdiff.cross_validate(sp.ScalarField(g, np.ones(g.shape)),
+                                  sp.ScalarField(g, np.zeros(g.shape)), -1,
+                                  0.2, 0.02)
+        assert str(api.value) == str(info.value)
+        assert capsys.readouterr().err == (
+            f"config error: [metric] k: {info.value}\n")
+        assert not (out / "manifest.json").exists()
 
 
 class TestConvergenceCommand:

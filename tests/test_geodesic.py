@@ -1,3 +1,6 @@
+from dataclasses import astuple
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -565,6 +568,32 @@ def test_rk4_fourth_order_on_linear_ode():
     assert np.all(orders > 3.8) and np.all(orders < 4.2)
 
 
+def rk4_expression(f, y, dt):
+    """Classical RK4 written as the expressions whose roundings `ge.rk4`
+    keeps."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("m", [0, 3])
+def test_rk4_in_place_rounds_as_the_expression(dim, n, m):
+    # random rows (1 + m, R) of a state and m tangents, stepped by _rhs
+    g = sp.make_grid(dim, n)
+    band = sp.operators(g, 1).band
+    rng = np.random.default_rng(dim * 10 + m)
+    shape = (1 + m,) + g.shape
+    rho = rng.uniform(0.5, 1.5, shape)
+    rho[1:] -= 1.0
+    y = ge._state_rows(band, rho, rng.normal(0.0, 0.3, shape))
+    f = partial(ge._rhs, band)
+    for dt in rng.uniform(0.001, 0.05, 8):
+        assert ge.rk4(f, y, dt).tobytes() == rk4_expression(f, y, dt).tobytes()
+
+
 def state_stack(grid, n_members, seed):
     """(n_members, 2, *shape) stack of valid, distinct (rho, p) states."""
     rng = np.random.default_rng(seed)
@@ -599,6 +628,55 @@ class TestStackedFlow:
             ge.integrate(step, np.array([0.0, 0.25]), 1.0, 0.1, store_every=1)
         assert info.value.time == 3 * 0.1
         assert len(calls) == 3  # no step after the failed one
+
+    def test_integrate_observes_step_zero_and_each_good_step(self):
+        def step(y, dt):
+            y = y + [dt, 0.0]
+            return y, None if y[0] <= y[1] else f"past {y[1]}"
+
+        seen = []
+
+        def observe(i, y):
+            seen.append((i, y))
+
+        y0 = np.array([0.0, np.inf])
+        y, stored = ge.integrate(step, y0, 1.0, 0.1, observe=observe)
+        assert stored == [] and [i for i, _ in seen] == list(range(11))
+        assert seen[0][1] is y0 and seen[-1][1] is y
+        seen.clear()
+        with pytest.raises(ge.SolverAbort, match=r"^t=0\.3: "):
+            ge.integrate(step, np.array([0.0, 0.25]), 1.0, 0.1,
+                         observe=observe)
+        assert [i for i, _ in seen] == [0, 1, 2]  # not the failed step
+        with pytest.raises(ValueError, match="not both"):
+            ge.integrate(step, y0, 1.0, 0.1, store_every=1, observe=observe)
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+    @pytest.mark.parametrize("moving", [True, False])
+    def test_recorded_trajectory_equals_shoot(self, dim, n, moving):
+        # a record of shoot_tangents' state, with tangents, against shoot
+        # with store_every 1; a moving p0 has a part outside the band
+        g = sp.make_grid(dim, n)
+        ys = state_stack(g, 1, seed=3)
+        rho0 = sp.ScalarField(g, ys[0, 0])
+        p0 = ys[0, 1] + 0.01 * np.sin((n // 2 - 1) * g.coords[0])
+        p0 = sp.ScalarField(g, p0 if moving else np.zeros(g.shape))
+        record = ge.Record(0.3, 0.02)
+        ge.shoot_tangents(rho0, p0.values, ys[:, 1], 2, 0.3, 0.02, record)
+        # 15 steps, or none at rest
+        assert (record.rows.shape[0] == 16) if moving else record.rows is None
+        traj = ge.shoot(rho0, p0, 2, 0.3, 0.02)
+        times, diagnostics, final = ge.recorded_trajectory(
+            rho0, p0, 2, 0.3, 0.02, record.rows)
+        assert times.tobytes() == traj.times.tobytes()
+        assert (np.array([astuple(d) for d in diagnostics]).tobytes()
+                == np.array([astuple(d) for d in traj.diagnostics]).tobytes())
+        end = traj.states[-1]
+        assert final.rho.values.tobytes() == end.rho.values.tobytes()
+        assert final.p.values.tobytes() == end.p.values.tobytes()
+        if moving:
+            with pytest.raises(ValueError, match="needs its rows"):
+                ge.recorded_trajectory(rho0, p0, 2, 0.3, 0.02)
 
     @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
     def test_shoot_endpoints_equal_shoot(self, dim, n):

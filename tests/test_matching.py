@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -510,6 +511,19 @@ def self_consistent_problem(dim, **kw):
     return ma.MatchProblem(rho0, sp.ScalarField(g, rho1.values), *args, **kw)
 
 
+def steep_problem(dt=0.02, **kw):
+    """k = -1 with steep data, 4 coefficients: at dt 0.02 the first
+    Gauss-Newton trial aborts, and a retry wins the first iteration."""
+    g = grid1d()
+    x = g.coords[0]
+
+    def steep(c):
+        f = 1 + 0.9 * np.cos(x - c)
+        return sp.ScalarField(g, f / f.mean())
+
+    return ma.MatchProblem(steep(0.0), steep(1.0), -1, 1.0, dt, 2, **kw)
+
+
 class TestLevenbergMarquardt:
     def test_bump_translation_converges(self):
         problem = bump_problem()
@@ -519,16 +533,7 @@ class TestLevenbergMarquardt:
         assert np.all(np.diff(result.objective_history) < 0.0)
 
     def test_aborting_trial_is_rejected(self, monkeypatch):
-        # k = -1 with steep data: the first Gauss-Newton trial aborts
-        g = grid1d()
-        x = g.coords[0]
-
-        def steep(c):
-            f = 1 + 0.9 * np.cos(x - c)
-            return sp.ScalarField(g, f / f.mean())
-
-        problem = ma.MatchProblem(steep(0.0), steep(1.0), -1, 1.0, 0.02, 2,
-                                  ma.OptSettings(max_iter=3))
+        problem = steep_problem(opt=ma.OptSettings(max_iter=3))
         trial_aborts = []
         residual = ma._residual
 
@@ -552,17 +557,10 @@ class TestLevenbergMarquardt:
         assert len(result.history_rows) == 3
 
     def test_stalls_at_the_first_repeated_trial(self, monkeypatch):
-        # the steep data of the test above, run to the objective's noise
-        # floor: after 65 accepted steps lambda is so small that raising it
-        # no longer changes the step, and a repeated trial is rejected again
-        g = grid1d()
-        x = g.coords[0]
-
-        def steep(c):
-            f = 1 + 0.9 * np.cos(x - c)
-            return sp.ScalarField(g, f / f.mean())
-
-        problem = ma.MatchProblem(steep(0.0), steep(1.0), -1, 1.0, 0.2, 2)
+        # the steep data run to the objective's noise floor: after 65
+        # accepted steps lambda is so small that raising it no longer
+        # changes the step, and a repeated trial is rejected again
+        problem = steep_problem(dt=0.2)
         trials = []
         residual = ma._residual
 
@@ -590,9 +588,9 @@ class TestCarriedTangents:
     """The first trial of an iteration carries the next Jacobian's tangents
     when they fit one stack; an accepted one is not shot again."""
 
-    def test_match_1d_size_takes_three_time_loops(self, monkeypatch):
-        # 2 trials, each carrying its Jacobian, and the final shoot; the
-        # Jacobian at c = 0 takes no time loop
+    def test_match_1d_size_takes_two_time_loops(self, monkeypatch):
+        # 2 trials, each carrying its Jacobian; the Jacobian at c = 0 takes
+        # no time loop, and the final geodesic is the last trial's record
         problem = self_consistent_problem(1)
         loops, steps = [], []
         integrate = ge.integrate
@@ -610,7 +608,7 @@ class TestCarriedTangents:
         result = ma.solve_match(problem)
         assert result.status == "converged"
         assert len(result.history_rows) == 3
-        assert (len(loops), len(steps)) == (3, 75)
+        assert (len(loops), len(steps)) == (2, 50)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_carried_jacobian_equals_jacobian(self, dim, monkeypatch):
@@ -716,6 +714,62 @@ class TestCarriedTangents:
         assert set(two_tangents) == {0}
         assert len(two_tangents) == len(one_tangents)
         assert two_jacobians == len(two.history_rows)
+
+
+class TestFinalGeodesic:
+    """The final geodesic is the last accepted trial's record: its times,
+    diagnostics and final state are, bit for bit, those of the shoot of the
+    returned coefficients."""
+
+    @pytest.mark.parametrize("case", ["match-1d", "retry", "max_iter=0",
+                                      "2d-stacks"])
+    def test_equals_the_shoot_of_the_coefficients(self, case, monkeypatch):
+        if case == "match-1d":
+            problem = self_consistent_problem(1)
+        elif case == "retry":
+            problem = steep_problem(opt=ma.OptSettings(max_iter=1))
+        elif case == "max_iter=0":
+            problem = self_consistent_problem(
+                1, opt=ma.OptSettings(max_iter=0))
+        else:
+            problem = self_consistent_problem(
+                2, opt=ma.OptSettings(max_iter=2))
+            # 8 tangents per stack for 24 coefficients: every trial is plain
+            monkeypatch.setattr(ma, "MAX_STACK_POINTS",
+                                9 * problem.grid.npoints)
+        trials = []
+        residual = ma._residual
+
+        def spy(problem, coeffs, dp=None):
+            trials.append((np.array(coeffs), len(dp)))
+            return residual(problem, coeffs, dp)
+
+        monkeypatch.setattr(ma, "_residual", spy)
+        result = ma.solve_match(problem)
+        accepted = [m for coeffs, m in trials
+                    if np.array_equal(coeffs, result.coeffs)]
+        if case == "match-1d":
+            assert result.status == "converged"
+            assert accepted == [len(result.coeffs)]
+        elif case == "retry":
+            assert len(trials) > 1 and accepted == [0]  # a plain retry
+        elif case == "max_iter=0":
+            assert trials == [] and not result.coeffs.any()
+        else:
+            assert set(m for _, m in trials) == {0}
+            assert len(result.history_rows) == 2 and result.coeffs.any()
+        traj = ge.shoot(problem.rho0, ma.p_from_coeffs(problem, result.coeffs),
+                        problem.k, problem.T, problem.dt)
+        assert result.times.tobytes() == traj.times.tobytes()
+        assert (np.array([astuple(d) for d in result.diagnostics]).tobytes()
+                == np.array([astuple(d) for d in traj.diagnostics]).tobytes())
+        end = traj.states[-1]
+        assert (result.final_state.rho.values.tobytes()
+                == end.rho.values.tobytes())
+        assert result.final_state.p.values.tobytes() == end.p.values.tobytes()
+        assert result.final_l2_mismatch == (
+            sp.l2_norm_values(end.rho.values - problem.rho1.values)
+            / sp.l2_norm_values(problem.rho1.values))
 
 
 class TestOptSettings:
