@@ -3,7 +3,9 @@
 Configuration is a flat INI file (key = value with sections); no environment
 variables, so the written manifest is a complete record of the run. Every
 command writes its manifest first, artifacts incrementally, and a terminal
-status.json; the exit status is 0 iff the run completed.
+status.json; the exit status is 0 iff the run completed. `shoot` writes each
+snapshot (rho_i, p_i and its diagnostics.csv row) as the flow reaches it, so
+an aborted shoot keeps them; the other commands write theirs at their end.
 """
 from __future__ import annotations
 
@@ -163,10 +165,6 @@ def _time_steps(T, dt):
         raise ConfigError(f"[time]: {exc}") from None
 
 
-def _diag_rows(times, diags):
-    return [(t,) + dataclasses.astuple(d) for t, d in zip(times, diags)]
-
-
 DIAG_HEADER = ["t"] + [f.name for f in dataclasses.fields(geodesic.Diagnostics)]
 
 
@@ -194,13 +192,21 @@ def cmd_shoot(cfg, outdir, manifest):
         "tolerances": {"mass_drift": geodesic.MASS_DRIFT_TOL},
     })
     io.write_json(os.path.join(outdir, "manifest.json"), manifest)
-    traj = geodesic.shoot(rho0, p0, k, T, dt, store_every=stride)
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-        io.write_field(os.path.join(outdir, f"rho_{i:05d}.field"), state.rho)
-        io.write_field(os.path.join(outdir, f"p_{i:05d}.field"), state.p)
-    io.write_csv(os.path.join(outdir, "diagnostics.csv"), DIAG_HEADER,
-                 _diag_rows(traj.times, traj.diagnostics))
-    return f"shoot completed: {len(traj.times)} snapshots over T={T}"
+    written = 0
+    with open(os.path.join(outdir, "diagnostics.csv"), "w",
+              newline="\n") as csv:
+        csv.write(io.csv_line(DIAG_HEADER))
+
+        def write(t, state, diagnostics):  # as the shoot reaches it
+            nonlocal written
+            for name, field in (("rho", state.rho), ("p", state.p)):
+                io.write_field(os.path.join(
+                    outdir, f"{name}_{written:05d}.field"), field)
+            csv.write(io.csv_line((t,) + dataclasses.astuple(diagnostics)))
+            csv.flush()
+            written += 1
+        geodesic.shoot(rho0, p0, k, T, dt, store_every=stride, out=write)
+    return f"shoot completed: {written} snapshots over T={T}"
 
 
 def cmd_match(cfg, outdir, manifest):
@@ -238,7 +244,8 @@ def cmd_match(cfg, outdir, manifest):
                  ["iter", "objective", "grad_norm", "lambda"],
                  result.history_rows)
     io.write_csv(os.path.join(outdir, "diagnostics.csv"), DIAG_HEADER,
-                 _diag_rows(result.times, result.diagnostics))
+                 [(t,) + dataclasses.astuple(d)
+                  for t, d in zip(result.times, result.diagnostics)])
     io.write_json(os.path.join(outdir, "result.json"), {
         "status": result.status,
         "final_l2_mismatch": result.final_l2_mismatch,

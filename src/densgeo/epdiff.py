@@ -20,11 +20,11 @@ the grid and u's spectrum on the `Band` columns (`_rows`). A right-hand side
 takes u, m = Au and their gradients from that spectrum in two inverse
 transforms and returns u_t as a spectrum; q and f stay on the grid, where
 their transport needs the full half spectrum. u0 must be band-limited (to
-roundoff), and each stored state gets its physical u back by one inverse
-transform.
+roundoff), and each state handed out gets its physical u back by one
+inverse transform.
 
 A `DiffeoState` checks its invariants when it is built, and `_flow_step`
-stops the flow at the first step whose map folds or whose f is not positive.
+stops the flow at the first step that breaks them or folds the map.
 """
 from __future__ import annotations
 
@@ -173,9 +173,11 @@ def _flow_rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
 
 
 def _flow_step(ops: Operators, y: np.ndarray, dt: float):
-    """One RK4 step of _flow_rhs; it fails when the inverse map stops being
-    a grid-resolved diffeomorphism or f stops being positive."""
+    """One RK4 step of _flow_rhs; it fails when the row stops being finite,
+    the inverse map a grid-resolved diffeomorphism or f positive."""
     y = rk4(partial(_flow_rhs, ops), y, dt)
+    if not np.isfinite(y).all():
+        return y, "state is no longer finite"
     qf = _split(ops.band, y)[0]
     jac = jacobian_det(ops.grid, qf[:-1]).min()
     if not jac > 0.0:
@@ -187,32 +189,30 @@ def _flow_step(ops: Operators, y: np.ndarray, dt: float):
 
 
 def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
-                     store_every: int = 1) -> list:
+                     store_every: int = 1, out=None):
     """RK4 on the coupled system (transport of q and f by u, EPDiff for u).
 
-    Takes ceil(T/dt) equal steps that end exactly at T. Returns the list of
-    stored (t, DiffeoState). Raises StateError for an initial u that is not
-    band-limited (see `_initial_row`). Aborts at the first step whose map
-    folds or whose f loses positivity (see `_flow_step`).
+    Takes ceil(T/dt) equal steps that end exactly at T and hands out(t,
+    state) each state at t = 0, every store_every steps and T as the flow
+    reaches it; returns out or, without out, the list of those (t, state).
+    Raises StateError for an initial u that is not band-limited (see
+    `_initial_row`), and aborts at the first step that fails `_flow_step`.
     """
-    if not store_every >= 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
     grid, k, dim = state0.grid, state0.k, state0.grid.dim
     ops = operators(grid, k)
     band = ops.band
-    _, stored = integrate(partial(_flow_step, ops), _initial_row(ops, state0),
-                          T, dt, store_every)
+    step = time_steps(T, dt)[1]
     states = []
-    stored.reverse()
-    while stored:  # each row is freed once its state is built
-        t, y = stored.pop()
+    sink = (lambda t, s: states.append((t, s))) if out is None else out
+
+    def observe(i, y):
         qf, u_hat = _split(band, y)
-        qf = qf.copy()
-        states.append((t, DiffeoState(VectorField(grid, qf[:dim]),
-                                      ScalarField(grid, qf[dim]),
-                                      VectorField(grid, band.ifft(u_hat)),
-                                      k)))
-    return states
+        sink(i * step, DiffeoState(VectorField(grid, qf[:dim].copy()),
+                                   ScalarField(grid, qf[dim].copy()),
+                                   VectorField(grid, band.ifft(u_hat)), k))
+    integrate(partial(_flow_step, ops), _initial_row(ops, state0), T, dt,
+              observe, store_every)
+    return states if out is None else out
 
 
 def pushforward_density(phi: DiffeoState) -> ScalarField:
@@ -284,19 +284,17 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
 
     traj = geodesic.shoot(rho0, p0, k, T, dt, store_every=stride)
     u0 = geodesic.horizontal_velocity(traj.states[0])
-    ep = integrate_epdiff(identity_state(rho0, u0, k), T, dt,
-                          store_every=stride)
-    discrepancies = []
-    defects = []
-    # both flows store through geodesic.integrate: the same times, in order
-    for dstate, (_, phi) in zip(traj.states, ep):
+    discrepancies, defects, e_ep = [], [], []
+    density = iter(traj.states)  # both flows observe the same steps
+
+    def compare(t, phi):
         rho_ep = pushforward_density(phi)
         discrepancies.append(
-            l2_norm_values(rho_ep.values - dstate.rho.values))
+            l2_norm_values(rho_ep.values - next(density).rho.values))
         defects.append(horizontality_defect(phi.u, rho_ep, k))
-
+        e_ep.append(epdiff_energy(phi.u, k))
+    integrate_epdiff(identity_state(rho0, u0, k), T, dt, stride, compare)
     e_dens = [d.energy for d in traj.diagnostics]
-    e_ep = [epdiff_energy(s.u, k) for _, s in ep]
 
     def rel_drift(values):
         ref = abs(values[0])

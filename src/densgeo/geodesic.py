@@ -19,7 +19,7 @@ derivatives of its endpoint, matching's exact Jacobian.
 
 A `DensityState` checks its invariants when it is built, `make_state` adds
 unit mass, and `step_rk4`'s guard stops a shoot at the first step that
-breaks them: every state a shoot stores is valid.
+breaks them: every state a shoot hands out is valid.
 """
 from __future__ import annotations
 
@@ -230,11 +230,20 @@ def check_density(rho: np.ndarray, name: str = "rho",
             raise StateError(f"{name} mass deviates from 1 by {mass_err:.3e}")
 
 
-@dataclass
 class Trajectory:
-    times: np.ndarray
-    states: list
-    diagnostics: list
+    """`shoot`'s default sink: keeps each snapshot it is handed."""
+
+    def __init__(self):
+        self._times, self.states, self.diagnostics = [], [], []
+
+    def __call__(self, t: float, state: DensityState, diagnostics) -> None:
+        self._times.append(t)
+        self.states.append(state)
+        self.diagnostics.append(diagnostics)
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.array(self._times)
 
 
 def make_state(grid: Grid, rho_values, p_values, k: int) -> DensityState:
@@ -291,7 +300,7 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
     for iters in range(1, max_iter + 1):
         lq, _, _ = _lrho(ops, rho.values, ops.fft(q) * ops.mask)
         qlq = float((q * lq).mean())
-        if qlq <= 0.0:
+        if not qlq > 0.0:
             raise SolverAbort(
                 f"CG breakdown: non-positive curvature {qlq:.3e} at iter {iters}"
             )
@@ -372,23 +381,16 @@ def step_rk4(ops: Operators, y: np.ndarray, dt: float):
     return y, None
 
 
-def integrate(step, y: np.ndarray, T: float, dt: float, store_every: int = 0,
-              observe=None):
+def integrate(step, y: np.ndarray, T: float, dt: float, observe=None,
+              every: int = 1):
     """Step y over time_steps(T, dt) by step(y, dt) -> (y, reason), the
     reason None for a good step, and call observe(i, y) with the initial y
-    (i = 0) and after each good step i. Given store_every instead, the
-    observer stores (t, y) at t = 0, every store_every steps and at the last
-    step. Returns the final y and the stored pairs; raises
-    SolverAbort("t=...: reason") with the time of the first failed step."""
+    (i = 0), after every `every`-th good step i and after the last step.
+    Returns the final y; raises SolverAbort("t=...: reason") with the time
+    of the first failed step, after which nothing is observed."""
+    if not every >= 1:
+        raise ValueError(f"store_every must be >= 1, got {every}")
     n_steps, dt = time_steps(T, dt)
-    stored = []
-    if store_every:
-        if observe is not None:
-            raise ValueError("give store_every or observe, not both")
-
-        def observe(i, y):
-            if i % store_every == 0 or i == n_steps:
-                stored.append((i * dt, y))
     if observe is not None:
         observe(0, y)
     for i in range(1, n_steps + 1):
@@ -396,17 +398,17 @@ def integrate(step, y: np.ndarray, T: float, dt: float, store_every: int = 0,
         if reason is not None:
             t = i * dt
             raise SolverAbort(f"t={t:.6g}: {reason}", time=t)
-        if observe is not None:
+        if observe is not None and (i % every == 0 or i == n_steps):
             observe(i, y)
-    return y, stored
+    return y
 
 
 class Record:
     """`integrate`'s observer that keeps a shoot's state, row 0 of its rows
     (1 + m, R), at every step i of time_steps(T, dt) as rows[i]: one array
     (n_steps + 1, R), allocated at step 0. rows stays None for a shoot at
-    rest, which takes no time loop (see `shoot_tangents`).
-    `recorded_trajectory` builds the shoot's states from it."""
+    rest, which takes no time loop (see `shoot_tangents`). Replayed through
+    `snapshots`' observer, it gives the shoot's snapshots."""
 
     def __init__(self, T: float, dt: float):
         self.n_steps = time_steps(T, dt)[0]
@@ -437,56 +439,41 @@ def warn_local_regime(k: int) -> None:
 
 
 def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
-          store_every: int = 1, backward: bool = False) -> Trajectory:
+          store_every: int = 1, backward: bool = False, out=None):
     """Integrate the geodesic flow from (rho0, p0) over [0, T].
 
-    Takes ceil(T/dt) equal steps that end exactly at T (see time_steps),
-    from the state `_initial_rows` prepares, with no tangent rows. The flow
-    carries p's band spectrum only; the part of p0 outside the band, p_out,
-    never changes, and each stored p is the band part plus p_out
-    (`_row_state`). Backward runs negate p, integrate forward, and negate
-    back (the flow is time-reversible). Aborts propagate with the failing
-    time attached.
+    Takes ceil(T/dt) equal steps that end exactly at T (see time_steps)
+    and hands out(t, state, diagnostics) the snapshot at t = 0, every
+    store_every steps and T as the flow reaches it (see `snapshots`);
+    returns out, by default a new `Trajectory`. Backward runs negate p,
+    integrate forward, and negate back (the flow is time-reversible).
+    Aborts propagate with the failing time attached.
     """
-    if not store_every >= 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
     check_same_grid(rho0.grid, p0.grid)
     warn_local_regime(k)
+    out = Trajectory() if out is None else out
+    ops, y, observe = snapshots(rho0, p0.values, k, T, dt, out, backward)
+    integrate(partial(step_rk4, ops), y, T, dt, observe, store_every)
+    return out
+
+
+def snapshots(rho0: ScalarField, p0: np.ndarray, k: int, T: float,
+              dt: float, out, backward: bool = False):
+    """The one preparation of a shoot from (rho0, p0) over time_steps(T, dt):
+    its operator table, initial rows (1, R) and `integrate`'s observer,
+    which builds step i's state from row 0 of its rows (`_row_state`) and
+    hands out(t, state, diagnostics) at t = i dt. The flow carries p's band
+    spectrum only: a state's p is its band part plus p0's part outside the
+    band, p_out, which never changes. Backward, it starts from -p0."""
     ops = operators(rho0.grid, k)
-    y, p_out = _initial_rows(ops, rho0, -p0.values if backward else p0.values,
-                             k)
+    y, p_out = _initial_rows(ops, rho0, -p0 if backward else p0, k)
     p_out -= ops.band.ifft(_split(ops.band, y[0])[1])  # p0's out of band
-    _, stored = integrate(partial(step_rk4, ops), y, T, dt, store_every)
-    times, states = np.array([t for t, _ in stored]), []
-    stored.reverse()
-    while stored:  # each row is freed once its state is built
-        _, y = stored.pop()
-        states.append(_row_state(ops.band, y[0], p_out, k, backward))
-    return Trajectory(times, states, [diagnostics_for(s) for s in states])
+    step = time_steps(T, dt)[1]
 
-
-def recorded_trajectory(rho0: ScalarField, p0: ScalarField, k: int, T: float,
-                        dt: float, rows: np.ndarray | None = None):
-    """The times, diagnostics and final state of the forward shoot from
-    (rho0, p0) over time_steps(T, dt) whose states a `Record` kept as rows
-    (n_steps + 1, R): bit for bit those of `shoot` with store_every 1. The
-    states are built one at a time, as `shoot` builds them. Without rows
-    the shoot rested (p0's band part must be 0): RK4 steps its zero
-    right-hand side exactly, so its state is the initial one at every time.
-    """
-    ops = operators(rho0.grid, k)
-    n_steps, dt = time_steps(T, dt)
-    y, p_out = _initial_rows(ops, rho0, p0.values, k)
-    p_out -= ops.band.ifft(_split(ops.band, y[0])[1])  # as `shoot` does
-    if rows is None:
-        if _split(ops.band, y[0])[1].any():
-            raise ValueError("a shoot from a moving state needs its rows")
-        rows = np.broadcast_to(y[0], (n_steps + 1, y.shape[-1]))
-    diagnostics = []
-    for row in rows:
-        state = _row_state(ops.band, row, p_out, k)
-        diagnostics.append(diagnostics_for(state))
-    return np.arange(n_steps + 1) * dt, diagnostics, state
+    def observe(i: int, y: np.ndarray) -> None:
+        state = _row_state(ops.band, y[0], p_out, k, backward)
+        out(i * step, state, diagnostics_for(state))
+    return ops, y, observe
 
 
 def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
@@ -514,10 +501,10 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
     del rho, p_hat
     # integrate holds the only reference to the initial rows: the loop
     # frees them after the first step
-    y, _ = integrate(
+    y = integrate(
         partial(step_rk4, ops),
         np.concatenate((base, _state_rows(band, np.zeros_like(dp0), dp0))),
-        T, dt, observe=observe)
+        T, dt, observe)
     rho_T = _split(band, y)[0]
     return rho_T[0], rho_T[1:]
 

@@ -109,19 +109,16 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
+def csv_line(cells) -> str:
+    """One LF-terminated CSV line, '.' decimal separator, round-trip floats."""
+    return ",".join(format_float(c) if isinstance(c, (float, np.floating))
+                    else str(c) for c in cells) + "\n"
+
+
 def write_csv(path, header: list, rows) -> None:
-    """CSV with LF line endings, '.' decimal separator, round-trip floats."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (float, np.floating)):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    """The CSV file of `csv_line`s of the header and each row."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(map(csv_line, [header, *rows]))
 
 
 def write_json(path, obj) -> None:

@@ -26,8 +26,8 @@ independent given the base, so the split does not change any value.
 
 Every trial keeps its state at every step (a `geodesic.Record`), and the
 match's final geodesic is the last accepted trial's record: `solve_match`
-builds its times, diagnostics and final state from it, with no shoot of
-its own, bit for bit those of `geodesic.shoot` from the coefficients.
+replays it through the observer that builds `geodesic.shoot`'s states, with
+no shoot of its own, bit for bit those of shoot from the coefficients.
 """
 from __future__ import annotations
 
@@ -360,18 +360,29 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     base shoot aborts or a tangent is not finite. A stalled match returns
     the best coefficients seen, the last accepted ones.
 
-    Every trial keeps its state at every step (a `geodesic.Record`), so the
-    final geodesic is the last accepted trial's, with no shoot of its own:
-    its times, diagnostics and final state are built from the record, bit
-    for bit those of `geodesic.shoot` from the coefficients, one state at a
-    time. A match that accepted no trial rests at rho0. A k in {-1, 0}
-    logs the local-regime warning once, at the start.
+    Every trial keeps its state at every step (a `geodesic.Record`), and
+    the final geodesic, with no shoot of its own, is the last accepted
+    trial's record replayed through the observer of `geodesic.snapshots`:
+    bit for bit `geodesic.shoot`'s times, diagnostics and final state from
+    the coefficients. A match that accepted no trial rests at rho0. A k in
+    {-1, 0} logs the local-regime warning once, at the start.
     """
     geodesic.warn_local_regime(problem.k)
     status, coeffs, history, rows, record = _levenberg_marquardt(problem)
     p0 = p_from_coeffs(problem, coeffs)
-    times, diagnostics, final_state = geodesic.recorded_trajectory(
-        problem.rho0, p0, problem.k, problem.T, problem.dt, record)
+    times, diagnostics, final_state = [], [], None
+
+    def keep(t, state, diag):
+        nonlocal final_state
+        times.append(t)
+        diagnostics.append(diag)
+        final_state = state
+
+    _, y, observe = geodesic.snapshots(problem.rho0, p0.values, problem.k,
+                                       problem.T, problem.dt, keep)
+    # no record: the match rests, and RK4 keeps its initial rows y exactly
+    for i in range(geodesic.time_steps(problem.T, problem.dt)[0] + 1):
+        observe(i, y if record is None else record[i, None])
     mismatch = l2_norm_values(final_state.rho.values - problem.rho1.values)
     mismatch /= l2_norm_values(problem.rho1.values)
     return MatchResult(
@@ -380,7 +391,7 @@ def solve_match(problem: MatchProblem) -> MatchResult:
         coeffs=coeffs,
         objective_history=np.array(history),
         final_l2_mismatch=mismatch,
-        times=times,
+        times=np.array(times),
         diagnostics=diagnostics,
         final_state=final_state,
         history_rows=rows,

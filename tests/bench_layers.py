@@ -20,8 +20,8 @@ convergence (5 iterations: the c = 0 Jacobian and 4 accepted trials, each
 carrying the next Jacobian and keeping its state at every step; the last
 one's record is the final geodesic, with no shoot of its own: 4 time
 loops). The EPDiff case (2-D
-n = 32, k = 2, T = 0.5, dt = 0.01: 50 steps, 11 stored states, as
-cross_validate stores them) integrates the identity map carrying a smooth
+n = 32, k = 2, T = 0.5, dt = 0.01: 50 steps, 11 states built, at the
+steps cross_validate compares) integrates the identity map carrying a smooth
 density with the horizontal velocity of a unit-size momentum.
 """
 import numpy as np

@@ -143,6 +143,35 @@ p = zero
                 assert fa.read() == fb.read(), fname
 
 
+    def test_aborted_shoot_keeps_the_snapshots_it_reached(self, tmp_path):
+        # k = -1 steep data loses positivity at t = 0.25: the snapshots at
+        # t = 0, 0.1 and 0.2 are written as the flow reaches them, and are
+        # those of a shoot that ends at t = 0.2
+        text = (SHOOT_CFG.replace("k = 1", "k = -1")
+                .replace("amplitude 0.5", "amplitude 0.3")
+                .replace("amplitude 0.2", "amplitude 2"))
+        outs = {}
+        for T, rc in (("1", 1), ("0.2", 0)):
+            cfg = write_config(tmp_path / f"{T}.ini",
+                               text.replace("T = 0.2", f"T = {T}"))
+            outs[T] = str(tmp_path / T)
+            assert cli.main(["shoot", "--config", cfg, "--output-dir",
+                             outs[T], "--quiet"]) == rc
+        status = io.read_json(os.path.join(outs["1"], "status.json"))
+        assert status["message"].startswith("t=0.25: positivity lost")
+        kept = sorted(os.listdir(outs["1"]))
+        assert kept == sorted(os.listdir(outs["0.2"])) == sorted(
+            ["manifest.json", "status.json", "diagnostics.csv"]
+            + [f"{f}_{i:05d}.field" for f in ("rho", "p") for i in range(3)])
+        for fname in kept:
+            if fname not in ("manifest.json", "status.json"):
+                with open(os.path.join(outs["1"], fname), "rb") as fa, \
+                        open(os.path.join(outs["0.2"], fname), "rb") as fb:
+                    assert fa.read() == fb.read(), fname
+        with open(os.path.join(outs["1"], "diagnostics.csv")) as fh:
+            assert len(fh.read().splitlines()) == 1 + 3  # header, 3 rows
+
+
 class TestFieldFileInputs:
     def test_file_input_roundtrip(self, tmp_path):
         g = sp.make_grid(1, 32)

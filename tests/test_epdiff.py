@@ -120,9 +120,21 @@ class TestIntegrate:
         assert str(info.value) == "t=0.43: f lost positivity (min -2.311e-03)"
         assert info.value.time == 0.43
 
+    def test_aborts_when_the_state_is_no_longer_finite(self):
+        # at k = 100 the right-hand side overflows in the first step; the
+        # NaN state is reported as such, not as a folded map
+        g = grid1d(32)
+        u = sp.VectorField(g, (sp.dealias(g, 0.1 * np.sin(g.coords[0])),))
+        with np.errstate(all="ignore"), pytest.raises(
+                ge.SolverAbort) as info:
+            ep.integrate_epdiff(ep.identity_state(uniform(g), u, 100), 0.1,
+                                0.05)
+        assert str(info.value) == "t=0.05: state is no longer finite"
+        assert info.value.time == 0.05
+
     @pytest.mark.parametrize("stride", [0, -2])
     def test_rejects_store_every_below_one(self, stride):
-        # integrate stores nothing at 0: there would be no end state
+        # integrate rejects it, naming store_every: it would observe no step
         g = grid1d(16)
         with pytest.raises(ValueError, match="store_every"):
             ep.integrate_epdiff(
