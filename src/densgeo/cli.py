@@ -6,6 +6,8 @@ command writes its manifest first, artifacts incrementally, and a terminal
 status.json; the exit status is 0 iff the run completed. `shoot` writes each
 snapshot (rho_i, p_i and its diagnostics.csv row) as the flow reaches it, so
 an aborted shoot keeps them; the other commands write theirs at their end.
+Each command imports only the modules it runs: `matching`, `epdiff` and
+`validation` are imported by their commands.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import epdiff, geodesic, io, matching, presets, validation
+from . import geodesic, io, presets
 from .spectral import (
     GridError,
     ScalarField,
@@ -210,6 +212,8 @@ def cmd_shoot(cfg, outdir, manifest):
 
 
 def cmd_match(cfg, outdir, manifest):
+    from . import matching
+
     grid = _build_grid(cfg)
     k = _metric_order(cfg, grid)
     T = _get(cfg, "time", "T", float, required=True)
@@ -256,6 +260,8 @@ def cmd_match(cfg, outdir, manifest):
 
 
 def cmd_epdiff_check(cfg, outdir, manifest):
+    from . import epdiff
+
     grid = _build_grid(cfg)
     k = _metric_order(cfg, grid, check=epdiff.check_order)
     T = _get(cfg, "time", "T", float, required=True)
@@ -274,6 +280,8 @@ def cmd_epdiff_check(cfg, outdir, manifest):
 
 
 def cmd_validate(cfg, outdir, manifest):
+    from . import validation
+
     grid = _build_grid(cfg)
     k = _metric_order(cfg, grid)
     manifest.update({"grid": {"dim": grid.dim, "n": grid.n}, "k": k})

@@ -39,7 +39,7 @@ from .spectral import (
     check_same_grid,
     l2_norm_values,
     operators,
-    spectral_tail_fraction,
+    tail_fractions,
 )
 
 log = logging.getLogger(__name__)
@@ -341,21 +341,30 @@ def hamiltonian_rhs(state: DensityState):
 
 def metric_energy(state: DensityState) -> float:
     """Kinetic energy 0.5 * <p, L_rho p>; zero iff p is constant."""
-    ops = operators(state.grid, state.k).band
-    rhodot, _, _ = _lrho(ops, state.rho.values,
-                         ops.fft(state.p.values) * ops.mask)
-    return float(0.5 * (state.p.values * rhodot).mean())
+    diagnostics, = diagnostics_for(operators(state.grid, state.k),
+                                   state.rho.values[None],
+                                   state.p.values[None])
+    return diagnostics.energy
 
 
-def diagnostics_for(state: DensityState) -> Diagnostics:
-    rv = state.rho.values
-    return Diagnostics(
-        mass=float(rv.mean()),
-        energy=metric_energy(state),
-        min_rho=float(rv.min()),
-        max_abs_p=float(np.abs(state.p.values).max()),
-        spectral_tail=spectral_tail_fraction(state.grid, rv),
-    )
+def diagnostics_for(ops: Operators, rho: np.ndarray, p: np.ndarray) -> list:
+    """The `Diagnostics` of a stack of states on the grid, rho and p
+    (B, *shape), on their (grid, k) table: one band transform of p and one
+    L_rho apply of the stack (on axis 1, so that `_dual` multiplies plainly)
+    give the energies, one full-table transform of rho the spectral tails.
+    Each reduction of a state runs over one contiguous row of its own, so a
+    state's diagnostics are the same, bit for bit, in any stack."""
+    band, size = ops.band, ops.grid.npoints
+    rhodot = _lrho(band, rho[None], (band.fft(p) * band.mask)[None])[0][0]
+    rho_rows = rho.reshape(len(rho), size)
+    p_rows = p.reshape(len(p), size)
+    # means as sums / size, the arithmetic of .mean() without its overhead
+    energy = 0.5 * ((p_rows * rhodot.reshape(len(p), size)).sum(axis=1)
+                    / size)
+    return [Diagnostics(*values) for values in zip(
+        (rho_rows.sum(axis=1) / size).tolist(), energy.tolist(),
+        rho_rows.min(axis=1).tolist(), np.abs(p_rows).max(axis=1).tolist(),
+        tail_fractions(ops, rho))]
 
 
 def step_rk4(ops: Operators, y: np.ndarray, dt: float):
@@ -407,8 +416,8 @@ class Record:
     """`integrate`'s observer that keeps a shoot's state, row 0 of its rows
     (1 + m, R), at every step i of time_steps(T, dt) as rows[i]: one array
     (n_steps + 1, R), allocated at step 0. rows stays None for a shoot at
-    rest, which takes no time loop (see `shoot_tangents`). Replayed through
-    `snapshots`' observer, it gives the shoot's snapshots."""
+    rest, which takes no time loop (see `shoot_tangents`). Summarized by
+    `summarize`, its rows give the shoot's snapshots."""
 
     def __init__(self, T: float, dt: float):
         self.n_steps = time_steps(T, dt)[0]
@@ -444,36 +453,56 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
 
     Takes ceil(T/dt) equal steps that end exactly at T (see time_steps)
     and hands out(t, state, diagnostics) the snapshot at t = 0, every
-    store_every steps and T as the flow reaches it (see `snapshots`);
-    returns out, by default a new `Trajectory`. Backward runs negate p,
+    store_every steps and T as the flow reaches it, each summarized as a
+    stack of one (see `summarize`); returns out, by default a new
+    `Trajectory`. Backward runs negate p,
     integrate forward, and negate back (the flow is time-reversible).
     Aborts propagate with the failing time attached.
     """
     check_same_grid(rho0.grid, p0.grid)
     warn_local_regime(k)
     out = Trajectory() if out is None else out
-    ops, y, observe = snapshots(rho0, p0.values, k, T, dt, out, backward)
+    ops, y, p_out = snapshots(rho0, p0.values, k, backward)
+    step = time_steps(T, dt)[1]
+
+    def observe(i: int, y: np.ndarray) -> None:
+        rho, p, (diagnostics,) = summarize(ops, p_out, y[:1], backward)
+        out(i * step, DensityState(ScalarField(ops.grid, rho[0].copy()),
+                                   ScalarField(ops.grid, p[0]), k),
+            diagnostics)
+
     integrate(partial(step_rk4, ops), y, T, dt, observe, store_every)
     return out
 
 
-def snapshots(rho0: ScalarField, p0: np.ndarray, k: int, T: float,
-              dt: float, out, backward: bool = False):
-    """The one preparation of a shoot from (rho0, p0) over time_steps(T, dt):
-    its operator table, initial rows (1, R) and `integrate`'s observer,
-    which builds step i's state from row 0 of its rows (`_row_state`) and
-    hands out(t, state, diagnostics) at t = i dt. The flow carries p's band
-    spectrum only: a state's p is its band part plus p0's part outside the
-    band, p_out, which never changes. Backward, it starts from -p0."""
+def snapshots(rho0: ScalarField, p0: np.ndarray, k: int,
+              backward: bool = False):
+    """The one preparation of a shoot from (rho0, p0): its operator table,
+    its initial rows (1, R) and p_out, p0's part outside the band. The flow
+    carries p's band spectrum only, so a state's p is its band part plus
+    p_out, which never changes (see `summarize`). Backward, it starts from
+    -p0."""
     ops = operators(rho0.grid, k)
     y, p_out = _initial_rows(ops, rho0, -p0 if backward else p0, k)
     p_out -= ops.band.ifft(_split(ops.band, y[0])[1])  # p0's out of band
-    step = time_steps(T, dt)[1]
+    return ops, y, p_out
 
-    def observe(i: int, y: np.ndarray) -> None:
-        state = _row_state(ops.band, y[0], p_out, k, backward)
-        out(i * step, state, diagnostics_for(state))
-    return ops, y, observe
+
+def summarize(ops: Operators, p_out: np.ndarray, rows: np.ndarray,
+              backward: bool = False):
+    """A stack of a shoot's state rows (B, R), row 0 of the rows `integrate`
+    observes or rows of a `Record`, as (rho, p, diagnostics): the states on
+    the grid (B, *shape), rho a view of the rows and p its band part plus
+    the shoot's p_out (see `snapshots`), negated back for a backward shoot,
+    and their `diagnostics_for`. It does not check them: `shoot` builds each
+    as a `DensityState`, which checks itself, and `matching.solve_match`
+    checks its stacks."""
+    rho, p_hat = _split(ops.band, rows)
+    p = ops.band.ifft(p_hat)
+    p += p_out
+    if backward:
+        np.negative(p, out=p)
+    return rho, p, diagnostics_for(ops, rho, p)
 
 
 def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
@@ -516,17 +545,3 @@ def _initial_rows(ops: Operators, rho0: ScalarField, p0: np.ndarray, k: int):
     p = make_state(rho0.grid, rho0.values, p0, k).p.values
     p -= p.mean()
     return _state_rows(ops.band, rho0.values[None], p[None]), p
-
-
-def _row_state(band: Band, row: np.ndarray, p_out: np.ndarray, k: int,
-               backward: bool = False) -> DensityState:
-    """The `DensityState` of a shoot's state row (R,) (see `_rows`): rho
-    copied from the row, and p its band part plus p0's part p_out outside
-    the band, negated for a backward shoot."""
-    rho, p_hat = _split(band, row)
-    p = band.ifft(p_hat)
-    p += p_out
-    if backward:
-        np.negative(p, out=p)
-    return DensityState(ScalarField(band.grid, rho.copy()),
-                        ScalarField(band.grid, p), k)

@@ -26,8 +26,9 @@ independent given the base, so the split does not change any value.
 
 Every trial keeps its state at every step (a `geodesic.Record`), and the
 match's final geodesic is the last accepted trial's record: `solve_match`
-replays it through the observer that builds `geodesic.shoot`'s states, with
-no shoot of its own, bit for bit those of shoot from the coefficients.
+summarizes it with `geodesic.summarize`, as `geodesic.shoot` summarizes
+its states, with no shoot of its own, bit for bit those of shoot from the
+coefficients.
 """
 from __future__ import annotations
 
@@ -233,6 +234,12 @@ def _per_stack(grid: Grid) -> int:
     return max(1, MAX_STACK_POINTS // grid.npoints - 1)
 
 
+def _carries(grid: Grid, n_coeffs: int) -> bool:
+    """Whether the first trial of each iteration carries one tangent per
+    basis field: when they fit one stack (`_per_stack`)."""
+    return n_coeffs <= _per_stack(grid)
+
+
 def _check_tangents(jac: np.ndarray) -> None:
     """Raises SolverAbort naming the first coefficient whose tangent (row
     of jac) is not finite; only a shoot's base is guarded."""
@@ -272,7 +279,7 @@ def _levenberg_marquardt(problem: MatchProblem):
     basis = _basis_stack(problem)
     # the first trial of an iteration carries the next Jacobian's tangents
     # when they fit one stack; retries carry none
-    carried = basis if len(basis) <= _per_stack(problem.grid) else basis[:0]
+    carried = basis if _carries(problem.grid, len(basis)) else basis[:0]
     coeffs = np.zeros(len(basis))
     # the flow from p = 0 rests exactly, rho(T) = rho0: no shoot, and the
     # problem's checks are the ones a shoot makes of rho0
@@ -362,27 +369,37 @@ def solve_match(problem: MatchProblem) -> MatchResult:
 
     Every trial keeps its state at every step (a `geodesic.Record`), and
     the final geodesic, with no shoot of its own, is the last accepted
-    trial's record replayed through the observer of `geodesic.snapshots`:
-    bit for bit `geodesic.shoot`'s times, diagnostics and final state from
-    the coefficients. A match that accepted no trial rests at rho0. A k in
-    {-1, 0} logs the local-regime warning once, at the start.
+    trial's record summarized by `geodesic.summarize` in stacks as tall as
+    that trial's rows (1 + the carried tangents): bit for bit
+    `geodesic.shoot`'s times, diagnostics and final state from the
+    coefficients. Each stack passes a `DensityState`'s checks, and only the
+    final state is built as one. A match that accepted no trial rests at
+    rho0. A k in {-1, 0} logs the local-regime warning once, at the start.
     """
     geodesic.warn_local_regime(problem.k)
     status, coeffs, history, rows, record = _levenberg_marquardt(problem)
     p0 = p_from_coeffs(problem, coeffs)
-    times, diagnostics, final_state = [], [], None
-
-    def keep(t, state, diag):
-        nonlocal final_state
-        times.append(t)
-        diagnostics.append(diag)
-        final_state = state
-
-    _, y, observe = geodesic.snapshots(problem.rho0, p0.values, problem.k,
-                                       problem.T, problem.dt, keep)
-    # no record: the match rests, and RK4 keeps its initial rows y exactly
-    for i in range(geodesic.time_steps(problem.T, problem.dt)[0] + 1):
-        observe(i, y if record is None else record[i, None])
+    ops, y, p_out = geodesic.snapshots(problem.rho0, p0.values, problem.k)
+    n_steps, step = geodesic.time_steps(problem.T, problem.dt)
+    if record is None:
+        # the match rests, and RK4 keeps its initial rows y exactly
+        rho, p, diagnostics = geodesic.summarize(ops, p_out, y)
+        diagnostics *= n_steps + 1
+    else:
+        # a trial's rows: the state and the tangents it carries
+        n = len(coeffs)
+        height = 1 + n if _carries(problem.grid, n) else 1
+        diagnostics = []
+        for lo in range(0, n_steps + 1, height):
+            rho, p, part = geodesic.summarize(ops, p_out,
+                                              record[lo:lo + height])
+            # the checks a DensityState makes, on the stack
+            geodesic.check_density(rho)
+            geodesic.check_finite(p, "p")
+            diagnostics += part
+    final_state = geodesic.DensityState(
+        ScalarField(problem.grid, rho[-1].copy()),
+        ScalarField(problem.grid, p[-1]), problem.k)
     mismatch = l2_norm_values(final_state.rho.values - problem.rho1.values)
     mismatch /= l2_norm_values(problem.rho1.values)
     return MatchResult(
@@ -391,7 +408,7 @@ def solve_match(problem: MatchProblem) -> MatchResult:
         coeffs=coeffs,
         objective_history=np.array(history),
         final_l2_mismatch=mismatch,
-        times=np.array(times),
+        times=np.arange(n_steps + 1) * step,
         diagnostics=diagnostics,
         final_state=final_state,
         history_rows=rows,

@@ -23,7 +23,7 @@ and the band is the table itself. The geodesic flow (L_rho, its CG inverse,
 the Hamiltonian right-hand side), `dealias` and EPDiff's velocity (carried as
 its band spectrum: u, m = Au and their gradients, and the band-limited Ainv
 of u_t) use the band; every user of an unmasked spectrum keeps the full half
-spectrum: `grad` of raw fields, `spectral_tail_fraction`, and in `epdiff` and
+spectrum: `grad` of raw fields, `tail_fractions`, and in `epdiff` and
 `validation` the transport of q and f, the Jacobian guard, the band check of
 EPDiff's initial velocity, the horizontality defect and the checks.
 """
@@ -130,6 +130,11 @@ class Operators:
         self.ik[np.abs(self.k_mesh) == n // 2] = 0.0
         self.weight = np.full(n // 2 + 1, 2.0)
         self.weight[[0, -1]] = 1.0
+        # flat indices of the top third of the retained band, the modes of
+        # `tail_fractions`
+        self.tail = np.flatnonzero(
+            (np.abs(self.k_mesh).max(axis=0) > (2.0 * (n // 3)) / 3.0)
+            & self.mask)
         # precomputed indices into arrays with leading axes, so that the hot
         # paths build no index tuples: the grid axes, the mean mode, and a
         # new vector axis before the grid axes
@@ -153,8 +158,9 @@ class Operators:
         ksq[self.zero] = 1.0
         self.precond = self.mask * self.a / ksq
         self.precond[self.zero] = 0.0
-        for arr in (self.k_mesh, self.mask, self.ik, self.weight, self.a,
-                    self.ainv, self.a_band, self.ainv_band, self.precond):
+        for arr in (self.k_mesh, self.mask, self.ik, self.weight, self.tail,
+                    self.a, self.ainv, self.a_band, self.ainv_band,
+                    self.precond):
             arr.flags.writeable = False
         self.band = self if grid.dim == 1 else Band(self)
 
@@ -274,18 +280,23 @@ def shift_values(grid: Grid, values: np.ndarray, offsets) -> np.ndarray:
                    axis=tuple(range(grid.dim)))
 
 
-def spectral_tail_fraction(grid: Grid, values: np.ndarray) -> float:
-    """Energy fraction carried by the top third of *retained* (dealiased) modes.
+def tail_fractions(ops: Operators, values: np.ndarray) -> list:
+    """Energy fraction carried by the top third of *retained* (dealiased)
+    modes, for each field of a stack (B, *shape) on the grid of the full
+    table ops (of any k: the fractions use no symbol of k), as a list.
 
-    The mean mode is excluded; returns 0 for a field with no fluctuation.
+    The mean mode is excluded; a field with no fluctuation has fraction 0.
+    A field's sums each run over one contiguous row of its own, so its
+    fraction is the same, bit for bit, in any stack.
     """
-    ops = operators(grid)
     power = np.abs(ops.fft(values)) ** 2 * ops.weight
     power[ops.zero] = 0.0
-    retained = power * ops.mask
-    maxabs = np.abs(ops.k_mesh).max(axis=0)
-    tail_mask = (maxabs > (2.0 * (grid.n // 3)) / 3.0) & ops.mask
-    total = retained.sum()
-    if total == 0.0:
-        return 0.0
-    return float(retained[tail_mask].sum() / total)
+    retained = (power * ops.mask).reshape(len(values), -1)
+    total = retained.sum(axis=1).tolist()
+    tail = retained.take(ops.tail, axis=1).sum(axis=1).tolist()
+    return [t / s if s else 0.0 for t, s in zip(tail, total)]
+
+
+def spectral_tail_fraction(grid: Grid, values: np.ndarray) -> float:
+    """`tail_fractions` of one field."""
+    return tail_fractions(operators(grid), np.asarray(values)[None])[0]

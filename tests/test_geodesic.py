@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -351,6 +352,51 @@ class TestMetricEnergy:
         doubled = ge.make_state(g, state.rho.values, 2 * state.p.values, 1)
         assert ge.metric_energy(doubled) == pytest.approx(
             4 * ge.metric_energy(state), rel=1e-12)
+
+
+def diagnostics_per_state(grid, k, rho, p):
+    """The summary of one state (rho, p) on the grid, as a tuple of
+    `Diagnostics` fields, in the per-state arithmetic: the reference of
+    `diagnostics_for`'s stacks."""
+    band = sp.operators(grid, k).band
+    rhodot, _, _ = ge._lrho(band, rho, band.fft(p) * band.mask)
+    ops = sp.operators(grid)
+    power = np.abs(ops.fft(rho)) ** 2 * ops.weight
+    power[ops.zero] = 0.0
+    retained = power * ops.mask
+    maxabs = np.abs(ops.k_mesh).max(axis=0)
+    tail = (maxabs > (2.0 * (grid.n // 3)) / 3.0) & ops.mask
+    total = retained.sum()
+    return (float(rho.mean()), float(0.5 * (p * rhodot).mean()),
+            float(rho.min()), float(np.abs(p).max()),
+            0.0 if total == 0.0 else float(retained[tail].sum() / total))
+
+
+class TestStackedDiagnostics:
+    @pytest.mark.parametrize("height", [1, 7, 26])
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (2, 32)])
+    def test_each_state_as_alone(self, dim, n, height):
+        """A stack's diagnostics are, bit for bit, those of each state
+        alone and those of the per-state arithmetic. The densities are
+        views of wider rows, as a `Record`'s are, and one is constant (a
+        tail of 0 over 0)."""
+        g = sp.make_grid(dim, n)
+        k = 2
+        rng = np.random.default_rng(10 * n + height)
+        rows = rng.normal(size=(height, g.npoints + 5))
+        rows[:, :g.npoints] = 1.0 + 0.3 * np.tanh(rows[:, :g.npoints])
+        rows[-1, :g.npoints] = 1.0
+        rho = rows[:, :g.npoints].reshape((height,) + g.shape)
+        p = rng.normal(size=(height,) + g.shape)
+        ops = sp.operators(g, k)
+        got = [astuple(d) for d in ge.diagnostics_for(ops, rho, p)]
+        alone = [astuple(ge.diagnostics_for(ops, rho[j:j + 1], p[j:j + 1])[0])
+                 for j in range(height)]
+        reference = [diagnostics_per_state(g, k, rho[j].copy(), p[j])
+                     for j in range(height)]
+        assert np.array(got).tobytes() == np.array(alone).tobytes()
+        assert np.array(got).tobytes() == np.array(reference).tobytes()
+        assert got[-1][4] == 0.0
 
 
 @settings(max_examples=15, deadline=None)

@@ -717,14 +717,14 @@ class TestCarriedTangents:
 
 
 class TestFinalGeodesic:
-    """The final geodesic is the last accepted trial's record, replayed
-    through the observer that builds `geodesic.shoot`'s states: its times,
-    diagnostics and final state are, bit for bit, those of the shoot of the
-    returned coefficients. A match that accepted no trial rests at rho0, in
-    1-D and 2-D."""
+    """The final geodesic is the last accepted trial's record, summarized
+    in stacks by `geodesic.summarize`, which summarizes `geodesic.shoot`'s
+    states one at a time: its times, diagnostics and final state are, bit
+    for bit, those of the shoot of the returned coefficients. A match that
+    accepted no trial rests at rho0, in 1-D and 2-D."""
 
     @pytest.mark.parametrize("case", ["match-1d", "retry", "max_iter=0",
-                                      "2d-max_iter=0", "2d-stacks"])
+                                      "2d-max_iter=0", "2d", "2d-stacks"])
     def test_equals_the_shoot_of_the_coefficients(self, case, monkeypatch):
         if case == "match-1d":
             problem = self_consistent_problem(1)
@@ -737,6 +737,7 @@ class TestFinalGeodesic:
         else:
             problem = self_consistent_problem(
                 2, opt=ma.OptSettings(max_iter=2))
+        if case == "2d-stacks":
             # 8 tangents per stack for 24 coefficients: every trial is plain
             monkeypatch.setattr(ma, "MAX_STACK_POINTS",
                                 9 * problem.grid.npoints)
@@ -758,6 +759,8 @@ class TestFinalGeodesic:
             assert len(trials) > 1 and accepted == [0]  # a plain retry
         elif case.endswith("max_iter=0"):
             assert trials == [] and not result.coeffs.any()
+        elif case == "2d":  # its 11 rows replayed in one stack (of 25 at most)
+            assert accepted == [len(result.coeffs)]
         else:
             assert set(m for _, m in trials) == {0}
             assert len(result.history_rows) == 2 and result.coeffs.any()
@@ -773,6 +776,50 @@ class TestFinalGeodesic:
         assert result.final_l2_mismatch == (
             sp.l2_norm_values(end.rho.values - problem.rho1.values)
             / sp.l2_norm_values(problem.rho1.values))
+
+    @pytest.mark.parametrize("case,height", [("match-1d", 7), ("stacks", 1)])
+    def test_replays_in_stacks_no_taller_than_a_trial(self, case, height,
+                                                      monkeypatch):
+        """The record is summarized in stacks of at most 1 + the carried
+        tangents, the rows of a trial: 7 on a match-1d-sized problem, and 1
+        when the tangents need several stacks and no trial carries any."""
+        problem = self_consistent_problem(1)
+        if case == "stacks":
+            # one tangent per stack for 6 coefficients
+            monkeypatch.setattr(ma, "MAX_STACK_POINTS",
+                                2 * problem.grid.npoints)
+        heights = []
+        summary = ge.diagnostics_for
+
+        def spy(ops, rho, p):
+            heights.append(len(rho))
+            return summary(ops, rho, p)
+
+        monkeypatch.setattr(ge, "diagnostics_for", spy)
+        result = ma.solve_match(problem)
+        assert result.status == "converged"
+        assert max(heights) == height
+        assert sum(heights) == len(result.times) == 26
+
+    @pytest.mark.parametrize("column,value,message", [
+        (5, np.nan, "rho not finite"), (5, -1.0, "rho not positive"),
+        (32 + 2, np.nan, "p not finite")])
+    def test_every_replayed_state_is_checked(self, column, value, message,
+                                             monkeypatch):
+        """A record row that a `DensityState` would reject, inside the first
+        stack (not the final state), stops the replay with its error."""
+        problem = self_consistent_problem(1, opt=ma.OptSettings(max_iter=1))
+        residual = ma._residual
+
+        def corrupt(problem, coeffs, dp=None):
+            out = residual(problem, coeffs, dp)
+            if dp is not None:
+                out[2][3, column] = value  # step 3: rho, then p's spectrum
+            return out
+
+        monkeypatch.setattr(ma, "_residual", corrupt)
+        with pytest.raises(ge.StateError, match=message):
+            ma.solve_match(problem)
 
 
 class TestOptSettings:

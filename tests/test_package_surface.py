@@ -9,9 +9,14 @@ mode.
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import densgeo
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +45,19 @@ def test_harness_import_resolves(source, module, name):
     assert (hasattr(importlib.import_module(module), name)
             or importlib.util.find_spec(f"{module}.{name}") is not None), (
         f"perfbench/{source}: from {module} import {name} does not resolve")
+
+
+def test_cli_import_leaves_the_command_modules_out():
+    """`import densgeo.cli` imports no module that only one command runs,
+    so a command's start-up compiles only what it uses."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(densgeo.__file__).parents[1]))
+    code = ("import sys, densgeo.cli; print(' '.join(sorted("
+            "m for m in sys.modules if m.startswith('densgeo'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "densgeo.cli" in loaded
+    assert not loaded & {"densgeo.matching", "densgeo.epdiff",
+                         "densgeo.validation"}
