@@ -3,9 +3,12 @@
 Configuration is a flat INI file (key = value with sections); no environment
 variables, so the written manifest is a complete record of the run. Every
 command writes its manifest first, artifacts incrementally, and a terminal
-status.json; the exit status is 0 iff the run completed. `shoot` writes each
-snapshot (rho_i, p_i and its diagnostics.csv row) as the flow reaches it, so
-an aborted shoot keeps them; the other commands write theirs at their end.
+status.json; the exit status is 0 iff the run completed. Two commands write
+as they go, so that an aborted run keeps what it reached: `shoot` writes each
+snapshot (rho_i, p_i and its diagnostics.csv row) as the flow reaches it, and
+`epdiff-check` each comparison.csv row as the cross-check makes it (its
+cross_validation.json summary comes at the end). `match`, `validate` and
+`convergence` write their artifacts at their end.
 Each command imports only the modules it runs: `matching`, `epdiff` and
 `validation` are imported by their commands.
 """
@@ -168,6 +171,8 @@ def _time_steps(T, dt):
 
 
 DIAG_HEADER = ["t"] + [f.name for f in dataclasses.fields(geodesic.Diagnostics)]
+COMPARISON_HEADER = ["t", "l2_discrepancy", "horizontality_defect",
+                     "energy_density", "energy_epdiff"]
 
 
 def cmd_shoot(cfg, outdir, manifest):
@@ -273,7 +278,14 @@ def cmd_epdiff_check(cfg, outdir, manifest):
         "inputs": {"rho": rho_src, "p": p_src},
     })
     io.write_json(os.path.join(outdir, "manifest.json"), manifest)
-    report = epdiff.cross_validate(rho0, p0, k, T, dt)
+    with open(os.path.join(outdir, "comparison.csv"), "w",
+              newline="\n") as csv:
+        csv.write(io.csv_line(COMPARISON_HEADER))
+
+        def write(*comparison):  # as the cross-check makes it
+            csv.write(io.csv_line(comparison))
+            csv.flush()
+        report = epdiff.cross_validate(rho0, p0, k, T, dt, out=write)
     io.write_json(os.path.join(outdir, "cross_validation.json"), report)
     return (f"cross validation: final L2 discrepancy "
             f"{report['l2_discrepancy_final']:.3e}")
@@ -317,9 +329,11 @@ def cmd_convergence(cfg, outdir, manifest):
     finals = {}
 
     def run_one(label, n_run, dt_run):
+        # a stride of the whole run keeps its first and last states
+        n_steps = geodesic.time_steps(T, dt_run)[0]
         try:
             traj = geodesic.shoot(*initial[n_run], k, T, dt_run,
-                                  store_every=10 ** 9)
+                                  store_every=n_steps)
         except geodesic.SolverAbort:
             rows.append((label, n_run, dt_run, "aborted", "", "", ""))
             return

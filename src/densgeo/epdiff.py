@@ -269,32 +269,48 @@ def check_order(k: int) -> None:
 
 
 def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
-                   dt: float) -> dict:
+                   dt: float, out=None) -> dict:
     """Run the density geodesic and the lifted horizontal EPDiff flow side by side.
 
     Reports the L2 discrepancy between the density trajectory and the left
     projection of the EPDiff trajectory, the worst horizontality defect, and
     the relative energy drift on both sides. The reported dt is the step
     taken, T / ceil(T/dt).
+
+    The density flow runs first, and of each of its snapshots only rho and
+    the energy are kept for the comparison (and u0 = horizontal_velocity of
+    the first). Each EPDiff state is compared with them as it arrives, and
+    out(t, l2_discrepancy, horizontality_defect, energy_density,
+    energy_epdiff), when given, is called with each comparison as it is
+    made.
     """
     check_order(k)
     grid = rho0.grid
     n_steps, dt = time_steps(T, dt)
     stride = max(1, n_steps // (N_CHECKS - 1))
 
-    traj = geodesic.shoot(rho0, p0, k, T, dt, store_every=stride)
-    u0 = geodesic.horizontal_velocity(traj.states[0])
-    discrepancies, defects, e_ep = [], [], []
-    density = iter(traj.states)  # both flows observe the same steps
+    kept, u0 = [], None  # (rho, energy) of each density snapshot
+
+    def keep(t, state, diagnostics):
+        nonlocal u0
+        if u0 is None:
+            u0 = geodesic.horizontal_velocity(state)
+        kept.append((state.rho.values, diagnostics.energy))
+    geodesic.shoot(rho0, p0, k, T, dt, store_every=stride, out=keep)
+    density = iter(kept)  # both flows observe the same steps
+    checks = []  # (t, discrepancy, defect, energy_density, energy_epdiff)
 
     def compare(t, phi):
+        rho, energy = next(density)
         rho_ep = pushforward_density(phi)
-        discrepancies.append(
-            l2_norm_values(rho_ep.values - next(density).rho.values))
-        defects.append(horizontality_defect(phi.u, rho_ep, k))
-        e_ep.append(epdiff_energy(phi.u, k))
+        check = (t, l2_norm_values(rho_ep.values - rho),
+                 horizontality_defect(phi.u, rho_ep, k), energy,
+                 epdiff_energy(phi.u, k))
+        checks.append(check)
+        if out is not None:
+            out(*check)
     integrate_epdiff(identity_state(rho0, u0, k), T, dt, stride, compare)
-    e_dens = [d.energy for d in traj.diagnostics]
+    _, discrepancies, defects, e_dens, e_ep = zip(*checks)
 
     def rel_drift(values):
         ref = abs(values[0])

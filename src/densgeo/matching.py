@@ -27,8 +27,10 @@ independent given the base, so the split does not change any value.
 Every trial keeps its state at every step (a `geodesic.Record`), and the
 match's final geodesic is the last accepted trial's record: `solve_match`
 summarizes it with `geodesic.summarize`, as `geodesic.shoot` summarizes
-its states, with no shoot of its own, bit for bit those of shoot from the
-coefficients.
+its states, bit for bit those of shoot from the coefficients. One record
+is alive at a time, so an iteration whose trials all fail (a stall) shoots
+the accepted coefficients once more, plainly, for their record; a match
+that ends otherwise takes no shoot of its own.
 """
 from __future__ import annotations
 
@@ -272,9 +274,12 @@ def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
 
 def _levenberg_marquardt(problem: MatchProblem):
     """`solve_match`'s iterations: (status, coeffs, objective history,
-    history rows, record): record holds the last accepted trial's state at
-    every step (the rows `_residual` returns), None while the match rests
-    at rho0. Its Jacobians and the other shoots are freed when it returns."""
+    history rows, record): record holds the last accepted coefficients'
+    state at every step (the rows `_residual` returns), None while the
+    match rests at rho0. At most one record is alive at a time: an
+    iteration drops the accepted record before its trials, and one that
+    stalls there shoots the accepted coefficients again for it. Its
+    Jacobians and the other shoots are freed when it returns."""
     opt = problem.opt
     basis = _basis_stack(problem)
     # the first trial of an iteration carries the next Jacobian's tangents
@@ -307,6 +312,9 @@ def _levenberg_marquardt(problem: MatchProblem):
         if gnorm <= opt.grad_tol:
             status = "converged"
         else:
+            # one record at a time: each trial's replaces the accepted one,
+            # which a stalled iteration shoots again
+            accepted, record = record is not None, None
             rejected = None
             dp = carried
             for _ in range(LM_MAX_TRIALS):
@@ -318,23 +326,26 @@ def _levenberg_marquardt(problem: MatchProblem):
                     status = "stalled"
                     break
                 try:
-                    r_trial, jac_trial, rows_trial = _residual(
-                        problem, trial, dp)
+                    r_trial, jac_trial, record = _residual(problem, trial, dp)
                 except geodesic.SolverAbort:
                     pass  # an aborted trial is rejected
                 else:
                     j_trial = float(0.5 * np.mean(r_trial ** 2))
                     if j_trial < history[-1]:
                         break
+                    record = None
                 lam *= LM_FACTOR
                 rejected = trial
                 dp = basis[:0]
             else:
                 status = "stalled"
+            if status == "stalled" and accepted:
+                # a plain shoot: its state rows are the carried trial's
+                record = _residual(problem, coeffs, basis[:0])[2]
         rows.append((it, history[-1], gnorm, lam))
         if status != "max_iter":
             break
-        coeffs, r, record = trial, r_trial, rows_trial
+        coeffs, r = trial, r_trial
         if len(jac_trial):
             jac = jac_trial
         history.append(j_trial)
@@ -368,9 +379,10 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     the best coefficients seen, the last accepted ones.
 
     Every trial keeps its state at every step (a `geodesic.Record`), and
-    the final geodesic, with no shoot of its own, is the last accepted
-    trial's record summarized by `geodesic.summarize` in stacks as tall as
-    that trial's rows (1 + the carried tangents): bit for bit
+    the final geodesic is the last accepted trial's record (shot again,
+    plainly, when the trials stall; see `_levenberg_marquardt`) summarized
+    by `geodesic.summarize` in stacks as tall as a carrying trial's rows
+    (1 + the carried tangents): bit for bit
     `geodesic.shoot`'s times, diagnostics and final state from the
     coefficients. Each stack passes a `DensityState`'s checks, and only the
     final state is built as one. A match that accepted no trial rests at

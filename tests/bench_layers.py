@@ -1,7 +1,7 @@
 """Layer timings of the 2-D flow at n = 128, k = 2 (the shoot-2d grid), of
 the 1-D flow at n = 32, k = 1 (the match-1d grid), of one matching
 Jacobian and one solve_match at the match-1d size, and of one
-integrate_epdiff at the xval-2d size.
+integrate_epdiff and one cross_validate at the xval-2d size.
 
     PYTHONPATH=src python -m pytest tests/bench_layers.py --benchmark-only
 
@@ -22,7 +22,10 @@ one's record, summarized in stacks of 7 rows, is the final geodesic, with
 no shoot of its own: 4 time loops). The EPDiff case (2-D
 n = 32, k = 2, T = 0.5, dt = 0.01: 50 steps, 11 states built, at the
 steps cross_validate compares) integrates the identity map carrying a smooth
-density with the horizontal velocity of a unit-size momentum.
+density with the horizontal velocity of a unit-size momentum. The
+cross-check case runs cross_validate on that density and momentum at the
+same size, the benchmark's xval-2d: the density flow, then EPDiff, compared
+at those 11 steps.
 """
 import numpy as np
 import pytest
@@ -107,18 +110,25 @@ def test_solve_match(benchmark, match_problem):
 
 
 @pytest.fixture(scope="module")
-def epdiff_state():
-    """An xval-2d-sized initial state (2-D n = 32, k = 2)."""
+def xval_state():
+    """An xval-2d-sized density state (2-D n = 32, k = 2)."""
     g = sp.make_grid(2, 32)
     x = g.coords
     rho = 1.0 + 0.3 * np.cos(x[0]) * np.cos(2 * x[1]) + 0.1 * np.sin(
         3 * x[0] + x[1])
     p = np.sin(x[0] + 2 * x[1]) + 0.5 * np.cos(3 * x[0] - x[1])
-    state = ge.make_state(g, rho / rho.mean(), p, 2)
-    return ep.identity_state(state.rho, ge.horizontal_velocity(state), 2)
+    return ge.make_state(g, rho / rho.mean(), p, 2)
 
 
-def test_integrate_epdiff(benchmark, epdiff_state):
-    states = benchmark(ep.integrate_epdiff, epdiff_state, 0.5, 0.01,
+def test_integrate_epdiff(benchmark, xval_state):
+    state0 = ep.identity_state(xval_state.rho,
+                               ge.horizontal_velocity(xval_state), 2)
+    states = benchmark(ep.integrate_epdiff, state0, 0.5, 0.01,
                        store_every=5)
     assert len(states) == 11
+
+
+def test_cross_validate(benchmark, xval_state):
+    report = benchmark(ep.cross_validate, xval_state.rho, xval_state.p, 2,
+                       0.5, 0.01)
+    assert report["l2_discrepancy_final"] < 1e-5

@@ -327,9 +327,7 @@ class TestValidateCommand:
         assert verdicts[0] == verdicts[1]
 
 
-class TestEpdiffCheckCommand:
-    def test_writes_report(self, tmp_path):
-        cfg = write_config(tmp_path / "c.ini", """
+EPDIFF_CFG = """
 [run]
 seed = 0
 [grid]
@@ -343,7 +341,12 @@ dt = 0.02
 [initial]
 rho = cos-bump amplitude 0.3 mode 1
 p = sin-bump amplitude 0.2 mode 1
-""")
+"""
+
+
+class TestEpdiffCheckCommand:
+    def test_writes_report(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", EPDIFF_CFG)
         out = str(tmp_path / "out")
         assert cli.main(["epdiff-check", "--config", cfg, "--output-dir",
                          out, "--quiet"]) == 0
@@ -353,6 +356,46 @@ p = sin-bump amplitude 0.2 mode 1
                     "energy_drift_density", "energy_drift_epdiff"):
             assert key in report
         assert report["l2_discrepancy_final"] < 1e-8
+        # one comparison.csv row per checkpoint, every step of 10 here
+        with open(os.path.join(out, "comparison.csv")) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == ("t,l2_discrepancy,horizontality_defect,"
+                            "energy_density,energy_epdiff")
+        assert len(lines) == 1 + 11
+        last = [float(cell) for cell in lines[-1].split(",")]
+        assert last[0] == report["T"]
+        assert last[1] == report["l2_discrepancy_final"]
+
+    def test_aborted_check_keeps_the_comparisons_it_made(self, tmp_path,
+                                                         monkeypatch):
+        # the EPDiff guard fails at step 7 of 20 (a comparison every 2nd
+        # step): the rows of steps 0, 2, 4 and 6 are written as the
+        # cross-check makes them, and are those of the completed check
+        cfg = write_config(tmp_path / "c.ini",
+                           EPDIFF_CFG.replace("dt = 0.02", "dt = 0.01"))
+        outs = {name: str(tmp_path / name) for name in ("done", "aborted")}
+        assert cli.main(["epdiff-check", "--config", cfg, "--output-dir",
+                         outs["done"], "--quiet"]) == 0
+        flow_step, steps = epdiff._flow_step, []
+
+        def failing(ops, y, dt):
+            steps.append(1)
+            y, reason = flow_step(ops, y, dt)
+            return y, "forced failure" if len(steps) == 7 else reason
+
+        monkeypatch.setattr(epdiff, "_flow_step", failing)
+        assert cli.main(["epdiff-check", "--config", cfg, "--output-dir",
+                         outs["aborted"], "--quiet"]) == 1
+        status = io.read_json(os.path.join(outs["aborted"], "status.json"))
+        assert status["message"] == "t=0.07: forced failure"
+        assert sorted(os.listdir(outs["aborted"])) == [
+            "comparison.csv", "manifest.json", "status.json"]
+        rows = {}
+        for name, out in outs.items():
+            with open(os.path.join(out, "comparison.csv")) as fh:
+                rows[name] = fh.read().splitlines()
+        assert len(rows["done"]) == 1 + 11
+        assert rows["aborted"] == rows["done"][:1 + 4]
 
     def test_negative_order_is_a_config_error(self, tmp_path, capsys):
         # the CLI and cross_validate give epdiff.check_order's one message,

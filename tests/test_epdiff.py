@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -414,6 +416,54 @@ class TestHorizontalityDefect:
             assert measured > tol
 
 
+def cross_check_data(dim):
+    """A smooth unit-mass density and a momentum on the n = 32 grid."""
+    g = sp.make_grid(dim, 32)
+    x = g.coords
+    rho = 1.0 + 0.3 * np.cos(x[0]) * np.cos(2 * x[-1]) + 0.1 * np.sin(
+        3 * x[0] + x[-1])
+    p = 0.2 * (np.sin(x[0] + 2 * x[-1]) + 0.5 * np.cos(3 * x[0] - x[-1]))
+    return sp.ScalarField(g, rho / rho.mean()), sp.ScalarField(g, p)
+
+
+def report_from_trajectory(rho0, p0, k, T, dt):
+    """cross_validate's report and comparisons, assembled from the whole
+    `Trajectory` of the density flow and the list of EPDiff states."""
+    n_steps, dt = ge.time_steps(T, dt)
+    stride = max(1, n_steps // (ep.N_CHECKS - 1))
+    traj = ge.shoot(rho0, p0, k, T, dt, store_every=stride)
+    u0 = ge.horizontal_velocity(traj.states[0])
+    states = ep.integrate_epdiff(ep.identity_state(rho0, u0, k), T, dt,
+                                 stride)
+    rows = []
+    for (t, phi), state, d in zip(states, traj.states, traj.diagnostics,
+                                  strict=True):
+        rho_ep = ep.pushforward_density(phi)
+        rows.append((t, sp.l2_norm_values(rho_ep.values - state.rho.values),
+                     ep.horizontality_defect(phi.u, rho_ep, k), d.energy,
+                     ep.epdiff_energy(phi.u, k)))
+    _, discrepancies, defects, e_dens, e_ep = map(list, zip(*rows))
+
+    def rel_drift(values):
+        ref = abs(values[0])
+        if ref == 0.0:
+            return 0.0
+        return float(max(abs(v - values[0]) for v in values) / ref)
+
+    grid = rho0.grid
+    return {
+        "grid": {"dim": grid.dim, "n": grid.n},
+        "k": k,
+        "dt": dt,
+        "T": T,
+        "l2_discrepancy_final": discrepancies[-1],
+        "l2_discrepancy_max": max(discrepancies),
+        "horizontality_defect_max": max(defects),
+        "energy_drift_density": rel_drift(e_dens),
+        "energy_drift_epdiff": rel_drift(e_ep),
+    }, rows
+
+
 class TestCrossValidate:
     def test_rest_data_zero_discrepancy(self):
         g = grid1d(32)
@@ -434,6 +484,44 @@ class TestCrossValidate:
         assert rep["horizontality_defect_max"] < 1e-10
         assert rep["energy_drift_density"] < 1e-10
         assert rep["energy_drift_epdiff"] < 1e-10
+
+    @pytest.mark.parametrize("dim,k", [(1, 1), (2, 2)])
+    def test_equals_the_report_from_the_trajectory(self, dim, k):
+        """Key for key and bit for bit, the report and each comparison
+        handed to out are those assembled from `geodesic.shoot`'s whole
+        `Trajectory` and `integrate_epdiff`'s states."""
+        rho0, p0 = cross_check_data(dim)
+        T, dt = 0.5, 0.02
+        comparisons = []
+        report = ep.cross_validate(rho0, p0, k, T, dt,
+                                   out=lambda *c: comparisons.append(c))
+        expected, rows = report_from_trajectory(rho0, p0, k, T, dt)
+        assert list(report) == list(expected)
+        for key in expected:
+            assert repr(report[key]) == repr(expected[key]), key
+        assert len(comparisons) == 14  # 25 steps, every 2nd and the last
+        assert repr(comparisons) == repr(rows)
+
+    def test_holds_no_density_state_while_epdiff_runs(self, monkeypatch):
+        """Of the density flow's snapshots only rho and the energy are
+        kept, so no `geodesic.DensityState` is alive while EPDiff runs."""
+        def density_states():
+            gc.collect()
+            return sum(isinstance(obj, ge.DensityState)
+                       for obj in gc.get_objects())
+
+        alive = []
+        integrate_epdiff = ep.integrate_epdiff
+
+        def counted(*args, **kw):
+            alive.append(density_states())
+            return integrate_epdiff(*args, **kw)
+
+        monkeypatch.setattr(ep, "integrate_epdiff", counted)
+        rho0, p0 = cross_check_data(2)
+        before = density_states()
+        ep.cross_validate(rho0, p0, 2, 0.5, 0.02)
+        assert alive == [before]
 
     def test_rejects_negative_order(self):
         g = grid1d(32)

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import astuple
 from functools import partial
 
@@ -524,6 +525,35 @@ def steep_problem(dt=0.02, **kw):
     return ma.MatchProblem(steep(0.0), steep(1.0), -1, 1.0, dt, 2, **kw)
 
 
+def lm_end(case, monkeypatch):
+    """A match that ends each way that decides which record it keeps:
+    criterion 8's bump converges; the steep data at dt 0.2 stall at a
+    repeated trial after 66 accepted ones; the bump with one trial per
+    iteration stalls after 2 accepted, its trials spent; and a NaN tangent
+    carried by the first accepted trial stalls the next Jacobian."""
+    if case == "criterion-8":
+        return bump_problem()
+    if case == "stall-repeated":
+        return steep_problem(dt=0.2)
+    if case == "stall-trials":
+        monkeypatch.setattr(ma, "LM_MAX_TRIALS", 1)
+        return bump_problem()
+    assert case == "stall-jacobian"
+    away = []
+    shoot_tangents = ge.shoot_tangents
+
+    def failing(rho0, p0, *args):
+        rho_T, drho_T = shoot_tangents(rho0, p0, *args)
+        if p0.any():
+            away.append(p0)
+            if len(away) == 1 and len(drho_T):
+                drho_T[1, 3] = np.nan
+        return rho_T, drho_T
+
+    monkeypatch.setattr(ge, "shoot_tangents", failing)
+    return self_consistent_problem(1)
+
+
 class TestLevenbergMarquardt:
     def test_bump_translation_converges(self):
         problem = bump_problem()
@@ -574,6 +604,36 @@ class TestLevenbergMarquardt:
         assert result.history_rows[-1][2] > problem.opt.grad_tol
         assert not any(np.array_equal(a, b)
                        for a, b in zip(trials, trials[1:]))
+
+    @pytest.mark.parametrize("case", ["criterion-8", "stall-repeated",
+                                      "stall-trials"])
+    def test_one_record_at_a_time(self, case, monkeypatch):
+        """Whenever a shoot runs inside solve_match, at most one record
+        (the rows of a `geodesic.Record`) is alive: the shoot's own, or,
+        while a Jacobian is shot, the accepted trial's."""
+        problem = lm_end(case, monkeypatch)
+        records, alive = [], []  # weak references to every record's rows
+
+        class Tracked(ge.Record):
+            def __call__(self, i, y):
+                super().__call__(i, y)
+                if i == 0:
+                    records.append(weakref.ref(self.rows))
+
+        shoot_tangents = ge.shoot_tangents
+
+        def counted(rho0, p0, dp0, k, T, dt, observe=None):
+            alive.append(sum(rows() is not None for rows in records)
+                         + (observe is not None))
+            return shoot_tangents(rho0, p0, dp0, k, T, dt, observe)
+
+        monkeypatch.setattr(ge, "Record", Tracked)
+        monkeypatch.setattr(ge, "shoot_tangents", counted)
+        result = ma.solve_match(problem)
+        assert result.status == (
+            "converged" if case == "criterion-8" else "stalled")
+        assert len(records) > 2
+        assert max(alive) == 1
 
     def test_2d_self_consistency(self):
         problem = self_consistent_problem(
@@ -776,6 +836,44 @@ class TestFinalGeodesic:
         assert result.final_l2_mismatch == (
             sp.l2_norm_values(end.rho.values - problem.rho1.values)
             / sp.l2_norm_values(problem.rho1.values))
+
+    @pytest.mark.parametrize("case", ["criterion-8", "stall-repeated",
+                                      "stall-trials", "stall-jacobian"])
+    def test_is_the_accepted_trials_record(self, case, monkeypatch):
+        """Bit for bit, the final geodesic is the last accepted trial's
+        record, summarized. A match whose trials stall shoots the accepted
+        coefficients once more, plainly, for that record, since it dropped
+        it before its trials; its rows are the accepted trial's."""
+        problem = lm_end(case, monkeypatch)
+        shots = []
+        residual = ma._residual
+
+        def spy(problem, coeffs, dp=None):
+            out = residual(problem, coeffs, dp)
+            shots.append((np.array(coeffs), len(dp), out[2].copy()))
+            return out
+
+        monkeypatch.setattr(ma, "_residual", spy)
+        result = ma.solve_match(problem)
+        assert result.status == (
+            "converged" if case == "criterion-8" else "stalled")
+        final = [(m, rows) for coeffs, m, rows in shots
+                 if np.array_equal(coeffs, result.coeffs)]
+        trial_stall = case in ("stall-repeated", "stall-trials")
+        assert [m for m, _ in final[1:]] == ([0] if trial_stall else [])
+        rows = final[0][1]
+        for _, again in final[1:]:
+            assert again.tobytes() == rows.tobytes()
+        ops, _, p_out = ge.snapshots(problem.rho0, result.p0.values,
+                                     problem.k)
+        rho, p, diagnostics = ge.summarize(ops, p_out, rows)
+        n_steps, step = ge.time_steps(problem.T, problem.dt)
+        assert (result.times.tobytes()
+                == (np.arange(n_steps + 1) * step).tobytes())
+        assert (np.array([astuple(d) for d in result.diagnostics]).tobytes()
+                == np.array([astuple(d) for d in diagnostics]).tobytes())
+        assert result.final_state.rho.values.tobytes() == rho[-1].tobytes()
+        assert result.final_state.p.values.tobytes() == p[-1].tobytes()
 
     @pytest.mark.parametrize("case,height", [("match-1d", 7), ("stacks", 1)])
     def test_replays_in_stacks_no_taller_than_a_trial(self, case, height,
