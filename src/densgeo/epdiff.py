@@ -252,13 +252,15 @@ def horizontality_defect(u: VectorField, rho: ScalarField, k: int) -> float:
 
 
 def epdiff_energy(u: VectorField, k: int) -> float:
-    """Right-invariant energy <Au, u> (conserved along EPDiff solutions)."""
+    """Right-invariant energy 0.5 * <Au, u> (conserved along EPDiff
+    solutions); for the horizontal u = Ainv(rho grad p) of a density state
+    it is the state's energy 0.5 * <p, L_rho p>."""
     check_finite(u.components, "u")
     ops = operators(u.grid, k)
     total = 0.0
     for au, c in zip(ops.apply(ops.a, u.components), u.components):
         total += float((au * c).mean())
-    return total
+    return 0.5 * total
 
 
 def check_order(k: int) -> None:

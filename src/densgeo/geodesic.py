@@ -11,7 +11,9 @@ on mean-zero fields, which the preconditioned CG inverse exploits. Products are
 dealiased with the 2/3 rule, arranged so that the discrete L_rho is exactly
 symmetric. p enters only through grad p, and p_t is dealiased, so the flow
 carries p as its masked band spectrum: a state is one real row of rho's grid
-values and that spectrum (`_rows`), and only `shoot` returns p to the grid.
+values and that spectrum (`_rows`). Rows turn back into states only here:
+`shoot` hands out each state as the flow reaches it, and `replay` turns the
+rows a `Record` kept into the same states' summaries, bit for bit.
 Every shoot steps the rows (1 + m, R) of one state: row 0 is the state and
 rows 1.. are m tangents, carried by the flow linearized along it (`_rhs`).
 A plain shoot has m = 0; the tangents of `shoot_tangents` give the
@@ -339,14 +341,6 @@ def hamiltonian_rhs(state: DensityState):
             ScalarField(state.grid, ops.ifft(pdot_hat)))
 
 
-def metric_energy(state: DensityState) -> float:
-    """Kinetic energy 0.5 * <p, L_rho p>; zero iff p is constant."""
-    diagnostics, = diagnostics_for(operators(state.grid, state.k),
-                                   state.rho.values[None],
-                                   state.p.values[None])
-    return diagnostics.energy
-
-
 def diagnostics_for(ops: Operators, rho: np.ndarray, p: np.ndarray) -> list:
     """The `Diagnostics` of a stack of states on the grid, rho and p
     (B, *shape), on their (grid, k) table: one band transform of p and one
@@ -416,8 +410,8 @@ class Record:
     """`integrate`'s observer that keeps a shoot's state, row 0 of its rows
     (1 + m, R), at every step i of time_steps(T, dt) as rows[i]: one array
     (n_steps + 1, R), allocated at step 0. rows stays None for a shoot at
-    rest, which takes no time loop (see `shoot_tangents`). Summarized by
-    `summarize`, its rows give the shoot's snapshots."""
+    rest, which takes no time loop (see `shoot_tangents`). `replay` turns
+    its rows into the shoot's geodesic."""
 
     def __init__(self, T: float, dt: float):
         self.n_steps = time_steps(T, dt)[0]
@@ -438,13 +432,16 @@ def default_dt(state: DensityState) -> float | None:
     return CFL * state.grid.spacing / umax
 
 
-def warn_local_regime(k: int) -> None:
-    """Logs that k in {-1, 0} is in the local regime; `shoot` logs it, and
-    `matching.solve_match` once per match."""
-    if k in (-1, 0):
+def warn_local_regime(k: int, dim: int) -> None:
+    """Logs that k is in the local regime, unless k > dim / 2, the order
+    above which geodesics on T^dim are global (Bauer, Joshi & Modin,
+    arXiv:1702.08870); `shoot` logs it, and `matching.solve_match` once per
+    match."""
+    if not k > dim / 2:
         log.warning(
-            "k=%d is in the local regime: global existence is not guaranteed "
-            "and positivity loss is expected behavior", k)
+            "k=%d is in the local regime on T^%d (k <= d/2): global "
+            "existence is not guaranteed and positivity loss is expected "
+            "behavior", k, dim)
 
 
 def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
@@ -455,18 +452,20 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     and hands out(t, state, diagnostics) the snapshot at t = 0, every
     store_every steps and T as the flow reaches it, each summarized as a
     stack of one (see `summarize`); returns out, by default a new
-    `Trajectory`. Backward runs negate p,
-    integrate forward, and negate back (the flow is time-reversible).
-    Aborts propagate with the failing time attached.
+    `Trajectory`. Backward runs negate p0, integrate forward, and negate
+    each snapshot's p back (the flow is time-reversible; the energy and
+    max|p| are even in p). Aborts propagate with the failing time attached.
     """
     check_same_grid(rho0.grid, p0.grid)
-    warn_local_regime(k)
+    warn_local_regime(k, rho0.grid.dim)
     out = Trajectory() if out is None else out
-    ops, y, p_out = snapshots(rho0, p0.values, k, backward)
+    ops, y, p_out = snapshots(rho0, -p0.values if backward else p0.values, k)
     step = time_steps(T, dt)[1]
 
     def observe(i: int, y: np.ndarray) -> None:
-        rho, p, (diagnostics,) = summarize(ops, p_out, y[:1], backward)
+        rho, p, (diagnostics,) = summarize(ops, p_out, y[:1])
+        if backward:
+            np.negative(p, out=p)
         out(i * step, DensityState(ScalarField(ops.grid, rho[0].copy()),
                                    ScalarField(ops.grid, p[0]), k),
             diagnostics)
@@ -475,33 +474,55 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     return out
 
 
-def snapshots(rho0: ScalarField, p0: np.ndarray, k: int,
-              backward: bool = False):
+def replay(rho0: ScalarField, p0: np.ndarray, k: int, T: float, dt: float,
+           rows: np.ndarray | None, height: int):
+    """The geodesic of the shoot from (rho0, p0) whose state a `Record`
+    kept at every step (rows None for a shoot at rest), as (times,
+    diagnostics, final_state): bit for bit those of `shoot`'s `Trajectory`.
+
+    The rows are summarized in stacks of `height` (see `summarize`), so the
+    replay holds no more than such a stack; each stack passes the checks a
+    `DensityState` makes, and only the final state is built as one. At
+    rest RK4 keeps the initial rows exactly, so their one summary stands
+    for every step."""
+    ops, y, p_out = snapshots(rho0, p0, k)
+    n_steps, step = time_steps(T, dt)
+    if rows is None:
+        rho, p, diagnostics = summarize(ops, p_out, y)
+        diagnostics *= n_steps + 1
+    else:
+        diagnostics = []
+        for lo in range(0, n_steps + 1, height):
+            rho, p, part = summarize(ops, p_out, rows[lo:lo + height])
+            check_density(rho)
+            check_finite(p, "p")
+            diagnostics += part
+    final_state = DensityState(ScalarField(ops.grid, rho[-1].copy()),
+                               ScalarField(ops.grid, p[-1]), k)
+    return np.arange(n_steps + 1) * step, diagnostics, final_state
+
+
+def snapshots(rho0: ScalarField, p0: np.ndarray, k: int):
     """The one preparation of a shoot from (rho0, p0): its operator table,
     its initial rows (1, R) and p_out, p0's part outside the band. The flow
     carries p's band spectrum only, so a state's p is its band part plus
-    p_out, which never changes (see `summarize`). Backward, it starts from
-    -p0."""
+    p_out, which never changes (see `summarize`)."""
     ops = operators(rho0.grid, k)
-    y, p_out = _initial_rows(ops, rho0, -p0 if backward else p0, k)
+    y, p_out = _initial_rows(ops, rho0, p0, k)
     p_out -= ops.band.ifft(_split(ops.band, y[0])[1])  # p0's out of band
     return ops, y, p_out
 
 
-def summarize(ops: Operators, p_out: np.ndarray, rows: np.ndarray,
-              backward: bool = False):
+def summarize(ops: Operators, p_out: np.ndarray, rows: np.ndarray):
     """A stack of a shoot's state rows (B, R), row 0 of the rows `integrate`
     observes or rows of a `Record`, as (rho, p, diagnostics): the states on
     the grid (B, *shape), rho a view of the rows and p its band part plus
-    the shoot's p_out (see `snapshots`), negated back for a backward shoot,
-    and their `diagnostics_for`. It does not check them: `shoot` builds each
-    as a `DensityState`, which checks itself, and `matching.solve_match`
-    checks its stacks."""
+    the shoot's p_out (see `snapshots`), and their `diagnostics_for`. It
+    does not check them: `shoot` builds each as a `DensityState`, which
+    checks itself, and `replay` checks its stacks."""
     rho, p_hat = _split(ops.band, rows)
     p = ops.band.ifft(p_hat)
     p += p_out
-    if backward:
-        np.negative(p, out=p)
     return rho, p, diagnostics_for(ops, rho, p)
 
 

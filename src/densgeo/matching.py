@@ -25,12 +25,11 @@ tangents need several stacks, one base shoot per stack. Tangents are
 independent given the base, so the split does not change any value.
 
 Every trial keeps its state at every step (a `geodesic.Record`), and the
-match's final geodesic is the last accepted trial's record: `solve_match`
-summarizes it with `geodesic.summarize`, as `geodesic.shoot` summarizes
-its states, bit for bit those of shoot from the coefficients. One record
-is alive at a time, so an iteration whose trials all fail (a stall) shoots
-the accepted coefficients once more, plainly, for their record; a match
-that ends otherwise takes no shoot of its own.
+match's final geodesic is the last accepted trial's record, replayed by
+`geodesic.replay`. One record is alive at a time, so an iteration whose
+trials all fail (a stall) shoots the accepted coefficients once more,
+plainly, for their record; a match that ends otherwise takes no shoot of
+its own.
 """
 from __future__ import annotations
 
@@ -380,38 +379,20 @@ def solve_match(problem: MatchProblem) -> MatchResult:
 
     Every trial keeps its state at every step (a `geodesic.Record`), and
     the final geodesic is the last accepted trial's record (shot again,
-    plainly, when the trials stall; see `_levenberg_marquardt`) summarized
-    by `geodesic.summarize` in stacks as tall as a carrying trial's rows
-    (1 + the carried tangents): bit for bit
-    `geodesic.shoot`'s times, diagnostics and final state from the
-    coefficients. Each stack passes a `DensityState`'s checks, and only the
-    final state is built as one. A match that accepted no trial rests at
-    rho0. A k in {-1, 0} logs the local-regime warning once, at the start.
+    plainly, when the trials stall; see `_levenberg_marquardt`), replayed
+    by `geodesic.replay` in stacks as tall as a carrying trial's rows
+    (1 + the carried tangents). A match that accepted no trial rests at
+    rho0. A k that is not above d/2 logs the local-regime warning once, at
+    the start.
     """
-    geodesic.warn_local_regime(problem.k)
+    geodesic.warn_local_regime(problem.k, problem.grid.dim)
     status, coeffs, history, rows, record = _levenberg_marquardt(problem)
     p0 = p_from_coeffs(problem, coeffs)
-    ops, y, p_out = geodesic.snapshots(problem.rho0, p0.values, problem.k)
-    n_steps, step = geodesic.time_steps(problem.T, problem.dt)
-    if record is None:
-        # the match rests, and RK4 keeps its initial rows y exactly
-        rho, p, diagnostics = geodesic.summarize(ops, p_out, y)
-        diagnostics *= n_steps + 1
-    else:
-        # a trial's rows: the state and the tangents it carries
-        n = len(coeffs)
-        height = 1 + n if _carries(problem.grid, n) else 1
-        diagnostics = []
-        for lo in range(0, n_steps + 1, height):
-            rho, p, part = geodesic.summarize(ops, p_out,
-                                              record[lo:lo + height])
-            # the checks a DensityState makes, on the stack
-            geodesic.check_density(rho)
-            geodesic.check_finite(p, "p")
-            diagnostics += part
-    final_state = geodesic.DensityState(
-        ScalarField(problem.grid, rho[-1].copy()),
-        ScalarField(problem.grid, p[-1]), problem.k)
+    # a trial's rows: the state and the tangents it carries
+    n = len(coeffs)
+    times, diagnostics, final_state = geodesic.replay(
+        problem.rho0, p0.values, problem.k, problem.T, problem.dt, record,
+        1 + n if _carries(problem.grid, n) else 1)
     mismatch = l2_norm_values(final_state.rho.values - problem.rho1.values)
     mismatch /= l2_norm_values(problem.rho1.values)
     return MatchResult(
@@ -420,7 +401,7 @@ def solve_match(problem: MatchProblem) -> MatchResult:
         coeffs=coeffs,
         objective_history=np.array(history),
         final_l2_mismatch=mismatch,
-        times=np.arange(n_steps + 1) * step,
+        times=times,
         diagnostics=diagnostics,
         final_state=final_state,
         history_rows=rows,

@@ -296,7 +296,3 @@ def tail_fractions(ops: Operators, values: np.ndarray) -> list:
     tail = retained.take(ops.tail, axis=1).sum(axis=1).tolist()
     return [t / s if s else 0.0 for t, s in zip(tail, total)]
 
-
-def spectral_tail_fraction(grid: Grid, values: np.ndarray) -> float:
-    """`tail_fractions` of one field."""
-    return tail_fractions(operators(grid), np.asarray(values)[None])[0]

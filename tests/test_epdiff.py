@@ -502,6 +502,17 @@ class TestCrossValidate:
         assert len(comparisons) == 14  # 25 steps, every 2nd and the last
         assert repr(comparisons) == repr(rows)
 
+    def test_energies_share_one_convention(self):
+        """At t = 0 of a check of xval-2d's size (2-D n 32, k 2) EPDiff's
+        0.5 <Au, u> is the density flow's 0.5 <p, L_rho p>."""
+        rho0, p0 = cross_check_data(2)
+        comparisons = []
+        ep.cross_validate(rho0, p0, 2, 0.04, 0.02,
+                          out=lambda *c: comparisons.append(c))
+        t, _, _, energy_density, energy_epdiff = comparisons[0]
+        assert t == 0.0
+        assert energy_epdiff == pytest.approx(energy_density, rel=1e-12)
+
     def test_holds_no_density_state_while_epdiff_runs(self, monkeypatch):
         """Of the density flow's snapshots only rho and the energy are
         kept, so no `geodesic.DensityState` is alive while EPDiff runs."""

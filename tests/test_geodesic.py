@@ -322,6 +322,21 @@ class TestShoot:
         for a, b in zip(*(t.diagnostics for t in trajs)):
             assert a.max_abs_p < 0.6 and b.max_abs_p > 2.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_backward_summaries_are_those_of_its_states(self, dim):
+        """A backward shoot summarizes p before negating it back: the
+        energy and max|p| are even in p, so each summary is, bit for bit,
+        that of the state handed out."""
+        rho0, p0 = replay_data(dim)
+        traj = ge.shoot(rho0, sp.ScalarField(rho0.grid, p0), 2, 0.1, 0.02,
+                        backward=True)
+        ops = sp.operators(rho0.grid, 2)
+        for state, d in zip(traj.states, traj.diagnostics, strict=True):
+            again, = ge.diagnostics_for(ops, state.rho.values[None],
+                                        state.p.values[None])
+            assert np.array(astuple(again)).tobytes() == \
+                np.array(astuple(d)).tobytes()
+
     def test_abort_reports_time(self):
         # k = -1 steep data loses positivity; abort carries the failing time
         g = grid1d(32)
@@ -333,25 +348,92 @@ class TestShoot:
         assert exc_info.value.time is not None
 
 
+def replay_data(dim):
+    """A unit-mass density and a momentum with a mode above the band, on
+    the n = 32 grid."""
+    g = sp.make_grid(dim, 32)
+    x = g.coords
+    rho = 1 + 0.3 * np.cos(x[0]) + 0.1 * np.sin(x[0] + x[-1])
+    p = (0.2 * np.sin(x[0]) + 0.1 * np.cos(2 * x[-1])
+         + 0.01 * np.cos(11 * x[-1]))
+    return sp.ScalarField(g, rho / rho.mean()), p
+
+
+class TestReplay:
+    """`replay` turns a `Record` of a shoot into `shoot`'s geodesic."""
+
+    @pytest.mark.parametrize("height", [1, 7, None], ids=["1", "7", "all"])
+    @pytest.mark.parametrize("m", [0, 6, "rest"])
+    @pytest.mark.parametrize("dim,k", [(1, 1), (2, 2)])
+    def test_equals_the_shoot(self, dim, k, m, height):
+        """Bit for bit, a record of `shoot_tangents` (carrying m tangents,
+        or at rest) replayed in stacks of any height gives the times,
+        diagnostics and final state of `shoot`'s `Trajectory`."""
+        rho0, p0 = replay_data(dim)
+        if m == "rest":
+            p0 = np.full(rho0.grid.shape, 0.5)
+        T, dt = 0.2, 0.02
+        x = rho0.grid.coords[0]
+        dp = np.array([np.cos(j * x) + np.sin((j + 1) * x)
+                       for j in range(0 if m == "rest" else m)])
+        record = ge.Record(T, dt)
+        ge.shoot_tangents(rho0, p0, dp.reshape((-1,) + rho0.grid.shape), k,
+                          T, dt, record)
+        assert (record.rows is None) == (m == "rest")
+        times, diagnostics, final = ge.replay(
+            rho0, p0, k, T, dt, record.rows, height or record.n_steps + 1)
+        traj = ge.shoot(rho0, sp.ScalarField(rho0.grid, p0), k, T, dt)
+        assert times.tobytes() == traj.times.tobytes()
+        assert (np.array([astuple(d) for d in diagnostics]).tobytes()
+                == np.array([astuple(d) for d in traj.diagnostics]).tobytes())
+        end = traj.states[-1]
+        assert final.k == k
+        assert final.rho.values.tobytes() == end.rho.values.tobytes()
+        assert final.p.values.tobytes() == end.p.values.tobytes()
+
+
+@pytest.mark.parametrize("dim,k,warns", [
+    (1, -1, True), (1, 0, True), (1, 1, False), (2, 1, True), (2, 2, False)])
+def test_local_regime_warning_follows_the_order(dim, k, warns, caplog):
+    """Solutions are global for k > d/2 (arXiv:1702.08870): a shoot below
+    that order warns once, one above it does not."""
+    g = sp.make_grid(dim, 16)
+    rho0 = sp.ScalarField(g, np.ones(g.shape))
+    with caplog.at_level("WARNING", logger="densgeo.geodesic"):
+        ge.shoot(rho0, sp.ScalarField(g, np.zeros(g.shape)), k, 0.1, 0.05)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == warns
+    assert all(f"k={k} is in the local regime on T^{dim}" in message
+               for message in messages)
+
+
+def metric_energy(state):
+    """The state's kinetic energy 0.5 * <p, L_rho p>, as `diagnostics_for`
+    reports it."""
+    ops = sp.operators(state.grid, state.k)
+    return ge.diagnostics_for(ops, state.rho.values[None],
+                              state.p.values[None])[0].energy
+
+
 class TestMetricEnergy:
     def test_zero_momentum(self):
         g = grid1d()
         state = ge.make_state(g, np.ones(g.shape), np.zeros(g.shape), 1)
-        assert ge.metric_energy(state) == 0.0
+        assert metric_energy(state) == 0.0
 
     def test_constant_density_value(self):
         g = grid1d()
         x = g.coords[0]
         state = ge.make_state(g, np.ones(g.shape), np.cos(x), 1)
         # 0.5 * (1/4) * <cos, cos> = 1/16
-        assert ge.metric_energy(state) == pytest.approx(1 / 16, abs=1e-14)
+        assert metric_energy(state) == pytest.approx(1 / 16, abs=1e-14)
 
     def test_quadratic_scaling(self):
         g = grid1d()
         state = smooth_state(g)
         doubled = ge.make_state(g, state.rho.values, 2 * state.p.values, 1)
-        assert ge.metric_energy(doubled) == pytest.approx(
-            4 * ge.metric_energy(state), rel=1e-12)
+        assert metric_energy(doubled) == pytest.approx(
+            4 * metric_energy(state), rel=1e-12)
 
 
 def diagnostics_per_state(grid, k, rho, p):

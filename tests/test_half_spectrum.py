@@ -117,7 +117,8 @@ def test_tail_fraction_matches_full_spectrum(dim, n):
     for seed in range(3):
         f = random_stack(g, (), seed=seed)
         ref = full_tail_fraction(g, f)
-        assert abs(sp.spectral_tail_fraction(g, f) - ref) <= RTOL * ref
+        got = sp.tail_fractions(sp.operators(g), f[None])[0]
+        assert abs(got - ref) <= RTOL * ref
 
 
 def full_horizontality_defect(g, u, rho, k):

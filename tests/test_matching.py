@@ -1,3 +1,5 @@
+import ast
+import inspect
 import weakref
 from dataclasses import astuple
 from functools import partial
@@ -475,6 +477,20 @@ class TestSolveMatch:
                               for r in caplog.records))
         assert counts[0] == counts[1] == 1
 
+    @pytest.mark.parametrize("k,warnings", [(1, 1), (2, 0)])
+    def test_local_regime_warning_follows_the_dimension(self, k, warnings,
+                                                        caplog):
+        """On T^2 the regime is global only for k > 1."""
+        g = sp.make_grid(2, 16)
+        x, y = g.coords
+        rho0 = sp.ScalarField(g, 1 + 0.2 * np.cos(x) * np.cos(y))
+        problem = ma.MatchProblem(rho0, rho0, k, 0.5, 0.05, 2,
+                                  ma.OptSettings(max_iter=0))
+        with caplog.at_level("WARNING", logger="densgeo.geodesic"):
+            ma.solve_match(problem)
+        assert sum("local regime on T^2" in r.getMessage()
+                   for r in caplog.records) == warnings
+
 
 def bump_problem():
     """The bump translation of acceptance criterion 8: 16 coefficients, 14
@@ -918,6 +934,19 @@ class TestFinalGeodesic:
         monkeypatch.setattr(ma, "_residual", corrupt)
         with pytest.raises(ge.StateError, match=message):
             ma.solve_match(problem)
+
+
+def test_rows_become_states_only_in_geodesic():
+    """matching leaves turning a record's rows into states, and checking
+    them, to `geodesic.replay`."""
+    tree = ast.parse(inspect.getsource(ma))
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "geodesic"}
+    used |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "replay" in used
+    assert not used & {"snapshots", "summarize", "check_finite"}
 
 
 class TestOptSettings:
