@@ -402,6 +402,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    seen = {}
+
+    def once(record):  # a command that shoots many times warns once
+        return seen.setdefault(record.getMessage(), record) is record
+
+    geodesic.log.addFilter(once)
     try:
         message = COMMANDS[args.command](cfg, outdir, manifest)
     except ConfigError as exc:
@@ -414,6 +420,8 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(f"aborted: {exc}", file=sys.stderr)
         return 1
+    finally:
+        geodesic.log.removeFilter(once)
     _write_status(outdir, True, message, t0)
     if not args.quiet:
         print(message)

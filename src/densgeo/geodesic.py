@@ -107,7 +107,7 @@ def time_steps(T: float, dt: float):
 
 def _lrho(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
     """Dealiased L_rho p of p's masked spectrum p_hat, with grad p and
-    u = Ainv(rho grad p): the one kernel of the operator.
+    u = Ainv(rho grad p): the one kernel of the operator, in two halves.
 
     Its products are dual ones (`_dual`): a grid rho (*shape) applies L_rho
     to each of a stack of p_hat, and rows (1 + m, ...) of a state and m
@@ -119,11 +119,24 @@ def _lrho(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
     `ops.fft(p) * ops.mask` on the table's band view (`Operators.band`); the
     full table gives the same values, bit for bit.
     """
+    gradp, u = _velocity(ops, rho, p_hat)
+    return _divergence(ops, rho, u), gradp, u
+
+
+def _velocity(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
+    """`_lrho`'s first half: grad p and u = Ainv(rho grad p)."""
     gradp = ops.ifft(ops.ik * p_hat[ops.vec])
-    rho_v = rho[ops.vec]
-    u = ops.apply(ops.ainv_band, _dual(rho_v, gradp))
-    rhodot = -ops.ifft(ops.div_hat(_dual(rho_v, u)) * ops.mask)
-    return rhodot, gradp, u
+    return gradp, ops.ifft(ops.fft(_dual(rho[ops.vec], gradp)) * ops.ainv_band)
+
+
+def _divergence(ops: Operators | Band, rho: np.ndarray, u: np.ndarray):
+    """`_lrho`'s second half: -div(rho u), dealiased; rho u is a temporary
+    that `Operators.fft` frees, and the symbols apply in place."""
+    div_hat = ops.fft(_dual(rho[ops.vec], u))
+    div_hat *= ops.ik
+    div_hat = div_hat.sum(axis=-ops.grid.dim - 1)
+    div_hat *= ops.mask
+    return ops.ifft(np.negative(div_hat, out=div_hat))
 
 
 def _rows(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
@@ -173,11 +186,15 @@ def _rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
     dp_t = -(grad p . du + grad dp . u), a dual product too. p enters only
     through grad p, so the flow never needs it in physical space, and p_t's
     spectrum is masked and mean-free again. All rows go through the same
-    transform calls: 6 in 1-D.
+    transform calls: 6 in 1-D. Each temporary dies at its last use: grad p
+    before the divergence transform (after p_t's product), u after it.
     """
     rho, p_hat = _split(ops, y)
-    rhodot, gradp, u = _lrho(ops, rho, p_hat)
+    gradp, u = _velocity(ops, rho, p_hat)
     adv = _dual(gradp, u).sum(axis=-ops.grid.dim - 1)
+    del gradp
+    rhodot = _divergence(ops, rho, u)
+    del u
     pdot_hat = ops.fft(adv) * ops.mask
     pdot_hat[ops.zero] = 0.0  # mean-zero representative of p_t
     return _rows(ops, rhodot, np.negative(pdot_hat, out=pdot_hat))
@@ -365,23 +382,25 @@ def step_rk4(ops: Operators, y: np.ndarray, dt: float):
     """One RK4 step of y' = _rhs(ops.band, y) on the rows y (1 + m, R) of a
     state and its tangents (see `_rows`, on ops.band). Returns the new rows
     and the guard the state (row 0) failed (no longer finite, positivity
-    lost, mass drift), or None; tangents are not guarded. p_hat's mean mode
-    needs no correction: it starts at 0 and every p_t has it 0."""
+    lost, naming the last good state's spectral tail; mass drift), or None;
+    tangents are not guarded. p_hat's mean mode needs no correction: it
+    starts at 0 and every p_t has it 0."""
     npoints = ops.grid.npoints
     mass = y[0, :npoints].mean()
-    y = rk4(partial(_rhs, ops.band), y, dt)
-    state = y[0]
+    y1 = rk4(partial(_rhs, ops.band), y, dt)
+    state = y1[0]
     if not np.isfinite(state).all():
-        return y, "state is no longer finite"
+        return y1, "state is no longer finite"
     rho = state[:npoints]
     rho_min = rho.min()
     if not rho_min > 0.0:
-        return y, (f"positivity lost: min rho {rho_min:.3e} "
-                   "(under-resolved or outside the global regime)")
+        tail = tail_fractions(ops, _split(ops.band, y[:1])[0])[0]
+        return y1, (f"positivity lost: min rho {rho_min:.3e} (the last good "
+                    f"state's spectral_tail {tail:.3e})")
     drift = abs(rho.mean() - mass)
     if not drift <= MASS_DRIFT_TOL:
-        return y, f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL}"
-    return y, None
+        return y1, f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL}"
+    return y1, None
 
 
 def integrate(step, y: np.ndarray, T: float, dt: float, observe=None,
@@ -427,16 +446,14 @@ def default_dt(state: DensityState) -> float | None:
     """CFL-style default step CFL * dx / max|u|; None for a resting state."""
     u = horizontal_velocity(state)
     umax = float(np.abs(u.components).max())
-    if umax == 0.0:
-        return None
-    return CFL * state.grid.spacing / umax
+    return CFL * state.grid.spacing / umax if umax != 0.0 else None
 
 
 def warn_local_regime(k: int, dim: int) -> None:
     """Logs that k is in the local regime, unless k > dim / 2, the order
     above which geodesics on T^dim are global (Bauer, Joshi & Modin,
-    arXiv:1702.08870); `shoot` logs it, and `matching.solve_match` once per
-    match."""
+    arXiv:1702.08870): `shoot` logs it, `matching.solve_match` once per
+    match, and `cli.main` lets a command log it once."""
     if not k > dim / 2:
         log.warning(
             "k=%d is in the local regime on T^%d (k <= d/2): global "
@@ -459,7 +476,8 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
     check_same_grid(rho0.grid, p0.grid)
     warn_local_regime(k, rho0.grid.dim)
     out = Trajectory() if out is None else out
-    ops, y, p_out = snapshots(rho0, -p0.values if backward else p0.values, k)
+    # y: a list of the initial rows, which integrate pops (see shoot_tangents)
+    ops, *y, p_out = snapshots(rho0, -p0.values if backward else p0.values, k)
     step = time_steps(T, dt)[1]
 
     def observe(i: int, y: np.ndarray) -> None:
@@ -470,7 +488,7 @@ def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
                                    ScalarField(ops.grid, p[0]), k),
             diagnostics)
 
-    integrate(partial(step_rk4, ops), y, T, dt, observe, store_every)
+    integrate(partial(step_rk4, ops), y.pop(), T, dt, observe, store_every)
     return out
 
 
@@ -549,8 +567,7 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
         time_steps(T, dt)  # the same checks of T and dt
         return rho, T * _lrho(band, rho, band.fft(dp0) * band.mask)[0]
     del rho, p_hat
-    # integrate holds the only reference to the initial rows: the loop
-    # frees them after the first step
+    # integrate holds the only reference to the initial rows: freed at step 1
     y = integrate(
         partial(step_rk4, ops),
         np.concatenate((base, _state_rows(band, np.zeros_like(dp0), dp0))),

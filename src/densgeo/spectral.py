@@ -165,14 +165,18 @@ class Operators:
         self.band = self if grid.dim == 1 else Band(self)
 
     def fft(self, values: np.ndarray) -> np.ndarray:
+        """values' spectrum; in 2-D it lets values go after the first pass."""
         if self.grid.dim == 1:
             return np.fft.rfft(values)
-        return np.fft.fft(np.fft.rfft(values)[self.cols], axis=-2)
+        values = np.fft.rfft(values)[self.cols]
+        return np.fft.fft(values, axis=-2)
 
     def ifft(self, values_hat: np.ndarray) -> np.ndarray:
+        """The grid values of a spectrum, letting it go as `fft` does."""
         if self.grid.dim == 1:
             return np.fft.irfft(values_hat, self.grid.n)
-        return np.fft.irfft(np.fft.ifft(values_hat, axis=-2), self.grid.n)
+        values_hat = np.fft.ifft(values_hat, axis=-2)
+        return np.fft.irfft(values_hat, self.grid.n)
 
     def apply(self, symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Real Fourier multiplier: values -> ifft(symbol * fft(values))."""
@@ -181,10 +185,6 @@ class Operators:
     def grad(self, values: np.ndarray) -> np.ndarray:
         """Spectral gradient, (..., *shape) -> (..., dim, *shape)."""
         return self.ifft(self.ik * self.fft(values)[self.vec])
-
-    def div_hat(self, v: np.ndarray) -> np.ndarray:
-        """Fourier coefficients of the divergence of v, (..., dim, *shape)."""
-        return (self.ik * self.fft(v)).sum(axis=-self.grid.dim - 1)
 
 
 class Band:
@@ -213,7 +213,6 @@ class Band:
     fft = Operators.fft
     ifft = Operators.ifft
     apply = Operators.apply
-    div_hat = Operators.div_hat
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -262,7 +261,8 @@ def gradient(f: ScalarField) -> VectorField:
 
 def divergence(v: VectorField) -> ScalarField:
     ops = operators(v.grid)
-    return ScalarField(v.grid, ops.ifft(ops.div_hat(v.components)))
+    return ScalarField(v.grid, ops.ifft(
+        (ops.ik * ops.fft(v.components)).sum(axis=-v.grid.dim - 1)))
 
 
 def l2_inner(f: ScalarField, g: ScalarField) -> float:

@@ -25,8 +25,13 @@ steps cross_validate compares) integrates the identity map carrying a smooth
 density with the horizontal velocity of a unit-size momentum. The
 cross-check case runs cross_validate on that density and momentum at the
 same size, the benchmark's xval-2d: the density flow, then EPDiff, compared
-at those 11 steps.
+at those 11 steps. The right-hand side and the RK4 step also record the
+traced peak (tracemalloc) of one call above what was held at its entry, in
+`extra_info`: in bytes and in rows of the state (8 bytes times the row
+length R), so that layer runs report memory next to time.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,13 +76,29 @@ def test_dealiased_transform_pair(benchmark, table):
     benchmark(lambda: t.ifft(t.fft(p) * t.mask))
 
 
+def record_peak(benchmark, y, f, *args):
+    """Put the traced peak of one call f(*args) in the benchmark's
+    extra_info, in bytes and in rows of y (1 + m, R)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["peak_bytes"] = peak
+    benchmark.extra_info["peak_rows"] = peak / y[0].nbytes
+
+
 def test_rhs(benchmark, stack):
     ops, _, y = stack
+    record_peak(benchmark, y, ge._rhs, ops.band, y)
     benchmark(ge._rhs, ops.band, y)
 
 
 def test_guarded_rk4_step(benchmark, stack):
     ops, dt, y = stack
+    record_peak(benchmark, y, ge.step_rk4, ops, y, dt)
     _, reason = benchmark(ge.step_rk4, ops, y, dt)
     assert reason is None
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from densgeo import cli, epdiff, io, presets, spectral as sp
+from densgeo import cli, epdiff, geodesic, io, presets, spectral as sp
 
 
 def write_config(path, text):
@@ -467,6 +467,39 @@ p = sin-bump amplitude 0.2 mode 1
         assert "amplitude" in io.read_json(str(out / "error.json"))["error"]
         assert not (out / "status.json").exists()
         assert not (out / "manifest.json").exists()
+
+
+LOCAL_REGIME_CFG = """
+[run]
+seed = 0
+[grid]
+dim = 2
+n = 16
+[metric]
+k = 1
+[time]
+T = 0.2
+dt = 0.02
+[initial]
+rho = cos-bump amplitude 0.3 mode 1
+p = sin-bump amplitude 0.2 mode 1
+"""
+
+
+@pytest.mark.parametrize("command",
+                         ["validate", "convergence", "shoot", "epdiff-check"])
+def test_local_regime_warning_once_per_command(tmp_path, caplog, command):
+    """2-D k = 1 is in the local regime: a command logs the warning once,
+    however many times it shoots, and the next command logs it again."""
+    cfg = write_config(tmp_path / "c.ini", LOCAL_REGIME_CFG)
+    for run in ("a", "b"):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="densgeo.geodesic"):
+            assert cli.main([command, "--config", cfg, "--output-dir",
+                             str(tmp_path / run), "--quiet"]) == 0
+        assert [r.getMessage().startswith("k=1 is in the local regime on T^2")
+                for r in caplog.records] == [True]
+    assert not geodesic.log.filters
 
 
 class TestMatchCommand:

@@ -347,6 +347,23 @@ class TestShoot:
             ge.shoot(rho0, p0, -1, 5.0, 0.01)
         assert exc_info.value.time is not None
 
+    def test_positivity_abort_names_the_last_good_spectral_tail(self):
+        # a stride-1 shoot's last snapshot is the state the failed step
+        # started from: the abort names that state's spectral tail
+        g = grid1d(32)
+        x = g.coords[0]
+        rho0 = sp.ScalarField(g, 1 + 0.9 * np.cos(x))
+        p0 = sp.ScalarField(g, 3.0 * np.sin(x))
+        traj = ge.Trajectory()
+        with pytest.raises(ge.SolverAbort) as exc_info:
+            ge.shoot(rho0, p0, -1, 5.0, 0.01, out=traj)
+        message, last = str(exc_info.value), traj.diagnostics[-1]
+        assert message.startswith(
+            f"t={exc_info.value.time:.6g}: positivity lost: min rho ")
+        assert f"spectral_tail {last.spectral_tail:.3e}" in message
+        assert last.spectral_tail > 0.0
+        assert traj.times[-1] == pytest.approx(exc_info.value.time - 0.01)
+
 
 def replay_data(dim):
     """A unit-mass density and a momentum with a mode above the band, on
