@@ -342,8 +342,8 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
 
 def horizontal_velocity(state: DensityState) -> VectorField:
     """u = Ainv(rho * grad p): the horizontal (Eulerian) velocity of the state."""
-    ops = operators(state.grid, state.k).band
-    _, _, u = _lrho(ops, state.rho.values, ops.fft(state.p.values) * ops.mask)
+    ops, rho = operators(state.grid, state.k).band, state.rho.values
+    _, u = _velocity(ops, rho, ops.fft(state.p.values) * ops.mask)
     return VectorField(state.grid, u)
 
 
@@ -547,8 +547,9 @@ def summarize(ops: Operators, p_out: np.ndarray, rows: np.ndarray):
 def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
                    T: float, dt: float, observe=None):
     """The shoot from (rho0, p0) and the derivatives of its final density
-    along the initial momenta dp0 (m, *shape), m >= 0, by the linearized
-    flow (see `_rhs`) stepped with the state as its rows (1 + m, R).
+    along the initial momenta dp0, m >= 0 masked band spectra with the mean
+    entry 0, (m, *band.mask.shape), by the linearized flow (see `_rhs`)
+    stepped with the state as its rows (1 + m, R).
 
     The state is prepared and stepped as `shoot` prepares and steps it, so
     its endpoint is bit-identical to shoot's; only the state is guarded.
@@ -565,12 +566,11 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
     rho, p_hat = _split(band, base[0])
     if not p_hat.any():
         time_steps(T, dt)  # the same checks of T and dt
-        return rho, T * _lrho(band, rho, band.fft(dp0) * band.mask)[0]
+        return rho, T * _lrho(band, rho, dp0)[0]
     del rho, p_hat
     # integrate holds the only reference to the initial rows: freed at step 1
-    y = integrate(
-        partial(step_rk4, ops),
-        np.concatenate((base, _state_rows(band, np.zeros_like(dp0), dp0))),
+    y = integrate(partial(step_rk4, ops), np.concatenate(
+        (base, _rows(band, np.zeros((len(dp0),) + ops.grid.shape), dp0))),
         T, dt, observe)
     rho_T = _split(band, y)[0]
     return rho_T[0], rho_T[1:]

@@ -1,39 +1,30 @@
 """Density matching by geodesic shooting.
 
-Finds an initial momentum potential p0, parametrized by low Fourier modes,
+Finds an initial momentum potential p0, parametrized by low Fourier modes
+placed straight on the band spectrum the flow carries (`momentum_hat`),
 that steers rho0 to rho1 at time T under the geodesic flow. The objective
 J(c) = 0.5 * mean((rho(T; c) - rho1)^2) is a least-squares problem, solved
 by Levenberg-Marquardt on the exact residual Jacobian: the tangent-linear
-flow carries one tangent per basis field with the base shoot (see
+flow carries one tangent per coefficient with the base shoot (see
 `geodesic.shoot_tangents`), and at c = 0, where every match starts, the
-Jacobian is T L_rho0 B and the residual rho0 - rho1, both without a
-shoot. A trial step is accepted only when it lowers J, so the objective
-history is monotone.
+Jacobian is T L_rho0 P (P the coefficients' unit placements) and the
+residual rho0 - rho1, both without a shoot. A trial step is accepted only
+when it lowers J, so the objective history is monotone.
 
 Every objective value comes from `_residual`, one shoot of one coefficient
 vector, whose SolverAbort reports an abort: `objective` scores it with a
 penalty, Levenberg-Marquardt rejects the trial and `gradient_fd` names the
-coefficient. Every Jacobian comes from tangent stacks: a base shoot and
-its tangents stepped together, at most MAX_STACK_POINTS grid points per
-stack (`_per_stack` tangents). When the whole Jacobian fits in one stack,
-the first trial of each Levenberg-Marquardt iteration is shot with its
-tangents, and if it is accepted they are the next iteration's Jacobian;
-the base ends bit for bit where a plain shoot ends, so no value changes.
-`_jacobian` shoots the Jacobian only where no trial carried it: at c = 0
-(without a time loop), after an iteration won by a retry, and when the
-tangents need several stacks, one base shoot per stack. Tangents are
-independent given the base, so the split does not change any value.
-
-Every trial keeps its state at every step (a `geodesic.Record`), and the
-match's final geodesic is the last accepted trial's record, replayed by
-`geodesic.replay`. One record is alive at a time, so an iteration whose
-trials all fail (a stall) shoots the accepted coefficients once more,
-plainly, for their record; a match that ends otherwise takes no shoot of
-its own.
+coefficient. Every Jacobian comes from tangent stacks: a base shoot and at
+most `_per_stack` tangents stepped together, the base ending bit for bit
+where a plain shoot ends. Tangents are independent given the base, so how
+they are split into stacks changes no value. `solve_match` says which
+shoots carry them, and how the final geodesic is replayed from the record
+of the last accepted trial.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,57 +110,76 @@ class MatchResult:
     history_rows: list  # (iter, objective, grad_norm, lambda), history.csv
 
 
-def half_space_modes(grid: Grid, n_modes: int) -> list:
-    """(m, m . x) for the nonzero wave vectors m with |m_j| <= n_modes,
-    one of each pair +-m.
-
-    On T^1: m = 1..n_modes. On T^2: m1 >= 0, and m2 > 0 when m1 = 0.
-    """
-    if grid.dim == 1:
-        modes = [(m,) for m in range(1, n_modes + 1)]
-    else:
-        modes = [(m1, m2) for m1 in range(0, n_modes + 1)
-                 for m2 in range(-n_modes, n_modes + 1) if m1 > 0 or m2 > 0]
-    return [(mode, sum(m * x for m, x in zip(mode, grid.coords)))
-            for mode in modes]
+def half_space_modes(grid: Grid, n_modes: int) -> np.ndarray:
+    """The nonzero wave vectors m (count, dim) with |m_j| <= n_modes, one of
+    each pair +-m: m = 1..n_modes on T^1; on T^2 m1 >= 0, and m2 > 0 when
+    m1 = 0. In lexicographic order they are the half after m = 0."""
+    r = np.arange(-n_modes, n_modes + 1)
+    modes = np.stack(np.meshgrid(*[r] * grid.dim, indexing="ij"), axis=-1)
+    return modes.reshape(-1, grid.dim)[len(r) ** grid.dim // 2 + 1:]
 
 
-def basis_fields(grid: Grid, n_modes: int) -> list:
-    """Mean-zero cosine/sine basis up to n_modes per axis.
+def n_coeffs(grid: Grid, n_modes: int) -> int:
+    """The number of coefficients, two per `half_space_modes` wave vector."""
+    return (2 * n_modes + 1) ** grid.dim - 1
 
-    On T^1: cos(m x), sin(m x) for m = 1..n_modes. On T^2 the same set of wave
-    vectors taken over a half-space so the basis is not redundant.
-    """
-    out = []
-    for _, phase in half_space_modes(grid, n_modes):
-        out.append(np.cos(phase))
-        out.append(np.sin(phase))
-    return out
+
+@lru_cache(maxsize=None)
+def _placement(grid: Grid, n_modes: int):
+    """(pair, sign, flat): entry flat of the flattened band spectrum is at
+    sign m, m the pair-th of `half_space_modes`: the band holds m2 >= 0, so
+    m2 < 0 is held at -m, and on T^2's column m2 = 0 both m and -m are."""
+    modes = half_space_modes(grid, n_modes)
+    pair = np.r_[:len(modes), np.flatnonzero(modes[:, -1] == 0)]
+    sign = np.where((np.arange(len(pair)) >= len(modes))
+                    | (modes[pair, -1] < 0), -1, 1)
+    return pair, sign, np.ravel_multi_index(  # m1 < 0 wraps to n + m1
+        tuple((sign[:, None] * modes[pair]).T),
+        operators(grid).band.mask.shape, mode="wrap")
+
+
+def momentum_hat(grid: Grid, n_modes: int, coeffs: np.ndarray) -> np.ndarray:
+    """The band spectra (..., *band.mask.shape) of the momenta of the
+    coefficients (..., n_coeffs): 2i is cos(m_i . x) and 2i + 1 sin(m_i . x),
+    m_i the i-th of `half_space_modes`, n_modes <= n/3. In numpy's layout
+    a pair (a, b) is the entry (N/2)(a - i b) at m_i, its conjugate at -m_i
+    (see `_placement`): no transform."""
+    pair, sign, flat = _placement(grid, n_modes)
+    lead, shape = coeffs.shape[:-1], operators(grid).band.mask.shape
+    out = np.zeros(lead + (np.prod(shape),), complex)
+    out[..., flat] = (grid.npoints / 2.0) * (
+        coeffs[..., 2 * pair] - 1j * sign * coeffs[..., 2 * pair + 1])
+    return out.reshape(lead + shape)
 
 
 def p_from_coeffs(problem: MatchProblem, coeffs: np.ndarray) -> ScalarField:
-    """The mean-zero momentum sum_i c_i b_i of coefficients c over
-    `basis_fields`."""
-    basis = basis_fields(problem.grid, problem.n_modes)
+    """The mean-zero momentum p0 of coefficients c on the grid: the band
+    inverse transform of `momentum_hat`."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (len(basis),):
+    n = n_coeffs(problem.grid, problem.n_modes)
+    if coeffs.shape != (n,):
         raise ValueError(
-            f"expected {len(basis)} coefficients, got shape {coeffs.shape}")
-    p = np.zeros(problem.grid.shape)
-    for c, b in zip(coeffs, basis):
-        p += c * b
-    return ScalarField(problem.grid, p - p.mean())
+            f"expected {n} coefficients, got shape {coeffs.shape}")
+    return ScalarField(problem.grid, operators(problem.grid).band.ifft(
+        momentum_hat(problem.grid, problem.n_modes, coeffs)))
+
+
+def _tangents(problem: MatchProblem, lo: int, hi: int) -> np.ndarray:
+    """The band spectra of the unit coefficient vectors e_lo .. e_(hi-1):
+    the tangent momenta of the Jacobian's rows lo .. hi - 1."""
+    return momentum_hat(problem.grid, problem.n_modes, np.eye(
+        hi - lo, n_coeffs(problem.grid, problem.n_modes), lo))
 
 
 def _residual(problem: MatchProblem, coeffs: np.ndarray, dp=None):
     """rho(T) - rho1 of the shoot of coeffs' momentum (`shoot_tangents`
-    with no tangents). Given tangent momenta dp (m, *shape), m >= 0, the
-    shoot carries them and keeps its state at every step (a
+    with no tangents). Given m >= 0 tangent momenta dp (see `_tangents`),
+    the shoot carries them and keeps its state at every step (a
     `geodesic.Record`), and the result is (rho(T) - rho1, jac, rows): jac
     (m, N) holds the derivatives of rho(T) along dp, C-contiguous as
     `_jacobian` builds it, so that it frees the shoot's rows, and rows are
     the record's. Raises the shoot's SolverAbort, with its time."""
-    tangents = np.empty((0,) + problem.grid.shape) if dp is None else dp
+    tangents = _tangents(problem, 0, 0) if dp is None else dp
     record = None if dp is None else geodesic.Record(problem.T, problem.dt)
     rho_T, drho = geodesic.shoot_tangents(
         problem.rho0, p_from_coeffs(problem, coeffs).values, tangents,
@@ -221,24 +231,16 @@ def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
     return grad
 
 
-def _basis_stack(problem: MatchProblem) -> np.ndarray:
-    """The basis fields (n_coeffs, *shape), each with its mean subtracted:
-    the tangent momenta of the Jacobian."""
-    basis = np.array(basis_fields(problem.grid, problem.n_modes))
-    basis -= basis.mean(axis=operators(problem.grid).axes, keepdims=True)
-    return basis
-
-
 def _per_stack(grid: Grid) -> int:
     """The tangents a stack holds beside its base: MAX_STACK_POINTS // N - 1,
     at least 1."""
     return max(1, MAX_STACK_POINTS // grid.npoints - 1)
 
 
-def _carries(grid: Grid, n_coeffs: int) -> bool:
-    """Whether the first trial of each iteration carries one tangent per
-    basis field: when they fit one stack (`_per_stack`)."""
-    return n_coeffs <= _per_stack(grid)
+def _carries(grid: Grid, n: int) -> bool:
+    """Whether the first trial of each iteration carries the tangents of
+    all n coefficients: when they fit one stack (`_per_stack`)."""
+    return n <= _per_stack(grid)
 
 
 def _check_tangents(jac: np.ndarray) -> None:
@@ -252,7 +254,7 @@ def _check_tangents(jac: np.ndarray) -> None:
 
 def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
     """The residual Jacobian d rho(T) / dc (n_coeffs, N) at coeffs, from
-    tangent stacks of the base shoot and at most `_per_stack` basis fields
+    tangent stacks of the base shoot and at most `_per_stack` `_tangents`
     each; the base is shot again for each stack. At c = 0 it takes no time
     loop (see `shoot_tangents`). `solve_match` calls it where no accepted
     trial carried the Jacobian, and checks its tangents (`_check_tangents`).
@@ -260,14 +262,14 @@ def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
     Raises SolverAbort when the base shoot aborts.
     """
     p = p_from_coeffs(problem, coeffs).values
-    basis = _basis_stack(problem)
-    per_stack = _per_stack(problem.grid)
-    jac = np.empty((len(basis), problem.grid.npoints))
-    for lo in range(0, len(basis), per_stack):
-        part = slice(lo, lo + per_stack)
-        _, drho = geodesic.shoot_tangents(problem.rho0, p, basis[part],
-                                          problem.k, problem.T, problem.dt)
-        jac[part] = drho.reshape(len(drho), -1)
+    n, per_stack = len(coeffs), _per_stack(problem.grid)
+    jac = np.empty((n, problem.grid.npoints))
+    for lo in range(0, n, per_stack):
+        hi = min(n, lo + per_stack)
+        _, drho = geodesic.shoot_tangents(
+            problem.rho0, p, _tangents(problem, lo, hi), problem.k,
+            problem.T, problem.dt)
+        jac[lo:hi] = drho.reshape(hi - lo, -1)
     return jac
 
 
@@ -280,11 +282,11 @@ def _levenberg_marquardt(problem: MatchProblem):
     stalls there shoots the accepted coefficients again for it. Its
     Jacobians and the other shoots are freed when it returns."""
     opt = problem.opt
-    basis = _basis_stack(problem)
+    n = n_coeffs(problem.grid, problem.n_modes)
     # the first trial of an iteration carries the next Jacobian's tangents
     # when they fit one stack; retries carry none
-    carried = basis if _carries(problem.grid, len(basis)) else basis[:0]
-    coeffs = np.zeros(len(basis))
+    carried = _tangents(problem, 0, n if _carries(problem.grid, n) else 0)
+    coeffs = np.zeros(n)
     # the flow from p = 0 rests exactly, rho(T) = rho0: no shoot, and the
     # problem's checks are the ones a shoot makes of rho0
     r = problem.rho0.values - problem.rho1.values
@@ -311,8 +313,6 @@ def _levenberg_marquardt(problem: MatchProblem):
         if gnorm <= opt.grad_tol:
             status = "converged"
         else:
-            # one record at a time: each trial's replaces the accepted one,
-            # which a stalled iteration shoots again
             accepted, record = record is not None, None
             rejected = None
             dp = carried
@@ -335,12 +335,12 @@ def _levenberg_marquardt(problem: MatchProblem):
                     record = None
                 lam *= LM_FACTOR
                 rejected = trial
-                dp = basis[:0]
+                dp = carried[:0]
             else:
                 status = "stalled"
             if status == "stalled" and accepted:
                 # a plain shoot: its state rows are the carried trial's
-                record = _residual(problem, coeffs, basis[:0])[2]
+                record = _residual(problem, coeffs, carried[:0])[2]
         rows.append((it, history[-1], gnorm, lam))
         if status != "max_iter":
             break
@@ -364,7 +364,7 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     is retried. The history is monotone, so the last iterate is the best.
 
     When the Jacobian fits in one stack (n_coeffs <= `_per_stack`), the
-    first trial of each iteration is shot with one tangent per basis field,
+    first trial of each iteration is shot with one tangent per coefficient,
     and when it is accepted its tangents are the next Jacobian. Retries are
     plain shoots, so a rejection wastes at most one stack per iteration.
     `_jacobian` shoots the Jacobian at c = 0 (without a time loop), after

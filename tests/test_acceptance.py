@@ -213,7 +213,7 @@ def test_criterion_8_matching():
     # FD gradient is second order: directional central differences converge
     # at O(h^2), so consecutive Richardson gaps shrink by ~4 per h-halving
     rng = np.random.default_rng(8)
-    n = len(ma.basis_fields(grid, 8))
+    n = ma.n_coeffs(grid, 8)
     coeffs = 0.05 * rng.normal(size=n)
     e = rng.normal(size=n)
     e /= np.linalg.norm(e)
@@ -274,7 +274,7 @@ def test_criterion_9_symmetry_suite():
         sp.ScalarField(g32, sp.shift_values(g32, r1.values, [sh32])),
         1, 0.5, 0.02, 4)
     rng = np.random.default_rng(9)
-    coeffs = 0.1 * rng.normal(size=len(ma.basis_fields(g32, 4)))
+    coeffs = 0.1 * rng.normal(size=ma.n_coeffs(g32, 4))
     coeffs_m = coeffs.copy()
     for m in range(1, 5):
         c, sn = coeffs[2 * m - 2], coeffs[2 * m - 1]

@@ -394,8 +394,9 @@ class TestReplay:
         dp = np.array([np.cos(j * x) + np.sin((j + 1) * x)
                        for j in range(0 if m == "rest" else m)])
         record = ge.Record(T, dt)
-        ge.shoot_tangents(rho0, p0, dp.reshape((-1,) + rho0.grid.shape), k,
-                          T, dt, record)
+        dp = tangent_spectra(rho0.grid,
+                             dp.reshape((-1,) + rho0.grid.shape))
+        ge.shoot_tangents(rho0, p0, dp, k, T, dt, record)
         assert (record.rows is None) == (m == "rest")
         times, diagnostics, final = ge.replay(
             rho0, p0, k, T, dt, record.rows, height or record.n_steps + 1)
@@ -749,6 +750,15 @@ def test_rk4_in_place_rounds_as_the_expression(dim, n, m):
         assert ge.rk4(f, y, dt).tobytes() == rk4_expression(f, y, dt).tobytes()
 
 
+def tangent_spectra(grid, dp):
+    """Tangent momenta dp (m, *shape) as `shoot_tangents` takes them: masked
+    band spectra (m, *band.mask.shape), the mean entry zeroed."""
+    band = sp.operators(grid).band
+    dp_hat = band.fft(dp) * band.mask
+    dp_hat[band.zero] = 0.0
+    return dp_hat
+
+
 def state_stack(grid, n_members, seed):
     """(n_members, 2, *shape) stack of valid, distinct (rho, p) states."""
     rng = np.random.default_rng(seed)
@@ -815,10 +825,10 @@ class TestStackedFlow:
         g = sp.make_grid(dim, n)
         ys = state_stack(g, 4, seed=7)
         rho0 = sp.ScalarField(g, ys[0, 0])
-        no_tangents = np.empty((0,) + g.shape)
+        no_tangents = tangent_spectra(g, np.empty((0,) + g.shape))
         for p in ys[:, 1]:
             end, drho = ge.shoot_tangents(rho0, p, no_tangents, 2, 0.3, 0.02)
-            assert drho.shape == no_tangents.shape
+            assert drho.shape == (0,) + g.shape
             traj = ge.shoot(rho0, sp.ScalarField(g, p), 2, 0.3, 0.02)
             assert np.array_equal(traj.states[-1].rho.values, end)
 
@@ -828,7 +838,7 @@ class TestStackedFlow:
         g = grid1d(32)
         x = g.coords[0]
         rho0 = sp.ScalarField(g, 1 + 0.9 * np.cos(x))
-        dp = np.stack([np.cos(x), np.sin(2 * x)])
+        dp = tangent_spectra(g, np.stack([np.cos(x), np.sin(2 * x)]))
         aborts = 0
         for amp in [0.0, 3.0, 0.05, 5.0, 1.0]:
             p = amp * np.sin(x)
@@ -851,15 +861,17 @@ class TestStackedFlow:
         p0[3] = np.nan
         with pytest.raises(ge.StateError, match="finite"):
             ge.shoot_tangents(sp.ScalarField(g, np.ones(g.shape)), p0,
-                              np.zeros((2,) + g.shape), 1, 0.1, 0.01)
+                              tangent_spectra(g, np.zeros((2,) + g.shape)),
+                              1, 0.1, 0.01)
 
     def test_only_shoot_warns_about_local_regime(self, caplog):
         g = grid1d(16)
         rho0 = sp.ScalarField(g, np.ones(g.shape))
         x = g.coords[0]
         with caplog.at_level("WARNING", logger="densgeo.geodesic"):
-            ge.shoot_tangents(rho0, 0.1 * np.sin(x), np.cos(x)[None], -1,
-                              0.1, 0.05)
+            ge.shoot_tangents(rho0, 0.1 * np.sin(x),
+                              tangent_spectra(g, np.cos(x)[None]), -1, 0.1,
+                              0.05)
             assert not caplog.records
             ge.shoot(rho0, sp.ScalarField(g, np.zeros(g.shape)), -1, 0.1, 0.05)
         assert len(caplog.records) == 1

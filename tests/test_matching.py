@@ -27,7 +27,7 @@ def make_problem(grid, rho1_vals=None, **kw):
 class TestObjective:
     def test_zero_at_identical_targets(self):
         problem = make_problem(grid1d())
-        n = len(ma.basis_fields(problem.grid, problem.n_modes))
+        n = ma.n_coeffs(problem.grid, problem.n_modes)
         assert ma.objective(problem, np.zeros(n)) == 0.0
 
     def test_positive_for_translated_target(self):
@@ -35,7 +35,7 @@ class TestObjective:
         x = g.coords[0]
         rho0 = 1 + 0.2 * np.cos(x)
         problem = make_problem(g, rho1_vals=1 + 0.2 * np.cos(x - 0.5))
-        n = len(ma.basis_fields(g, problem.n_modes))
+        n = ma.n_coeffs(g, problem.n_modes)
         j = ma.objective(problem, np.zeros(n))
         expected = 0.5 * (((rho0 - (1 + 0.2 * np.cos(x - 0.5))) ** 2).mean())
         assert j == pytest.approx(expected, rel=1e-12)
@@ -50,11 +50,12 @@ class TestObjective:
             sp.ScalarField(g, sp.shift_values(g, problem.rho1.values, [shift])),
             problem.k, problem.T, problem.dt, problem.n_modes)
         rng = np.random.default_rng(0)
-        coeffs = 0.1 * rng.normal(size=len(ma.basis_fields(g, 4)))
+        coeffs = 0.1 * rng.normal(size=ma.n_coeffs(g, 4))
         # translate the p0 parametrization along with the data
         p_moved = sp.shift_values(
             g, ma.p_from_coeffs(problem, coeffs).values, [shift])
-        basis = ma.basis_fields(g, 4)
+        basis = [ma.p_from_coeffs(problem, e).values
+                 for e in np.eye(len(coeffs))]
         gram = np.array([[float((a * b).mean()) for b in basis] for a in basis])
         rhs = np.array([float((b * p_moved).mean()) for b in basis])
         coeffs_moved = np.linalg.solve(gram, rhs)
@@ -68,7 +69,7 @@ class TestObjective:
         rho0 = sp.ScalarField(g, (1 + 0.9 * np.cos(x))
                               / (1 + 0.9 * np.cos(x)).mean())
         problem = ma.MatchProblem(rho0, rho0, -1, 5.0, 0.01, 2)
-        coeffs = np.zeros(len(ma.basis_fields(g, 2)))
+        coeffs = np.zeros(ma.n_coeffs(g, 2))
         coeffs[1] = 5.0  # large sin(x) momentum
         assert ma.objective(problem, coeffs) >= ma.PENALTY_BASE
 
@@ -91,6 +92,40 @@ class TestObjective:
                 r = traj.states[-1].rho.values - problem.rho1.values
                 assert value == 0.5 * np.mean(r ** 2) < ma.PENALTY_BASE
         assert aborts == 2
+
+
+def reference_basis(grid, n_modes):
+    """The half-space wave vectors by their defining loops, and the grid
+    fields of the coefficients by formula: cos(m . x), then sin(m . x), of
+    each wave vector in turn."""
+    if grid.dim == 1:
+        modes = [(m,) for m in range(1, n_modes + 1)]
+    else:
+        modes = [(m1, m2) for m1 in range(0, n_modes + 1)
+                 for m2 in range(-n_modes, n_modes + 1) if m1 > 0 or m2 > 0]
+    fields = []
+    for mode in modes:
+        phase = sum(m * x for m, x in zip(mode, grid.coords))
+        fields += [np.cos(phase), np.sin(phase)]
+    return np.array(modes), np.array(fields)
+
+
+@pytest.mark.parametrize("dim,n_modes", [(1, 10), (2, 4)])
+def test_unit_placements_are_the_cos_sin_fields(dim, n_modes):
+    # in 2-D the modes include m2 < 0 ones, held as the conjugate entry at
+    # -m, and m2 = 0 ones, whose column-0 entries at m and -m are both set
+    g = sp.make_grid(dim, 32)
+    modes, reference = reference_basis(g, n_modes)
+    assert np.array_equal(ma.half_space_modes(g, n_modes), modes)
+    n = ma.n_coeffs(g, n_modes)
+    assert n == len(reference)
+    if dim == 2:
+        assert (modes[:, 1] < 0).any() and (modes[:, 1] == 0).any()
+    p_hat = ma.momentum_hat(g, n_modes, np.eye(n))
+    assert p_hat.shape == (n,) + sp.operators(g).band.mask.shape
+    assert np.all(p_hat[(Ellipsis,) + (0,) * dim] == 0.0)
+    fields = sp.operators(g).band.ifft(p_hat)
+    assert np.abs(fields - reference).max() <= 1e-14
 
 
 def violent_problem(**kw):
@@ -169,7 +204,7 @@ def stencil_at_abort():
 class TestGradientFD:
     def test_zero_at_global_minimum(self):
         problem = make_problem(grid1d())
-        n = len(ma.basis_fields(problem.grid, problem.n_modes))
+        n = ma.n_coeffs(problem.grid, problem.n_modes)
         grad = ma.gradient_fd(problem, np.zeros(n), h=1e-5)
         assert np.abs(grad).max() < 1e-10
 
@@ -178,7 +213,7 @@ class TestGradientFD:
         x = g.coords[0]
         problem = make_problem(g, rho1_vals=1 + 0.2 * np.cos(x - 0.4))
         rng = np.random.default_rng(1)
-        n = len(ma.basis_fields(g, problem.n_modes))
+        n = ma.n_coeffs(g, problem.n_modes)
         coeffs = 0.05 * rng.normal(size=n)
         grad = ma.gradient_fd(problem, coeffs, h=1e-6)
         e = rng.normal(size=n)
@@ -193,7 +228,7 @@ class TestGradientFD:
         x = g.coords[0]
         problem = make_problem(g, rho1_vals=1 + 0.2 * np.cos(x - 0.4))
         rng = np.random.default_rng(2)
-        n = len(ma.basis_fields(g, problem.n_modes))
+        n = ma.n_coeffs(g, problem.n_modes)
         coeffs = 0.05 * rng.normal(size=n)
         g1 = ma.gradient_fd(problem, coeffs, h=2e-4)
         g2 = ma.gradient_fd(problem, coeffs, h=1e-4)
@@ -253,9 +288,15 @@ def fd_jacobian(problem, coeffs, h=ma.FD_STEP):
 
 
 def mean_free_basis(problem):
-    """The momenta of the unit coefficient vectors (n_coeffs, *shape)."""
-    n = len(ma.basis_fields(problem.grid, problem.n_modes))
-    return np.array([ma.p_from_coeffs(problem, e).values for e in np.eye(n)])
+    """The momenta of the unit coefficient vectors, as masked band spectra
+    (n_coeffs, *band.mask.shape) with the mean entry zeroed: the transforms
+    of their grid fields, not `momentum_hat`'s placements."""
+    n = ma.n_coeffs(problem.grid, problem.n_modes)
+    band = sp.operators(problem.grid).band
+    dp = np.array([ma.p_from_coeffs(problem, e).values for e in np.eye(n)])
+    dp_hat = band.fft(dp) * band.mask
+    dp_hat[band.zero] = 0.0
+    return dp_hat
 
 
 def tangent_problem(dim):
@@ -275,7 +316,7 @@ def tangent_problem(dim):
 
 def tangent_point(problem, at):
     """c = 0 (at rest) or a small random c (moving)."""
-    n = len(ma.basis_fields(problem.grid, problem.n_modes))
+    n = ma.n_coeffs(problem.grid, problem.n_modes)
     if at == "rest":
         return np.zeros(n)
     return 0.1 * np.random.default_rng(5).normal(size=n)
@@ -314,7 +355,9 @@ class TestTangentJacobian:
         ops = sp.operators(problem.grid, problem.k)
         base = ge._state_rows(ops.band, problem.rho0.values,
                               np.zeros(problem.grid.shape))
-        tangents = ge._state_rows(ops.band, np.zeros_like(basis), basis)
+        tangents = ge._rows(ops.band,
+                            np.zeros((len(basis),) + problem.grid.shape),
+                            basis)
         y = np.concatenate((base[None], tangents))
         y = ge.integrate(partial(ge.step_rk4, ops), y, problem.T,
                          problem.dt)
@@ -654,7 +697,7 @@ class TestLevenbergMarquardt:
     def test_2d_self_consistency(self):
         problem = self_consistent_problem(
             2, opt=ma.OptSettings(grad_tol=1e-10))
-        assert len(ma.basis_fields(problem.grid, 2)) == 24
+        assert ma.n_coeffs(problem.grid, 2) == 24
         result = ma.solve_match(problem)
         assert result.status == "converged"
         assert result.final_l2_mismatch <= 1e-6
@@ -771,7 +814,7 @@ class TestCarriedTangents:
             return result, tangents, len(jacobians)
 
         problem = bump_problem()
-        assert len(ma._basis_stack(problem)) == 16
+        assert ma.n_coeffs(problem.grid, problem.n_modes) == 16
         assert ma._per_stack(problem.grid) >= 16
         one, one_tangents, one_jacobians = run(ma.MAX_STACK_POINTS)
         two, two_tangents, two_jacobians = run(9 * problem.grid.npoints)
