@@ -94,10 +94,12 @@ def identity_state(rho0: ScalarField, u: VectorField, k: int) -> DiffeoState:
 def _field_and_grad(band: Operators | Band, v_hat: np.ndarray):
     """v (dim, *shape) and grad v (dim, dim, *shape), grad v[i, j] = d_j v_i,
     on the grid from v's band spectrum v_hat: one inverse transform of the
-    stack [v_hat, ik v_hat]."""
+    stack [v_hat, ik v_hat], whose ik v_hat dies in the concatenation and
+    which the transform lets go of after its first pass. Both are views of
+    one array, which lives while either does."""
     dim = band.grid.dim
-    dv_hat = (band.ik * v_hat[band.vec]).reshape((dim * dim,) + band.mask.shape)
-    out = band.ifft(np.concatenate((v_hat, dv_hat)))
+    out = band.ifft(np.concatenate((v_hat, (band.ik * v_hat[band.vec]).reshape(
+        (dim * dim,) + band.mask.shape))))
     return out[:dim], out[dim:].reshape((dim, dim) + band.grid.shape)
 
 
@@ -106,14 +108,30 @@ def _epdiff_rhs(band: Operators | Band, u_hat: np.ndarray):
     u_t = -Ainv{(u.grad)m + (div u)m + (grad u)^T m}, m = Au, dealiased,
     from u's band spectrum u_hat. u, m and their gradients come from u_hat
     in two inverse transforms, and u_t stays a spectrum: one forward
-    transform in all."""
+    transform in all.
+
+    m's stack is transformed first, so that its spectrum a u_hat, a
+    temporary, is gone before u's stack is made. Each product is formed in
+    place in the stack it reads, once the values it overwrites are used no
+    further: u_j d_j m_i in grad m, m_i d_j u_i in grad u, (div u) m in m.
+    The sum, in the order (conv + (div u) m) + stretch, accumulates in one
+    new array. m's stack dies after the sum's second term and u's after its
+    third, before the forward transform; the u returned is a copy that pins
+    no grad u."""
     dim = band.grid.dim
-    u, du = _field_and_grad(band, u_hat)
     m, dm = _field_and_grad(band, band.a_band * u_hat)
+    u, du = _field_and_grad(band, u_hat)
+    dm *= u  # dm[i, j] = u_j d_j m_i
+    total = dm.sum(axis=1)  # conv
     divu = sum(du[j, j] for j in range(dim))
-    conv = (u * dm).sum(axis=1)
-    stretch = (m[:, None] * du).sum(axis=0)
-    ut_hat = band.fft(conv + divu * m + stretch)
+    du *= m[:, None]  # du[i, j] = m_i d_j u_i
+    m *= divu
+    total += m
+    del m, dm  # m's stack dies
+    total += du.sum(axis=0)  # stretch
+    del du
+    u = u.copy()  # u's stack dies
+    ut_hat = band.fft(total)
     ut_hat *= band.ainv_band
     return u, np.negative(ut_hat, out=ut_hat)
 
@@ -163,19 +181,28 @@ def _initial_row(ops: Operators, state0: DiffeoState) -> np.ndarray:
 def _flow_rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
     """d/dt of the row y = (q, f, u_hat) (see `_rows`): -u - (u.grad) q and
     -u.grad f on the grid, and EPDiff's u_t as a band spectrum. 5 numpy
-    transform calls in 1-D, 10 in 2-D."""
+    transform calls in 1-D, 10 in 2-D.
+
+    Of EPDiff's fields only u (dim, *shape) and u_t's spectrum outlive
+    `_epdiff_rhs`; the gradient of q and f, (dim + 1, dim, *shape), is taken
+    after it, multiplied by u in place and dies in its sum."""
     dim = ops.grid.dim
     qf, u_hat = _split(ops.band, y)
     u, ut_hat = _epdiff_rhs(ops.band, u_hat)
-    adv = (u * ops.grad(qf)).sum(axis=1)  # (u.grad) of q and f
+    adv = ops.grad(qf)
+    adv *= u  # adv[i, j] = u_j d_j of q_i and f
+    adv = adv.sum(axis=1)  # (u.grad) of q and f
     adv[:dim] += u
     return _rows(np.negative(adv, out=adv), ut_hat)
 
 
 def _flow_step(ops: Operators, y: np.ndarray, dt: float):
     """One RK4 step of _flow_rhs; it fails when the row stops being finite,
-    the inverse map a grid-resolved diffeomorphism or f positive."""
-    y = rk4(partial(_flow_rhs, ops), y, dt)
+    the inverse map a grid-resolved diffeomorphism or f positive. A step
+    that overflows says so through the finiteness check alone: numpy's
+    overflow and invalid-value warnings are silenced inside RK4."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = rk4(partial(_flow_rhs, ops), y, dt)
     if not np.isfinite(y).all():
         return y, "state is no longer finite"
     qf = _split(ops.band, y)[0]
@@ -197,11 +224,20 @@ def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
     reaches it; returns out or, without out, the list of those (t, state).
     Raises StateError for an initial u that is not band-limited (see
     `_initial_row`), and aborts at the first step that fails `_flow_step`.
+
+    The flow holds its rows only: state0 is let go of once its row is
+    built, so its q, and f and u unless the caller keeps them, die before
+    the time loop, and the initial row goes to `integrate` through a popped
+    list, dying after the first step (as in `geodesic.shoot`). A step
+    holds RK4's 3 rows and its right-hand side's temporaries (see
+    `_epdiff_rhs` and `_flow_rhs`).
     """
     grid, k, dim = state0.grid, state0.k, state0.grid.dim
     ops = operators(grid, k)
     band = ops.band
     step = time_steps(T, dt)[1]
+    y = [_initial_row(ops, state0)]
+    del state0
     states = []
     sink = (lambda t, s: states.append((t, s))) if out is None else out
 
@@ -210,8 +246,7 @@ def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
         sink(i * step, DiffeoState(VectorField(grid, qf[:dim].copy()),
                                    ScalarField(grid, qf[dim].copy()),
                                    VectorField(grid, band.ifft(u_hat)), k))
-    integrate(partial(_flow_step, ops), _initial_row(ops, state0), T, dt,
-              observe, store_every)
+    integrate(partial(_flow_step, ops), y.pop(), T, dt, observe, store_every)
     return states if out is None else out
 
 
@@ -284,19 +319,21 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
     the first). Each EPDiff state is compared with them as it arrives, and
     out(t, l2_discrepancy, horizontality_defect, energy_density,
     energy_epdiff), when given, is called with each comparison as it is
-    made.
+    made. u0 is popped into the identity state, so that it dies with that
+    state once `integrate_epdiff` has built its row; the kept rho, the
+    comparisons so far and the flow's working set are all that live
+    through the time loop.
     """
     check_order(k)
     grid = rho0.grid
     n_steps, dt = time_steps(T, dt)
     stride = max(1, n_steps // (N_CHECKS - 1))
 
-    kept, u0 = [], None  # (rho, energy) of each density snapshot
+    kept, u0 = [], []  # (rho, energy) of each density snapshot; [u0]
 
     def keep(t, state, diagnostics):
-        nonlocal u0
-        if u0 is None:
-            u0 = geodesic.horizontal_velocity(state)
+        if not kept:
+            u0.append(geodesic.horizontal_velocity(state))
         kept.append((state.rho.values, diagnostics.energy))
     geodesic.shoot(rho0, p0, k, T, dt, store_every=stride, out=keep)
     density = iter(kept)  # both flows observe the same steps
@@ -311,7 +348,8 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
         checks.append(check)
         if out is not None:
             out(*check)
-    integrate_epdiff(identity_state(rho0, u0, k), T, dt, stride, compare)
+    integrate_epdiff(identity_state(rho0, u0.pop(), k), T, dt, stride,
+                     compare)
     _, discrepancies, defects, e_dens, e_ep = zip(*checks)
 
     def rel_drift(values):

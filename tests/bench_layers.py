@@ -1,7 +1,8 @@
 """Layer timings of the 2-D flow at n = 128, k = 2 (the shoot-2d grid), of
 the 1-D flow at n = 32, k = 1 (the match-1d grid), of one matching
-Jacobian and one solve_match at the match-1d size, and of one
-integrate_epdiff and one cross_validate at the xval-2d size.
+Jacobian and one solve_match at the match-1d size, of one guarded EPDiff
+step at the shoot-2d grid, and of one integrate_epdiff and one
+cross_validate at the xval-2d size.
 
     PYTHONPATH=src python -m pytest tests/bench_layers.py --benchmark-only
 
@@ -22,11 +23,13 @@ one's record, summarized in stacks of 7 rows, is the final geodesic, with
 no shoot of its own: 4 time loops). The EPDiff case (2-D
 n = 32, k = 2, T = 0.5, dt = 0.01: 50 steps, 11 states built, at the
 steps cross_validate compares) integrates the identity map carrying a smooth
-density with the horizontal velocity of a unit-size momentum. The
-cross-check case runs cross_validate on that density and momentum at the
-same size, the benchmark's xval-2d: the density flow, then EPDiff, compared
-at those 11 steps. The right-hand side and the RK4 step also record the
-traced peak (tracemalloc) of one call above what was held at its entry, in
+density with the horizontal velocity of a unit-size momentum; the EPDiff
+step case takes one guarded RK4 step (dt = 0.01) of that flow's initial row
+(`epdiff._rows`) at 2-D n = 128, k = 2. The cross-check case runs
+cross_validate on that density and momentum at the xval-2d size: the
+density flow, then EPDiff, compared at those 11 steps. The right-hand side,
+the RK4 steps and integrate_epdiff also record the traced peak
+(tracemalloc) of one call above what was held at its entry, in
 `extra_info`: in bytes and in rows of the state (8 bytes times the row
 length R), so that layer runs report memory next to time.
 """
@@ -76,9 +79,9 @@ def test_dealiased_transform_pair(benchmark, table):
     benchmark(lambda: t.ifft(t.fft(p) * t.mask))
 
 
-def record_peak(benchmark, y, f, *args):
+def record_peak(benchmark, row_bytes, f, *args):
     """Put the traced peak of one call f(*args) in the benchmark's
-    extra_info, in bytes and in rows of y (1 + m, R)."""
+    extra_info, in bytes and in rows of row_bytes bytes."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -87,18 +90,18 @@ def record_peak(benchmark, y, f, *args):
     finally:
         tracemalloc.stop()
     benchmark.extra_info["peak_bytes"] = peak
-    benchmark.extra_info["peak_rows"] = peak / y[0].nbytes
+    benchmark.extra_info["peak_rows"] = peak / row_bytes
 
 
 def test_rhs(benchmark, stack):
     ops, _, y = stack
-    record_peak(benchmark, y, ge._rhs, ops.band, y)
+    record_peak(benchmark, y[0].nbytes, ge._rhs, ops.band, y)
     benchmark(ge._rhs, ops.band, y)
 
 
 def test_guarded_rk4_step(benchmark, stack):
     ops, dt, y = stack
-    record_peak(benchmark, y, ge.step_rk4, ops, y, dt)
+    record_peak(benchmark, y[0].nbytes, ge.step_rk4, ops, y, dt)
     _, reason = benchmark(ge.step_rk4, ops, y, dt)
     assert reason is None
 
@@ -130,10 +133,9 @@ def test_solve_match(benchmark, match_problem):
     assert result.status == "converged"
 
 
-@pytest.fixture(scope="module")
-def xval_state():
-    """An xval-2d-sized density state (2-D n = 32, k = 2)."""
-    g = sp.make_grid(2, 32)
+def density_state(n):
+    """A smooth density state with a unit-size momentum (2-D, k = 2)."""
+    g = sp.make_grid(2, n)
     x = g.coords
     rho = 1.0 + 0.3 * np.cos(x[0]) * np.cos(2 * x[1]) + 0.1 * np.sin(
         3 * x[0] + x[1])
@@ -141,9 +143,32 @@ def xval_state():
     return ge.make_state(g, rho / rho.mean(), p, 2)
 
 
+@pytest.fixture(scope="module")
+def xval_state():
+    """An xval-2d-sized density state (2-D n = 32, k = 2)."""
+    return density_state(32)
+
+
+def epdiff_start(state):
+    """The identity map carrying the state's density with its horizontal
+    velocity, and that flow's table and initial row."""
+    state0 = ep.identity_state(state.rho, ge.horizontal_velocity(state), 2)
+    ops = sp.operators(state.grid, 2)
+    return state0, ops, ep._initial_row(ops, state0)
+
+
+def test_epdiff_flow_step(benchmark):
+    _, ops, y = epdiff_start(density_state(128))
+    ep._flow_step(ops, y, 0.01)  # builds jacobian_det's table
+    record_peak(benchmark, y.nbytes, ep._flow_step, ops, y, 0.01)
+    _, reason = benchmark(ep._flow_step, ops, y, 0.01)
+    assert reason is None
+
+
 def test_integrate_epdiff(benchmark, xval_state):
-    state0 = ep.identity_state(xval_state.rho,
-                               ge.horizontal_velocity(xval_state), 2)
+    state0, _, y = epdiff_start(xval_state)
+    record_peak(benchmark, y.nbytes, ep.integrate_epdiff, state0, 0.5, 0.01,
+                5)
     states = benchmark(ep.integrate_epdiff, state0, 0.5, 0.01,
                        store_every=5)
     assert len(states) == 11

@@ -33,6 +33,8 @@ def test_names_found():
     assert ("densgeo.epdiff", "integrate_epdiff") in ATTRIBUTES
     assert ("densgeo.epdiff", "identity_state") in ATTRIBUTES
     assert ("densgeo.epdiff", "cross_validate") in ATTRIBUTES
+    assert ("densgeo.epdiff", "_flow_step") in ATTRIBUTES
+    assert ("densgeo.epdiff", "_initial_row") in ATTRIBUTES
     assert ("densgeo.matching", "_jacobian") in ATTRIBUTES
     assert ("densgeo.matching", "solve_match") in ATTRIBUTES
     assert ("test_matching", "fd_jacobian") in FROM_TESTS

@@ -1,4 +1,5 @@
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -540,6 +541,20 @@ class TestCrossValidate:
         p0 = sp.ScalarField(g, np.zeros(g.shape))
         with pytest.raises(ValueError):
             ep.cross_validate(rho0, p0, -1, 0.1, 0.05)
+
+    def test_overflow_is_reported_by_the_guard_alone(self):
+        """At k = 40 EPDiff's products overflow in the first step. The
+        finiteness guard reports it; numpy's overflow and invalid-value
+        warnings from the right-hand side do not reach the user first."""
+        g = grid1d(32)
+        x = g.coords[0]
+        rho0 = sp.ScalarField(g, 1 + 0.3 * np.cos(x))
+        p0 = sp.ScalarField(g, 0.2 * np.sin(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ge.SolverAbort) as info:
+                ep.cross_validate(rho0, p0, 40, 0.5, 0.01)
+        assert str(info.value) == "t=0.01: state is no longer finite"
 
 
 def test_lagrangian_eulerian_consistency():

@@ -1,0 +1,186 @@
+"""The EPDiff step: the same bytes as the reference formulas of its kernel,
+a working set that the traced peak of `integrate_epdiff` bounds, and no
+initial state or row held through the time loop.
+
+The reference below writes the kernel as one expression per quantity, with
+no regard for how long its temporaries live: `_epdiff_rhs` (both outputs)
+and `_flow_rhs` must give its values bit for bit.
+"""
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from densgeo import epdiff as ep, geodesic as ge, spectral as sp
+
+# numpy's ufunc iteration buffer, 8192 doubles: an in-place product with a
+# broadcast operand on a small grid fills one
+UFUNC_BUFFER = 8 * 8192
+
+
+def reference_field_and_grad(band, v_hat):
+    dim = band.grid.dim
+    dv_hat = (band.ik * v_hat[band.vec]).reshape((dim * dim,) + band.mask.shape)
+    out = band.ifft(np.concatenate((v_hat, dv_hat)))
+    return out[:dim], out[dim:].reshape((dim, dim) + band.grid.shape)
+
+
+def reference_epdiff_rhs(band, u_hat):
+    dim = band.grid.dim
+    u, du = reference_field_and_grad(band, u_hat)
+    m, dm = reference_field_and_grad(band, band.a_band * u_hat)
+    divu = sum(du[j, j] for j in range(dim))
+    conv = (u * dm).sum(axis=1)
+    stretch = (m[:, None] * du).sum(axis=0)
+    ut_hat = band.fft(conv + divu * m + stretch)
+    ut_hat *= band.ainv_band
+    return u, np.negative(ut_hat, out=ut_hat)
+
+
+def reference_flow_rhs(ops, y):
+    dim = ops.grid.dim
+    qf, u_hat = ep._split(ops.band, y)
+    u, ut_hat = reference_epdiff_rhs(ops.band, u_hat)
+    adv = (u * ops.grad(qf)).sum(axis=1)
+    adv[:dim] += u
+    return ep._rows(np.negative(adv, out=adv), ut_hat)
+
+
+def smooth_state(dim, n, k):
+    """A smooth density state of positive density on the grid (dim, n)."""
+    g = sp.make_grid(dim, n)
+    x = g.coords
+    rho = 1.0 + 0.3 * np.cos(x[0]) * np.cos(2 * x[-1]) + 0.1 * np.sin(
+        3 * x[0] + x[-1])
+    p = np.sin(x[0] + 2 * x[-1]) + 0.5 * np.cos(3 * x[0] - x[-1])
+    return ge.make_state(g, rho / rho.mean(), p, k)
+
+
+def flow_row(dim, n, k):
+    """The table and a row (see `epdiff._rows`) a little way along a flow:
+    q, f and u all away from the identity's zeros and constants."""
+    state = smooth_state(dim, n, k)
+    ops = sp.operators(state.grid, k)
+    state0 = ep.identity_state(state.rho, ge.horizontal_velocity(state), k)
+    y = ep._initial_row(ops, state0)
+    for _ in range(2):
+        y, reason = ep._flow_step(ops, y, 0.05)
+        assert reason is None
+    return ops, y
+
+
+CASES = [(1, 32, 1), (2, 32, 2), (2, 128, 2)]
+
+
+@pytest.mark.parametrize("dim,n,k", CASES)
+def test_epdiff_rhs_is_the_reference(dim, n, k):
+    ops, y = flow_row(dim, n, k)
+    u_hat = ep._split(ops.band, y)[1]
+    got = ep._epdiff_rhs(ops.band, u_hat)
+    want = reference_epdiff_rhs(ops.band, u_hat)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("dim,n,k", CASES)
+def test_flow_rhs_is_the_reference(dim, n, k):
+    ops, y = flow_row(dim, n, k)
+    assert (ep._flow_rhs(ops, y).tobytes()
+            == reference_flow_rhs(ops, y).tobytes())
+
+
+def test_returned_velocity_pins_no_gradient():
+    ops, y = flow_row(2, 32, 2)
+    u = ep._epdiff_rhs(ops.band, ep._split(ops.band, y)[1])[0]
+    assert u.base is None and u.shape == (2,) + ops.grid.shape
+
+
+def step_accounting(ops):
+    """The bytes above its entry that an EPDiff step holds at its peak: RK4's
+    3 rows (state, stage, accumulator), and in the right-hand side the
+    stacks [m, grad m] and [u, grad u] on the grid, dim + dim^2 fields
+    each, with u's stack's band spectrum still alive in its transform, and
+    one ufunc buffer."""
+    grid = ops.grid
+    height = grid.dim + grid.dim ** 2
+    row = 8 * ((grid.dim + 1) * grid.npoints + 2 * grid.dim
+               * ops.band.mask.size)
+    stack = 8 * height * grid.npoints
+    spectrum = 16 * height * ops.band.mask.size
+    return 3 * row + 2 * stack + spectrum + UFUNC_BUFFER, row
+
+
+def traced_peak(f):
+    """The traced peak of f() above what was held at its entry, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_integrate_epdiff_peak_memory():
+    """A 3-step 2-D EPDiff flow, its initial state built for the call, holds
+    no more than the step's accounting: the state it starts from dies with
+    its initial row, and a step's temporaries each die at their last use.
+    The accounting is 7.14 rows; the step read 8.30 before its temporaries
+    were freed at their last use, and its initial state at the first step."""
+    k = 2
+    state = smooth_state(2, 64, k)
+    ops = sp.operators(state.grid, k)
+    u0 = ge.horizontal_velocity(state)
+    ep.integrate_epdiff(ep.identity_state(state.rho, u0, k), 0.02, 0.01,
+                        out=lambda *snapshot: None)  # warm-up
+    bound, row = step_accounting(ops)
+    peak = traced_peak(lambda: ep.integrate_epdiff(
+        ep.identity_state(state.rho, u0, k), 0.03, 0.01,
+        out=lambda *snapshot: None))
+    assert peak <= bound, f"{peak / row:.2f} rows > {bound / row:.2f}"
+
+
+def test_time_loop_holds_no_initial_state_or_row(monkeypatch):
+    """From the first step on, the state the flow started from (its q and,
+    when the caller keeps neither, its u) and the initial row are gone."""
+    k = 2
+    state = smooth_state(2, 32, k)
+    refs = []
+    initial_row = ep._initial_row
+
+    def watched(ops, state0):
+        y = initial_row(ops, state0)
+        refs.extend(weakref.ref(a) for a in (
+            state0, state0.q.components, state0.u.components, y))
+        return y
+    monkeypatch.setattr(ep, "_initial_row", watched)
+    alive = []
+
+    def sink(t, phi):
+        alive.append([ref() is not None for ref in refs])
+    ep.integrate_epdiff(ep.identity_state(
+        state.rho, ge.horizontal_velocity(state), k), 0.03, 0.01, out=sink)
+    # the initial row lives until the first step, the state not at all
+    assert alive == [[False, False, False, True]] + [[False] * 4] * 3
+
+
+def test_cross_validate_lets_go_of_u0(monkeypatch):
+    """cross_validate keeps no reference to u0 once it is in the identity
+    state, so that u0 dies with that state, before the time loop."""
+    state = smooth_state(2, 16, 2)
+    refs = []
+    horizontal_velocity = ge.horizontal_velocity
+
+    def watched(s):
+        u = horizontal_velocity(s)
+        refs.append(weakref.ref(u))
+        return u
+    monkeypatch.setattr(ge, "horizontal_velocity", watched)
+    alive = []
+    ep.cross_validate(state.rho, state.p, 2, 0.03, 0.01, out=lambda *check:
+                      alive.append(refs[0]() is not None))
+    assert alive == [False] * 4
