@@ -4,11 +4,18 @@ Configuration is a flat INI file (key = value with sections); no environment
 variables, so the written manifest is a complete record of the run. Every
 command writes its manifest first, artifacts incrementally, and a terminal
 status.json; the exit status is 0 iff the run completed. Two commands write
-as they go, so that an aborted run keeps what it reached: `shoot` writes each
-snapshot (rho_i, p_i and its diagnostics.csv row) as the flow reaches it, and
-`epdiff-check` each comparison.csv row as the cross-check makes it (its
+as they go, so that an aborted or interrupted run keeps what it reached:
+`shoot` writes each snapshot (rho_i, p_i and its diagnostics.csv row) as the
+flow reaches it, and `epdiff-check` each comparison.csv row as the
+cross-check makes it, stepping the density flow and EPDiff together (its
 cross_validation.json summary comes at the end). `match`, `validate` and
 `convergence` write their artifacts at their end.
+
+status.json's status is "ok" (exit 0), "aborted" (exit 1: a solver abort
+or a failed check, named in its message) or "interrupted": on
+KeyboardInterrupt the streamed artifacts stay, status.json says so, and the
+interrupt is raised again, so that the shell sees it. A configuration error
+exits 2 and writes error.json once the output directory exists.
 Each command imports only the modules it runs: `matching`, `epdiff` and
 `validation` are imported by their commands.
 """
@@ -154,9 +161,11 @@ def _common_manifest(cfg, command, config_path):
     }
 
 
-def _write_status(outdir, ok, message, t0):
+def _write_status(outdir, status, message, t0):
+    """status.json: the status ("ok", "aborted" or "interrupted"), the
+    message and the wall time since t0."""
     io.write_json(os.path.join(outdir, "status.json"), {
-        "status": "ok" if ok else "aborted",
+        "status": status,
         "message": message,
         "wall_time": time.time() - t0,
     })
@@ -416,13 +425,16 @@ def main(argv=None) -> int:
                       {"error": str(exc)})
         return 2
     except (geodesic.SolverAbort, RuntimeError) as exc:
-        _write_status(outdir, False, str(exc), t0)
+        _write_status(outdir, "aborted", str(exc), t0)
         if not args.quiet:
             print(f"aborted: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        _write_status(outdir, "interrupted", "interrupted by the user", t0)
+        raise
     finally:
         geodesic.log.removeFilter(once)
-    _write_status(outdir, True, message, t0)
+    _write_status(outdir, "ok", message, t0)
     if not args.quiet:
         print(message)
     return 0

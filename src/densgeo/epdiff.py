@@ -228,7 +228,7 @@ def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
     The flow holds its rows only: state0 is let go of once its row is
     built, so its q, and f and u unless the caller keeps them, die before
     the time loop, and the initial row goes to `integrate` through a popped
-    list, dying after the first step (as in `geodesic.shoot`). A step
+    list, dying after the first step (as in `geodesic.snapshots`). A step
     holds RK4's 3 rows and its right-hand side's temporaries (see
     `_epdiff_rhs` and `_flow_rhs`).
     """
@@ -305,6 +305,12 @@ def check_order(k: int) -> None:
         raise ValueError(f"EPDiff cross validation requires k >= 0, got {k}")
 
 
+def _reduced(t: float, state: geodesic.DensityState, diagnostics) -> tuple:
+    """What the cross-check compares of a density snapshot (t, state,
+    diagnostics): (rho, energy)."""
+    return state.rho.values, diagnostics.energy
+
+
 def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
                    dt: float, out=None) -> dict:
     """Run the density geodesic and the lifted horizontal EPDiff flow side by side.
@@ -314,33 +320,38 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
     the relative energy drift on both sides. The reported dt is the step
     taken, T / ceil(T/dt).
 
-    The density flow runs first, and of each of its snapshots only rho and
-    the energy are kept for the comparison (and u0 = horizontal_velocity of
-    the first). Each EPDiff state is compared with them as it arrives, and
-    out(t, l2_discrepancy, horizontality_defect, energy_density,
-    energy_epdiff), when given, is called with each comparison as it is
-    made. u0 is popped into the identity state, so that it dies with that
-    state once `integrate_epdiff` has built its row; the kept rho, the
-    comparisons so far and the flow's working set are all that live
-    through the time loop.
+    The two flows advance in lockstep: EPDiff starts from the horizontal
+    lift of the density flow's first snapshot (u0 = horizontal_velocity),
+    and each time it reaches a comparison time the density flow
+    (`geodesic.snapshots`) is stepped to the same time, and its snapshot is
+    reduced to rho and the energy, compared and dropped. out(t,
+    l2_discrepancy, horizontality_defect, energy_density, energy_epdiff),
+    when given, is called with each comparison as it is made. While EPDiff
+    steps, the cross-check holds EPDiff's working set, the density flow's
+    rows and p_out, and the comparisons so far: no density state, and no
+    u0, which dies with the identity state once `integrate_epdiff` has
+    built its row.
+
+    An abort reports the density flow's reason whenever that flow has one,
+    as if it had run first: when EPDiff fails, the density flow is run to
+    its end (its snapshots discarded) before EPDiff's abort is raised.
     """
     check_order(k)
     grid = rho0.grid
     n_steps, dt = time_steps(T, dt)
     stride = max(1, n_steps // (N_CHECKS - 1))
-
-    kept, u0 = [], []  # (rho, energy) of each density snapshot; [u0]
-
-    def keep(t, state, diagnostics):
-        if not kept:
-            u0.append(geodesic.horizontal_velocity(state))
-        kept.append((state.rho.values, diagnostics.energy))
-    geodesic.shoot(rho0, p0, k, T, dt, store_every=stride, out=keep)
-    density = iter(kept)  # both flows observe the same steps
+    density = geodesic.snapshots(rho0, p0, k, T, dt, store_every=stride)
+    snapshot = next(density)
+    # popped into the calls that use them, so that neither outlives its use
+    lift = [identity_state(rho0, geodesic.horizontal_velocity(snapshot[1]),
+                           k)]
+    first = [_reduced(*snapshot)]
+    del snapshot
     checks = []  # (t, discrepancy, defect, energy_density, energy_epdiff)
 
     def compare(t, phi):
-        rho, energy = next(density)
+        # both flows observe the same steps
+        rho, energy = first.pop() if first else _reduced(*next(density))
         rho_ep = pushforward_density(phi)
         check = (t, l2_norm_values(rho_ep.values - rho),
                  horizontality_defect(phi.u, rho_ep, k), energy,
@@ -348,8 +359,14 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
         checks.append(check)
         if out is not None:
             out(*check)
-    integrate_epdiff(identity_state(rho0, u0.pop(), k), T, dt, stride,
-                     compare)
+    try:
+        integrate_epdiff(lift.pop(), T, dt, stride, compare)
+    except Exception:
+        # whatever EPDiff raised, the density flow's abort is reported, as
+        # when that flow ran first; a density abort has ended the generator
+        for _ in density:
+            pass
+        raise
     _, discrepancies, defects, e_dens, e_ep = zip(*checks)
 
     def rel_drift(values):

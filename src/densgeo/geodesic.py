@@ -12,8 +12,10 @@ dealiased with the 2/3 rule, arranged so that the discrete L_rho is exactly
 symmetric. p enters only through grad p, and p_t is dealiased, so the flow
 carries p as its masked band spectrum: a state is one real row of rho's grid
 values and that spectrum (`_rows`). Rows turn back into states only here:
-`shoot` hands out each state as the flow reaches it, and `replay` turns the
-rows a `Record` kept into the same states' summaries, bit for bit.
+`snapshots` yields each state as the flow reaches it (`shoot` hands them to
+a sink), and `replay` turns the rows a `Record` kept into the same states'
+summaries, bit for bit. Every time step is taken by one loop, the
+generator `flow`.
 Every shoot steps the rows (1 + m, R) of one state: row 0 is the state and
 rows 1.. are m tangents, carried by the flow linearized along it (`_rhs`).
 A plain shoot has m = 0; the tangents of `shoot_tangents` give the
@@ -129,10 +131,13 @@ def _velocity(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
     return gradp, ops.ifft(ops.fft(_dual(rho[ops.vec], gradp)) * ops.ainv_band)
 
 
-def _divergence(ops: Operators | Band, rho: np.ndarray, u: np.ndarray):
-    """`_lrho`'s second half: -div(rho u), dealiased; rho u is a temporary
-    that `Operators.fft` frees, and the symbols apply in place."""
-    div_hat = ops.fft(_dual(rho[ops.vec], u))
+def _divergence(ops: Operators | Band, rho: np.ndarray, u: np.ndarray,
+                overwrite: bool = False):
+    """`_lrho`'s second half: -div(rho u), dealiased. rho u is a temporary
+    that `Operators.fft` frees or, with overwrite, is written into u's
+    buffer (`_dual_into`); the symbols apply in place."""
+    dual = _dual_into if overwrite else _dual
+    div_hat = ops.fft(dual(rho[ops.vec], u))
     div_hat *= ops.ik
     div_hat = div_hat.sum(axis=-ops.grid.dim - 1)
     div_hat *= ops.mask
@@ -178,6 +183,20 @@ def _dual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dual_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_dual(a, b)` written into b's buffer, which has the product's shape,
+    and returned: with the same roundings, since a product commutes and so
+    does the sum a[0] b[i] + a[i] b[0] of a tangent row. The tangent rows
+    go first, while b[0] is still b's."""
+    if len(a) == 1:
+        b *= a
+    else:
+        b[1:] *= a[:1]
+        b[1:] += a[1:] * b[:1]
+        b[:1] *= a[:1]
+    return b
+
+
 def _rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
     """d/dt of rows y (1 + m, R): row 0 is a state (rho, p_hat) (see
     `_rows`) whose p_hat is masked and mean-free, and rows 1.. are tangents
@@ -186,14 +205,16 @@ def _rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
     dp_t = -(grad p . du + grad dp . u), a dual product too. p enters only
     through grad p, so the flow never needs it in physical space, and p_t's
     spectrum is masked and mean-free again. All rows go through the same
-    transform calls: 6 in 1-D. Each temporary dies at its last use: grad p
+    transform calls: 6 in 1-D. Each dual product after `_velocity`'s is
+    written into an operand that is not used again (`_dual_into`): p_t's
+    into grad p, rho u into u. Each temporary dies at its last use: grad p
     before the divergence transform (after p_t's product), u after it.
     """
     rho, p_hat = _split(ops, y)
     gradp, u = _velocity(ops, rho, p_hat)
-    adv = _dual(gradp, u).sum(axis=-ops.grid.dim - 1)
+    adv = _dual_into(u, gradp).sum(axis=-ops.grid.dim - 1)
     del gradp
-    rhodot = _divergence(ops, rho, u)
+    rhodot = _divergence(ops, rho, u, overwrite=True)
     del u
     pdot_hat = ops.fft(adv) * ops.mask
     pdot_hat[ops.zero] = 0.0  # mean-zero representative of p_t
@@ -403,24 +424,37 @@ def step_rk4(ops: Operators, y: np.ndarray, dt: float):
     return y1, None
 
 
-def integrate(step, y: np.ndarray, T: float, dt: float, observe=None,
-              every: int = 1):
-    """Step y over time_steps(T, dt) by step(y, dt) -> (y, reason), the
-    reason None for a good step, and call observe(i, y) with the initial y
-    (i = 0), after every `every`-th good step i and after the last step.
-    Returns the final y; raises SolverAbort("t=...: reason") with the time
-    of the first failed step, after which nothing is observed."""
+def flow(step, y: np.ndarray, T: float, dt: float, every: int = 1):
+    """The one time loop: steps y over time_steps(T, dt) by step(y, dt) ->
+    (y, reason), the reason None for a good step, and yields (i, y,
+    observed) with the initial y (i = 0) and after every good step i;
+    observed is true at i = 0, at every `every`-th step and at the last.
+    Raises SolverAbort("t=...: reason") with the time of the first failed
+    step, after which nothing is yielded.
+
+    It yields every step, observed or not, so that a consumer's last y is
+    always the one the next step starts from: a consumer that keeps only
+    what it observes holds no rows of its own while the flow steps."""
     if not every >= 1:
         raise ValueError(f"store_every must be >= 1, got {every}")
     n_steps, dt = time_steps(T, dt)
-    if observe is not None:
-        observe(0, y)
+    yield 0, y, True
     for i in range(1, n_steps + 1):
         y, reason = step(y, dt)
         if reason is not None:
             t = i * dt
             raise SolverAbort(f"t={t:.6g}: {reason}", time=t)
-        if observe is not None and (i % every == 0 or i == n_steps):
+        yield i, y, i % every == 0 or i == n_steps
+
+
+def integrate(step, y: np.ndarray, T: float, dt: float, observe=None,
+              every: int = 1):
+    """Step y through `flow` and call observe(i, y) with each y it observes:
+    the initial y (i = 0), every `every`-th good step i and the last step.
+    Returns the final y; raises SolverAbort("t=...: reason") with the time
+    of the first failed step, after which nothing is observed."""
+    for i, y, observed in flow(step, y, T, dt, every):
+        if observed and observe is not None:
             observe(i, y)
     return y
 
@@ -463,33 +497,56 @@ def warn_local_regime(k: int, dim: int) -> None:
 
 def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
           store_every: int = 1, backward: bool = False, out=None):
-    """Integrate the geodesic flow from (rho0, p0) over [0, T].
+    """Integrate the geodesic flow from (rho0, p0) over [0, T]: hands
+    out(t, state, diagnostics) each of `snapshots`' snapshots as the flow
+    reaches it, and returns out, by default a new `Trajectory`. Aborts
+    propagate with the failing time attached.
+    """
+    out = Trajectory() if out is None else out
+    for snapshot in snapshots(rho0, p0, k, T, dt, store_every, backward):
+        out(*snapshot)
+        del snapshot  # no state is held while the flow steps
+    return out
 
-    Takes ceil(T/dt) equal steps that end exactly at T (see time_steps)
-    and hands out(t, state, diagnostics) the snapshot at t = 0, every
-    store_every steps and T as the flow reaches it, each summarized as a
-    stack of one (see `summarize`); returns out, by default a new
-    `Trajectory`. Backward runs negate p0, integrate forward, and negate
-    each snapshot's p back (the flow is time-reversible; the energy and
-    max|p| are even in p). Aborts propagate with the failing time attached.
+
+def snapshots(rho0: ScalarField, p0: ScalarField, k: int, T: float,
+              dt: float, store_every: int = 1, backward: bool = False):
+    """The geodesic flow from (rho0, p0) over [0, T] as a generator of its
+    snapshots (t, state, diagnostics), each yielded as the flow reaches it.
+
+    Takes ceil(T/dt) equal steps that end exactly at T (see time_steps);
+    the snapshots are those at t = 0, every store_every steps and T, each
+    summarized as a stack of one (see `summarize`). Backward runs negate
+    p0, integrate forward, and negate each snapshot's p back (the flow is
+    time-reversible; the energy and max|p| are even in p). Aborts raise
+    from the generator with the failing time attached.
+
+    While suspended it holds the flow's current rows and p_out (see
+    `prepare`), and no snapshot: each is built in a call and yielded at
+    once, so a consumer that lets go of it holds no state while the flow
+    steps.
     """
     check_same_grid(rho0.grid, p0.grid)
     warn_local_regime(k, rho0.grid.dim)
-    out = Trajectory() if out is None else out
-    # y: a list of the initial rows, which integrate pops (see shoot_tangents)
-    ops, *y, p_out = snapshots(rho0, -p0.values if backward else p0.values, k)
+    # y: a list of the initial rows, popped into flow, which then holds
+    # the only reference (see shoot_tangents)
+    ops, *y, p_out = prepare(rho0, -p0.values if backward else p0.values, k)
     step = time_steps(T, dt)[1]
+    for i, rows, observed in flow(partial(step_rk4, ops), y.pop(), T, dt,
+                                  store_every):
+        if observed:
+            yield _snapshot(ops, p_out, rows, i * step, k, backward)
 
-    def observe(i: int, y: np.ndarray) -> None:
-        rho, p, (diagnostics,) = summarize(ops, p_out, y[:1])
-        if backward:
-            np.negative(p, out=p)
-        out(i * step, DensityState(ScalarField(ops.grid, rho[0].copy()),
-                                   ScalarField(ops.grid, p[0]), k),
-            diagnostics)
 
-    integrate(partial(step_rk4, ops), y.pop(), T, dt, observe, store_every)
-    return out
+def _snapshot(ops: Operators, p_out: np.ndarray, rows: np.ndarray, t: float,
+              k: int, backward: bool):
+    """`snapshots`' snapshot (t, state, diagnostics) of the state in row 0
+    of the rows (1, R)."""
+    rho, p, (diagnostics,) = summarize(ops, p_out, rows)
+    if backward:
+        np.negative(p, out=p)
+    return t, DensityState(ScalarField(ops.grid, rho[0].copy()),
+                           ScalarField(ops.grid, p[0]), k), diagnostics
 
 
 def replay(rho0: ScalarField, p0: np.ndarray, k: int, T: float, dt: float,
@@ -503,7 +560,7 @@ def replay(rho0: ScalarField, p0: np.ndarray, k: int, T: float, dt: float,
     `DensityState` makes, and only the final state is built as one. At
     rest RK4 keeps the initial rows exactly, so their one summary stands
     for every step."""
-    ops, y, p_out = snapshots(rho0, p0, k)
+    ops, y, p_out = prepare(rho0, p0, k)
     n_steps, step = time_steps(T, dt)
     if rows is None:
         rho, p, diagnostics = summarize(ops, p_out, y)
@@ -520,7 +577,7 @@ def replay(rho0: ScalarField, p0: np.ndarray, k: int, T: float, dt: float,
     return np.arange(n_steps + 1) * step, diagnostics, final_state
 
 
-def snapshots(rho0: ScalarField, p0: np.ndarray, k: int):
+def prepare(rho0: ScalarField, p0: np.ndarray, k: int):
     """The one preparation of a shoot from (rho0, p0): its operator table,
     its initial rows (1, R) and p_out, p0's part outside the band. The flow
     carries p's band spectrum only, so a state's p is its band part plus
@@ -532,11 +589,11 @@ def snapshots(rho0: ScalarField, p0: np.ndarray, k: int):
 
 
 def summarize(ops: Operators, p_out: np.ndarray, rows: np.ndarray):
-    """A stack of a shoot's state rows (B, R), row 0 of the rows `integrate`
-    observes or rows of a `Record`, as (rho, p, diagnostics): the states on
+    """A stack of a shoot's state rows (B, R), the rows `flow` yields or
+    rows of a `Record`, as (rho, p, diagnostics): the states on
     the grid (B, *shape), rho a view of the rows and p its band part plus
-    the shoot's p_out (see `snapshots`), and their `diagnostics_for`. It
-    does not check them: `shoot` builds each as a `DensityState`, which
+    the shoot's p_out (see `prepare`), and their `diagnostics_for`. It
+    does not check them: `snapshots` builds each as a `DensityState`, which
     checks itself, and `replay` checks its stacks."""
     rho, p_hat = _split(ops.band, rows)
     p = ops.band.ifft(p_hat)

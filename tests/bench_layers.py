@@ -27,11 +27,12 @@ density with the horizontal velocity of a unit-size momentum; the EPDiff
 step case takes one guarded RK4 step (dt = 0.01) of that flow's initial row
 (`epdiff._rows`) at 2-D n = 128, k = 2. The cross-check case runs
 cross_validate on that density and momentum at the xval-2d size: the
-density flow, then EPDiff, compared at those 11 steps. The right-hand side,
-the RK4 steps and integrate_epdiff also record the traced peak
-(tracemalloc) of one call above what was held at its entry, in
-`extra_info`: in bytes and in rows of the state (8 bytes times the row
-length R), so that layer runs report memory next to time.
+density flow and EPDiff in lockstep, compared at those 11 steps. The
+right-hand side, the RK4 steps, integrate_epdiff and cross_validate also
+record the traced peak (tracemalloc) of one call above what was held at
+its entry, in `extra_info`: in bytes and in rows of the state (8 bytes
+times the row length R; EPDiff's row for cross_validate), so that layer
+runs report memory next to time.
 """
 import tracemalloc
 
@@ -175,6 +176,9 @@ def test_integrate_epdiff(benchmark, xval_state):
 
 
 def test_cross_validate(benchmark, xval_state):
+    _, _, y = epdiff_start(xval_state)
+    record_peak(benchmark, y.nbytes, ep.cross_validate, xval_state.rho,
+                xval_state.p, 2, 0.5, 0.01)
     report = benchmark(ep.cross_validate, xval_state.rho, xval_state.p, 2,
                        0.5, 0.01)
     assert report["l2_discrepancy_final"] < 1e-5

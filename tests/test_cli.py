@@ -172,6 +172,37 @@ p = zero
             assert len(fh.read().splitlines()) == 1 + 3  # header, 3 rows
 
 
+    def test_interrupted_shoot_keeps_its_snapshots(self, tmp_path,
+                                                   monkeypatch):
+        # the sink is interrupted after the second of 3 snapshots: the
+        # interrupt reaches the caller, status.json says so, and the two
+        # snapshots written stay
+        shoot = geodesic.shoot
+
+        def interrupted(*args, out, **kw):
+            def sink(*snapshot):
+                out(*snapshot)
+                written.append(snapshot[0])
+                if len(written) == 2:
+                    raise KeyboardInterrupt
+            written = []
+            return shoot(*args, out=sink, **kw)
+
+        monkeypatch.setattr(geodesic, "shoot", interrupted)
+        cfg = write_config(tmp_path / "c.ini", SHOOT_CFG)
+        out = str(tmp_path / "out")
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["shoot", "--config", cfg, "--output-dir", out,
+                      "--quiet"])
+        status = io.read_json(os.path.join(out, "status.json"))
+        assert status["status"] == "interrupted"
+        assert sorted(os.listdir(out)) == sorted(
+            ["manifest.json", "status.json", "diagnostics.csv"]
+            + [f"{f}_{i:05d}.field" for f in ("rho", "p") for i in range(2)])
+        with open(os.path.join(out, "diagnostics.csv")) as fh:
+            assert len(fh.read().splitlines()) == 1 + 2
+
+
 class TestFieldFileInputs:
     def test_file_input_roundtrip(self, tmp_path):
         g = sp.make_grid(1, 32)
@@ -396,6 +427,57 @@ class TestEpdiffCheckCommand:
                 rows[name] = fh.read().splitlines()
         assert len(rows["done"]) == 1 + 11
         assert rows["aborted"] == rows["done"][:1 + 4]
+
+    @staticmethod
+    def failing(module, name, at, message):
+        """module.name, a step (ops, y, dt) -> (y, reason), failing with
+        message at its call number `at`."""
+        step, calls = getattr(module, name), []
+
+        def wrapped(ops, y, dt):
+            calls.append(1)
+            y, reason = step(ops, y, dt)
+            return y, message if len(calls) == at else reason
+        return wrapped
+
+    def test_density_abort_keeps_the_comparisons_before_it(self, tmp_path,
+                                                           monkeypatch):
+        # the density flow fails at step 30 of 50 (a comparison every 5th
+        # step): the flows step together, so the rows of steps 0 .. 25 are
+        # written, and the message is the density flow's
+        cfg = write_config(tmp_path / "c.ini", EPDIFF_CFG.replace(
+            "T = 0.2", "T = 0.5").replace("dt = 0.02", "dt = 0.01"))
+        outs = {name: str(tmp_path / name) for name in ("done", "aborted")}
+        assert cli.main(["epdiff-check", "--config", cfg, "--output-dir",
+                         outs["done"], "--quiet"]) == 0
+        monkeypatch.setattr(geodesic, "step_rk4", self.failing(
+            geodesic, "step_rk4", 30, "forced density failure"))
+        assert cli.main(["epdiff-check", "--config", cfg, "--output-dir",
+                         outs["aborted"], "--quiet"]) == 1
+        status = io.read_json(os.path.join(outs["aborted"], "status.json"))
+        assert status["message"] == "t=0.3: forced density failure"
+        rows = {}
+        for name, out in outs.items():
+            with open(os.path.join(out, "comparison.csv")) as fh:
+                rows[name] = fh.read().splitlines()
+        assert len(rows["done"]) == 1 + 11
+        assert rows["aborted"] == rows["done"][:1 + 6]
+
+    def test_density_abort_wins_over_an_earlier_epdiff_abort(self, tmp_path,
+                                                             monkeypatch):
+        # EPDiff fails at step 10, the density flow at step 30: the density
+        # flow's abort is reported, as when that flow ran first
+        cfg = write_config(tmp_path / "c.ini", EPDIFF_CFG.replace(
+            "T = 0.2", "T = 0.5").replace("dt = 0.02", "dt = 0.01"))
+        out = str(tmp_path / "out")
+        monkeypatch.setattr(epdiff, "_flow_step", self.failing(
+            epdiff, "_flow_step", 10, "forced EPDiff failure"))
+        monkeypatch.setattr(geodesic, "step_rk4", self.failing(
+            geodesic, "step_rk4", 30, "forced density failure"))
+        assert cli.main(["epdiff-check", "--config", cfg, "--output-dir",
+                         out, "--quiet"]) == 1
+        status = io.read_json(os.path.join(out, "status.json"))
+        assert status["message"] == "t=0.3: forced density failure"
 
     def test_negative_order_is_a_config_error(self, tmp_path, capsys):
         # the CLI and cross_validate give epdiff.check_order's one message,

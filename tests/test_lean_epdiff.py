@@ -184,3 +184,56 @@ def test_cross_validate_lets_go_of_u0(monkeypatch):
     ep.cross_validate(state.rho, state.p, 2, 0.03, 0.01, out=lambda *check:
                       alive.append(refs[0]() is not None))
     assert alive == [False] * 4
+
+
+def test_cross_validate_peak_memory():
+    """A 2-D n 32 cross-check holds, above EPDiff's own traced peak on the
+    same flow, no more than the density flow's row, its p_out and one
+    snapshot (rho and p): the two flows step together, and each density
+    snapshot dies once it is compared. EPDiff's peak is measured rather
+    than taken from `step_accounting`, which does not bound the step at
+    n 32 (8.98 rows against 8.51). Keeping every snapshot's rho until
+    EPDiff reached it read 8.5 density fields more than now."""
+    k, T, dt, stride = 2, 0.5, 0.01, 5  # cross_validate's stride for T/dt
+    state = smooth_state(2, 32, k)
+    ops = sp.operators(state.grid, k)
+    ep.cross_validate(state.rho, state.p, k, T, dt)  # warm-up
+    u0 = ge.horizontal_velocity(state)
+    epdiff_peak = traced_peak(lambda: ep.integrate_epdiff(
+        ep.identity_state(state.rho, u0, k), T, dt, stride,
+        out=lambda *snapshot: None))
+    field = 8 * ops.grid.npoints
+    row = field + 16 * ops.band.mask.size
+    bound = epdiff_peak + row + field + 2 * field
+    peak = traced_peak(lambda: ep.cross_validate(state.rho, state.p, k, T,
+                                                 dt))
+    assert peak <= bound, (f"{(peak - epdiff_peak) / field:.2f} fields > "
+                           f"{(bound - epdiff_peak) / field:.2f}")
+
+
+def test_density_snapshots_die_once_compared(monkeypatch):
+    """Each density snapshot's rho lives until its comparison is made, and
+    no longer: at each comparison only the rho it compared is alive."""
+    state = smooth_state(2, 16, 2)
+    rhos = []
+    snapshots = ge.snapshots
+
+    class Watched:
+        """The density flow's snapshots, each rho watched by weakref."""
+
+        def __init__(self, *args, **kw):
+            self.snapshots = snapshots(*args, **kw)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            t, snapshot, diagnostics = next(self.snapshots)
+            rhos.append(weakref.ref(snapshot.rho.values))
+            return t, snapshot, diagnostics
+
+    monkeypatch.setattr(ge, "snapshots", Watched)
+    alive = []
+    ep.cross_validate(state.rho, state.p, 2, 0.1, 0.01, out=lambda *check:
+                      alive.append([ref() is not None for ref in rhos]))
+    assert alive == [[False] * i + [True] for i in range(11)]

@@ -923,8 +923,8 @@ class TestFinalGeodesic:
         rows = final[0][1]
         for _, again in final[1:]:
             assert again.tobytes() == rows.tobytes()
-        ops, _, p_out = ge.snapshots(problem.rho0, result.p0.values,
-                                     problem.k)
+        ops, _, p_out = ge.prepare(problem.rho0, result.p0.values,
+                                   problem.k)
         rho, p, diagnostics = ge.summarize(ops, p_out, rows)
         n_steps, step = ge.time_steps(problem.T, problem.dt)
         assert (result.times.tobytes()
@@ -989,7 +989,7 @@ def test_rows_become_states_only_in_geodesic():
     used |= {alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "replay" in used
-    assert not used & {"snapshots", "summarize", "check_finite"}
+    assert not used & {"prepare", "snapshots", "summarize", "check_finite"}
 
 
 class TestOptSettings:
