@@ -108,21 +108,20 @@ def time_steps(T: float, dt: float):
 
 
 def _lrho(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
-    """Dealiased L_rho p of p's masked spectrum p_hat, with grad p and
-    u = Ainv(rho grad p): the one kernel of the operator, in two halves.
+    """Dealiased L_rho p = -div(rho u), u = Ainv(rho grad p), of p's masked
+    spectrum p_hat: the one kernel of the operator, in two halves.
 
     Its products are dual ones (`_dual`): a grid rho (*shape) applies L_rho
     to each of a stack of p_hat, and rows (1 + m, ...) of a state and m
     tangents give L_rho p in row 0 and, in tangent row i, its linearization
     -div(drho u + rho du), du = Ainv(drho grad p + rho grad dp). grad p and u
-    carry the vector axis before the grid axes. Dealiasing placement (input,
+    (`_velocity`) carry the vector axis before the grid axes. Dealiasing placement (input,
     after the first product, and on the output) makes the discrete operator
     exactly symmetric on the retained band. Callers on the grid pass
     `ops.fft(p) * ops.mask` on the table's band view (`Operators.band`); the
     full table gives the same values, bit for bit.
     """
-    gradp, u = _velocity(ops, rho, p_hat)
-    return _divergence(ops, rho, u), gradp, u
+    return _divergence(ops, rho, _velocity(ops, rho, p_hat)[1])
 
 
 def _velocity(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
@@ -131,13 +130,10 @@ def _velocity(ops: Operators | Band, rho: np.ndarray, p_hat: np.ndarray):
     return gradp, ops.ifft(ops.fft(_dual(rho[ops.vec], gradp)) * ops.ainv_band)
 
 
-def _divergence(ops: Operators | Band, rho: np.ndarray, u: np.ndarray,
-                overwrite: bool = False):
-    """`_lrho`'s second half: -div(rho u), dealiased. rho u is a temporary
-    that `Operators.fft` frees or, with overwrite, is written into u's
-    buffer (`_dual_into`); the symbols apply in place."""
-    dual = _dual_into if overwrite else _dual
-    div_hat = ops.fft(dual(rho[ops.vec], u))
+def _divergence(ops: Operators | Band, rho: np.ndarray, u: np.ndarray):
+    """`_lrho`'s second half: -div(rho u), dealiased. rho u is written into
+    u's buffer (`_dual_into`), so u is spent; the symbols apply in place."""
+    div_hat = ops.fft(_dual_into(rho[ops.vec], u))
     div_hat *= ops.ik
     div_hat = div_hat.sum(axis=-ops.grid.dim - 1)
     div_hat *= ops.mask
@@ -214,7 +210,7 @@ def _rhs(ops: Operators | Band, y: np.ndarray) -> np.ndarray:
     gradp, u = _velocity(ops, rho, p_hat)
     adv = _dual_into(u, gradp).sum(axis=-ops.grid.dim - 1)
     del gradp
-    rhodot = _divergence(ops, rho, u, overwrite=True)
+    rhodot = _divergence(ops, rho, u)
     del u
     pdot_hat = ops.fft(adv) * ops.mask
     pdot_hat[ops.zero] = 0.0  # mean-zero representative of p_t
@@ -309,7 +305,7 @@ def apply_L_rho(rho: ScalarField, p: ScalarField, k: int) -> ScalarField:
     """p -> -div(rho * Ainv(rho * grad p)); mean-zero output."""
     _check_operands(rho, p, "p")
     ops = operators(rho.grid, k).band
-    rhodot, _, _ = _lrho(ops, rho.values, ops.fft(p.values) * ops.mask)
+    rhodot = _lrho(ops, rho.values, ops.fft(p.values) * ops.mask)
     return ScalarField(rho.grid, rhodot)
 
 
@@ -338,7 +334,7 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
     q = z.copy()
     rz = float((r * z).mean())
     for iters in range(1, max_iter + 1):
-        lq, _, _ = _lrho(ops, rho.values, ops.fft(q) * ops.mask)
+        lq = _lrho(ops, rho.values, ops.fft(q) * ops.mask)
         qlq = float((q * lq).mean())
         if not qlq > 0.0:
             raise SolverAbort(
@@ -387,7 +383,7 @@ def diagnostics_for(ops: Operators, rho: np.ndarray, p: np.ndarray) -> list:
     Each reduction of a state runs over one contiguous row of its own, so a
     state's diagnostics are the same, bit for bit, in any stack."""
     band, size = ops.band, ops.grid.npoints
-    rhodot = _lrho(band, rho[None], (band.fft(p) * band.mask)[None])[0][0]
+    rhodot = _lrho(band, rho[None], (band.fft(p) * band.mask)[None])[0]
     rho_rows = rho.reshape(len(rho), size)
     p_rows = p.reshape(len(p), size)
     # means as sums / size, the arithmetic of .mean() without its overhead
@@ -623,7 +619,7 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
     rho, p_hat = _split(band, base[0])
     if not p_hat.any():
         time_steps(T, dt)  # the same checks of T and dt
-        return rho, T * _lrho(band, rho, dp0)[0]
+        return rho, T * _lrho(band, rho, dp0)
     del rho, p_hat
     # integrate holds the only reference to the initial rows: freed at step 1
     y = integrate(partial(step_rk4, ops), np.concatenate(

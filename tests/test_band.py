@@ -93,9 +93,10 @@ def test_flow_on_band_equals_full_half_spectrum(n, lead, k, seed):
 
     def lrho(t):
         """L_rho of the stack p at one density, as the callers on the grid
-        apply it; each view carries p_hat on its own columns."""
-        return ge._lrho(t, rho.reshape((-1,) + g.shape)[0],
-                        t.fft(p) * t.mask)
+        apply it, then its grad p and u; each view carries p_hat on its own
+        columns."""
+        rho0, p_hat = rho.reshape((-1,) + g.shape)[0], t.fft(p) * t.mask
+        return (ge._lrho(t, rho0, p_hat),) + ge._velocity(t, rho0, p_hat)
 
     for got, ref in zip(lrho(ops.band), lrho(ops)):
         assert np.array_equal(got, ref)

@@ -459,7 +459,7 @@ def diagnostics_per_state(grid, k, rho, p):
     `Diagnostics` fields, in the per-state arithmetic: the reference of
     `diagnostics_for`'s stacks."""
     band = sp.operators(grid, k).band
-    rhodot, _, _ = ge._lrho(band, rho, band.fft(p) * band.mask)
+    rhodot = ge._lrho(band, rho, band.fft(p) * band.mask)
     ops = sp.operators(grid)
     power = np.abs(ops.fft(rho)) ** 2 * ops.weight
     power[ops.zero] = 0.0

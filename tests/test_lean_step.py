@@ -88,7 +88,7 @@ def test_callers_of_the_kernel_are_the_reference(monkeypatch, dim, n, k, m):
                 ge.diagnostics_for(ops, rho, p))
 
     got = outputs()
-    monkeypatch.setattr(ge, "_lrho", reference_lrho)
+    monkeypatch.setattr(ge, "_lrho", lambda *args: reference_lrho(*args)[0])
     assert got == outputs()
 
 
