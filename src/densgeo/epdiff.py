@@ -39,7 +39,7 @@ from .geodesic import (
     StateError,
     check_density,
     check_finite,
-    integrate,
+    flow,
     rk4,
     time_steps,
 )
@@ -199,10 +199,8 @@ def _flow_rhs(ops: Operators, y: np.ndarray) -> np.ndarray:
 def _flow_step(ops: Operators, y: np.ndarray, dt: float):
     """One RK4 step of _flow_rhs; it fails when the row stops being finite,
     the inverse map a grid-resolved diffeomorphism or f positive. A step
-    that overflows says so through the finiteness check alone: numpy's
-    overflow and invalid-value warnings are silenced inside RK4."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = rk4(partial(_flow_rhs, ops), y, dt)
+    that overflows says so through the finiteness check alone (see `rk4`)."""
+    y = rk4(partial(_flow_rhs, ops), y, dt)
     if not np.isfinite(y).all():
         return y, "state is no longer finite"
     qf = _split(ops.band, y)[0]
@@ -227,7 +225,7 @@ def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
 
     The flow holds its rows only: state0 is let go of once its row is
     built, so its q, and f and u unless the caller keeps them, die before
-    the time loop, and the initial row goes to `integrate` through a popped
+    the time loop, and the initial row goes to `flow` through a popped
     list, dying after the first step (as in `geodesic.snapshots`). A step
     holds RK4's 3 rows and its right-hand side's temporaries (see
     `_epdiff_rhs` and `_flow_rhs`).
@@ -236,17 +234,19 @@ def integrate_epdiff(state0: DiffeoState, T: float, dt: float,
     ops = operators(grid, k)
     band = ops.band
     step = time_steps(T, dt)[1]
-    y = [_initial_row(ops, state0)]
+    row = [_initial_row(ops, state0)]
     del state0
     states = []
     sink = (lambda t, s: states.append((t, s))) if out is None else out
-
-    def observe(i, y):
-        qf, u_hat = _split(band, y)
-        sink(i * step, DiffeoState(VectorField(grid, qf[:dim].copy()),
-                                   ScalarField(grid, qf[dim].copy()),
-                                   VectorField(grid, band.ifft(u_hat)), k))
-    integrate(partial(_flow_step, ops), y.pop(), T, dt, observe, store_every)
+    for i, y, observed in flow(partial(_flow_step, ops), row.pop(), T, dt,
+                               store_every):
+        if observed:
+            qf, u_hat = _split(band, y)
+            sink(i * step, DiffeoState(VectorField(grid, qf[:dim].copy()),
+                                       ScalarField(grid, qf[dim].copy()),
+                                       VectorField(grid, band.ifft(u_hat)),
+                                       k))
+            del qf, u_hat  # views that would pin y through the next step
     return states if out is None else out
 
 
@@ -265,24 +265,24 @@ def pushforward_density(phi: DiffeoState) -> ScalarField:
 
 
 def horizontality_defect(u: VectorField, rho: ScalarField, k: int) -> float:
-    """L2 norm of the divergence-free Hodge component of w = (1/rho) Au."""
+    """L2 norm of the divergence-free Hodge component of w = (1/rho) Au,
+    summed over the modes that have no Nyquist component on any axis."""
     grid = u.grid
     check_same_grid(grid, rho.grid)
     check_density(rho.values, "rho")
     check_finite(u.components, "u")
     ops = operators(grid, k)
     what = ops.fft(ops.apply(ops.a, u.components) / rho.values)
-    # the gradient part k (k.w) / |k|^2, zero on the divergence-free
-    # constant mode. In 2-D the first-axis Nyquist row is its own conjugate
-    # mirror; with k0 = 0 there, as in ik, the summand is the same on each
-    # mode and its mirror, and the weighted half spectrum sums the full one.
-    kvec = ops.k_mesh
-    if grid.dim == 2:
-        kvec = kvec.copy()
-        kvec[0, grid.n // 2] = 0.0
+    # the gradient part k (k.w) / |k|^2 on ik's wave vectors, zero on the
+    # divergence-free constant mode. ik zeroes every Nyquist component, so
+    # the modes with one are left out; on the rest the summand is the same
+    # on each mode and its mirror, and the weighted half spectrum sums the
+    # full one.
+    kvec = ops.ik.imag
     ksq = (kvec ** 2).sum(axis=0)
     grad_part = kvec * (kvec * what).sum(axis=0) / np.where(ksq > 0.0, ksq, 1.0)
-    sq = (np.abs(what - grad_part) ** 2 * ops.weight).sum()
+    sq = (np.abs(what - grad_part) ** 2).sum(axis=0) * ops.weight
+    sq = sq[(np.abs(ops.k_mesh) < grid.n // 2).all(axis=0)].sum()
     return float(np.sqrt(sq)) / grid.npoints
 
 

@@ -76,20 +76,25 @@ def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
     accumulator (k1's array): each k is folded in once its stage is formed.
     The roundings are those of the stages y + (dt / 2) k1, y + (dt / 2) k2,
     y + dt k3 and of y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), since
-    a + b == b + a and a * b == b * a exactly."""
-    acc = f(y)
-    stage = np.multiply(acc, 0.5 * dt)
-    stage += y
-    for c in (0.5 * dt, dt):  # k2, then k3
-        k = f(stage)
-        np.multiply(k, c, out=stage)
+    a + b == b + a and a * b == b * a exactly.
+
+    numpy's overflow and invalid-value warnings are silenced inside the
+    step: a guarded step (`step_rk4`, `epdiff._flow_step`) reports an
+    overflow through its finiteness check alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = f(y)
+        stage = np.multiply(acc, 0.5 * dt)
         stage += y
-        k *= 2.0
-        acc += k
-        del k  # freed before the next stage's f
-    acc += f(stage)
-    acc *= dt / 6.0
-    acc += y
+        for c in (0.5 * dt, dt):  # k2, then k3
+            k = f(stage)
+            np.multiply(k, c, out=stage)
+            stage += y
+            k *= 2.0
+            acc += k
+            del k  # freed before the next stage's f
+        acc += f(stage)
+        acc *= dt / 6.0
+        acc += y
     return acc
 
 
@@ -443,20 +448,8 @@ def flow(step, y: np.ndarray, T: float, dt: float, every: int = 1):
         yield i, y, i % every == 0 or i == n_steps
 
 
-def integrate(step, y: np.ndarray, T: float, dt: float, observe=None,
-              every: int = 1):
-    """Step y through `flow` and call observe(i, y) with each y it observes:
-    the initial y (i = 0), every `every`-th good step i and the last step.
-    Returns the final y; raises SolverAbort("t=...: reason") with the time
-    of the first failed step, after which nothing is observed."""
-    for i, y, observed in flow(step, y, T, dt, every):
-        if observed and observe is not None:
-            observe(i, y)
-    return y
-
-
 class Record:
-    """`integrate`'s observer that keeps a shoot's state, row 0 of its rows
+    """`shoot_tangents`' observer that keeps a shoot's state, row 0 of its rows
     (1 + m, R), at every step i of time_steps(T, dt) as rows[i]: one array
     (n_steps + 1, R), allocated at step 0. rows stays None for a shoot at
     rest, which takes no time loop (see `shoot_tangents`). `replay` turns
@@ -608,7 +601,7 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
     its endpoint is bit-identical to shoot's; only the state is guarded.
     Returns (rho_T, drho_T), (*shape) and (m, *shape); raises
     SolverAbort("t=...: reason") at the time of the state's failed step.
-    Given observe, `integrate` calls observe(i, rows) at every step i.
+    Given observe, it calls observe(i, rows) at every step i.
     At rest (p0's band part 0) the linearized flow is drho_t = L_rho0 dp,
     dp_t = 0, on which RK4 is exact: drho_T is T L_rho0 dp0, one stacked
     L_rho apply with no time loop, and observe is not called.
@@ -621,10 +614,12 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
         time_steps(T, dt)  # the same checks of T and dt
         return rho, T * _lrho(band, rho, dp0)
     del rho, p_hat
-    # integrate holds the only reference to the initial rows: freed at step 1
-    y = integrate(partial(step_rk4, ops), np.concatenate(
-        (base, _rows(band, np.zeros((len(dp0),) + ops.grid.shape), dp0))),
-        T, dt, observe)
+    # flow holds the only reference to the initial rows: freed at step 1
+    for i, y, _ in flow(partial(step_rk4, ops), np.concatenate(
+            (base, _rows(band, np.zeros((len(dp0),) + ops.grid.shape), dp0))),
+            T, dt):
+        if observe is not None:
+            observe(i, y)
     rho_T = _split(band, y)[0]
     return rho_T[0], rho_T[1:]
 

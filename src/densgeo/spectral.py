@@ -118,8 +118,7 @@ class Operators:
         self.grid = grid
         self.cols = (Ellipsis, slice(grid.n // 2 + 1))
         # wave vectors in FFT layout, the last axis cut to 0 .. n/2; its
-        # Nyquist entry stays -n/2, as in the full layout: rfftfreq's +n/2
-        # would change the 2-D horizontality defect's cross terms k0*k1
+        # Nyquist entry stays -n/2, as in the full layout
         n = grid.n
         freq = np.fft.fftfreq(n, 1.0 / n)
         self.k_mesh = np.stack(np.meshgrid(
@@ -136,9 +135,8 @@ class Operators:
             (np.abs(self.k_mesh).max(axis=0) > (2.0 * (n // 3)) / 3.0)
             & self.mask)
         # precomputed indices into arrays with leading axes, so that the hot
-        # paths build no index tuples: the grid axes, the mean mode, and a
-        # new vector axis before the grid axes
-        self.axes = tuple(range(-grid.dim, 0))
+        # paths build no index tuples: the mean mode, and a new vector axis
+        # before the grid axes
         self.zero = (Ellipsis,) + (0,) * grid.dim
         self.vec = (Ellipsis, None) + (slice(None),) * grid.dim
         ksq = sum(km ** 2 for km in self.k_mesh)
@@ -200,7 +198,7 @@ class Band:
 
     def __init__(self, table: Operators):
         self.grid = table.grid
-        self.axes, self.zero, self.vec = table.axes, table.zero, table.vec
+        self.zero, self.vec = table.zero, table.vec
         self.cols = (Ellipsis, slice(table.grid.n // 3 + 1))
         self.mask, self.ik, self.a_band, self.ainv_band, self.precond = (
             np.ascontiguousarray(arr[self.cols]) for arr in

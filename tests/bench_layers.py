@@ -61,7 +61,7 @@ def flow(case):
     p = np.stack([amp * (np.sin(x[0] + 2 * x[-1]) + 0.5 * np.cos(
         3 * x[0] - x[-1]) + 0.1 * i * np.sin(2 * x[0]))
         for i in range(1 + m)])
-    p -= p.mean(axis=ops.axes, keepdims=True)
+    p -= p.mean(axis=tuple(range(-dim, 0)), keepdims=True)
     rhos = np.zeros(p.shape)  # tangents (0, dp)
     rhos[0] = rho / rho.mean()
     return ops, dt, ge._state_rows(ops.band, rhos, p)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,23 @@ p = zero
             + [f"{f}_{i:05d}.field" for f in ("rho", "p") for i in range(2)])
         with open(os.path.join(out, "diagnostics.csv")) as fh:
             assert len(fh.read().splitlines()) == 1 + 2
+
+    def test_overflow_prints_only_the_abort_line(self, tmp_path, capsys):
+        # a momentum of amplitude 1e150 overflows the one step: the run
+        # exits 1 and its stderr is the abort line alone, with no numpy
+        # warning before it (warnings are errors here, so one would escape)
+        text = (SHOOT_CFG.replace("T = 0.2", "T = 1")
+                .replace("dt = 0.01", "dt = 1")
+                .replace("cos-bump amplitude 0.5 mode 1", "uniform")
+                .replace("amplitude 0.2", "amplitude 1e150"))
+        cfg = write_config(tmp_path / "c.ini", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["shoot", "--config", cfg, "--output-dir",
+                           str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "aborted: t=1: state is no longer finite\n")
 
 
 class TestFieldFileInputs:

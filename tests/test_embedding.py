@@ -11,9 +11,10 @@ axis have no gradient, so they stay 0 and the iterates agree.
 
 Measured agreement (n 16, k 2, T 0.5, dt 0.05, n_modes 2): the shoots'
 rho equal, p within 1.4e-16, energies within 8.4e-16 relative; the
-cross-checks' discrepancies within 3.6e-17 and energies within 1e-15
-relative; the matches' final rho within 4.4e-16 and p0 within 1.6e-14,
-with the same status and iteration count.
+cross-checks' discrepancies within 3.6e-17, horizontality defects within
+1.1e-16 (of about 1.9e-9) and energies within 1e-15 relative; the matches'
+final rho within 4.4e-16 and p0 within 1.6e-14, with the same status and
+iteration count.
 """
 import numpy as np
 import pytest
@@ -85,14 +86,7 @@ def test_cross_check(axis):
                   <= ENERGY_RTOL * np.abs(one[:, 3:]))
 
 
-@pytest.mark.parametrize("axis", [
-    pytest.param(0, id="x1", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=(
-            "horizontality_defect zeroes k1 on the first-axis Nyquist row "
-            "only, so the 2-D defect of data along x1 counts its Nyquist "
-            "content (5.0e-7) and that of the same data in 1-D or along "
-            "x2 does not (1.7e-9)"))),
-    pytest.param(1, id="x2")])
+@AXES
 def test_cross_check_defect(axis):
     one, two = cross_check(1, axis), cross_check(2, axis)
     assert np.abs(two[:, 2] - one[:, 2]).max() <= XVAL_TOL

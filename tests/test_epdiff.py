@@ -137,7 +137,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("stride", [0, -2])
     def test_rejects_store_every_below_one(self, stride):
-        # integrate rejects it, naming store_every: it would observe no step
+        # flow rejects it, naming store_every: it would observe no step
         g = grid1d(16)
         with pytest.raises(ValueError, match="store_every"):
             ep.integrate_epdiff(
@@ -534,6 +534,32 @@ class TestCrossValidate:
         before = density_states()
         ep.cross_validate(rho0, p0, 2, 0.5, 0.02)
         assert alive == [before]
+
+    def test_transposed_data_give_the_same_comparisons(self):
+        """Generic 2-D data and their transpose (n 16, k 2, T 0.5, dt 0.05)
+        give the same comparisons: both flows and the horizontality defect
+        treat the two axes alike. The 2-D transforms take the axes in
+        different orders, so they agree to roundoff only. Measured: the
+        discrepancies within 4.8e-18, the energies within 2.2e-19 (of about
+        6e-4) and the defects within 2.3e-14 (of about 1.4e-6)."""
+        g = sp.make_grid(2, 16)
+        rng = np.random.default_rng(0)
+        rho0 = va.random_density(rng, g).values
+        p0 = va.random_band_limited(rng, g, amplitude=0.3)
+        runs = []
+        for rho, p in ((rho0, p0), (rho0.T, p0.T)):
+            rows = []
+            ep.cross_validate(sp.ScalarField(g, rho), sp.ScalarField(g, p),
+                              2, 0.5, 0.05, out=lambda *row: rows.append(row))
+            runs.append(np.array(rows))
+        (t, disc, defect, e_dens, e_ep), swapped = runs[0].T, runs[1].T
+        assert np.array_equal(t, swapped[0])
+        # discrepancies and energies: within 1e-15, about 200 times the
+        # measured agreement
+        for ours, theirs in zip((disc, e_dens, e_ep), swapped[[1, 3, 4]]):
+            assert np.abs(ours - theirs).max() <= 1e-15
+        # defects: within 1e-12, about 40 times the measured agreement
+        assert np.abs(defect - swapped[2]).max() <= 1e-12
 
     def test_rejects_negative_order(self):
         g = grid1d(32)

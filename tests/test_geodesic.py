@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import astuple
 from functools import partial
 
@@ -652,6 +653,21 @@ class TestNonFiniteRejected:
         _, reason = ge.step_rk4(ops, y[None], 0.01)
         assert reason == "state is no longer finite"
 
+    def test_overflow_is_reported_by_the_guard_alone(self):
+        """A momentum of amplitude 1e150 overflows the first step's
+        products. The finiteness guard reports it; numpy's overflow and
+        invalid-value warnings from the right-hand side do not reach the
+        user first (`rk4` silences them)."""
+        g = grid1d(32)
+        rho0 = sp.ScalarField(g, np.ones(g.shape))
+        p0 = sp.ScalarField(g, presets.raw_preset(
+            g, "sin-bump amplitude 1e150 mode 1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ge.SolverAbort) as info:
+                ge.shoot(rho0, p0, 1, 1.0, 1.0)
+        assert str(info.value) == "t=1: state is no longer finite"
+
 
 class TestTimeSteps:
     def test_ceil_and_exact_end(self):
@@ -695,7 +711,7 @@ class TestTimeSteps:
 
     @pytest.mark.parametrize("stride", [0, -2])
     def test_shoot_rejects_store_every_below_one(self, stride):
-        # integrate rejects it, naming store_every: it would observe no step
+        # flow rejects it, naming store_every: it would observe no step
         state = smooth_state(grid1d(16))
         with pytest.raises(ValueError, match="store_every"):
             ge.shoot(state.rho, state.p, 1, 0.1, 0.05, store_every=stride)
@@ -773,51 +789,45 @@ def state_stack(grid, n_members, seed):
 
 
 class TestStackedFlow:
-    def test_integrate_stores_and_raises_at_the_failing_step(self):
-        # y = (value, bound) steps value += dt and fails past its bound; the
-        # observer stores what it is handed
-        calls, seen = [], []
+    def test_flow_yields_and_raises_at_the_failing_step(self):
+        # y = (value, bound) steps value += dt and fails past its bound
+        calls = []
 
         def step(y, dt):
             calls.append(y[0])
             y = y + [dt, 0.0]
             return y, None if y[0] <= y[1] else f"past {y[1]}"
 
-        def store(i, y):
-            seen.append((i, y))
-
-        y = ge.integrate(step, np.array([0.0, np.inf]), 1.0, 0.1, store, 4)
-        assert [i for i, _ in seen] == [0, 4, 8, 10]  # and the last step
-        assert y is seen[-1][1] and len(calls) == 10
+        seen = list(ge.flow(step, np.array([0.0, np.inf]), 1.0, 0.1, 4))
+        assert [i for i, _, _ in seen] == list(range(11))
+        # observed: step 0, every 4th step and the last
+        assert [i for i, _, observed in seen if observed] == [0, 4, 8, 10]
+        assert len(calls) == 10
         for every in (1, 4):
             calls.clear()
             seen.clear()
             with pytest.raises(ge.SolverAbort,
                                match=r"^t=0\.3: past 0\.25$") as info:
-                ge.integrate(step, np.array([0.0, 0.25]), 1.0, 0.1, store,
-                             every)
+                for i, _, _ in ge.flow(step, np.array([0.0, 0.25]), 1.0, 0.1,
+                                       every):
+                    seen.append(i)
             assert info.value.time == 3 * 0.1
             assert len(calls) == 3  # no step after the failed one
-            # nothing observed at or after the failed step
-            assert [i for i, _ in seen] == ([0, 1, 2] if every == 1 else [0])
+            assert seen == [0, 1, 2]  # nothing yielded at or after it
 
-    def test_integrate_observes_step_zero_and_each_good_step(self):
+    def test_flow_observes_step_zero_and_each_good_step(self):
         def step(y, dt):
             return y + [dt, 0.0], None
 
-        seen = []
-
-        def observe(i, y):
-            seen.append((i, y))
-
         y0 = np.array([0.0, np.inf])
-        y = ge.integrate(step, y0, 1.0, 0.1, observe)
-        assert [i for i, _ in seen] == list(range(11))
-        assert seen[0][1] is y0 and seen[-1][1] is y
-        assert np.array_equal(ge.integrate(step, y0, 1.0, 0.1), y)
+        seen = list(ge.flow(step, y0, 1.0, 0.1))
+        assert [(i, observed) for i, _, observed in seen] == [
+            (i, True) for i in range(11)]
+        assert seen[0][1] is y0
+        assert np.allclose([y[0] for _, y, _ in seen], np.arange(11) * 0.1)
         for every in (0, -2):
             with pytest.raises(ValueError, match="store_every must be >= 1"):
-                ge.integrate(step, y0, 1.0, 0.1, observe, every)
+                next(ge.flow(step, y0, 1.0, 0.1, every))
 
     @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
     def test_shoot_endpoints_equal_shoot(self, dim, n):

@@ -359,8 +359,9 @@ class TestTangentJacobian:
                             np.zeros((len(basis),) + problem.grid.shape),
                             basis)
         y = np.concatenate((base[None], tangents))
-        y = ge.integrate(partial(ge.step_rk4, ops), y, problem.T,
-                         problem.dt)
+        for _, y, _ in ge.flow(partial(ge.step_rk4, ops), y, problem.T,
+                               problem.dt):
+            pass
         integrated = ge._split(ops.band, y[1:])[0].reshape(len(basis), -1)
         assert np.abs(integrated - shortcut).max() <= (
             1e-13 * np.abs(shortcut).max())
@@ -712,7 +713,7 @@ class TestCarriedTangents:
         # no time loop, and the final geodesic is the last trial's record
         problem = self_consistent_problem(1)
         loops, steps = [], []
-        integrate = ge.integrate
+        flow = ge.flow
 
         def counted(step, *args, **kw):
             loops.append(1)
@@ -721,9 +722,9 @@ class TestCarriedTangents:
                 steps.append(1)
                 return step(y, dt)
 
-            return integrate(counted_step, *args, **kw)
+            return flow(counted_step, *args, **kw)
 
-        monkeypatch.setattr(ge, "integrate", counted)
+        monkeypatch.setattr(ge, "flow", counted)
         result = ma.solve_match(problem)
         assert result.status == "converged"
         assert len(result.history_rows) == 3
