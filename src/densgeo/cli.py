@@ -151,13 +151,16 @@ def _load_scalar(cfg, grid, section, key, role):
 
 
 def _common_manifest(cfg, command, config_path):
+    seed = _get(cfg, "run", "seed", int, default=0)
+    if seed < 0:
+        raise ConfigError(f"[run] seed: must be >= 0, got {seed}")
     sections = {s: dict(cfg.items(s)) for s in cfg.sections()}
     return {
         "command": command,
         "config_file": os.path.abspath(config_path),
         "config": sections,
         "config_sha256": io.sha256_file(config_path),
-        "seed": _get(cfg, "run", "seed", int, default=0),
+        "seed": seed,
     }
 
 
@@ -406,7 +409,6 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(
                 f"output directory {outdir}: {exc.strerror}") from None
-        manifest = _common_manifest(cfg, args.command, args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -418,6 +420,7 @@ def main(argv=None) -> int:
 
     geodesic.log.addFilter(once)
     try:
+        manifest = _common_manifest(cfg, args.command, args.config)
         message = COMMANDS[args.command](cfg, outdir, manifest)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,14 +12,14 @@ residual rho0 - rho1, both without a shoot. A trial step is accepted only
 when it lowers J, so the objective history is monotone.
 
 Every objective value comes from `_residual`, one shoot of one coefficient
-vector, whose SolverAbort reports an abort: `objective` scores it with a
-penalty, Levenberg-Marquardt rejects the trial and `gradient_fd` names the
-coefficient. Every Jacobian comes from tangent stacks: a base shoot and at
-most `_per_stack` tangents stepped together, the base ending bit for bit
-where a plain shoot ends. Tangents are independent given the base, so how
-they are split into stacks changes no value. `solve_match` says which
-shoots carry them, and how the final geodesic is replayed from the record
-of the last accepted trial.
+vector, whose SolverAbort reports an abort: `objective` and the exact
+gradient `objective_gradient` raise it, and Levenberg-Marquardt rejects the
+trial. Every Jacobian comes from tangent stacks: a base shoot and at most
+`_per_stack` tangents stepped together, the base ending bit for bit where a
+plain shoot ends. Tangents are independent given the base, so how they are
+split into stacks changes no value. `solve_match` says which shoots carry
+them, and how the final geodesic is replayed from the record of the last
+accepted trial.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ from .spectral import (
     operators,
 )
 
-PENALTY_BASE = 1.0e6
 # Levenberg-Marquardt damping: its start, the factor it falls by after an
 # accepted trial and grows by after a rejected one, and the rejected trials
 # in a row after which a match stalls
@@ -48,8 +47,6 @@ LM_MAX_TRIALS = 30
 # grid points per tangent stack (the base and its tangents); bounds the
 # memory of a Jacobian's shoot in 2-D
 MAX_STACK_POINTS = 2 ** 14
-# gradient_fd's default relative step
-FD_STEP = 1.0e-5
 
 
 @dataclass(frozen=True)
@@ -173,9 +170,10 @@ def _tangents(problem: MatchProblem, lo: int, hi: int) -> np.ndarray:
 
 def _residual(problem: MatchProblem, coeffs: np.ndarray, dp=None):
     """rho(T) - rho1 of the shoot of coeffs' momentum (`shoot_tangents`
-    with no tangents). Given m >= 0 tangent momenta dp (see `_tangents`),
-    the shoot carries them and keeps its state at every step (a
-    `geodesic.Record`), and the result is (rho(T) - rho1, jac, rows): jac
+    with no tangents): the one residual of `objective`, `objective_gradient`
+    and Levenberg-Marquardt's trials. Given m >= 0 tangent momenta dp (see
+    `_tangents`), the shoot carries them and keeps its state at every step
+    (a `geodesic.Record`), and the result is (rho(T) - rho1, jac, rows): jac
     (m, N) holds the derivatives of rho(T) along dp, C-contiguous as
     `_jacobian` builds it, so that it frees the shoot's rows, and rows are
     the record's. Raises the shoot's SolverAbort, with its time."""
@@ -192,43 +190,9 @@ def _residual(problem: MatchProblem, coeffs: np.ndarray, dp=None):
 
 
 def objective(problem: MatchProblem, coeffs: np.ndarray) -> float:
-    """0.5 * ||rho(T) - rho1||_2^2; a shoot that aborts at t scores
-    PENALTY_BASE + (T - t)."""
-    try:
-        r = _residual(problem, coeffs)
-    except geodesic.SolverAbort as exc:
-        return PENALTY_BASE + (problem.T - exc.time)
-    return float(0.5 * np.mean(r ** 2))
-
-
-def gradient_fd(problem: MatchProblem, coeffs: np.ndarray,
-                h: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient over the stencil c +- h_i e_i,
-    h_i = h * max(1, |c_i|): two shoots per coefficient.
-
-    Raises SolverAbort at the first coefficient whose stencil meets an
-    abort, naming it and the earlier abort time of its two shoots: the
-    penalty would turn into a meaningless slope of order 1/h.
-    """
-    if not h > 0.0:
-        raise ValueError("h must be positive")
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    steps = h * np.maximum(1.0, np.abs(coeffs))
-    grad = np.empty(len(coeffs))
-    for i, shift in enumerate(np.diag(steps)):
-        values, times = [], []
-        for trial in (coeffs + shift, coeffs - shift):
-            try:
-                values.append(0.5 * np.mean(_residual(problem, trial) ** 2))
-            except geodesic.SolverAbort as exc:
-                times.append(exc.time)
-        if times:
-            raise geodesic.SolverAbort(
-                f"FD stencil of coefficient {i} (step {steps[i]:.3e}) "
-                f"crosses a shoot that aborts at t={min(times):.6g}",
-                time=min(times))
-        grad[i] = (values[0] - values[1]) / (2.0 * steps[i])
-    return grad
+    """J(c) = 0.5 * mean((rho(T) - rho1)^2). Raises the shoot's SolverAbort,
+    with its time."""
+    return float(0.5 * np.mean(_residual(problem, coeffs) ** 2))
 
 
 def _per_stack(grid: Grid) -> int:
@@ -257,7 +221,8 @@ def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
     tangent stacks of the base shoot and at most `_per_stack` `_tangents`
     each; the base is shot again for each stack. At c = 0 it takes no time
     loop (see `shoot_tangents`). `solve_match` calls it where no accepted
-    trial carried the Jacobian, and checks its tangents (`_check_tangents`).
+    trial carried the Jacobian, and `objective_gradient` always; both check
+    its tangents (`_check_tangents`).
 
     Raises SolverAbort when the base shoot aborts.
     """
@@ -271,6 +236,18 @@ def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
             problem.T, problem.dt)
         jac[lo:hi] = drho.reshape(hi - lo, -1)
     return jac
+
+
+def objective_gradient(problem: MatchProblem,
+                       coeffs: np.ndarray) -> np.ndarray:
+    """The exact gradient of `objective`, Jr r / N: r the residual and Jr
+    the residual Jacobian Levenberg-Marquardt steps on (`_jacobian`). Raises
+    the shoot's SolverAbort, with its time, and a SolverAbort naming the
+    first coefficient whose tangent is not finite."""
+    r = _residual(problem, coeffs)
+    jac = _jacobian(problem, coeffs)
+    _check_tangents(jac)
+    return jac @ r.ravel() / r.size
 
 
 def _levenberg_marquardt(problem: MatchProblem):

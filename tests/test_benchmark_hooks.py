@@ -42,8 +42,10 @@ def test_harness_lists_found():
 
 
 # spans on code that is gone: the EPDiff check carries the inverse map on the
-# grid, with no point evaluation and no Newton inversion; the tracer skips them
-RETIRED = [("epdiff", "eval_periodic"), ("epdiff", "invert_map")]
+# grid, with no point evaluation and no Newton inversion, and matching's one
+# gradient is exact, with no finite-difference stencil; the tracer skips them
+RETIRED = [("epdiff", "eval_periodic"), ("epdiff", "invert_map"),
+           ("matching", "gradient_fd")]
 
 
 @pytest.mark.parametrize("module,name", SPANS + [s for _, s in WORKLOADS])

@@ -375,6 +375,19 @@ class TestValidateCommand:
                              for k, v in report["checks"].items()})
         assert verdicts[0] == verdicts[1]
 
+    @pytest.mark.parametrize("seed", ["abc", "-3"])
+    def test_bad_seed_is_a_config_error(self, tmp_path, capsys, seed):
+        # the seed is read once the output directory exists, so error.json
+        # says what is wrong; numpy would reject a negative one mid-run
+        cfg = write_config(tmp_path / "c.ini",
+                           VALIDATE_CFG.replace("seed = 5", f"seed = {seed}"))
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--config", cfg, "--output-dir",
+                         str(out), "--quiet"]) == 2
+        assert "[run] seed" in capsys.readouterr().err
+        assert "[run] seed" in io.read_json(str(out / "error.json"))["error"]
+        assert sorted(os.listdir(out)) == ["error.json"]
+
 
 EPDIFF_CFG = """
 [run]
