@@ -7,9 +7,17 @@ status.json; the exit status is 0 iff the run completed. Two commands write
 as they go, so that an aborted or interrupted run keeps what it reached:
 `shoot` writes each snapshot (rho_i, p_i and its diagnostics.csv row) as the
 flow reaches it, and `epdiff-check` each comparison.csv row as the
-cross-check makes it, stepping the density flow and EPDiff together (its
-cross_validation.json summary comes at the end). `match`, `validate` and
-`convergence` write their artifacts at their end.
+cross-check makes it (its cross_validation.json summary comes at the end).
+`match`, `validate` and `convergence` write their artifacts at their end.
+
+`epdiff-check` runs the density flow in a forked worker process beside
+EPDiff: after the first snapshot, which the lift needs, the worker streams
+each compared snapshot's rho and energy, and then how the flow ended,
+through a pipe, and the command reads one at each comparison. Where
+os.fork is missing or another Python thread runs, the flow runs in process
+instead; the artifacts are the same bytes either way. The worker ignores
+SIGINT, writes only to the pipe, and is killed and reaped however the
+command ends.
 
 status.json's status is "ok" (exit 0), "aborted" (exit 1: a solver abort
 or a failed check, named in its message) or "interrupted": on
@@ -185,6 +193,10 @@ def _time_steps(T, dt):
 DIAG_HEADER = ["t"] + [f.name for f in dataclasses.fields(geodesic.Diagnostics)]
 COMPARISON_HEADER = ["t", "l2_discrepancy", "horizontality_defect",
                      "energy_density", "energy_epdiff"]
+# an aborted run has no final-state cells, and a completed one no abort
+CONVERGENCE_HEADER = ["run", "n", "dt", "status", "energy_drift",
+                      "spectral_tail", "mass_error", "abort_time",
+                      "abort_reason"]
 
 
 def cmd_shoot(cfg, outdir, manifest):
@@ -321,6 +333,11 @@ def cmd_validate(cfg, outdir, manifest):
 
 
 def cmd_convergence(cfg, outdir, manifest):
+    """Shoots at dt, dt/2 and dt/4 on the grid and at dt on the doubled
+    grid, one convergence.csv row each. A run that aborts keeps its row,
+    with its abort's time and message; summary.json counts the aborted
+    runs, and gives the temporal order and the spatial change where the
+    runs they need completed. A study of aborting runs still exits 0."""
     grid = _build_grid(cfg)
     k = _metric_order(cfg, grid, make_grid(grid.dim, 2 * grid.n))
     T = _get(cfg, "time", "T", float, required=True)
@@ -346,21 +363,23 @@ def cmd_convergence(cfg, outdir, manifest):
         try:
             traj = geodesic.shoot(*initial[n_run], k, T, dt_run,
                                   store_every=n_steps)
-        except geodesic.SolverAbort:
-            rows.append((label, n_run, dt_run, "aborted", "", "", ""))
+        except geodesic.SolverAbort as exc:
+            rows.append((label, n_run, dt_run, "aborted", "", "", "",
+                         exc.time, str(exc)))
             return
         d0, dT = traj.diagnostics[0], traj.diagnostics[-1]
         drift = (abs(dT.energy - d0.energy) / abs(d0.energy)
                  if d0.energy != 0 else 0.0)
         rows.append((label, n_run, dt_run, "ok", drift,
-                     dT.spectral_tail, abs(dT.mass - 1.0)))
+                     dT.spectral_tail, abs(dT.mass - 1.0), "", ""))
         finals[label] = traj.states[-1].rho.values
 
     for f in (1, 2, 4):
         run_one(f"dt/{f}", grid.n, dt / f)
     run_one("2n", 2 * grid.n, dt)
 
-    summary = {}
+    aborted = sum(row[3] == "aborted" for row in rows)
+    summary = {"aborted_runs": aborted}
     if all(f"dt/{f}" in finals for f in (1, 2, 4)):
         e12 = l2_norm_values(finals["dt/1"] - finals["dt/2"])
         e24 = l2_norm_values(finals["dt/2"] - finals["dt/4"])
@@ -370,11 +389,12 @@ def cmd_convergence(cfg, outdir, manifest):
         coarse_on_fine = finals["2n"][(slice(None, None, 2),) * grid.dim]
         summary["spatial_refinement_change"] = l2_norm_values(
             coarse_on_fine - finals["dt/1"])
-    io.write_csv(os.path.join(outdir, "convergence.csv"),
-                 ["run", "n", "dt", "status", "energy_drift",
-                  "spectral_tail", "mass_error"], rows)
+    io.write_csv(os.path.join(outdir, "convergence.csv"), CONVERGENCE_HEADER,
+                 rows)
     io.write_json(os.path.join(outdir, "summary.json"), summary)
-    parts = [f"{key}={val:.3g}" for key, val in summary.items()]
+    parts = [f"{aborted} of {len(rows)} runs aborted"] + [
+        f"{key}={val:.3g}" for key, val in summary.items()
+        if key != "aborted_runs"]
     return "convergence study done: " + ", ".join(parts)
 
 

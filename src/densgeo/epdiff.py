@@ -25,11 +25,22 @@ inverse transform.
 
 A `DiffeoState` checks its invariants when it is built, and `_flow_step`
 stops the flow at the first step that breaks them or folds the map.
+
+`cross_validate` compares the two flows. The density flow runs beside
+EPDiff in a forked worker process where it can (see `_rest_of`), which
+streams the compared snapshots through a pipe.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import starmap
 
 import numpy as np
 
@@ -311,6 +322,95 @@ def _reduced(t: float, state: geodesic.DensityState, diagnostics) -> tuple:
     return state.rho.values, diagnostics.energy
 
 
+def _stream(density, pipe) -> None:
+    """The density worker's body: pickles into the binary file `pipe` each
+    snapshot left in the density flow `density` (a `geodesic.snapshots`
+    generator), reduced (see `_reduced`) and flushed at once, and then how
+    the flow ended: None when it reached T, its SolverAbort (the message
+    and .time) when it aborted. It holds the flow's rows and p_out, and
+    one snapshot while pickling it."""
+    try:
+        for snapshot in density:
+            pickle.dump(_reduced(*snapshot), pipe, pickle.HIGHEST_PROTOCOL)
+            del snapshot  # not held while the flow steps
+            pipe.flush()
+    except SolverAbort as exc:
+        pickle.dump(exc, pipe)
+    else:
+        pickle.dump(None, pipe)
+
+
+def _received(pipe):
+    """The reduced snapshots (rho, energy) that `_stream` pickled into the
+    binary file `pipe`, as a generator that ends as the density flow did:
+    it returns at the flow's end, raises its SolverAbort, and raises
+    RuntimeError when the stream ends without saying how the flow did."""
+    while True:
+        try:
+            message = pickle.load(pipe)
+        except EOFError:
+            raise RuntimeError("the density flow's worker ended without "
+                               "its final message") from None
+        if message is None:
+            return
+        if isinstance(message, SolverAbort):
+            raise message
+        yield message
+
+
+@contextmanager
+def _rest_of(density):
+    """The reduced snapshots (rho, energy) left in the density flow
+    `density`, a `geodesic.snapshots` generator, as an iterator that raises
+    the flow's SolverAbort as the generator does.
+
+    Where os.fork exists and no other Python thread runs, a forked worker
+    steps the flow beside the caller (see `_stream`) and streams them
+    through a pipe, one per message: the caller's copy of the flow dies
+    here, and `_received` reads one snapshot per next. Else the generator
+    is iterated in process. Standard output and error are flushed before
+    the fork, so that the worker inherits no unwritten output; the worker
+    ignores SIGINT, writes only to the pipe and leaves by os._exit. On
+    leaving, however it is left, the pipe's read end is closed and the
+    worker killed and reaped, so that a worker blocked on a full pipe
+    cannot hold the caller."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        yield starmap(_reduced, density)
+        return
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    read, write = os.pipe()
+    # an interrupt waits until the worker ignores it and the parent can
+    # reap the worker
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+    except OSError:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the worker; the parent learns of a failure from the pipe
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            os.close(read)
+            with open(write, "wb") as pipe:
+                _stream(density, pipe)
+        finally:
+            os._exit(0)
+    del density
+    try:
+        os.close(write)
+        with open(read, "rb") as pipe:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            yield _received(pipe)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
                    dt: float, out=None) -> dict:
     """Run the density geodesic and the lifted horizontal EPDiff flow side by side.
@@ -320,28 +420,32 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
     the relative energy drift on both sides. The reported dt is the step
     taken, T / ceil(T/dt).
 
-    The two flows advance in lockstep: EPDiff starts from the horizontal
-    lift of the density flow's first snapshot (u0 = horizontal_velocity),
-    and each time it reaches a comparison time the density flow
-    (`geodesic.snapshots`) is stepped to the same time, and its snapshot is
-    reduced to rho and the energy, compared and dropped. out(t,
-    l2_discrepancy, horizontality_defect, energy_density, energy_epdiff),
-    when given, is called with each comparison as it is made. While EPDiff
-    steps, the cross-check holds EPDiff's working set, the density flow's
-    rows and p_out, and the comparisons so far: no density state, and no
-    u0, which dies with the identity state once `integrate_epdiff` has
-    built its row.
+    EPDiff starts from the horizontal lift of the density flow's first
+    snapshot (u0 = horizontal_velocity), taken in process, and each time
+    it reaches a comparison time it takes the density flow's next snapshot
+    (`geodesic.snapshots`), reduced to rho and the energy, compares it and
+    drops it. The rest of the density flow runs in a forked worker beside
+    EPDiff, which streams its reduced snapshots through a pipe, or, where
+    no worker can be forked, in process, stepped to each comparison time
+    (see `_rest_of`). out(t, l2_discrepancy, horizontality_defect,
+    energy_density, energy_epdiff), when given, is called with each
+    comparison as it is made. While EPDiff steps, the cross-check holds
+    EPDiff's working set, the last rho received (in process, the density
+    flow's rows and p_out instead) and the comparisons so far: no density
+    state, and no u0, which dies with the identity state once
+    `integrate_epdiff` has built its row.
 
     An abort reports the density flow's reason whenever that flow has one,
     as if it had run first: when EPDiff fails, the density flow is run to
-    its end (its snapshots discarded) before EPDiff's abort is raised.
+    its end (its snapshots discarded) before EPDiff's abort is raised. A
+    worker that ends without saying how the flow ended is a RuntimeError.
     """
     check_order(k)
     grid = rho0.grid
     n_steps, dt = time_steps(T, dt)
     stride = max(1, n_steps // (N_CHECKS - 1))
-    density = geodesic.snapshots(rho0, p0, k, T, dt, store_every=stride)
-    snapshot = next(density)
+    density = [geodesic.snapshots(rho0, p0, k, T, dt, store_every=stride)]
+    snapshot = next(density[0])
     # popped into the calls that use them, so that neither outlives its use
     lift = [identity_state(rho0, geodesic.horizontal_velocity(snapshot[1]),
                            k)]
@@ -351,7 +455,7 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
 
     def compare(t, phi):
         # both flows observe the same steps
-        rho, energy = first.pop() if first else _reduced(*next(density))
+        rho, energy = first.pop() if first else next(rest)
         rho_ep = pushforward_density(phi)
         check = (t, l2_norm_values(rho_ep.values - rho),
                  horizontality_defect(phi.u, rho_ep, k), energy,
@@ -359,14 +463,15 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
         checks.append(check)
         if out is not None:
             out(*check)
-    try:
-        integrate_epdiff(lift.pop(), T, dt, stride, compare)
-    except Exception:
-        # whatever EPDiff raised, the density flow's abort is reported, as
-        # when that flow ran first; a density abort has ended the generator
-        for _ in density:
-            pass
-        raise
+    with _rest_of(density.pop()) as rest:
+        try:
+            integrate_epdiff(lift.pop(), T, dt, stride, compare)
+        except Exception:
+            # whatever EPDiff raised, the density flow's abort is reported,
+            # as when that flow ran first; a density abort has ended rest
+            for _ in rest:
+                pass
+            raise
     _, discrepancies, defects, e_dens, e_ep = zip(*checks)
 
     def rel_drift(values):

@@ -27,12 +27,14 @@ density with the horizontal velocity of a unit-size momentum; the EPDiff
 step case takes one guarded RK4 step (dt = 0.01) of that flow's initial row
 (`epdiff._rows`) at 2-D n = 128, k = 2. The cross-check case runs
 cross_validate on that density and momentum at the xval-2d size: the
-density flow and EPDiff in lockstep, compared at those 11 steps. The
-right-hand side, the RK4 steps, integrate_epdiff and cross_validate also
-record the traced peak (tracemalloc) of one call above what was held at
-its entry, in `extra_info`: in bytes and in rows of the state (8 bytes
-times the row length R; EPDiff's row for cross_validate), so that layer
-runs report memory next to time.
+density flow, in a forked worker where one can be forked, beside EPDiff,
+compared at those 11 steps. The right-hand side, the RK4 steps,
+integrate_epdiff and cross_validate also record the traced peak
+(tracemalloc) of one call above what was held at its entry, in
+`extra_info`: in bytes and in rows of the state (8 bytes times the row
+length R; EPDiff's row for cross_validate), so that layer runs report
+memory next to time. tracemalloc sees only the calling process, so
+cross_validate's peak leaves out a forked density flow.
 """
 import tracemalloc
 

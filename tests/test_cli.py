@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import warnings
@@ -565,10 +566,58 @@ p = sin-bump amplitude 0.2 mode 1
         summary = io.read_json(os.path.join(out, "summary.json"))
         assert 3.5 <= summary["observed_temporal_order"] <= 4.5
         assert summary["spatial_refinement_change"] < 1e-8
+        assert summary["aborted_runs"] == 0
         with open(os.path.join(out, "convergence.csv")) as fh:
             lines = fh.read().strip().splitlines()
-        assert lines[0] == "run,n,dt,status,energy_drift,spectral_tail,mass_error"
+        assert lines[0] == ("run,n,dt,status,energy_drift,spectral_tail,"
+                            "mass_error,abort_time,abort_reason")
         assert len(lines) == 5  # dt/{1,2,4} and 2n
+        # no abort, so no abort time or reason
+        assert all(line.split(",")[3] == "ok" and line.endswith(",,")
+                   for line in lines[1:])
+        status = io.read_json(os.path.join(out, "status.json"))
+        assert status["message"].startswith(
+            "convergence study done: 0 of 4 runs aborted, "
+            "observed_temporal_order=")
+
+    def test_aborted_runs_keep_their_time_and_reason(self, tmp_path):
+        """k = 0 on T^1 is the local regime: with p0 = 5 sin x every run
+        loses positivity near t = 0.45. Each row records its abort's time
+        and message, and the study says how many runs aborted; it still
+        exits 0, as a study of an aborting flow is a completed study."""
+        cfg = write_config(tmp_path / "c.ini", """
+[grid]
+dim = 1
+n = 32
+[metric]
+k = 0
+[time]
+T = 1
+dt = 0.01
+[initial]
+rho = uniform
+p = sin-bump amplitude 5 mode 1
+""")
+        out = tmp_path / "out"
+        assert cli.main(["convergence", "--config", cfg, "--output-dir",
+                         str(out), "--quiet"]) == 0
+        with open(out / "convergence.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["run"], row["status"]) for row in rows] == [
+            ("dt/1", "aborted"), ("dt/2", "aborted"), ("dt/4", "aborted"),
+            ("2n", "aborted")]
+        for row, dt in zip(rows, (0.01, 0.005, 0.0025, 0.01)):
+            t = float(row["abort_time"])
+            assert 0.4 < t < 0.5
+            assert round(t / dt, 9) == round(t / dt)  # a step's end
+            assert row["abort_reason"].startswith(
+                f"t={t:.6g}: positivity lost: min rho -")
+            assert row["energy_drift"] == row["mass_error"] == ""
+        assert io.read_json(str(out / "summary.json")) == {"aborted_runs": 4}
+        status = io.read_json(str(out / "status.json"))
+        assert status == {"status": "ok", "wall_time": status["wall_time"],
+                          "message": "convergence study done: 4 of 4 runs "
+                                     "aborted"}
 
     def test_bad_preset_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", SHOOT_CFG.replace(

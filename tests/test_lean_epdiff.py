@@ -6,6 +6,9 @@ The reference below writes the kernel as one expression per quantity, with
 no regard for how long its temporaries live: `_epdiff_rhs` (both outputs)
 and `_flow_rhs` must give its values bit for bit.
 """
+import collections
+import io
+import os
 import tracemalloc
 import weakref
 
@@ -186,14 +189,22 @@ def test_cross_validate_lets_go_of_u0(monkeypatch):
     assert alive == [False] * 4
 
 
-def test_cross_validate_peak_memory():
+# the small objects a stream of snapshots makes besides its arrays (the
+# pickler's or unpickler's, the generator's frame): 879 bytes measured in
+# the worker's body
+STREAM_OBJECTS = 2048
+
+
+def test_cross_validate_peak_memory(forks):
     """A 2-D n 32 cross-check holds, above EPDiff's own traced peak on the
-    same flow, no more than the density flow's row, its p_out and one
-    snapshot (rho and p): the two flows step together, and each density
-    snapshot dies once it is compared. EPDiff's peak is measured rather
-    than taken from `step_accounting`, which does not bound the step at
-    n 32 (8.98 rows against 8.51). Keeping every snapshot's rho until
-    EPDiff reached it read 8.5 density fields more than now."""
+    same flow, no more than one received rho, the pipe reader's buffer and
+    the stream's small objects: the density flow runs in the worker, and
+    the caller's copy of it dies at the fork. tracemalloc sees the parent
+    only; the worker's body is bounded by
+    `test_density_worker_holds_one_snapshot`. With the density flow in
+    process the bound was EPDiff's peak plus the density flow's row, its
+    p_out and one snapshot (4.69 fields; it read 2.92), and keeping every
+    snapshot's rho until EPDiff reached it read 8.5 density fields more."""
     k, T, dt, stride = 2, 0.5, 0.01, 5  # cross_validate's stride for T/dt
     state = smooth_state(2, 32, k)
     ops = sp.operators(state.grid, k)
@@ -203,20 +214,57 @@ def test_cross_validate_peak_memory():
         ep.identity_state(state.rho, u0, k), T, dt, stride,
         out=lambda *snapshot: None))
     field = 8 * ops.grid.npoints
-    row = field + 16 * ops.band.mask.size
-    bound = epdiff_peak + row + field + 2 * field
+    bound = epdiff_peak + field + io.DEFAULT_BUFFER_SIZE + STREAM_OBJECTS
     peak = traced_peak(lambda: ep.cross_validate(state.rho, state.p, k, T,
                                                  dt))
+    assert len(forks) == 2
     assert peak <= bound, (f"{(peak - epdiff_peak) / field:.2f} fields > "
                            f"{(bound - epdiff_peak) / field:.2f}")
 
 
-def test_density_snapshots_die_once_compared(monkeypatch):
-    """Each density snapshot's rho lives until its comparison is made, and
-    no longer: at each comparison only the rho it compared is alive."""
+def test_density_worker_holds_one_snapshot():
+    """The worker's body (`epdiff._stream`), run in process on a pipe that
+    holds the whole stream (2-D n 32, the stride of xval-2d), holds above
+    its entry no more than the flow's own stepping, drained with nothing
+    kept, and the stream's small objects: the density flow's rows, p_out,
+    a step's temporaries and one snapshot, pickled between steps and
+    dropped before the next."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe's capacity cannot be set here")
+    k, T, dt, stride = 2, 0.5, 0.01, 5
+    state = smooth_state(2, 32, k)
+
+    def rest():
+        density = ge.snapshots(state.rho, state.p, k, T, dt,
+                               store_every=stride)
+        next(density)  # the worker starts after the first snapshot
+        return density
+    collections.deque(rest(), maxlen=0)  # warm-up
+    density = rest()
+    drained = traced_peak(lambda: collections.deque(density, maxlen=0))
+    read, write = os.pipe()
+    fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 17)  # 10 snapshots: 83 KB
+    try:
+        with open(write, "wb") as pipe:
+            density = rest()
+            peak = traced_peak(lambda: ep._stream(density, pipe))
+        with open(read, "rb", closefd=False) as pipe:
+            received = list(ep._received(pipe))
+    finally:
+        os.close(read)
+    assert len(received) == 10
+    assert peak <= drained + STREAM_OBJECTS, f"{peak - drained} bytes"
+
+
+def test_density_snapshots_die_once_compared(monkeypatch, forks):
+    """Each density snapshot's rho lives in the parent until its comparison
+    is made, and no longer: at each comparison only the rho it compared is
+    alive. The first snapshot is the parent's own, the others are those
+    it received from the worker, one at a time."""
     state = smooth_state(2, 16, 2)
     rhos = []
-    snapshots = ge.snapshots
+    snapshots, received = ge.snapshots, ep._received
 
     class Watched:
         """The density flow's snapshots, each rho watched by weakref."""
@@ -232,8 +280,15 @@ def test_density_snapshots_die_once_compared(monkeypatch):
             rhos.append(weakref.ref(snapshot.rho.values))
             return t, snapshot, diagnostics
 
+    def watched(pipe):
+        for rho, energy in received(pipe):
+            rhos.append(weakref.ref(rho))
+            yield rho, energy
+
     monkeypatch.setattr(ge, "snapshots", Watched)
+    monkeypatch.setattr(ep, "_received", watched)
     alive = []
     ep.cross_validate(state.rho, state.p, 2, 0.1, 0.01, out=lambda *check:
                       alive.append([ref() is not None for ref in rhos]))
+    assert len(forks) == 1
     assert alive == [[False] * i + [True] for i in range(11)]

@@ -63,8 +63,9 @@ class TestObjective:
                    - ma.objective(moved, coeffs_moved)) < 1e-10
 
     def test_abort_raises_the_shoots_time(self):
-        # 2 of these 5 momenta abort the shoot before T
-        problem = violent_problem()
+        # 2 of these 5 momenta abort the shoot before T, at t = 0.06 and
+        # 0.87; the other 3 reach T, and T = 5 too
+        problem = violent_problem(T=1.0)
         rows = np.zeros((5, 4))
         rows[:, 1] = [0.0, 5.0, 0.01, 0.3, 0.03]
         rows[:, 2] = [0.0, 0.1, -0.002, 0.0, 0.001]
@@ -118,13 +119,13 @@ def test_unit_placements_are_the_cos_sin_fields(dim, n_modes):
     assert np.abs(fields - reference).max() <= 1e-14
 
 
-def violent_problem(**kw):
+def violent_problem(T=5.0, **kw):
     """k = -1 with steep data: strong sin(x) momenta abort the shoot."""
     g = grid1d()
     x = g.coords[0]
     rho0 = sp.ScalarField(g, (1 + 0.9 * np.cos(x))
                           / (1 + 0.9 * np.cos(x)).mean())
-    return ma.MatchProblem(rho0, rho0, -1, 5.0, 0.01, 2, **kw)
+    return ma.MatchProblem(rho0, rho0, -1, T, 0.01, 2, **kw)
 
 
 class TestObjectiveGradient:
