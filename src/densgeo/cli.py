@@ -191,8 +191,6 @@ def _time_steps(T, dt):
 
 
 DIAG_HEADER = ["t"] + [f.name for f in dataclasses.fields(geodesic.Diagnostics)]
-COMPARISON_HEADER = ["t", "l2_discrepancy", "horizontality_defect",
-                     "energy_density", "energy_epdiff"]
 # an aborted run has no final-state cells, and a completed one no abort
 CONVERGENCE_HEADER = ["run", "n", "dt", "status", "energy_drift",
                       "spectral_tail", "mass_error", "abort_time",
@@ -274,8 +272,7 @@ def cmd_match(cfg, outdir, manifest):
     io.write_field(os.path.join(outdir, "rho_final.field"),
                    result.final_state.rho)
     io.write_csv(os.path.join(outdir, "history.csv"),
-                 ["iter", "objective", "grad_norm", "lambda"],
-                 result.history_rows)
+                 matching.HISTORY_COLUMNS, result.history_rows)
     io.write_csv(os.path.join(outdir, "diagnostics.csv"), DIAG_HEADER,
                  [(t,) + dataclasses.astuple(d)
                   for t, d in zip(result.times, result.diagnostics)])
@@ -304,7 +301,7 @@ def cmd_epdiff_check(cfg, outdir, manifest):
     io.write_json(os.path.join(outdir, "manifest.json"), manifest)
     with open(os.path.join(outdir, "comparison.csv"), "w",
               newline="\n") as csv:
-        csv.write(io.csv_line(COMPARISON_HEADER))
+        csv.write(io.csv_line(epdiff.COMPARISON_COLUMNS))
 
         def write(*comparison):  # as the cross-check makes it
             csv.write(io.csv_line(comparison))
@@ -326,8 +323,8 @@ def cmd_validate(cfg, outdir, manifest):
                                   seed=manifest["seed"])
     io.write_json(os.path.join(outdir, "validation.json"), report)
     if not report["all_passed"]:
-        failed = [name for name, r in report["checks"].items()
-                  if not r["passed"]]
+        failed = [name + (" (aborted)" if "abort" in r else "")
+                  for name, r in report["checks"].items() if not r["passed"]]
         raise RuntimeError(f"invariant checks failed: {', '.join(failed)}")
     return f"all {len(report['checks'])} invariant checks passed"
 
@@ -425,7 +422,7 @@ def main(argv=None) -> int:
         outdir = args.output_dir or _get(cfg, "run", "output_dir", str,
                                          default="densgeo-out")
         try:
-            io.ensure_dir(outdir)
+            os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(
                 f"output directory {outdir}: {exc.strerror}") from None
@@ -447,7 +444,7 @@ def main(argv=None) -> int:
         io.write_json(os.path.join(outdir, "error.json"),
                       {"error": str(exc)})
         return 2
-    except (geodesic.SolverAbort, RuntimeError) as exc:
+    except RuntimeError as exc:  # a SolverAbort is one
         _write_status(outdir, "aborted", str(exc), t0)
         if not args.quiet:
             print(f"aborted: {exc}", file=sys.stderr)

@@ -91,6 +91,9 @@ class DiffeoState:
 
 
 N_CHECKS = 11  # cross_validate's comparison times, about evenly spaced
+# the values of a cross_validate comparison, in order: comparison.csv's header
+COMPARISON_COLUMNS = ("t", "l2_discrepancy", "horizontality_defect",
+                      "energy_density", "energy_epdiff")
 BAND_RTOL = 1e-12  # u0's largest mode outside the band, relative: roundoff
 
 
@@ -427,13 +430,12 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
     drops it. The rest of the density flow runs in a forked worker beside
     EPDiff, which streams its reduced snapshots through a pipe, or, where
     no worker can be forked, in process, stepped to each comparison time
-    (see `_rest_of`). out(t, l2_discrepancy, horizontality_defect,
-    energy_density, energy_epdiff), when given, is called with each
-    comparison as it is made. While EPDiff steps, the cross-check holds
-    EPDiff's working set, the last rho received (in process, the density
-    flow's rows and p_out instead) and the comparisons so far: no density
-    state, and no u0, which dies with the identity state once
-    `integrate_epdiff` has built its row.
+    (see `_rest_of`). out(*comparison), when given, is called with each
+    comparison (its COMPARISON_COLUMNS) as it is made. While EPDiff steps,
+    the cross-check holds EPDiff's working set, the last rho received (in
+    process, the density flow's rows and p_out instead) and the
+    comparisons so far: no density state, and no u0, which dies with the
+    identity state once `integrate_epdiff` has built its row.
 
     An abort reports the density flow's reason whenever that flow has one,
     as if it had run first: when EPDiff fails, the density flow is run to
@@ -451,7 +453,7 @@ def cross_validate(rho0: ScalarField, p0: ScalarField, k: int, T: float,
                            k)]
     first = [_reduced(*snapshot)]
     del snapshot
-    checks = []  # (t, discrepancy, defect, energy_density, energy_epdiff)
+    checks = []  # the comparisons, each in COMPARISON_COLUMNS' order
 
     def compare(t, phi):
         # both flows observe the same steps

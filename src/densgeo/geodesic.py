@@ -54,6 +54,7 @@ STEP_RTOL = 1e-9  # T/dt this close to an integer counts as that integer
 MAX_STEPS = 10 ** 7  # over 45 minutes even on 1-D n = 8: more is a typo
 CFL = 0.5  # default_dt's fraction of a grid cell per step
 CG_ITERS_PER_POINT = 10  # solve_L_rho's iteration limit per grid point
+CG_RTOL = 1e-12  # solve_L_rho's residual tolerance, relative to rhodot's
 
 
 class SolverAbort(RuntimeError):
@@ -314,17 +315,15 @@ def apply_L_rho(rho: ScalarField, p: ScalarField, k: int) -> ScalarField:
     return ScalarField(rho.grid, rhodot)
 
 
-def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
-                tol: float = 1e-10) -> ScalarField:
-    """Invert L_rho on the mean-zero band by preconditioned conjugate gradients.
+def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int) -> ScalarField:
+    """Invert L_rho on the mean-zero band by preconditioned conjugate
+    gradients, to a residual of CG_RTOL relative to rhodot's band part.
 
     Preconditioner: the exact constant-density inverse symbol
     (1+|xi|^2)^(k+1)/|xi|^2 on nonzero retained modes.
     """
     _check_operands(rho, rhodot, "rhodot")
     grid = rho.grid
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     ops = operators(grid, k).band
     b = ops.apply(ops.mask, rhodot.values)
     b = b - b.mean()
@@ -348,7 +347,7 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int,
         alpha = rz / qlq
         x = x + alpha * q
         r = r - alpha * lq
-        if l2_norm_values(r) <= tol * bnorm:
+        if l2_norm_values(r) <= CG_RTOL * bnorm:
             break
         z = ops.apply(ops.precond, r)
         rz_new = float((r * z).mean())
@@ -485,30 +484,28 @@ def warn_local_regime(k: int, dim: int) -> None:
 
 
 def shoot(rho0: ScalarField, p0: ScalarField, k: int, T: float, dt: float,
-          store_every: int = 1, backward: bool = False, out=None):
+          store_every: int = 1, out=None):
     """Integrate the geodesic flow from (rho0, p0) over [0, T]: hands
     out(t, state, diagnostics) each of `snapshots`' snapshots as the flow
     reaches it, and returns out, by default a new `Trajectory`. Aborts
     propagate with the failing time attached.
     """
     out = Trajectory() if out is None else out
-    for snapshot in snapshots(rho0, p0, k, T, dt, store_every, backward):
+    for snapshot in snapshots(rho0, p0, k, T, dt, store_every):
         out(*snapshot)
         del snapshot  # no state is held while the flow steps
     return out
 
 
 def snapshots(rho0: ScalarField, p0: ScalarField, k: int, T: float,
-              dt: float, store_every: int = 1, backward: bool = False):
+              dt: float, store_every: int = 1):
     """The geodesic flow from (rho0, p0) over [0, T] as a generator of its
     snapshots (t, state, diagnostics), each yielded as the flow reaches it.
 
     Takes ceil(T/dt) equal steps that end exactly at T (see time_steps);
     the snapshots are those at t = 0, every store_every steps and T, each
-    summarized as a stack of one (see `summarize`). Backward runs negate
-    p0, integrate forward, and negate each snapshot's p back (the flow is
-    time-reversible; the energy and max|p| are even in p). Aborts raise
-    from the generator with the failing time attached.
+    summarized as a stack of one (see `summarize`). Aborts raise from the
+    generator with the failing time attached.
 
     While suspended it holds the flow's current rows and p_out (see
     `prepare`), and no snapshot: each is built in a call and yielded at
@@ -519,21 +516,19 @@ def snapshots(rho0: ScalarField, p0: ScalarField, k: int, T: float,
     warn_local_regime(k, rho0.grid.dim)
     # y: a list of the initial rows, popped into flow, which then holds
     # the only reference (see shoot_tangents)
-    ops, *y, p_out = prepare(rho0, -p0.values if backward else p0.values, k)
+    ops, *y, p_out = prepare(rho0, p0.values, k)
     step = time_steps(T, dt)[1]
     for i, rows, observed in flow(partial(step_rk4, ops), y.pop(), T, dt,
                                   store_every):
         if observed:
-            yield _snapshot(ops, p_out, rows, i * step, k, backward)
+            yield _snapshot(ops, p_out, rows, i * step, k)
 
 
 def _snapshot(ops: Operators, p_out: np.ndarray, rows: np.ndarray, t: float,
-              k: int, backward: bool):
+              k: int):
     """`snapshots`' snapshot (t, state, diagnostics) of the state in row 0
     of the rows (1, R)."""
     rho, p, (diagnostics,) = summarize(ops, p_out, rows)
-    if backward:
-        np.negative(p, out=p)
     return t, DensityState(ScalarField(ops.grid, rho[0].copy()),
                            ScalarField(ops.grid, p[0]), k), diagnostics
 

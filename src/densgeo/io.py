@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 import numpy as np
 
@@ -104,14 +103,10 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def format_float(x) -> str:
-    """Shortest decimal representation that round-trips a float64."""
-    return repr(float(x))
-
-
 def csv_line(cells) -> str:
-    """One LF-terminated CSV line, '.' decimal separator, round-trip floats."""
-    return ",".join(format_float(c) if isinstance(c, (float, np.floating))
+    """One LF-terminated CSV line, '.' decimal separator, floats as the
+    shortest decimal that round-trips a float64 (repr)."""
+    return ",".join(repr(float(c)) if isinstance(c, (float, np.floating))
                     else str(c) for c in cells) + "\n"
 
 
@@ -130,7 +125,3 @@ def write_json(path, obj) -> None:
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def ensure_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)

@@ -47,6 +47,8 @@ LM_MAX_TRIALS = 30
 # grid points per tangent stack (the base and its tangents); bounds the
 # memory of a Jacobian's shoot in 2-D
 MAX_STACK_POINTS = 2 ** 14
+# the values of an iteration's history row, in order: history.csv's header
+HISTORY_COLUMNS = ("iter", "objective", "grad_norm", "lambda")
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class MatchResult:
     times: np.ndarray
     diagnostics: list
     final_state: geodesic.DensityState
-    history_rows: list  # (iter, objective, grad_norm, lambda), history.csv
+    history_rows: list  # HISTORY_COLUMNS of each iteration, history.csv
 
 
 def half_space_modes(grid: Grid, n_modes: int) -> np.ndarray:

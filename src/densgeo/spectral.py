@@ -141,24 +141,23 @@ class Operators:
         self.vec = (Ellipsis, None) + (slice(None),) * grid.dim
         ksq = sum(km ** 2 for km in self.k_mesh)
         base = 1.0 + ksq
-        # A = (1 - Laplacian)^(k+1) and its inverse; k = -1 is the identity
+        # A = (1 - Laplacian)^(k+1), and its inverse on the band; k = -1 is
+        # the identity
         with np.errstate(over="ignore"):
             self.a = base ** (k + 1)
         if not np.isfinite(self.a).all():
             raise ValueError(
                 f"metric order k={k} is too large for {grid}: the inertia "
                 "symbol (1 + |xi|^2)^(k+1) overflows")
-        self.ainv = base ** (-(k + 1))
         self.a_band = self.a * self.mask
-        self.ainv_band = self.ainv * self.mask
+        self.ainv_band = base ** (-(k + 1)) * self.mask
         # the exact constant-density inverse of L_rho on the retained band,
         # (1 + |xi|^2)^(k+1) / |xi|^2, zero on the mean mode
         ksq[self.zero] = 1.0
         self.precond = self.mask * self.a / ksq
         self.precond[self.zero] = 0.0
         for arr in (self.k_mesh, self.mask, self.ik, self.weight, self.tail,
-                    self.a, self.ainv, self.a_band, self.ainv_band,
-                    self.precond):
+                    self.a, self.a_band, self.ainv_band, self.precond):
             arr.flags.writeable = False
         self.band = self if grid.dim == 1 else Band(self)
 

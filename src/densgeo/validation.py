@@ -100,7 +100,7 @@ def _check_solve_apply_roundtrip(rng, grid, k):
     rho = random_density(rng, grid)
     p = ScalarField(grid, random_band_limited(rng, grid))
     rhodot = geodesic.apply_L_rho(rho, p, k)
-    p_rec = geodesic.solve_L_rho(rho, rhodot, k, tol=1e-12)
+    p_rec = geodesic.solve_L_rho(rho, rhodot, k)
     err = l2_norm_values(p_rec.values - p.values) / l2_norm_values(p.values)
     return err, 1e-8
 
@@ -152,7 +152,10 @@ def _check_time_reversibility(rng, grid, k):
     kk = max(k, 1)
     fwd = geodesic.shoot(rho0, p0, kk, 0.3, 0.005)
     end = fwd.states[-1]
-    back = geodesic.shoot(end.rho, end.p, kk, 0.3, 0.005, backward=True)
+    # the flow is time-reversible: back from (rho_T, p_T) is forward from
+    # (rho_T, -p_T)
+    back = geodesic.shoot(end.rho, ScalarField(grid, -end.p.values), kk,
+                          0.3, 0.005)
     err = l2_norm_values(back.states[-1].rho.values - rho0.values)
     return err, 1e-9
 
@@ -238,12 +241,19 @@ CHECKS = [
 
 
 def run_suite(dim: int = 1, n: int = 32, k: int = 1, seed: int = 0) -> dict:
-    """Run every named invariant check; returns a machine-readable report."""
+    """Run every named invariant check; returns a machine-readable report.
+    A check whose solver aborts has failed: it keeps the abort's message,
+    with no measured value or tolerance, and the other checks still run."""
     grid = make_grid(dim, n)
     results = {}
     for name, fn in CHECKS:
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-        measured, tol = fn(rng, grid, k)
+        try:
+            measured, tol = fn(rng, grid, k)
+        except geodesic.SolverAbort as exc:
+            results[name] = {"passed": False, "measured": None,
+                             "tolerance": None, "abort": str(exc)}
+            continue
         results[name] = {
             "passed": bool(measured <= tol),
             "measured": float(measured),

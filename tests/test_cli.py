@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from densgeo import cli, epdiff, geodesic, io, presets, spectral as sp
+from densgeo import cli, epdiff, geodesic, io, presets, spectral as sp, \
+    validation
 
 
 def write_config(path, text):
@@ -375,6 +376,35 @@ class TestValidateCommand:
             verdicts.append({k: v["passed"]
                              for k, v in report["checks"].items()})
         assert verdicts[0] == verdicts[1]
+
+    def test_aborting_checks_keep_every_verdict(self, tmp_path):
+        # on 1-D n 32 at k 8 the CG solve and the EPDiff flow abort: each
+        # aborting check fails with its abort's message, and every other
+        # check still runs and gives its verdict
+        cfg = write_config(tmp_path / "c.ini", VALIDATE_CFG.replace(
+            "seed = 5", "seed = 0").replace("k = 1", "k = 8"))
+        out = str(tmp_path / "out")
+        assert cli.main(["validate", "--config", cfg, "--output-dir", out,
+                         "--quiet"]) == 1
+        checks = io.read_json(os.path.join(out, "validation.json"))["checks"]
+        assert sorted(checks) == sorted(name for name, _ in validation.CHECKS)
+        aborts = {name: c["abort"] for name, c in checks.items()
+                  if "abort" in c}
+        assert sorted(aborts) == ["epdiff-energy-conservation",
+                                  "solve-apply-roundtrip"]
+        assert aborts["solve-apply-roundtrip"].startswith(
+            "CG did not converge")
+        assert "Jacobian lost positivity" in aborts[
+            "epdiff-energy-conservation"]
+        for name in aborts:
+            assert checks[name]["passed"] is False
+            assert checks[name]["measured"] is None
+        status = io.read_json(os.path.join(out, "status.json"))
+        assert status["status"] == "aborted"
+        assert status["message"] == (
+            "invariant checks failed: inertia-self-adjoint-positive, "
+            "multiplier-translation-equivariance, solve-apply-roundtrip "
+            "(aborted), epdiff-energy-conservation (aborted)")
 
     @pytest.mark.parametrize("seed", ["abc", "-3"])
     def test_bad_seed_is_a_config_error(self, tmp_path, capsys, seed):
