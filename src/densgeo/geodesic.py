@@ -13,8 +13,8 @@ symmetric. p enters only through grad p, and p_t is dealiased, so the flow
 carries p as its masked band spectrum: a state is one real row of rho's grid
 values and that spectrum (`_rows`). Rows turn back into states only here:
 `snapshots` yields each state as the flow reaches it (`shoot` hands them to
-a sink), and `replay` turns the rows a `Record` kept into the same states'
-summaries, bit for bit. Every time step is taken by one loop, the
+a sink), and `replay` turns the rows `shoot_tangents` records into the same
+states' summaries, bit for bit. Every time step is taken by one loop, the
 generator `flow`.
 Every shoot steps the rows (1 + m, R) of one state: row 0 is the state and
 rows 1.. are m tangents, carried by the flow linearized along it (`_rhs`).
@@ -337,27 +337,28 @@ def solve_L_rho(rho: ScalarField, rhodot: ScalarField, k: int) -> ScalarField:
     z = ops.apply(ops.precond, r)
     q = z.copy()
     rz = float((r * z).mean())
-    for iters in range(1, max_iter + 1):
-        lq = _lrho(ops, rho.values, ops.fft(q) * ops.mask)
-        qlq = float((q * lq).mean())
-        if not qlq > 0.0:
+    # as in rk4, an overflow is reported by a SolverAbort, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iters in range(1, max_iter + 1):
+            lq = _lrho(ops, rho.values, ops.fft(q) * ops.mask)
+            qlq = float((q * lq).mean())
+            if not qlq > 0.0:
+                raise SolverAbort(f"CG breakdown: non-positive curvature "
+                                  f"{qlq:.3e} at iter {iters}")
+            alpha = rz / qlq
+            x = x + alpha * q
+            r = r - alpha * lq
+            if l2_norm_values(r) <= CG_RTOL * bnorm:
+                break
+            z = ops.apply(ops.precond, r)
+            rz_new = float((r * z).mean())
+            q = z + (rz_new / rz) * q
+            rz = rz_new
+        else:
             raise SolverAbort(
-                f"CG breakdown: non-positive curvature {qlq:.3e} at iter {iters}"
+                f"CG did not converge in {max_iter} iterations; "
+                f"relative residual {l2_norm_values(r) / bnorm:.3e}"
             )
-        alpha = rz / qlq
-        x = x + alpha * q
-        r = r - alpha * lq
-        if l2_norm_values(r) <= CG_RTOL * bnorm:
-            break
-        z = ops.apply(ops.precond, r)
-        rz_new = float((r * z).mean())
-        q = z + (rz_new / rz) * q
-        rz = rz_new
-    else:
-        raise SolverAbort(
-            f"CG did not converge in {max_iter} iterations; "
-            f"relative residual {l2_norm_values(r) / bnorm:.3e}"
-        )
     return ScalarField(grid, x - x.mean())
 
 
@@ -447,23 +448,6 @@ def flow(step, y: np.ndarray, T: float, dt: float, every: int = 1):
         yield i, y, i % every == 0 or i == n_steps
 
 
-class Record:
-    """`shoot_tangents`' observer that keeps a shoot's state, row 0 of its rows
-    (1 + m, R), at every step i of time_steps(T, dt) as rows[i]: one array
-    (n_steps + 1, R), allocated at step 0. rows stays None for a shoot at
-    rest, which takes no time loop (see `shoot_tangents`). `replay` turns
-    its rows into the shoot's geodesic."""
-
-    def __init__(self, T: float, dt: float):
-        self.n_steps = time_steps(T, dt)[0]
-        self.rows = None
-
-    def __call__(self, i: int, y: np.ndarray) -> None:
-        if i == 0:
-            self.rows = np.empty((self.n_steps + 1, y.shape[-1]))
-        self.rows[i] = y[0]
-
-
 def default_dt(state: DensityState) -> float | None:
     """CFL-style default step CFL * dx / max|u|; None for a resting state."""
     u = horizontal_velocity(state)
@@ -535,8 +519,8 @@ def _snapshot(ops: Operators, p_out: np.ndarray, rows: np.ndarray, t: float,
 
 def replay(rho0: ScalarField, p0: np.ndarray, k: int, T: float, dt: float,
            rows: np.ndarray | None, height: int):
-    """The geodesic of the shoot from (rho0, p0) whose state a `Record`
-    kept at every step (rows None for a shoot at rest), as (times,
+    """The geodesic of the shoot from (rho0, p0) whose state rows
+    `shoot_tangents` recorded (None for a shoot at rest), as (times,
     diagnostics, final_state): bit for bit those of `shoot`'s `Trajectory`.
 
     The rows are summarized in stacks of `height` (see `summarize`), so the
@@ -574,7 +558,7 @@ def prepare(rho0: ScalarField, p0: np.ndarray, k: int):
 
 def summarize(ops: Operators, p_out: np.ndarray, rows: np.ndarray):
     """A stack of a shoot's state rows (B, R), the rows `flow` yields or
-    rows of a `Record`, as (rho, p, diagnostics): the states on
+    rows `shoot_tangents` recorded, as (rho, p, diagnostics): the states on
     the grid (B, *shape), rho a view of the rows and p its band part plus
     the shoot's p_out (see `prepare`), and their `diagnostics_for`. It
     does not check them: `snapshots` builds each as a `DensityState`, which
@@ -586,7 +570,7 @@ def summarize(ops: Operators, p_out: np.ndarray, rows: np.ndarray):
 
 
 def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
-                   T: float, dt: float, observe=None):
+                   T: float, dt: float, record: bool = False):
     """The shoot from (rho0, p0) and the derivatives of its final density
     along the initial momenta dp0, m >= 0 masked band spectra with the mean
     entry 0, (m, *band.mask.shape), by the linearized flow (see `_rhs`)
@@ -594,29 +578,34 @@ def shoot_tangents(rho0: ScalarField, p0: np.ndarray, dp0: np.ndarray, k: int,
 
     The state is prepared and stepped as `shoot` prepares and steps it, so
     its endpoint is bit-identical to shoot's; only the state is guarded.
-    Returns (rho_T, drho_T), (*shape) and (m, *shape); raises
+    Returns (rho_T, drho_T, rows), (*shape), (m, *shape) and, with record,
+    the state's row (row 0 of the rows) at every step i of time_steps(T, dt)
+    as rows[i], one array (n_steps + 1, R) allocated at step 0, else None;
+    `replay` turns rows into the shoot's geodesic. Raises
     SolverAbort("t=...: reason") at the time of the state's failed step.
-    Given observe, it calls observe(i, rows) at every step i.
     At rest (p0's band part 0) the linearized flow is drho_t = L_rho0 dp,
     dp_t = 0, on which RK4 is exact: drho_T is T L_rho0 dp0, one stacked
-    L_rho apply with no time loop, and observe is not called.
+    L_rho apply with no time loop, and rows is None.
     """
     ops = operators(rho0.grid, k)
     band = ops.band
     base = _initial_rows(ops, rho0, p0, k)[0]
     rho, p_hat = _split(band, base[0])
+    n_steps = time_steps(T, dt)[0]  # checks T and dt, at rest too
     if not p_hat.any():
-        time_steps(T, dt)  # the same checks of T and dt
-        return rho, T * _lrho(band, rho, dp0)
+        return rho, T * _lrho(band, rho, dp0), None
     del rho, p_hat
+    rows = None
     # flow holds the only reference to the initial rows: freed at step 1
     for i, y, _ in flow(partial(step_rk4, ops), np.concatenate(
             (base, _rows(band, np.zeros((len(dp0),) + ops.grid.shape), dp0))),
             T, dt):
-        if observe is not None:
-            observe(i, y)
+        if record:
+            if i == 0:
+                rows = np.empty((n_steps + 1, y.shape[-1]))
+            rows[i] = y[0]
     rho_T = _split(band, y)[0]
-    return rho_T[0], rho_T[1:]
+    return rho_T[0], rho_T[1:], rows
 
 
 def _initial_rows(ops: Operators, rho0: ScalarField, p0: np.ndarray, k: int):

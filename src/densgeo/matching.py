@@ -171,30 +171,26 @@ def _tangents(problem: MatchProblem, lo: int, hi: int) -> np.ndarray:
 
 
 def _residual(problem: MatchProblem, coeffs: np.ndarray, dp=None):
-    """rho(T) - rho1 of the shoot of coeffs' momentum (`shoot_tangents`
-    with no tangents): the one residual of `objective`, `objective_gradient`
-    and Levenberg-Marquardt's trials. Given m >= 0 tangent momenta dp (see
-    `_tangents`), the shoot carries them and keeps its state at every step
-    (a `geodesic.Record`), and the result is (rho(T) - rho1, jac, rows): jac
-    (m, N) holds the derivatives of rho(T) along dp, C-contiguous as
-    `_jacobian` builds it, so that it frees the shoot's rows, and rows are
-    the record's. Raises the shoot's SolverAbort, with its time."""
-    tangents = _tangents(problem, 0, 0) if dp is None else dp
-    record = None if dp is None else geodesic.Record(problem.T, problem.dt)
-    rho_T, drho = geodesic.shoot_tangents(
-        problem.rho0, p_from_coeffs(problem, coeffs).values, tangents,
-        problem.k, problem.T, problem.dt, record)
-    r = rho_T - problem.rho1.values
-    if dp is None:
-        return r
-    return (r, drho.reshape(len(drho), problem.grid.npoints).copy(),
-            record.rows)
+    """(rho(T) - rho1, jac, rows) of the shoot of coeffs' momentum, which
+    carries m >= 0 tangent momenta dp (see `_tangents`; none by default):
+    the one residual of `objective`, `objective_gradient` and
+    Levenberg-Marquardt's trials. jac (m, N) holds the derivatives of rho(T)
+    along dp, C-contiguous as `_jacobian` builds it, so that it frees the
+    shoot's rows. Given dp the shoot records its state at every step, and
+    rows are that record (see `geodesic.shoot_tangents`); else rows is None.
+    Raises the shoot's SolverAbort, with its time."""
+    rho_T, drho, rows = geodesic.shoot_tangents(
+        problem.rho0, p_from_coeffs(problem, coeffs).values,
+        _tangents(problem, 0, 0) if dp is None else dp, problem.k,
+        problem.T, problem.dt, record=dp is not None)
+    return (rho_T - problem.rho1.values,
+            drho.reshape(len(drho), problem.grid.npoints).copy(), rows)
 
 
 def objective(problem: MatchProblem, coeffs: np.ndarray) -> float:
     """J(c) = 0.5 * mean((rho(T) - rho1)^2). Raises the shoot's SolverAbort,
     with its time."""
-    return float(0.5 * np.mean(_residual(problem, coeffs) ** 2))
+    return float(0.5 * np.mean(_residual(problem, coeffs)[0] ** 2))
 
 
 def _per_stack(grid: Grid) -> int:
@@ -233,7 +229,7 @@ def _jacobian(problem: MatchProblem, coeffs: np.ndarray) -> np.ndarray:
     jac = np.empty((n, problem.grid.npoints))
     for lo in range(0, n, per_stack):
         hi = min(n, lo + per_stack)
-        _, drho = geodesic.shoot_tangents(
+        _, drho, _ = geodesic.shoot_tangents(
             problem.rho0, p, _tangents(problem, lo, hi), problem.k,
             problem.T, problem.dt)
         jac[lo:hi] = drho.reshape(hi - lo, -1)
@@ -246,7 +242,7 @@ def objective_gradient(problem: MatchProblem,
     the residual Jacobian Levenberg-Marquardt steps on (`_jacobian`). Raises
     the shoot's SolverAbort, with its time, and a SolverAbort naming the
     first coefficient whose tangent is not finite."""
-    r = _residual(problem, coeffs)
+    r = _residual(problem, coeffs)[0]
     jac = _jacobian(problem, coeffs)
     _check_tangents(jac)
     return jac @ r.ravel() / r.size
@@ -356,7 +352,7 @@ def solve_match(problem: MatchProblem) -> MatchResult:
     base shoot aborts or a tangent is not finite. A stalled match returns
     the best coefficients seen, the last accepted ones.
 
-    Every trial keeps its state at every step (a `geodesic.Record`), and
+    Every trial records its state at every step (`shoot_tangents`), and
     the final geodesic is the last accepted trial's record (shot again,
     plainly, when the trials stall; see `_levenberg_marquardt`), replayed
     by `geodesic.replay` in stacks as tall as a carrying trial's rows

@@ -73,7 +73,13 @@ def _check_inertia_self_adjoint_positive(rng, grid, k):
     af, ag = ops.apply(ops.a, f), ops.apply(ops.a, g)
     sym_err = abs(float((af * g).mean()) - float((f * ag).mean()))
     gap = float((af * f).mean()) - float((f * f).mean())
-    return max(sym_err, -gap), 1e-10
+    # roundoff of <Af, g> per unit of the operands' norms: eps times A's
+    # largest value on the band, where f and g live, and eps^2 times its
+    # largest off it, where one transform's roundoff meets the other's
+    eps = np.finfo(np.float64).eps
+    floor = (eps * (ops.a[ops.mask].max() + eps * ops.a.max())
+             * np.sqrt((f ** 2).mean() * (g ** 2).mean()))
+    return max(sym_err, -gap), max(1e-10, floor)
 
 
 def _check_multiplier_translation_equivariance(rng, grid, k):
@@ -83,7 +89,10 @@ def _check_multiplier_translation_equivariance(rng, grid, k):
     shifted_then = ops.apply(ops.a, shift_values(grid, f, offs))
     then_shifted = shift_values(grid, ops.apply(ops.a, f), offs)
     scale = max(1.0, np.abs(then_shifted).max())
-    return np.abs(shifted_then - then_shifted).max() / scale, 1e-12
+    # each apply amplifies the transform's roundoff on every mode by max A
+    floor = 2.0 * np.finfo(np.float64).eps * ops.a.max() * np.abs(f).max()
+    return (np.abs(shifted_then - then_shifted).max() / scale,
+            max(1e-12, floor / scale))
 
 
 def _check_lrho_self_adjoint_positive(rng, grid, k):

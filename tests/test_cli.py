@@ -380,7 +380,8 @@ class TestValidateCommand:
     def test_aborting_checks_keep_every_verdict(self, tmp_path):
         # on 1-D n 32 at k 8 the CG solve and the EPDiff flow abort: each
         # aborting check fails with its abort's message, and every other
-        # check still runs and gives its verdict
+        # check still runs and gives its verdict; the symbol checks pass,
+        # their tolerances following the roundoff A amplifies
         cfg = write_config(tmp_path / "c.ini", VALIDATE_CFG.replace(
             "seed = 5", "seed = 0").replace("k = 1", "k = 8"))
         out = str(tmp_path / "out")
@@ -402,9 +403,19 @@ class TestValidateCommand:
         status = io.read_json(os.path.join(out, "status.json"))
         assert status["status"] == "aborted"
         assert status["message"] == (
-            "invariant checks failed: inertia-self-adjoint-positive, "
-            "multiplier-translation-equivariance, solve-apply-roundtrip "
-            "(aborted), epdiff-energy-conservation (aborted)")
+            "invariant checks failed: solve-apply-roundtrip (aborted), "
+            "epdiff-energy-conservation (aborted)")
+
+    def test_overflow_prints_only_the_verdict(self, tmp_path, capsys):
+        # at k 100 the CG solve overflows: its abort reports it, with no
+        # numpy warning beside the command's own line
+        cfg = write_config(tmp_path / "c.ini", VALIDATE_CFG.replace(
+            "seed = 5", "seed = 0").replace("k = 1", "k = 100"))
+        assert cli.main(["validate", "--config", cfg, "--output-dir",
+                         str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "aborted: invariant checks failed: solve-apply-roundtrip "
+            "(aborted), epdiff-energy-conservation (aborted)\n")
 
     @pytest.mark.parametrize("seed", ["abc", "-3"])
     def test_bad_seed_is_a_config_error(self, tmp_path, capsys, seed):
@@ -540,6 +551,23 @@ class TestEpdiffCheckCommand:
                          out, "--quiet"]) == 1
         status = io.read_json(os.path.join(out, "status.json"))
         assert status["message"] == "t=0.3: forced density failure"
+
+    def test_overflow_prints_only_the_abort(self, tmp_path, capsys):
+        # at k 100 the first comparison's horizontality defect overflows to
+        # inf, and EPDiff's first step is no longer finite: the guard
+        # reports it, with no numpy warning beside the command's own line
+        cfg = write_config(tmp_path / "c.ini", EPDIFF_CFG.replace(
+            "k = 1", "k = 100").replace("T = 0.2", "T = 0.1").replace(
+            "dt = 0.02", "dt = 0.01").replace(
+            "cos-bump amplitude 0.3 mode 1", "uniform"))
+        out = str(tmp_path / "out")
+        assert cli.main(["epdiff-check", "--config", cfg, "--output-dir",
+                         out]) == 1
+        assert capsys.readouterr().err == (
+            "aborted: t=0.01: state is no longer finite\n")
+        with open(os.path.join(out, "comparison.csv")) as fh:
+            rows = fh.read().splitlines()
+        assert len(rows) == 2 and rows[1].split(",")[2] == "inf"
 
     def test_negative_order_is_a_config_error(self, tmp_path, capsys):
         # the CLI and cross_validate give epdiff.check_order's one message,

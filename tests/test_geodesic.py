@@ -367,7 +367,8 @@ def replay_data(dim):
 
 
 class TestReplay:
-    """`replay` turns a `Record` of a shoot into `shoot`'s geodesic."""
+    """`replay` turns the rows `shoot_tangents` records into `shoot`'s
+    geodesic."""
 
     @pytest.mark.parametrize("height", [1, 7, None], ids=["1", "7", "all"])
     @pytest.mark.parametrize("m", [0, 6, "rest"])
@@ -383,13 +384,13 @@ class TestReplay:
         x = rho0.grid.coords[0]
         dp = np.array([np.cos(j * x) + np.sin((j + 1) * x)
                        for j in range(0 if m == "rest" else m)])
-        record = ge.Record(T, dt)
         dp = tangent_spectra(rho0.grid,
                              dp.reshape((-1,) + rho0.grid.shape))
-        ge.shoot_tangents(rho0, p0, dp, k, T, dt, record)
-        assert (record.rows is None) == (m == "rest")
+        *_, rows = ge.shoot_tangents(rho0, p0, dp, k, T, dt, record=True)
+        assert (rows is None) == (m == "rest")
+        n_steps = ge.time_steps(T, dt)[0]
         times, diagnostics, final = ge.replay(
-            rho0, p0, k, T, dt, record.rows, height or record.n_steps + 1)
+            rho0, p0, k, T, dt, rows, height or n_steps + 1)
         traj = ge.shoot(rho0, sp.ScalarField(rho0.grid, p0), k, T, dt)
         assert times.tobytes() == traj.times.tobytes()
         assert (np.array([astuple(d) for d in diagnostics]).tobytes()
@@ -468,7 +469,7 @@ class TestStackedDiagnostics:
     def test_each_state_as_alone(self, dim, n, height):
         """A stack's diagnostics are, bit for bit, those of each state
         alone and those of the per-state arithmetic. The densities are
-        views of wider rows, as a `Record`'s are, and one is constant (a
+        views of wider rows, as recorded rows are, and one is constant (a
         tail of 0 over 0)."""
         g = sp.make_grid(dim, n)
         k = 2
@@ -826,10 +827,33 @@ class TestStackedFlow:
         rho0 = sp.ScalarField(g, ys[0, 0])
         no_tangents = tangent_spectra(g, np.empty((0,) + g.shape))
         for p in ys[:, 1]:
-            end, drho = ge.shoot_tangents(rho0, p, no_tangents, 2, 0.3, 0.02)
+            end, drho, rows = ge.shoot_tangents(rho0, p, no_tangents, 2,
+                                                0.3, 0.02)
+            assert rows is None
             assert drho.shape == (0,) + g.shape
             traj = ge.shoot(rho0, sp.ScalarField(g, p), 2, 0.3, 0.02)
             assert np.array_equal(traj.states[-1].rho.values, end)
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+    def test_record_changes_no_value(self, dim, n):
+        # recording keeps the state's row at every step, as the flow yields
+        # it, and the endpoint and tangents are those of a shoot that does
+        # not record, bit for bit
+        g = sp.make_grid(dim, n)
+        rho, p = state_stack(g, 1, seed=3)[0]
+        rho0, x = sp.ScalarField(g, rho), g.coords[0]
+        dp = tangent_spectra(g, np.stack([np.cos(x), np.sin(2 * x)]))
+        plain = ge.shoot_tangents(rho0, p, dp, 2, 0.3, 0.02)
+        recorded = ge.shoot_tangents(rho0, p, dp, 2, 0.3, 0.02, record=True)
+        assert plain[2] is None
+        for a, b in zip(plain[:2], recorded[:2]):
+            assert a.tobytes() == b.tobytes()
+        ops = sp.operators(g, 2)
+        y0 = ge._initial_rows(ops, rho0, p, 2)[0]
+        states = [y[0].copy() for _, y, _ in ge.flow(
+            partial(ge.step_rk4, ops), y0, 0.3, 0.02)]
+        assert recorded[2].shape == (16, y0.shape[-1])
+        assert recorded[2].tobytes() == np.array(states).tobytes()
 
     def test_aborted_members_dropped_with_their_times(self):
         # k = -1 steep data: strong sin(x) momenta lose positivity, weak ones
@@ -850,7 +874,7 @@ class TestStackedFlow:
                 assert info.value.time == exc.time
                 assert str(info.value) == str(exc)
             else:
-                end, _ = ge.shoot_tangents(rho0, p, dp, -1, 2.0, 0.01)
+                end, _, _ = ge.shoot_tangents(rho0, p, dp, -1, 2.0, 0.01)
                 assert np.array_equal(traj.states[-1].rho.values, end)
         assert 0 < aborts < 5
 

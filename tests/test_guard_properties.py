@@ -149,7 +149,7 @@ def test_shoot_endpoints_partial_output_is_valid(amps, shift):
         # a sin(x + shift) in the basis cos(x), sin(x)
         coeffs = np.array([a * np.sin(shift), a * np.cos(shift)])
         try:
-            r = ma._residual(problem, coeffs)
+            r = ma._residual(problem, coeffs)[0]
         except ge.SolverAbort as exc:
             assert 0.0 < exc.time <= T
             with pytest.raises(ge.SolverAbort) as info:

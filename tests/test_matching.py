@@ -196,8 +196,8 @@ def fd_jacobian(problem, coeffs, h=1e-5):
     steps = h * np.maximum(1.0, np.abs(coeffs))
     jac = np.empty((len(coeffs), problem.grid.npoints))
     for i, shift in enumerate(np.diag(steps)):
-        diff = (ma._residual(problem, coeffs + shift)
-                - ma._residual(problem, coeffs - shift))
+        diff = (ma._residual(problem, coeffs + shift)[0]
+                - ma._residual(problem, coeffs - shift)[0])
         jac[i] = diff.ravel() / (2.0 * steps[i])
     return jac
 
@@ -252,11 +252,11 @@ class TestTangentJacobian:
         problem = tangent_problem(dim)
         coeffs = tangent_point(problem, at)
         d = np.random.default_rng(6).normal(size=len(coeffs))
-        r = ma._residual(problem, coeffs)
+        r = ma._residual(problem, coeffs)[0]
         jd = d @ ma._jacobian(problem, coeffs)
         remainders = []
         for eps in (1e-2, 1e-3, 1e-4):
-            r_eps = ma._residual(problem, coeffs + eps * d)
+            r_eps = ma._residual(problem, coeffs + eps * d)[0]
             remainders.append(np.linalg.norm((r_eps - r).ravel() - eps * jd))
         ratios = np.array(remainders[:-1]) / remainders[1:]
         assert np.all((70.0 < ratios) & (ratios < 130.0)), ratios
@@ -285,9 +285,9 @@ class TestTangentJacobian:
         problem = tangent_problem(dim)
         coeffs = tangent_point(problem, "moving")
         p = ma.p_from_coeffs(problem, coeffs)
-        rho_T, _ = ge.shoot_tangents(problem.rho0, p.values,
-                                     mean_free_basis(problem), problem.k,
-                                     problem.T, problem.dt)
+        rho_T, _, _ = ge.shoot_tangents(problem.rho0, p.values,
+                                        mean_free_basis(problem), problem.k,
+                                        problem.T, problem.dt)
         traj = ge.shoot(problem.rho0, p, problem.k, problem.T, problem.dt)
         assert np.array_equal(rho_T, traj.states[-1].rho.values)
 
@@ -321,7 +321,7 @@ def test_residual_abort_times_are_the_shoots():
             assert info.value.time == exc.time
             assert str(info.value) == str(exc)
         else:
-            assert np.array_equal(ma._residual(problem, row),
+            assert np.array_equal(ma._residual(problem, row)[0],
                                   traj.states[-1].rho.values
                                   - problem.rho1.values)
     assert 0 < aborts < len(rows)
@@ -407,12 +407,12 @@ class TestSolveMatch:
                                n_modes=2)
         shoot_tangents = ge.shoot_tangents
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             if failure == "abort":
                 raise ge.SolverAbort("t=0.02: positivity lost", time=0.02)
-            rho_T, drho_T = shoot_tangents(*args)
+            rho_T, drho_T, rows = shoot_tangents(*args, **kwargs)
             drho_T[1, 3] = np.nan
-            return rho_T, drho_T
+            return rho_T, drho_T, rows
 
         monkeypatch.setattr(ge, "shoot_tangents", failing)
         result = ma.solve_match(problem)
@@ -517,13 +517,13 @@ def lm_end(case, monkeypatch):
     away = []
     shoot_tangents = ge.shoot_tangents
 
-    def failing(rho0, p0, *args):
-        rho_T, drho_T = shoot_tangents(rho0, p0, *args)
+    def failing(rho0, p0, *args, **kwargs):
+        rho_T, drho_T, rows = shoot_tangents(rho0, p0, *args, **kwargs)
         if p0.any():
             away.append(p0)
             if len(away) == 1 and len(drho_T):
                 drho_T[1, 3] = np.nan
-        return rho_T, drho_T
+        return rho_T, drho_T, rows
 
     monkeypatch.setattr(ge, "shoot_tangents", failing)
     return self_consistent_problem(1)
@@ -584,25 +584,19 @@ class TestLevenbergMarquardt:
                                       "stall-trials"])
     def test_one_record_at_a_time(self, case, monkeypatch):
         """Whenever a shoot runs inside solve_match, at most one record
-        (the rows of a `geodesic.Record`) is alive: the shoot's own, or,
-        while a Jacobian is shot, the accepted trial's."""
+        (the rows `shoot_tangents` returns when recording) is alive: the
+        shoot's own, or, while a Jacobian is shot, the accepted trial's."""
         problem = lm_end(case, monkeypatch)
         records, alive = [], []  # weak references to every record's rows
-
-        class Tracked(ge.Record):
-            def __call__(self, i, y):
-                super().__call__(i, y)
-                if i == 0:
-                    records.append(weakref.ref(self.rows))
-
         shoot_tangents = ge.shoot_tangents
 
-        def counted(rho0, p0, dp0, k, T, dt, observe=None):
-            alive.append(sum(rows() is not None for rows in records)
-                         + (observe is not None))
-            return shoot_tangents(rho0, p0, dp0, k, T, dt, observe)
+        def counted(*args, record=False):
+            alive.append(sum(rows() is not None for rows in records) + record)
+            out = shoot_tangents(*args, record=record)
+            if out[2] is not None:
+                records.append(weakref.ref(out[2]))
+            return out
 
-        monkeypatch.setattr(ge, "Record", Tracked)
         monkeypatch.setattr(ge, "shoot_tangents", counted)
         result = ma.solve_match(problem)
         assert result.status == (
@@ -682,13 +676,13 @@ class TestCarriedTangents:
         away = []
         shoot_tangents = ge.shoot_tangents
 
-        def failing(rho0, p0, *args):
-            rho_T, drho_T = shoot_tangents(rho0, p0, *args)
+        def failing(rho0, p0, *args, **kwargs):
+            rho_T, drho_T, rows = shoot_tangents(rho0, p0, *args, **kwargs)
             if p0.any():
                 away.append(p0)
                 if len(away) == 1 and len(drho_T):
                     drho_T[1, 3] = np.nan
-            return rho_T, drho_T
+            return rho_T, drho_T, rows
 
         monkeypatch.setattr(ge, "shoot_tangents", failing)
         result = ma.solve_match(problem)
