@@ -323,7 +323,8 @@ def cmd_validate(cfg, outdir, manifest):
                                   seed=manifest["seed"])
     io.write_json(os.path.join(outdir, "validation.json"), report)
     if not report["all_passed"]:
-        failed = [name + (" (aborted)" if "abort" in r else "")
+        failed = [name + (" (aborted)" if "abort" in r else
+                          " (unresolved)" if "unresolved" in r else "")
                   for name, r in report["checks"].items() if not r["passed"]]
         raise RuntimeError(f"invariant checks failed: {', '.join(failed)}")
     return f"all {len(report['checks'])} invariant checks passed"

@@ -1,8 +1,8 @@
 """Built-in invariant suites, runnable through the `validate` CLI command.
 
-Each check mirrors one documented invariant and returns a measured value with
-its tolerance. Randomized checks draw from a seeded generator; tolerances are
-chosen so that verdicts do not depend on the seed.
+Each check mirrors one documented invariant and returns a measured value, its
+tolerance and, where roundoff sets that, the measured quantity's scale. Draws
+are seeded; verdicts vary with the seed only where roundoff nears a fault's.
 """
 from __future__ import annotations
 
@@ -71,15 +71,15 @@ def _check_inertia_self_adjoint_positive(rng, grid, k):
     f = random_band_limited(rng, grid)
     g = random_band_limited(rng, grid)
     af, ag = ops.apply(ops.a, f), ops.apply(ops.a, g)
+    aff, agg = float((af * f).mean()), float((ag * g).mean())
     sym_err = abs(float((af * g).mean()) - float((f * ag).mean()))
-    gap = float((af * f).mean()) - float((f * f).mean())
-    # roundoff of <Af, g> per unit of the operands' norms: eps times A's
-    # largest value on the band, where f and g live, and eps^2 times its
-    # largest off it, where one transform's roundoff meets the other's
+    gap = aff - float((f * f).mean())
+    # roundoff: eps per A-weighted operand, eps^2 max A where both are off band
     eps = np.finfo(np.float64).eps
-    floor = (eps * (ops.a[ops.mask].max() + eps * ops.a.max())
-             * np.sqrt((f ** 2).mean() * (g ** 2).mean()))
-    return max(sym_err, -gap), max(1e-10, floor)
+    mf, mg, maf, mag = (np.abs(v).max() for v in (f, g, af, ag))
+    bound = eps * (maf * mg + mf * mag + eps * ops.a.max() * mf * mg)
+    scale = np.sqrt(abs(aff)) * np.sqrt(abs(agg))  # Cauchy-Schwarz
+    return max(sym_err, -gap), max(1e-10, bound), scale
 
 
 def _check_multiplier_translation_equivariance(rng, grid, k):
@@ -90,9 +90,9 @@ def _check_multiplier_translation_equivariance(rng, grid, k):
     then_shifted = shift_values(grid, ops.apply(ops.a, f), offs)
     scale = max(1.0, np.abs(then_shifted).max())
     # each apply amplifies the transform's roundoff on every mode by max A
-    floor = 2.0 * np.finfo(np.float64).eps * ops.a.max() * np.abs(f).max()
+    bound = 2.0 * np.finfo(np.float64).eps * ops.a.max() * np.abs(f).max()
     return (np.abs(shifted_then - then_shifted).max() / scale,
-            max(1e-12, floor / scale))
+            max(1e-12, bound / scale), 1.0)
 
 
 def _check_lrho_self_adjoint_positive(rng, grid, k):
@@ -252,13 +252,14 @@ CHECKS = [
 def run_suite(dim: int = 1, n: int = 32, k: int = 1, seed: int = 0) -> dict:
     """Run every named invariant check; returns a machine-readable report.
     A check whose solver aborts has failed: it keeps the abort's message,
-    with no measured value or tolerance, and the other checks still run."""
+    with no measured value or tolerance, and the other checks still run; one
+    whose tolerance passes 1e-7 of its scale is unresolved, and fails."""
     grid = make_grid(dim, n)
     results = {}
     for name, fn in CHECKS:
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
         try:
-            measured, tol = fn(rng, grid, k)
+            measured, tol, *scale = fn(rng, grid, k)
         except geodesic.SolverAbort as exc:
             results[name] = {"passed": False, "measured": None,
                              "tolerance": None, "abort": str(exc)}
@@ -268,11 +269,12 @@ def run_suite(dim: int = 1, n: int = 32, k: int = 1, seed: int = 0) -> dict:
             "measured": float(measured),
             "tolerance": float(tol),
         }
-    report = {
+        if scale and not tol <= 1e-7 * scale[0]:  # could hide a 1e-6 fault
+            results[name].update(passed=False, unresolved=True)
+    return {
         "grid": {"dim": dim, "n": n},
         "k": k,
         "seed": seed,
         "checks": results,
         "all_passed": all(r["passed"] for r in results.values()),
     }
-    return report

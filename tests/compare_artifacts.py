@@ -1,9 +1,8 @@
 """Byte identity of the benchmark workloads' artifacts between two checkouts.
 
-    python tests/compare_artifacts.py PARENT CHANGE [--seeds 1 2]
-        [--workloads shoot-2d match-1d xval-2d] [--workdir DIR]
+    python tests/compare_artifacts.py PARENT CHANGE [--workdir DIR]
 
-For each workload of perfbench/workloads.py and each seed, each checkout
+For each workload of perfbench/workloads.py and seeds 1 and 2, each checkout
 runs, in a Python process of its own, the workload's `prepare` and then
 its CLI command, with densgeo from that checkout's src/. perfbench is only
 imported: its `run.bootstrap` pins the BLAS threads and puts src/ on the
@@ -31,6 +30,7 @@ import sys
 import tempfile
 
 WORKLOADS = ("shoot-2d", "match-1d", "xval-2d")
+SEEDS = (1, 2)
 
 # prepare and run one workload in a checkout: argv is root, name, seed, dir
 RUN = """
@@ -90,9 +90,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                        default=list(WORKLOADS))
     parser.add_argument("--workdir", help="keep the runs here")
     args = parser.parse_args(argv)
 
@@ -100,8 +97,8 @@ def main(argv=None):
     shared = os.path.join(top, "run")
     identical = True
     try:
-        for name in args.workloads:
-            for seed in args.seeds:
+        for name in WORKLOADS:
+            for seed in SEEDS:
                 dirs, codes = {}, {}
                 for label in ("parent", "change"):
                     codes[label] = run(getattr(args, label), name, seed,

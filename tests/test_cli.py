@@ -380,8 +380,9 @@ class TestValidateCommand:
     def test_aborting_checks_keep_every_verdict(self, tmp_path):
         # on 1-D n 32 at k 8 the CG solve and the EPDiff flow abort: each
         # aborting check fails with its abort's message, and every other
-        # check still runs and gives its verdict; the symbol checks pass,
-        # their tolerances following the roundoff A amplifies
+        # check still runs and gives its verdict; the symmetry check
+        # passes, its tolerance following the roundoff A amplifies, and the
+        # equivariance check's roundoff is too large for a verdict
         cfg = write_config(tmp_path / "c.ini", VALIDATE_CFG.replace(
             "seed = 5", "seed = 0").replace("k = 1", "k = 8"))
         out = str(tmp_path / "out")
@@ -402,20 +403,27 @@ class TestValidateCommand:
             assert checks[name]["measured"] is None
         status = io.read_json(os.path.join(out, "status.json"))
         assert status["status"] == "aborted"
+        assert checks["inertia-self-adjoint-positive"]["passed"] is True
+        assert checks["multiplier-translation-equivariance"][
+            "unresolved"] is True
         assert status["message"] == (
-            "invariant checks failed: solve-apply-roundtrip (aborted), "
+            "invariant checks failed: multiplier-translation-equivariance "
+            "(unresolved), solve-apply-roundtrip (aborted), "
             "epdiff-energy-conservation (aborted)")
 
     def test_overflow_prints_only_the_verdict(self, tmp_path, capsys):
         # at k 100 the CG solve overflows: its abort reports it, with no
-        # numpy warning beside the command's own line
+        # numpy warning beside the command's own line; the symbol checks'
+        # roundoff is too large for a verdict
         cfg = write_config(tmp_path / "c.ini", VALIDATE_CFG.replace(
             "seed = 5", "seed = 0").replace("k = 1", "k = 100"))
         assert cli.main(["validate", "--config", cfg, "--output-dir",
                          str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
-            "aborted: invariant checks failed: solve-apply-roundtrip "
-            "(aborted), epdiff-energy-conservation (aborted)\n")
+            "aborted: invariant checks failed: inertia-self-adjoint-positive "
+            "(unresolved), multiplier-translation-equivariance (unresolved), "
+            "solve-apply-roundtrip (aborted), epdiff-energy-conservation "
+            "(aborted)\n")
 
     @pytest.mark.parametrize("seed", ["abc", "-3"])
     def test_bad_seed_is_a_config_error(self, tmp_path, capsys, seed):
